@@ -19,25 +19,11 @@ let err msg =
   prerr_endline ("rtgen: " ^ msg);
   Ec.input_error
 
-(* Load a trace; in recover mode the quarantine summary goes to stderr so
-   stdout stays pipeable model output. Strict loads go through the
-   zero-copy mmap reader (byte-for-byte parity with the boxed loader,
-   enforced by test_arena); timestamps beyond the 41-bit packed range —
-   or any OS-level mmap refusal — fall back to the boxed path, whose
-   error phrasing is the contract. *)
+(* Load a whole trace for the commands that need it in memory; in
+   recover mode the quarantine summary goes to stderr so stdout stays
+   pipeable model output. *)
 let read_trace ?(mode = `Strict) ?eps ?window ?obs ?(quiet = false) path =
-  let boxed () = Rt_trace.Trace_io.load ~mode ?eps ?obs path in
-  let load () =
-    match mode with
-    | `Recover -> boxed ()
-    | `Strict ->
-      (match Rt_trace.Mmap_io.load ?obs path with
-       | Ok (mm, q) -> Ok (mm.Rt_trace.Mmap_io.trace, q)
-       | Error e when Rt_trace.Mmap_io.is_range_error e -> boxed ()
-       | Error _ as e -> e
-       | exception Unix.Unix_error _ -> boxed ())
-  in
-  match load () with
+  match Rt_trace.Trace_io.load ~mode ?eps ?obs path with
   | Ok (t, q) ->
     let t, q =
       if mode = `Recover then Rt_trace.Trace_io.semantic_filter ?window ?obs t q
@@ -208,294 +194,16 @@ let resolve_blob dir spec =
   let* blob = Store.read_blob s e.Store.address in
   Ok (e, blob)
 
-(* A corrupt checkpoint is survivable (the fallback relearns from
-   scratch) but must never be invisible: operators watching a fleet
-   need to know recovery aids are dying. One counter — rendered as
-   checkpoint_corrupt_total by the Prometheus exposition — and one
-   flight event per discarded checkpoint. *)
-let note_corrupt_checkpoint ~obs ~flight where why =
-  (match obs with
-   | Some r -> Rt_obs.Registry.incr (Rt_obs.Registry.counter r "checkpoint.corrupt")
-   | None -> ());
-  match flight with
-  | Some f ->
-    Rt_obs.Flight.record f Rt_obs.Flight.Warn ~stream:where
-      ~kind:"checkpoint.corrupt"
-      (Printf.sprintf "%s; starting fresh" why)
-  | None -> ()
-
-(* Checkpointed heuristic learning: feed period by period, snapshotting the
-   engine every [every] periods into [ckpt] — a bare file or a store ref
-   ([DIR//ref]). A checkpoint is tagged with a digest of the
-   (post-quarantine) trace so a resume against different data is refused
-   rather than silently wrong. [stop_after] processes that many periods and
-   exits — a deterministic stand-in for getting killed, used by the tests. *)
-let run_checkpointed ~pool ~obs ~flight ~progress ~window ~bound ~every
-    ~stop_after ~ckpt (q : Rt_trace.Quarantine.t) trace =
-  let module Eng = Rt_engine.Engine in
-  let tag = Digest.to_hex (Digest.string (Rt_trace.Trace_io.to_string trace)) in
-  let ckpt_path = Slot.describe ckpt in
-  let fresh () =
-    let eng =
-      Eng.create ?window ?pool ?obs
-        ~ntasks:(Rt_trace.Trace.task_count trace) (Eng.Heuristic { bound })
-    in
-    Eng.set_provenance eng
-      ~dropped:(List.length q.dropped)
-      ~repaired:(List.length q.repaired);
-    Ok eng
-  in
-  let corrupt m =
-    (* Integrity damage (torn write, flipped bit): the checkpoint
-       is an optimization, not the data — warn and relearn from
-       scratch rather than dying on a recovery aid. A *mismatched*
-       checkpoint still refuses below: that one parsed fine and
-       points at operator error. *)
-    Printf.eprintf
-      "warning: %s: %s; starting fresh (the corrupt checkpoint will \
-       be overwritten)\n" ckpt_path m;
-    note_corrupt_checkpoint ~obs ~flight ckpt_path
-      (Printf.sprintf "%s: %s" ckpt_path m);
-    fresh ()
-  in
-  let eng =
-    if Slot.exists ckpt then
-      match Slot.load ckpt with
-      | Error m -> corrupt m
-      | Ok data ->
-        (match Eng.resume ?pool ?obs (data) with
-         | Ok (eng, tag') when tag' = tag ->
-           Printf.eprintf "resumed %s: %d periods already processed\n"
-             ckpt_path (Eng.periods_fed eng);
-           Ok eng
-         | Ok _ ->
-           Error (Printf.sprintf
-                    "%s was checkpointed against a different trace; delete it \
-                     to start over" ckpt_path)
-         | Error m -> corrupt m)
-    else fresh ()
-  in
-  match eng with
-  | Error _ as e -> e
-  | Ok eng ->
-    let periods = Rt_trace.Trace.periods trace in
-    let total = List.length periods in
-    let skip = Eng.periods_fed eng in
-    if skip > total then
-      Error (Printf.sprintf
-               "%s claims %d periods processed but the trace has only %d"
-               ckpt_path skip total)
-    else begin
-      let write_ckpt () =
-        match Eng.checkpoint ~tag eng with
-        | Ok data ->
-          Slot.save ~bound ~source:tag
-            ~created_at:(Eng.periods_fed eng) ckpt data
-        | Error m -> Printf.eprintf "checkpoint failed: %s\n" m
-      in
-      let stopped = ref false in
-      (try
-         List.iteri (fun i p ->
-             if i >= skip && not !stopped then begin
-               Eng.feed eng p;
-               let done_ = i + 1 in
-               (match progress with
-                | Some n when done_ mod n = 0 || done_ = total ->
-                  Printf.eprintf "progress: %d/%d periods, %d hypotheses\n%!"
-                    done_ total (List.length (Eng.current eng))
-                | Some _ | None -> ());
-               if done_ mod every = 0 || done_ = total then write_ckpt ();
-               match stop_after with
-               | Some k when done_ - skip >= k -> stopped := true
-               | Some _ | None -> ()
-             end)
-           periods
-       with e -> write_ckpt (); raise e);
-      if !stopped then begin
-        write_ckpt ();
-        Eng.publish eng;
-        Printf.eprintf "stopped after %d periods (checkpoint in %s)\n"
-          (Eng.periods_fed eng) ckpt_path;
-        Ok None
-      end
-      else begin
-        (* Success: the checkpoint has served its purpose. *)
-        Slot.discard ckpt;
-        Ok (Some (Eng.snapshot eng, eng))
-      end
-    end
-
-(* `--shards K --checkpoint`: shards are processed sequentially, each
-   snapshotting its engine pair (main + bound-1 companion) to
-   FILE.shard<i> / FILE.shard<i>.b1 every [every] periods. Tags bind
-   the trace digest, shard index, partition width and bound, so a
-   resume against different data or a different partition is refused
-   rather than silently wrong. All files are removed on success.
-   Returns [Ok None] when --stop-after cut the run short, otherwise
-   [Ok (Some model)] with the folded model option. *)
-let run_checkpointed_sharded ~obs ~flight ~progress ~window ~bound ~shards
-    ~every ~stop_after ~ckpt trace =
-  let module Eng = Rt_engine.Engine in
-  let module S = Rt_shard.Shard in
-  let digest =
-    Digest.to_hex (Digest.string (Rt_trace.Trace_io.to_string trace))
-  in
-  let periods = trace.Rt_trace.Trace.periods in
-  let total = Array.length periods in
-  let ranges = S.plan ~shards ~periods:total in
-  let k = Array.length ranges in
-  let ntasks = Rt_trace.Trace.task_count trace in
-  let tag i which = Printf.sprintf "%s+shard%d/%d+b%d+%s" digest i k bound which in
-  (* Per-shard slots: FILE.shard<i>[.b1] for files, ref/shard<i>[/b1]
-     generations for store-backed checkpoints. *)
-  let slot_of i which =
-    match ckpt with
-    | Slot.File p ->
-      Slot.File
-        (Printf.sprintf "%s.shard%d%s" p i
-           (if which = "b1" then ".b1" else ""))
-    | Slot.Ref (s, r) ->
-      Slot.Ref
-        ( s,
-          Printf.sprintf "%s/shard%d%s" r i
-            (if which = "b1" then "/b1" else "") )
-  in
-  let path_of i which = Slot.describe (slot_of i which) in
-  (* Resume an engine from its per-shard slot, or start fresh. *)
-  let engine_at i which engine_bound =
-    let slot = slot_of i which in
-    let path = path_of i which in
-    let corrupt m =
-      (* Same degradation as the unsharded path: a corrupt checkpoint
-         costs a relearn of this shard, never the run. *)
-      Printf.eprintf "warning: %s: %s; starting shard fresh\n" path m;
-      note_corrupt_checkpoint ~obs ~flight path (Printf.sprintf "%s: %s" path m);
-      Ok (Eng.create ?window ~ntasks (Eng.Heuristic { bound = engine_bound }))
-    in
-    if Slot.exists slot then
-      match Slot.load slot with
-      | Error m -> corrupt m
-      | Ok data ->
-        (match Eng.resume data with
-         | Ok (eng, t) when t = tag i which ->
-           if Eng.periods_fed eng > 0 then
-             Printf.eprintf "resumed %s: %d periods already processed\n" path
-               (Eng.periods_fed eng);
-           Ok eng
-         | Ok _ ->
-           Error (Printf.sprintf
-                    "%s was checkpointed against a different trace or \
-                     partition; delete it to start over" path)
-         | Error m -> corrupt m)
-    else Ok (Eng.create ?window ~ntasks (Eng.Heuristic { bound = engine_bound }))
-  in
-  let budget = ref (match stop_after with Some n -> n | None -> max_int) in
-  let stopped = ref false in
-  let done_total = ref 0 in
-  let finished = ref [] in
-  let rec shard_loop i =
-    if i >= k || !stopped then Ok ()
-    else
-      let lo, hi = ranges.(i) in
-      match engine_at i "main" bound with
-      | Error _ as e -> e
-      | Ok main ->
-        (match
-           if bound = 1 then Ok None
-           else Result.map Option.some (engine_at i "b1" 1)
-         with
-         | Error _ as e -> e
-         | Ok comp ->
-           let skip = Eng.periods_fed main in
-           let comp_skip =
-             match comp with Some c -> Eng.periods_fed c | None -> skip
-           in
-           if comp_skip <> skip then begin
-             (* A kill between the two dumps (main written, companion
-                not yet) leaves the pair one period apart; engines
-                cannot rewind, so relearn the shard from scratch. *)
-             Printf.eprintf
-               "warning: %s and its .b1 companion disagree on progress \
-                (%d vs %d); restarting shard %d fresh\n"
-               (path_of i "main") skip comp_skip i;
-             let main = Eng.create ?window ~ntasks (Eng.Heuristic { bound }) in
-             let comp =
-               if bound = 1 then None
-               else Some (Eng.create ?window ~ntasks (Eng.Heuristic { bound = 1 }))
-             in
-             run_shard i lo hi main comp
-           end
-           else if skip > hi - lo then
-             Error (Printf.sprintf
-                      "%s claims %d periods processed but shard %d has \
-                       only %d" (path_of i "main") skip i (hi - lo))
-           else run_shard i lo hi main comp)
-  and run_shard i lo hi main comp =
-    let skip = Eng.periods_fed main in
-    done_total := !done_total + skip;
-    let write_ckpt () =
-      let dump which eng =
-        match Eng.checkpoint ~tag:(tag i which) eng with
-        | Ok data ->
-          Slot.save ~bound:(if which = "b1" then 1 else bound)
-            ~source:(tag i which) ~created_at:(Eng.periods_fed eng)
-            (slot_of i which) data
-        | Error m -> Printf.eprintf "checkpoint failed: %s\n" m
-      in
-      dump "main" main;
-      Option.iter (dump "b1") comp
-    in
-    (try
-       for j = lo + skip to hi - 1 do
-         if not !stopped then begin
-           Eng.feed main periods.(j);
-           Option.iter (fun c -> Eng.feed c periods.(j)) comp;
-           incr done_total;
-           decr budget;
-           (match progress with
-            | Some n when !done_total mod n = 0 || !done_total = total ->
-              Printf.eprintf
-                "progress: %d/%d periods (shard %d), %d hypotheses\n%!"
-                !done_total total i (List.length (Eng.current main))
-            | Some _ | None -> ());
-           let fed = Eng.periods_fed main in
-           if fed mod every = 0 || fed = hi - lo then write_ckpt ();
-           if !budget <= 0 then stopped := true
-         end
-       done
-     with e -> write_ckpt (); raise e);
-    if Eng.periods_fed main < hi - lo then begin
-      write_ckpt ();
-      Ok ()  (* stopped mid-shard; the outer match reports it *)
-    end
-    else begin
-      finished := Option.value comp ~default:main :: !finished;
-      shard_loop (i + 1)
-    end
-  in
-  match shard_loop 0 with
-  | Error _ as e -> e
-  | Ok () ->
-    if !stopped then begin
-      Printf.eprintf "stopped after %d periods (checkpoints in %s.shard*)\n"
-        !done_total (Slot.describe ckpt);
-      Ok None
-    end
-    else begin
-      let companions = Array.of_list (List.rev !finished) in
-      let parts =
-        Array.map
-          (fun e -> (S.summary_of e, Option.get (Eng.violations e)))
-          companions
-      in
-      let model = S.fold_summaries parts in
-      (* Success: the checkpoints have served their purpose. *)
-      for i = 0 to k - 1 do
-        Slot.discard (slot_of i "main");
-        Slot.discard (slot_of i "b1")
-      done;
-      Ok (Some (model, parts))
-    end
+(* What a learn checkpoint is bound to: the input file's bytes and the
+   options that decide which periods reach the engine. Hashing streams
+   the file, so the trace is never held in memory for this. *)
+let input_tag ~mode ~eps ~window ic =
+  let digest = Digest.channel ic (-1) in
+  seek_in ic 0;
+  Printf.sprintf "%s+%s+eps%d+w%s" (Digest.to_hex digest)
+    (match mode with `Strict -> "strict" | `Recover -> "recover")
+    eps
+    (match window with Some w -> string_of_int w | None -> "-")
 
 (* Write the registry's sinks. Atomic writes: a run killed mid-dump never
    leaves a truncated JSON document behind. The profiler sinks go to
@@ -536,25 +244,6 @@ let output_model ~names ~dot ~output lub =
   else Format.printf "%s@." (Rt_lattice.Depfun.to_string ~names lub);
   Ec.ok
 
-(* Shared tail of `learn`: print (or save, or dot) the answer set. *)
-let render_model ~names ~dot ~output hs =
-  match hs with
-  | [] -> err inconsistent_msg
-  | hs ->
-    if not dot then
-      Format.printf "%d most specific hypothesis(es); least upper bound:@."
-        (List.length hs);
-    output_model ~names ~dot ~output (Rt_lattice.Depfun.lub hs)
-
-(* Sharded tail: stdout carries only the folded model, which is
-   byte-identical for every shard count (the sharding contract);
-   per-shard accounting goes to stderr. *)
-let render_folded ~names ~dot ~output = function
-  | None -> err inconsistent_msg
-  | Some model ->
-    if not dot then Format.printf "folded model (exact at bound 1):@.";
-    output_model ~names ~dot ~output model
-
 (* Commit a learned model to a content-addressed store: the bound-1
    companion parts (the pre-weaken fleet-merge interchange consumed by
    `rtgen merge`) under REF/b1 (REF/b1/<i> when sharded), optionally
@@ -587,10 +276,6 @@ let store_commit ~store ~ref_ ~names ~bound ~source ~created_at ?answers
       (Ok []) companion_refs
   in
   let parents = List.rev parents in
-  if parents = [] then
-    Printf.eprintf
-      "note: no bound-1 companion produced; %s is committed without the \
-       fleet-merge interchange\n" ref_;
   let* () =
     match answers with
     | None | Some [] -> Ok ()
@@ -610,221 +295,222 @@ let store_commit ~store ~ref_ ~names ~bound ~source ~created_at ?answers
     (Store.root s) ref_ e.Store.gen e.Store.address (List.length parents);
   Ok ()
 
-let blowup_msg set_size limit =
-  Printf.sprintf
-    "exact version space exceeded %d (limit %d); use the heuristic \
-     (--bound) or a candidate --window"
-    set_size limit
+(* Print (or save, or dot) the result, then commit it to the store:
+   stdout and -o carry the model either way, and a store failure
+   surfaces as an input error without un-printing anything. A single
+   engine's result is its answer set; a sharded one is the folded model,
+   byte-identical for every shard count (per-shard accounting goes to
+   stderr). *)
+let finish_learn ~store ~store_ref ~bound ~source ~dot ~output ~names
+    ~created_at ~parts ~answers result =
+  let header, model =
+    match result with
+    | `Answers hs ->
+      ( Printf.sprintf "%d most specific hypothesis(es); least upper bound:"
+          (List.length hs),
+        match hs with [] -> None | hs -> Some (Rt_lattice.Depfun.lub hs) )
+    | `Folded model -> ("folded model (exact at bound 1):", model)
+  in
+  match model with
+  | None -> err inconsistent_msg
+  | Some model ->
+    if not dot then Format.printf "%s@." header;
+    let code = output_model ~names ~dot ~output model in
+    match
+      Option.map
+        (fun dir ->
+           store_commit ~store:dir ~ref_:store_ref ~names ~bound ~source
+             ~created_at ?answers ~parts model)
+        store
+    with
+    | Some (Error m) -> err ("store: " ^ m)
+    | Some (Ok ()) | None -> code
 
-(* `learn --stream`: parse, salvage and learn one period at a time — the
-   trace is never materialized, so a multi-hour capture (or stdin from a
-   live logger) costs one period of memory. Produces the same model and
-   the same quarantine account as the batch path, because both sit on
-   Stream_io / salvage_period / Engine. *)
-let learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps ~progress
-    ~dot ~output ~store ~store_ref ~metrics ~trace_events ~profile ~folded
-    path =
-  let write_sinks = write_sinks ~profile ?folded in
-  let module Eng = Rt_engine.Engine in
-  let module SStream = Rt_shard.Shard.Stream in
-  match (if path = "-" then Ok stdin
-         else try Ok (open_in path) with Sys_error m -> Error m)
-  with
-  | Error m -> err (m)
-  | Ok ic ->
+(* Run [f] on the channel of [path], or on stdin for "-". *)
+let with_input path f =
+  match if path = "-" then stdin else open_in path with
+  | exception Sys_error m -> err m
+  | ic ->
     Fun.protect ~finally:(fun () -> if path <> "-" then close_in_noerr ic)
-      (fun () ->
-         with_pool jobs (fun pool ->
-             let parser =
-               Rt_trace.Stream_io.create ~mode ~eps
-                 (Rt_trace.Stream_io.lines_of_channel ic)
-             in
-             let alg =
-               if exact then Eng.Exact { limit = None }
-               else Eng.Heuristic { bound }
-             in
-             (* One engine, or — with --shards K — K round-robin units
-                (engine pairs) folded at end of stream. The sharded
-                units are private and obs-free; shard.* counters are
-                published from this domain instead. *)
-             let core = ref None in
-             let core_of ts =
-               match !core with
-               | Some c -> c
-               | None ->
-                 let ntasks = Rt_task.Task_set.size ts in
-                 let c =
-                   match shards with
-                   | Some k ->
-                     `Sharded
-                       (SStream.create ?window ~ntasks ~bound ~shards:k ())
-                   | None ->
-                     (* With --store, run a bound-1 companion alongside:
-                        its pre-weaken matrix is the fleet-merge
-                        interchange this process publishes. At bound 1
-                        the main engine is its own companion. *)
-                     let comp =
-                       if store <> None && not exact && bound > 1 then
-                         Some (Eng.create ?window ~ntasks
-                                 (Eng.Heuristic { bound = 1 }))
-                       else None
-                     in
-                     `Single (Eng.create ?window ?pool ?obs ~ntasks alg, comp)
-                 in
-                 core := Some c; c
-             in
-             let feed_core c p =
-               match c with
-               | `Single (e, comp) ->
-                 Eng.feed e p;
-                 Option.iter (fun c -> Eng.feed c p) comp
-               | `Sharded s -> SStream.feed s p
-             in
-             let periods_fed_core = function
-               | `Single (e, _) -> Eng.periods_fed e
-               | `Sharded s -> SStream.periods_fed s
-             in
-             let hypotheses_core = function
-               | `Single (e, _) -> List.length (Eng.current e)
-               | `Sharded s -> SStream.hypotheses s
-             in
-             let excised = ref [] and sem_dropped = ref [] in
-             let rec pump () =
-               match Rt_trace.Stream_io.next parser with
-               | Error e ->
-                 Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
-               | Ok None -> Ok ()
-               | Ok (Some p) ->
-                 let c =
-                   core_of (Option.get (Rt_trace.Stream_io.task_set parser))
-                 in
-                 let fed =
-                   if mode = `Recover then
-                     match Rt_trace.Trace_io.salvage_period ?window p with
-                     | `Clean -> feed_core c p; true
-                     | `Excised (p', n) ->
-                       excised := (p'.Rt_trace.Period.index, n) :: !excised;
-                       feed_core c p'; true
-                     | `Dropped ->
-                       sem_dropped := p.Rt_trace.Period.index :: !sem_dropped;
-                       false
-                   else (feed_core c p; true)
-                 in
-                 (if fed then
-                    match progress with
-                    | Some n when periods_fed_core c mod n = 0 ->
-                      Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
-                        (periods_fed_core c) (hypotheses_core c)
-                    | Some _ | None -> ());
-                 pump ()
-             in
-             let outcome =
-               match pump () with
-               | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
-                 Error (blowup_msg set_size limit)
-               | r -> r
-             in
-             match outcome with
-             | Error m -> err (m)
-             | Ok () ->
-               let excised = List.rev !excised
-               and dropped_idx = List.rev !sem_dropped in
-               let q =
-                 let q0 = Rt_trace.Stream_io.quarantine parser in
-                 if mode = `Recover then
-                   Rt_trace.Trace_io.salvage_account q0 ~excised ~dropped_idx
-                 else q0
-               in
-               (match obs with
-                | Some r ->
-                  if mode = `Recover then
-                    Rt_trace.Trace_io.publish_salvage r q
-                      ~frames_excised:
-                        (List.fold_left (fun a (_, n) -> a + n) 0 excised)
-                  else Rt_trace.Trace_io.publish_quarantine_to r q
-                | None -> ());
-               if mode = `Recover then
-                 prerr_endline (Rt_trace.Quarantine.summary q);
-               match !core with
-               | Some c when periods_fed_core c > 0 ->
-                 let names =
-                   Rt_task.Task_set.names
-                     (Option.get (Rt_trace.Stream_io.task_set parser))
-                 in
-                 let commit ~parts ?answers model =
-                   match store with
-                   | None -> Ec.ok
-                   | Some dir ->
-                     (match
-                        store_commit ~store:dir ~ref_:store_ref ~names ~bound
-                          ~source:path ~created_at:(periods_fed_core c)
-                          ?answers ~parts model
-                      with
-                      | Ok () -> Ec.ok
-                      | Error m -> err ("store: " ^ m))
-                 in
-                 (match c with
-                  | `Single (e, comp) ->
-                    Eng.set_provenance e
-                      ~dropped:(List.length q.Rt_trace.Quarantine.dropped)
-                      ~repaired:(List.length q.Rt_trace.Quarantine.repaired);
-                    let parts =
-                      match Eng.violations e with
-                      | Some v when not exact ->
-                        [| (Rt_shard.Shard.summary_of
-                              (Option.value comp ~default:e), v) |]
-                      | Some _ | None -> [||]
-                    in
-                    let snap = Eng.finalize e in
-                    write_sinks ~metrics ~trace_events obs;
-                    let code =
-                      render_model ~names ~dot ~output snap.Eng.hypotheses
-                    in
-                    (match snap.Eng.lub with
-                     | Some model when code = Ec.ok ->
-                       Ec.combine code
-                         (commit ~parts ~answers:snap.Eng.hypotheses model)
-                     | Some _ | None -> code)
-                  | `Sharded s ->
-                    (match obs with
-                     | Some r ->
-                       let set = Rt_obs.Registry.set_counter r in
-                       set "shard.shards" (SStream.shards s);
-                       set "shard.periods" (SStream.periods_fed s);
-                       set "shard.messages" (SStream.messages_fed s);
-                       set "shard.jobs" jobs
-                     | None -> ());
-                    write_sinks ~metrics ~trace_events obs;
-                    let folded = SStream.fold s in
-                    let code = render_folded ~names ~dot ~output folded in
-                    (match folded with
-                     | Some model when code = Ec.ok ->
-                       Ec.combine code (commit ~parts:(SStream.parts s) model)
-                     | Some _ | None -> code))
-               | Some _ | None ->
-                 err ("no usable periods after quarantine")))
+      (fun () -> f ic)
+
+(* A flight recorder for [f] when [--flight FILE] asked for one, dumped
+   (rtgen-flight JSON) to FILE at exit. *)
+let with_flight flight_out f =
+  let flight = Option.map (fun _ -> Rt_obs.Flight.create ()) flight_out in
+  let code = f flight in
+  (match (flight, flight_out) with
+   | Some fl, Some p ->
+     Rt_util.Atomic_file.write p
+       (Rt_obs.Json.to_string ~pretty:true (Rt_obs.Flight.to_json fl));
+     Printf.eprintf "wrote %s\n" p
+   | _ -> ());
+  code
+
+(* Every learn but --auto and parallel --shards: one streaming session
+   over the file (or stdin, spelled "-") that holds one period in
+   memory. With --shards the session feeds K round-robin engine pairs,
+   folded at the end of input. *)
+let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
+    ~progress ~ckpt ~every ~stop_after ~companion ~write_sinks ~finish path =
+  let module S = Rt_shard.Session in
+  let ckpt_path = Option.fold ~none:"" ~some:Slot.describe ckpt in
+  with_input path @@ fun ic ->
+  with_pool jobs @@ fun pool ->
+  let checkpoint =
+    Option.map
+      (fun slot ->
+         { S.slot; tag = input_tag ~mode ~eps ~window ic; source = path; every })
+      ckpt
+  in
+  let s, resume =
+    S.create ~mode ~eps ?window ?pool ?obs ~companion ?shards ?checkpoint
+      (if exact then Rt_engine.Engine.Exact { limit = None }
+       else Rt_engine.Engine.Heuristic { bound })
+      (Rt_trace.Stream_io.lines_of_channel ic)
+  in
+  (* [stop_after] processes that many periods and exits — a
+     deterministic stand-in for getting killed, used by the tests. *)
+  let rec pump fed =
+    match S.next s with
+    | Error e -> Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
+    | Ok None -> Ok `Done
+    | Ok (Some (S.Skipped | S.Dropped _)) -> pump fed
+    | Ok (Some S.Fed) ->
+      (match progress with
+       | Some n when S.periods_fed s mod n = 0 ->
+         Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
+           (S.periods_fed s) (S.hypotheses s)
+       | Some _ | None -> ());
+      (match (stop_after, ckpt) with
+       | Some k, Some _ when fed + 1 >= k -> Ok `Stopped
+       | _ -> pump (fed + 1))
+  in
+  (match resume with
+   | S.Resumed n ->
+     Printf.eprintf "resumed %s: %d periods already processed\n" ckpt_path n
+   | S.Corrupt m ->
+     (* Integrity damage (torn write, flipped bit): the checkpoint is an
+        optimization, not the data — relearn from scratch rather than die
+        on a recovery aid, but never invisibly: operators watching a
+        fleet need to know recovery aids are dying. *)
+     Printf.eprintf
+       "warning: %s; starting fresh (the corrupt checkpoint will be \
+        overwritten)\n" m;
+     Option.iter
+       (fun r ->
+          Rt_obs.Registry.incr (Rt_obs.Registry.counter r "checkpoint.corrupt"))
+       obs;
+     Option.iter
+       (fun f ->
+          Rt_obs.Flight.record f Rt_obs.Flight.Warn ~stream:ckpt_path
+            ~kind:"checkpoint.corrupt" (m ^ "; starting fresh"))
+       flight
+   | S.Fresh | S.Foreign _ -> ());
+  match resume with
+  | S.Foreign _ ->
+    (* It parsed fine, so it points at operator error: refuse. *)
+    err (Printf.sprintf
+           "%s was checkpointed against a different trace; delete it to \
+            start over" ckpt_path)
+  | S.Fresh | S.Resumed _ | S.Corrupt _ ->
+    match pump 0 with
+    | exception Sys_error m -> err m
+    | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
+      err (Printf.sprintf
+             "exact version space exceeded %d (limit %d); use the \
+              heuristic (--bound) or a candidate --window" set_size limit)
+    | Error m -> err m
+    | Ok `Stopped ->
+      S.save s;
+      S.publish s;
+      write_sinks ();
+      Printf.eprintf "stopped after %d periods (checkpoint in %s)\n"
+        (S.periods_fed s) ckpt_path;
+      Ec.ok
+    | Ok `Done ->
+      if mode = `Recover then
+        prerr_endline (Rt_trace.Quarantine.summary (S.quarantine s));
+      (match S.finalize s with
+       | None -> err "no usable periods after quarantine"
+       | Some snap ->
+         (* Success: the checkpoint has served its purpose. *)
+         S.discard s;
+         write_sinks ();
+         let parts = S.parts s in
+         let finish =
+           finish ~names:(Option.get (S.names s)) ~created_at:(S.periods_fed s)
+             ~parts
+         in
+         (match shards with
+          | None ->
+            finish ~answers:(Some snap.hypotheses) (`Answers snap.hypotheses)
+          | Some _ ->
+            finish ~answers:None (`Folded (Rt_shard.Shard.fold_summaries parts))))
+
+(* --auto and parallel --shards work on the whole trace in memory. *)
+let learn_batch ~auto ~shards ~bound ~window ~jobs ~obs ~mode ~eps
+    ~write_sinks ~finish path =
+  match read_trace ~mode ~eps ?window ?obs path with
+  | Error m -> err m
+  | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
+    err "no usable periods after quarantine"
+  | Ok (trace, _) ->
+    let names = Rt_task.Task_set.names trace.task_set in
+    let created_at = Rt_trace.Trace.period_count trace in
+    if auto then begin
+      let report, chosen =
+        with_pool jobs (fun pool ->
+            Rt_engine.Learner.auto ?window ?pool ?obs trace)
+      in
+      Format.printf "auto bound search:@.";
+      List.iter (fun (s : Rt_engine.Learner.bound_step) ->
+          Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
+            s.bound s.hypotheses
+            (if s.lub_changed then "changed" else "stable")
+            s.elapsed_s)
+        report.Rt_engine.Learner.trajectory;
+      Format.printf "selected bound %d@." chosen;
+      write_sinks ();
+      finish ~names ~created_at ~parts:[||] ~answers:None
+        (`Answers report.Rt_engine.Learner.hypotheses)
+    end
+    else begin
+      let out =
+        with_pool jobs (fun pool ->
+            Rt_shard.Shard.learn ?window ?pool ?obs ~bound
+              ~shards:(Option.get shards) trace)
+      in
+      Array.iteri
+        (fun i (r : Rt_shard.Shard.result) ->
+           Printf.eprintf
+             "shard %d: %d periods, %d messages, %d hypotheses, %.3fs\n"
+             i r.periods r.messages
+             (List.length r.hypotheses)
+             (float_of_int r.elapsed_ns /. 1e9))
+        out.shards;
+      write_sinks ();
+      finish ~names ~created_at
+        ~parts:(Array.map
+                  (fun (r : Rt_shard.Shard.result) -> (r.summary, r.violations))
+                  out.shards)
+        ~answers:None (`Folded out.model)
+    end
 
 let learn path exact auto stream shards bound window jobs dot output mode eps
     checkpoint every stop_after store store_ref flight_out metrics
     trace_events profile folded progress =
-  let module Eng = Rt_engine.Engine in
   let obs =
     if metrics <> None || trace_events <> None || profile || folded <> None
     then Some (Rt_obs.Registry.create ())
     else None
   in
-  (* One recorder for the run: checkpoint-corruption notices land in it,
-     dumped at exit. *)
-  let flight = Option.map (fun _ -> Rt_obs.Flight.create ()) flight_out in
-  let dump_flight () =
-    match (flight, flight_out) with
-    | Some f, Some p ->
-      Rt_util.Atomic_file.write p
-        (Rt_obs.Json.to_string ~pretty:true (Rt_obs.Flight.to_json f));
-      Printf.eprintf "wrote %s\n" p
-    | _ -> ()
+  let write_sinks () =
+    write_sinks ~profile ?folded ~metrics ~trace_events obs
   in
-  let write_sinks = write_sinks ~profile ?folded in
+  let finish =
+    finish_learn ~store ~store_ref ~bound ~source:path ~dot ~output
+  in
   let conflict =
     if stream && checkpoint <> None then
       Some "--stream cannot be combined with --checkpoint"
@@ -845,195 +531,31 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     else if store <> None && auto then
       Some "--auto re-learns at several bounds; pick one bound to commit \
             with --store"
+    else if checkpoint <> None && exact then
+      Some "--checkpoint requires the heuristic algorithm (drop --exact)"
+    else if checkpoint <> None && path = "-" then
+      Some "--checkpoint needs a trace file to resume against, not stdin"
     else None
   in
-  let run () =
+  (match (shards, obs) with
+   | Some _, Some r -> Rt_obs.Registry.set_counter r "shard.jobs" jobs
+   | _ -> ());
+  (* The recorder catches checkpoint-corruption notices. *)
+  with_flight flight_out @@ fun flight ->
   match conflict with
-  | Some m -> err (m)
+  | Some m -> err m
   | None ->
-    let checkpoint =
-      match checkpoint with
-      | None -> Ok None
-      | Some spec -> Result.map Option.some (Slot.of_string spec)
-    in
-    match checkpoint with
-    | Error m -> err m
-    | Ok checkpoint ->
-    if stream then
-      learn_stream ~exact ~shards ~bound ~window ~jobs ~obs ~mode ~eps
-        ~progress ~dot ~output ~store ~store_ref ~metrics ~trace_events
-        ~profile ~folded path
-    else begin
-      match read_trace ~mode ~eps ?window ?obs path with
-      | Error m -> err (m)
-      | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
-        err ("no usable periods after quarantine")
-      | Ok (trace, q) ->
-        let names = Rt_task.Task_set.names trace.task_set in
-        (* Commit to the store after rendering: stdout and -o carry the
-           model either way, and a store failure surfaces as an input
-           error without un-printing anything. *)
-        let commit ~parts ?answers model =
-          match store with
-          | None -> Ec.ok
-          | Some dir ->
-            (match
-               store_commit ~store:dir ~ref_:store_ref ~names ~bound
-                 ~source:path
-                 ~created_at:(Rt_trace.Trace.period_count trace)
-                 ?answers ~parts model
-             with
-             | Ok () -> Ec.ok
-             | Error m -> err ("store: " ^ m))
-        in
-        if auto then begin
-          let report, chosen =
-            with_pool jobs (fun pool ->
-                Rt_engine.Learner.auto ?window ?pool ?obs trace)
-          in
-          Format.printf "auto bound search:@.";
-          List.iter (fun (s : Rt_engine.Learner.bound_step) ->
-              Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
-                s.bound s.hypotheses
-                (if s.lub_changed then "changed" else "stable")
-                s.elapsed_s)
-            report.Rt_engine.Learner.trajectory;
-          Format.printf "selected bound %d@." chosen;
-          write_sinks ~metrics ~trace_events obs;
-          render_model ~names ~dot ~output
-            report.Rt_engine.Learner.hypotheses
-        end
-        else if shards <> None then begin
-          let shards = Option.get shards in
-          let render_and_commit ~parts model =
-            let code = render_folded ~names ~dot ~output model in
-            match model with
-            | Some m when code = Ec.ok -> Ec.combine code (commit ~parts m)
-            | Some _ | None -> code
-          in
-          match checkpoint with
-          | Some ckpt ->
-            (match
-               run_checkpointed_sharded ~obs ~flight ~progress ~window ~bound
-                 ~shards ~every ~stop_after ~ckpt trace
-             with
-             | Error m -> write_sinks ~metrics ~trace_events obs; err m
-             | Ok None ->
-               write_sinks ~metrics ~trace_events obs;
-               Ec.ok  (* --stop-after: checkpoints written *)
-             | Ok (Some (model, parts)) ->
-               write_sinks ~metrics ~trace_events obs;
-               render_and_commit ~parts model)
-          | None ->
-            let out =
-              with_pool jobs (fun pool ->
-                  Rt_shard.Shard.learn ?window ?pool ?obs ~bound ~shards trace)
-            in
-            Array.iteri
-              (fun i (r : Rt_shard.Shard.result) ->
-                 Printf.eprintf
-                   "shard %d: %d periods, %d messages, %d hypotheses, %.3fs\n"
-                   i r.periods r.messages
-                   (List.length r.hypotheses)
-                   (float_of_int r.elapsed_ns /. 1e9))
-              out.shards;
-            (match obs with
-             | Some r -> Rt_obs.Registry.set_counter r "shard.jobs" jobs
-             | None -> ());
-            write_sinks ~metrics ~trace_events obs;
-            render_and_commit
-              ~parts:(Array.map
-                        (fun (r : Rt_shard.Shard.result) ->
-                           (r.summary, r.violations))
-                        out.shards)
-              out.model
-        end
-        else
-          (* Single-engine tail: the answer set plus the bound-1
-             companion part this process would publish to a store. *)
-          let parts_of ~main ~companion =
-            match Eng.violations main with
-            | Some v ->
-              [| (Rt_shard.Shard.summary_of
-                    (Option.value companion ~default:main), v) |]
-            | None -> [||]
-          in
-          let result =
-            match checkpoint with
-            | Some _ when exact ->
-              Error
-                "--checkpoint requires the heuristic algorithm (drop --exact)"
-            | Some ckpt ->
-              (match
-                 with_pool jobs (fun pool ->
-                     run_checkpointed ~pool ~obs ~flight ~progress ~window
-                       ~bound ~every ~stop_after ~ckpt q trace)
-               with
-               | Error _ as e -> e
-               | Ok None -> Ok None
-               | Ok (Some (s, eng)) ->
-                 (* The checkpointed path runs one engine; only at bound
-                    1 is it its own exact companion. *)
-                 let parts =
-                   if bound = 1 then parts_of ~main:eng ~companion:None
-                   else [||]
-                 in
-                 Ok (Some (s.Rt_engine.Engine.hypotheses, parts)))
-            | None ->
-              with_pool jobs (fun pool ->
-                  let alg =
-                    if exact then Eng.Exact { limit = None }
-                    else Eng.Heuristic { bound }
-                  in
-                  let ntasks = Rt_trace.Trace.task_count trace in
-                  let eng = Eng.create ?window ?pool ?obs ~ntasks alg in
-                  let companion =
-                    if store <> None && not exact && bound > 1 then
-                      Some (Eng.create ?window ~ntasks
-                              (Eng.Heuristic { bound = 1 }))
-                    else None
-                  in
-                  Eng.set_provenance eng
-                    ~dropped:(List.length q.dropped)
-                    ~repaired:(List.length q.repaired);
-                  let periods = Rt_trace.Trace.periods trace in
-                  let total = List.length periods in
-                  match
-                    List.iteri (fun i p ->
-                        Eng.feed eng p;
-                        Option.iter (fun c -> Eng.feed c p) companion;
-                        match progress with
-                        | Some n when (i + 1) mod n = 0 || i + 1 = total ->
-                          Printf.eprintf
-                            "progress: %d/%d periods, %d hypotheses\n%!"
-                            (i + 1) total (List.length (Eng.current eng))
-                        | Some _ | None -> ())
-                      periods
-                  with
-                  | () ->
-                    let parts =
-                      if exact then [||] else parts_of ~main:eng ~companion
-                    in
-                    Ok (Some ((Eng.finalize eng).Eng.hypotheses, parts))
-                  | exception Rt_learn.Exact.Blowup { set_size; limit; _ } ->
-                    Error (blowup_msg set_size limit))
-          in
-          write_sinks ~metrics ~trace_events obs;
-          (match result with
-           | Error m -> err (m)
-           | Ok None -> Ec.ok  (* --stop-after: checkpoint written *)
-           | Ok (Some (hs, parts)) ->
-             let code = render_model ~names ~dot ~output hs in
-             (match hs with
-              | _ :: _ when code = Ec.ok ->
-                Ec.combine code
-                  (commit ~parts ~answers:hs (Rt_lattice.Depfun.lub hs))
-              | _ -> code))
-    end
-  in
-  let code = run () in
-  dump_flight ();
-  code
+    match Option.map Slot.of_string checkpoint with
+    | Some (Error m) -> err m
+    | ckpt ->
+      let ckpt = Option.map Result.get_ok ckpt in
+      if auto || (shards <> None && not stream && ckpt = None) then
+        learn_batch ~auto ~shards ~bound ~window ~jobs ~obs ~mode ~eps
+          ~write_sinks ~finish path
+      else
+        learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode
+          ~eps ~progress ~ckpt ~every ~stop_after ~companion:(store <> None)
+          ~write_sinks ~finish path
 
 (* --- watch --- *)
 
@@ -1041,146 +563,90 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
    print the LUB whenever it changes, and call out drift — a previously
    converged answer set invalidated by new evidence. *)
 let watch path bound window mode eps poll follow max_periods flight_out =
-  let module Eng = Rt_engine.Engine in
+  let module S = Rt_shard.Session in
   let module Df = Rt_lattice.Depfun in
   let stop = ref false in
   (* One recorder for the whole session: drift notices and the tail's
      rotation/truncation absorptions land in it, dumped at exit. *)
-  let flight =
-    Option.map (fun _ -> Rt_obs.Flight.create ()) flight_out
-  in
+  with_flight flight_out @@ fun flight ->
   let record sev kind detail =
-    match flight with
-    | Some f -> Rt_obs.Flight.record f sev ~stream:path ~kind detail
-    | None -> ()
+    Option.iter (fun f -> Rt_obs.Flight.record f sev ~stream:path ~kind detail)
+      flight
   in
-  let dump_flight () =
-    match (flight, flight_out) with
-    | Some f, Some p ->
-      Rt_util.Atomic_file.write p
-        (Rt_obs.Json.to_string ~pretty:true (Rt_obs.Flight.to_json f));
-      Printf.eprintf "wrote %s\n" p
-    | _ -> ()
+  (* Print the model whenever its LUB changes after a fed period. *)
+  let report s (prev_lub, was_converged) =
+    let snap = Option.get (S.snapshot s) in
+    if not (Option.equal Df.equal prev_lub snap.lub) then begin
+      if was_converged then begin
+        let drift =
+          Printf.sprintf "previously converged model invalidated at period %d"
+            snap.periods
+        in
+        record Rt_obs.Flight.Warn "watch.drift" drift;
+        Format.printf "drift: %s@." drift
+      end;
+      Format.printf "period %d: %d hypothesis(es)%s@." snap.periods
+        (List.length snap.hypotheses)
+        (if snap.converged then ", converged" else "");
+      (match snap.lub with
+       | Some lub ->
+         Format.printf "%s@." (Df.to_string ~names:(Option.get (S.names s)) lub)
+       | None -> Format.printf "inconsistent trace: empty answer set@.")
+    end;
+    Format.print_flush ();
+    (snap.lub, snap.converged)
   in
   let run src =
-         let parser = Rt_trace.Stream_io.create ~mode ~eps src in
-         let eng = ref None in
-         let prev_lub = ref None in
-         let was_converged = ref false in
-         let result = ref (Ec.ok) in
-         let finished = ref false in
-         while not !finished do
-           match Rt_trace.Stream_io.next parser with
-           | Error e ->
-             result :=
-               err (Printf.sprintf "%s: line %d: %s" path e.line e.message);
-             finished := true
-           | Ok None -> finished := true
-           | Ok (Some p) ->
-             let ts = Option.get (Rt_trace.Stream_io.task_set parser) in
-             let names = Rt_task.Task_set.names ts in
-             let e =
-               match !eng with
-               | Some e -> e
-               | None ->
-                 let e =
-                   Eng.create ?window ~ntasks:(Rt_task.Task_set.size ts)
-                     (Eng.Heuristic { bound })
-                 in
-                 eng := Some e; e
-             in
-             let fed =
-               if mode = `Recover then
-                 match Rt_trace.Trace_io.salvage_period ?window p with
-                 | `Clean -> Eng.feed e p; true
-                 | `Excised (p', _) -> Eng.feed e p'; true
-                 | `Dropped ->
-                   Printf.eprintf
-                     "period %d dropped: message with no admissible \
-                      sender/receiver\n%!"
-                     p.Rt_trace.Period.index;
-                   false
-               else (Eng.feed e p; true)
-             in
-             if fed then begin
-               let snap = Eng.snapshot e in
-               let changed =
-                 match !prev_lub, snap.Eng.lub with
-                 | None, None -> false
-                 | Some a, Some b -> not (Df.equal a b)
-                 | Some _, None | None, Some _ -> true
-               in
-               if changed then begin
-                 if !was_converged then begin
-                   record Rt_obs.Flight.Warn "watch.drift"
-                     (Printf.sprintf
-                        "previously converged model invalidated at period %d"
-                        snap.Eng.periods);
-                   Format.printf
-                     "drift: previously converged model invalidated at \
-                      period %d@."
-                     snap.Eng.periods
-                 end;
-                 Format.printf "period %d: %d hypothesis(es)%s@."
-                   snap.Eng.periods
-                   (List.length snap.Eng.hypotheses)
-                   (if snap.Eng.converged then ", converged" else "");
-                 (match snap.Eng.lub with
-                  | Some lub -> Format.printf "%s@." (Df.to_string ~names lub)
-                  | None ->
-                    Format.printf "inconsistent trace: empty answer set@.")
-               end;
-               prev_lub := snap.Eng.lub;
-               was_converged := snap.Eng.converged;
-               Format.print_flush ()
-             end;
-             (match max_periods with
-              | Some k
-                when (match !eng with
-                      | Some e -> Eng.periods_fed e >= k
-                      | None -> false) ->
-                stop := true;
-                finished := true
-              | Some _ | None -> ())
-         done;
-         !result
+    let s, _ = S.create ~mode ~eps ?window (Rt_engine.Engine.Heuristic { bound }) src in
+    let rec loop last =
+      match S.next s with
+      | Error e -> err (Printf.sprintf "%s: line %d: %s" path e.line e.message)
+      | Ok None -> Ec.ok
+      | Ok (Some step) ->
+        let last =
+          match step with
+          | S.Fed -> report s last
+          | S.Dropped index ->
+            Printf.eprintf
+              "period %d dropped: message with no admissible \
+               sender/receiver\n%!" index;
+            last
+          | S.Skipped -> last
+        in
+        (match max_periods with
+         | Some k when S.periods_fed s >= k ->
+           stop := true;
+           Ec.ok
+         | Some _ | None -> loop last)
+    in
+    loop (None, false)
   in
-  let code =
-    if follow && path <> "-" then
-      (* Path-tracking follower: survives log rotation (rename + recreate)
-         and copytruncate shrinks, and waits for a not-yet-created file
-         instead of failing — a watch session outlives the logger's
-         housekeeping. *)
-      run
-        (Rt_trace.Stream_io.follow_path ~poll_interval:poll
-           ~on_event:(fun ev ->
-             match ev with
-             | Rt_trace.Stream_io.Tail.Rotated ->
-               record Rt_obs.Flight.Warn "tail.rotated"
-                 "followed file replaced; continuing on the new file"
-             | Rt_trace.Stream_io.Tail.Truncated ->
-               record Rt_obs.Flight.Warn "tail.truncated"
-                 "followed file shrank; continuing from the new end"
-             | Rt_trace.Stream_io.Tail.Opened ->
-               record Rt_obs.Flight.Info "tail.opened" "followed file opened"
-             | _ -> ())
-           ~stop:(fun () -> !stop) path)
-    else
-      match (if path = "-" then Ok stdin
-             else try Ok (open_in path) with Sys_error m -> Error m)
-      with
-      | Error m -> err (m)
-      | Ok ic ->
-        Fun.protect ~finally:(fun () -> if path <> "-" then close_in_noerr ic)
-          (fun () ->
-             run
-               (if follow then
-                  Rt_trace.Stream_io.follow_lines ~poll_interval:poll
-                    ~stop:(fun () -> !stop) ic
-                else Rt_trace.Stream_io.lines_of_channel ic))
-  in
-  dump_flight ();
-  code
+  if follow && path <> "-" then
+    (* Path-tracking follower: survives log rotation (rename + recreate)
+       and copytruncate shrinks, and waits for a not-yet-created file
+       instead of failing — a watch session outlives the logger's
+       housekeeping. *)
+    run
+      (Rt_trace.Stream_io.follow_path ~poll_interval:poll
+         ~on_event:(fun ev ->
+           match ev with
+           | Rt_trace.Stream_io.Tail.Rotated ->
+             record Rt_obs.Flight.Warn "tail.rotated"
+               "followed file replaced; continuing on the new file"
+           | Rt_trace.Stream_io.Tail.Truncated ->
+             record Rt_obs.Flight.Warn "tail.truncated"
+               "followed file shrank; continuing from the new end"
+           | Rt_trace.Stream_io.Tail.Opened ->
+             record Rt_obs.Flight.Info "tail.opened" "followed file opened"
+           | _ -> ())
+         ~stop:(fun () -> !stop) path)
+  else
+    with_input path @@ fun ic ->
+    run
+      (if follow then
+         Rt_trace.Stream_io.follow_lines ~poll_interval:poll
+           ~stop:(fun () -> !stop) ic
+       else Rt_trace.Stream_io.lines_of_channel ic)
 
 (* --- analyze --- *)
 
@@ -1313,11 +779,7 @@ let report path socket query prometheus =
       (match path with
        | None -> err ("need a METRICS file argument or --socket PATH")
        | Some path ->
-         (match
-            let ic = open_in_bin path in
-            Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-                really_input_string ic (in_channel_length ic))
-          with
+         (match read_file path with
           | exception Sys_error m -> err (m)
           | content ->
             if prometheus then render_prometheus ~source:path content
@@ -1551,16 +1013,10 @@ let run_query path query bound window jobs model_file =
                | Ok (model, names) -> Ok (model, names)
                | Error m -> Error (file ^ ": " ^ m))
             | None ->
-              (try
-                 let ic = open_in file in
-                 let content =
-                   Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-                       really_input_string ic (in_channel_length ic))
-                 in
-                 match Rt_lattice.Depfun.parse content with
-                 | Ok (model, names) -> Ok (model, names)
-                 | Error m -> Error (file ^ ": " ^ m)
-               with Sys_error m -> Error m))
+              (match Rt_lattice.Depfun.parse (read_file file) with
+               | Ok (model, names) -> Ok (model, names)
+               | Error m -> Error (file ^ ": " ^ m)
+               | exception Sys_error m -> Error m))
          | None ->
            (match
               with_pool jobs (fun pool ->
@@ -2053,10 +1509,11 @@ let learn_cmd =
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
-           ~doc:"Incremental ingestion: parse, salvage and learn one \
-                 period at a time without materializing the trace. Reads \
-                 TRACE or stdin ($(b,-)); memory stays bounded by a \
-                 single period.")
+           ~doc:"Read the input once, as a pipe or stdin ($(b,-)) \
+                 allows: refuses $(b,--checkpoint) and $(b,--auto), and \
+                 makes $(b,--shards) round-robin. Every learn but \
+                 $(b,--auto) and parallel $(b,--shards) streams anyway, \
+                 holding one period in memory.")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -2066,9 +1523,11 @@ let learn_cmd =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"SLOT"
            ~doc:"Snapshot the learner state to SLOT every $(b,--every) \
                  periods: a plain FILE (written atomically) or a store \
-                 ref $(b,DIR//ref) (one generation per snapshot). If the \
-                 slot exists and matches the trace, resume from it. \
-                 Removed on successful completion.")
+                 ref $(b,DIR//ref) (one generation per snapshot), with \
+                 any bound-1 companion beside it (SLOT.b1, REF/b1). If \
+                 the slot exists and matches the trace file's MD5, \
+                 $(b,--mode), $(b,--eps) and $(b,--window), resume from \
+                 it. Removed on successful completion.")
   in
   let every =
     Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
@@ -2131,11 +1590,12 @@ let learn_cmd =
   let shards =
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K"
            ~doc:"Partition the trace into K period ranges, learn each \
-                 with a private engine (in parallel with $(b,-j)) and \
-                 fold the per-shard results into one model — byte-equal \
-                 for every K. Composes with $(b,--stream) (round-robin \
-                 shard units) and $(b,--checkpoint) (sequential shards, \
-                 one checkpoint pair per shard).")
+                 with a private engine pair (in parallel with $(b,-j)) \
+                 and fold the per-shard results into one model — \
+                 byte-equal for every K and every partition. With \
+                 $(b,--stream) or $(b,--checkpoint) the trace is \
+                 streamed to K round-robin pairs instead (one checkpoint \
+                 pair per shard, SLOT.shard<i>).")
   in
   Cmd.v (Cmd.info "learn" ~doc:"Learn a dependency model from a trace")
     Term.((const learn $ stream_trace_arg $ exact $ auto $ stream $ shards

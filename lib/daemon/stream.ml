@@ -1,5 +1,5 @@
 module Eng = Rt_engine.Engine
-module Sio = Rt_trace.Stream_io
+module Session = Rt_shard.Session
 
 type config = {
   bound : int;
@@ -11,30 +11,18 @@ type config = {
 }
 
 (* Raised by the line source when the bounded queue is empty and input
-   is still open. [Sio.next] pulls exactly one line per parse step and
+   is still open. The parser pulls exactly one line per parse step and
    commits every mutation before pulling the next, so the unwind leaves
-   the parser in a resumable state: the next [pump] continues the same
+   the session in a resumable state: the next [pump] continues the same
    period mid-assembly. *)
 exception Starve
 
 type t = {
-  id : string;
-  cfg : config;
-  pool : Rt_util.Domain_pool.t option;
-  flight : Rt_obs.Flight.scope option;
   lines : string Bqueue.t;
   eof : bool ref;
-  parser : Sio.t;
-  mutable engine : Eng.t option;
-  mutable skip : int;  (* replay-skip budget from a resumed checkpoint *)
-  mutable excised : (int * int) list;     (* reversed, as learn_stream *)
-  mutable sem_dropped : int list;
-  mutable checkpoints : int;
-  mutable finished : bool;
+  session : Session.t;
   mutable crashed : string option;
 }
-
-let tag_of id = "rtgend:" ^ id
 
 let create ~id ?pool ?flight cfg =
   let lines = Bqueue.create ~capacity:cfg.queue_capacity in
@@ -44,63 +32,47 @@ let create ~id ?pool ?flight cfg =
     | Some l -> Some l
     | None -> if !eof then None else raise Starve
   in
-  let parser = Sio.create ~mode:`Recover ?eps:cfg.eps source in
-  let engine, skip, note =
-    match cfg.checkpoint with
-    | Some slot when Rt_store.Slot.exists slot ->
-      let p = Rt_store.Slot.describe slot in
-      (match Rt_store.Slot.load slot with
-       | Error m ->
-         (None, 0, Some (Printf.sprintf "checkpoint %s unreadable (%s); starting fresh" p m))
-       | Ok data ->
-         (match Eng.resume ?pool ?flight data with
-          | Ok (eng, tag) when tag = tag_of id ->
-            (Some eng, Eng.periods_fed eng, None)
-          | Ok (_, tag) ->
-            ( None, 0,
-              Some
-                (Printf.sprintf
-                   "checkpoint %s belongs to %S, not this stream; starting fresh"
-                   p tag) )
-          | Error m ->
-            (None, 0, Some (Printf.sprintf "checkpoint %s: %s; starting fresh" p m))))
-    | Some _ | None -> (None, 0, None)
+  let checkpoint =
+    Option.map
+      (fun slot ->
+         { Session.slot; tag = "rtgend:" ^ id; source = id;
+           every = cfg.checkpoint_every })
+      cfg.checkpoint
   in
-  (match flight with
-   | None -> ()
-   | Some s ->
-     (match (engine, note) with
-      | Some _, _ ->
-        Rt_obs.Flight.record_s s Rt_obs.Flight.Info ~kind:"stream.resume"
-          (Printf.sprintf "resumed from checkpoint at %d periods" skip)
-      | None, Some m ->
-        Rt_obs.Flight.record_s s Rt_obs.Flight.Warn ~kind:"checkpoint.stale" m
-      | None, None -> ()));
-  ( {
-      id;
-      cfg;
-      pool;
+  let session, resume =
+    Session.create ~mode:`Recover ?eps:cfg.eps ?window:cfg.window ?pool
+      ?flight ?checkpoint
+      (Eng.Heuristic { bound = cfg.bound })
+      source
+  in
+  let stale m =
+    Option.iter
+      (fun s -> Rt_obs.Flight.record_s s Rt_obs.Flight.Warn ~kind:"checkpoint.stale" m)
       flight;
-      lines;
-      eof;
-      parser;
-      engine;
-      skip;
-      excised = [];
-      sem_dropped = [];
-      checkpoints = 0;
-      finished = false;
-      crashed = None;
-    },
-    note )
-
-let id t = t.id
+    Some m
+  in
+  let note =
+    match resume with
+    | Session.Fresh -> None
+    | Session.Resumed n ->
+      Option.iter
+        (fun s ->
+           Rt_obs.Flight.record_s s Rt_obs.Flight.Info ~kind:"stream.resume"
+             (Printf.sprintf "resumed from checkpoint at %d periods" n))
+        flight;
+      None
+    | Session.Corrupt m -> stale (Printf.sprintf "checkpoint %s; starting fresh" m)
+    | Session.Foreign tag ->
+      stale
+        (Printf.sprintf
+           "checkpoint %s belongs to %S, not this stream; starting fresh"
+           (Rt_store.Slot.describe (Option.get cfg.checkpoint)) tag)
+  in
+  ({ lines; eof; session; crashed = None }, note)
 
 let offer_line t l = if !(t.eof) then `Ok else Bqueue.push t.lines l
 
 let close_input t = t.eof := true
-
-let input_closed t = !(t.eof)
 
 let queued t = Bqueue.length t.lines
 
@@ -108,132 +80,62 @@ let queue_capacity t = Bqueue.capacity t.lines
 
 let rejected t = Bqueue.rejected t.lines
 
-let periods_fed t = match t.engine with Some e -> Eng.periods_fed e | None -> 0
+let periods_fed t = Session.periods_fed t.session
 
-let messages_fed t = match t.engine with Some e -> Eng.messages_fed e | None -> 0
+let hypotheses t = Session.hypotheses t.session
 
-let hypotheses t =
-  match t.engine with Some e -> List.length (Eng.current e) | None -> 0
+let checkpoints_written t = Session.checkpoints_written t.session
 
-let checkpoints_written t = t.checkpoints
-
-let engine_of t =
-  match t.engine with
-  | Some e -> e
-  | None ->
-    let ts = Option.get (Sio.task_set t.parser) in
-    let e =
-      Eng.create ?window:t.cfg.window ?pool:t.pool ?flight:t.flight
-        ~ntasks:(Rt_task.Task_set.size ts)
-        (Eng.Heuristic { bound = t.cfg.bound })
-    in
-    t.engine <- Some e;
-    e
-
-let write_checkpoint t =
-  match (t.cfg.checkpoint, t.engine) with
-  | Some slot, Some eng ->
-    (match Eng.checkpoint ~tag:(tag_of t.id) eng with
-     | Ok data ->
-       Rt_store.Slot.save ~kind:Rt_store.Store.Checkpoint
-         ~bound:t.cfg.bound ~source:t.id
-         ~created_at:(Eng.periods_fed eng) slot data;
-       t.checkpoints <- t.checkpoints + 1;
-       (match t.flight with
-        | None -> ()
-        | Some s ->
-          Rt_obs.Flight.record_s s Rt_obs.Flight.Info ~kind:"checkpoint.write"
-            (Printf.sprintf "periods=%d checkpoints=%d" (Eng.periods_fed eng)
-               t.checkpoints))
-     | Error _ -> ())
-  | _ -> ()
+let write_checkpoint t = Session.save t.session
 
 type status = Blocked | More | Done | Crashed of string
 
-(* Handle one parsed period: salvage exactly as [learn --stream --mode
-   recover], then either replay-skip it (it was fed before the last
-   checkpoint — salvage verdicts are deterministic, so the skip count
-   lines up) or feed it and maybe checkpoint. *)
-let consume_period t p =
-  let feed p' =
-    if t.skip > 0 then t.skip <- t.skip - 1
-    else begin
-      let eng = engine_of t in
-      Eng.feed eng p';
-      if
-        t.cfg.checkpoint <> None
-        && Eng.periods_fed eng mod t.cfg.checkpoint_every = 0
-      then write_checkpoint t
-    end
-  in
-  match Rt_trace.Trace_io.salvage_period ?window:t.cfg.window p with
-  | `Clean -> feed p
-  | `Excised (p', n) ->
-    t.excised <- (p'.Rt_trace.Period.index, n) :: t.excised;
-    feed p'
-  | `Dropped -> t.sem_dropped <- p.Rt_trace.Period.index :: t.sem_dropped
-
+(* Every parsed period counts as handled: fed, replay-skipped (it was
+   fed before the last checkpoint — salvage verdicts are deterministic,
+   so the skip count lines up) or dropped by salvage. The parser latches
+   end of input, so pumping a finished stream answers [Done] again. *)
 let pump t ~budget =
   match t.crashed with
   | Some m -> (0, Crashed m)
   | None ->
-    if t.finished then (0, Done)
-    else begin
-      let handled = ref 0 in
-      let status = ref More in
-      (try
-         let continue = ref true in
-         while !continue do
-           if !handled >= budget then continue := false
-           else
-             match Sio.next t.parser with
-             | exception Starve ->
-               status := Blocked;
-               continue := false
-             | Error e ->
-               let m = Printf.sprintf "line %d: %s" e.line e.message in
-               t.crashed <- Some m;
-               status := Crashed m;
-               continue := false
-             | Ok None ->
-               t.finished <- true;
-               status := Done;
-               continue := false
-             | Ok (Some p) ->
-               consume_period t p;
-               incr handled
-         done
-       with e ->
-         let m = "engine exception: " ^ Printexc.to_string e in
-         t.crashed <- Some m;
-         status := Crashed m);
-      (!handled, !status)
-    end
+    let handled = ref 0 in
+    let status = ref More in
+    (try
+       let continue = ref true in
+       while !continue do
+         if !handled >= budget then continue := false
+         else
+           match Session.next t.session with
+           | exception Starve ->
+             status := Blocked;
+             continue := false
+           | Error e ->
+             let m = Printf.sprintf "line %d: %s" e.line e.message in
+             t.crashed <- Some m;
+             status := Crashed m;
+             continue := false
+           | Ok None ->
+             status := Done;
+             continue := false
+           | Ok (Some _) -> incr handled
+       done
+     with e ->
+       let m = "engine exception: " ^ Printexc.to_string e in
+       t.crashed <- Some m;
+       status := Crashed m);
+    (!handled, !status)
 
-let quarantine t =
-  let q0 = Sio.quarantine t.parser in
-  Rt_trace.Trace_io.salvage_account q0 ~excised:(List.rev t.excised)
-    ~dropped_idx:(List.rev t.sem_dropped)
-
-let names t = Option.map Rt_task.Task_set.names (Sio.task_set t.parser)
+let quarantine t = Session.quarantine t.session
 
 let snapshot t =
-  match t.engine with
+  match Session.snapshot t.session with
   | None -> Error "no periods fed yet"
-  | Some eng -> Ok (Eng.snapshot eng, names t)
+  | Some snap -> Ok (snap, Session.names t.session)
 
 let render_model t =
-  match t.engine with
+  match Session.finalize t.session with
   | None -> Error "no usable periods after quarantine"
-  | Some eng ->
-    let q = quarantine t in
-    Eng.set_provenance eng
-      ~dropped:(List.length q.Rt_trace.Quarantine.dropped)
-      ~repaired:(List.length q.Rt_trace.Quarantine.repaired);
-    let snap = Eng.finalize eng in
-    (match snap.Eng.hypotheses with
-     | [] -> Error "inconsistent trace"
-     | hs ->
-       let names = names t in
-       let lub = Rt_lattice.Depfun.lub hs in
-       Ok (Rt_lattice.Depfun.to_string ?names lub ^ "\n"))
+  | Some { Eng.hypotheses = []; _ } -> Error "inconsistent trace"
+  | Some { Eng.hypotheses = hs; _ } ->
+    let names = Session.names t.session in
+    Ok (Rt_lattice.Depfun.to_string ?names (Rt_lattice.Depfun.lub hs) ^ "\n")

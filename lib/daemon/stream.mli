@@ -1,6 +1,6 @@
-(** One supervised learning stream: a bounded line queue feeding an
-    incremental recover-mode parser feeding an {!Rt_engine.Engine}, with
-    periodic crash-safe checkpoints.
+(** One supervised learning stream: a bounded line queue feeding a
+    recover-mode {!Rt_shard.Session} — the parser, salvage, engine and
+    periodic crash-safe checkpoints [rtgen learn] runs too.
 
     The daemon pushes raw trace lines in with {!offer_line} and turns
     the crank with {!pump}; nothing here blocks or reads a clock. The
@@ -11,12 +11,8 @@
     if the whole file had been read at once. That is what makes the
     recovery guarantee byte-exact: replaying a spool file through a
     stream equals [rtgen learn --stream --mode recover] on that file.
-
-    Recovery works by {e replay-skip}: a checkpoint stores how many
-    periods the engine had eaten; on restart the spool file is re-read
-    from byte 0 and the first [periods_fed] feed-eligible periods (the
-    salvage verdicts are deterministic, so eligibility is too) are
-    skipped without feeding. The engine then continues bit-exactly. *)
+    After a restart the spool file is re-read from byte 0 and the
+    session replay-skips the periods its checkpoint holds. *)
 
 type config = {
   bound : int;              (** heuristic bound, as [learn --bound] *)
@@ -42,8 +38,6 @@ val create :
     ["checkpoint.stale"] here and ["checkpoint.write"] on every
     checkpoint, and is passed down to the engine. *)
 
-val id : t -> string
-
 val offer_line : t -> string -> [ `Ok | `Overflow ]
 (** Queue one raw line. [`Overflow] means the bounded queue is full —
     the daemon's cue to shed the stream (socket sources) or to stop
@@ -52,8 +46,6 @@ val offer_line : t -> string -> [ `Ok | `Overflow ]
 
 val close_input : t -> unit
 (** Declare end-of-input: once the queue drains, the parser sees EOF. *)
-
-val input_closed : t -> bool
 
 val queued : t -> int
 
@@ -74,8 +66,6 @@ val pump : t -> budget:int -> int * status
 val periods_fed : t -> int
 (** Cumulative periods the engine has eaten, including the
     checkpointed prefix — the daemon's progress metric. *)
-
-val messages_fed : t -> int
 
 val hypotheses : t -> int
 

@@ -1,0 +1,130 @@
+(** One learn session: trace lines in, a learned model out, one period
+    at a time — the path every learner shares: [rtgen learn] (all but
+    [--auto] and parallel [--shards]), [rtgen watch], and each stream of
+    [rtgen serve] ([Rt_daemon.Stream]).
+
+    A session owns the {!Rt_trace.Stream_io} parser over a caller's line
+    source; the engine pairs, created when the first period is fed;
+    recover-mode salvage and its quarantine account (as
+    {!Rt_trace.Trace_io.semantic_filter} on a batch load); checkpoints
+    in a {!Rt_store.Slot} with tag check, fresh start on damage,
+    replay-skip of the periods they hold, and a save every N fed
+    periods; provenance, counters, and the final answer set plus the
+    bound-1 fold parts. Only the period under construction is in
+    memory. An exception from the line source propagates out of {!next}
+    and leaves the session as it was, so a source may signal "no data
+    yet" by raising, and the caller retries later (the daemon does). *)
+
+(** A main engine plus an optional bound-1 companion, whose pre-weaken
+    matrix is the fleet-merge and shard-fold interchange
+    ({!Shard.fold_summaries}). At bound 1 the main engine is its own
+    companion. *)
+module Pair : sig
+  type t
+
+  val create :
+    ?window:int -> ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
+    ?flight:Rt_obs.Flight.scope -> ntasks:int -> companion:bool ->
+    Rt_engine.Engine.algorithm -> t
+  (** The companion exists only when asked for and the main engine is a
+      heuristic above bound 1. [pool], [obs] and [flight] attach to the
+      main engine. *)
+
+  val main : t -> Rt_engine.Engine.t
+
+  val feed : t -> Rt_trace.Period.t -> unit
+
+  val summary_of : Rt_engine.Engine.t -> Rt_lattice.Depfun.t option
+  (** The LUB of an engine's current hypotheses — its {e pre-weaken}
+      fold contribution; [None] iff there are none (inconsistent
+      input). A bound-1 engine's is the matrix published to a store as
+      the fleet-merge interchange. *)
+
+  val part : t -> (Rt_lattice.Depfun.t option * bool array array) option
+  (** The bound-1 engine's summary and the violation matrix; [None]
+      without a bound-1 engine (exact, or no companion above bound 1). *)
+end
+
+type checkpoint = {
+  slot : Rt_store.Slot.t;
+  tag : string;     (** binds the checkpoint to its input *)
+  source : string;  (** recorded in store metadata *)
+  every : int;      (** fed periods between saves *)
+}
+(** A pair's main engine goes to [slot] and its companion to the
+    sibling [FILE.b1] / [REF/b1]. A sharded session writes pair [i] to
+    [FILE.shard<i>] / [REF/shard<i>] and its siblings. *)
+
+type resume =
+  | Fresh                (** no checkpoint to resume *)
+  | Resumed of int       (** periods the checkpoint already holds *)
+  | Corrupt of string
+  (** unreadable, undecodable, or its engines disagree on progress
+      (they cannot rewind); the session starts fresh *)
+  | Foreign of string
+  (** intact but tagged for other input (the tag found); the session
+      starts fresh, and the caller decides whether to refuse instead *)
+
+type t
+
+val create :
+  ?mode:Rt_trace.Stream_io.mode -> ?eps:int -> ?window:int ->
+  ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
+  ?flight:Rt_obs.Flight.scope -> ?companion:bool -> ?shards:int ->
+  ?checkpoint:checkpoint -> Rt_engine.Engine.algorithm ->
+  Rt_trace.Stream_io.line_source -> t * resume
+(** [mode] and [eps] are the parser's; [window] is the engines' and
+    salvage's. [companion] adds a bound-1 companion to the pair.
+    [shards] runs that many pairs with companions instead, fed
+    round-robin, for {!Shard.fold_summaries} over {!parts}; [pool],
+    [obs] and [flight] do not reach them. With [obs], each period's
+    parse runs in an ["ingest.parse"] span. With [flight], the main
+    engine records its periods and each save a ["checkpoint.write"].
+    @raise Invalid_argument when [shards < 1]. *)
+
+type step =
+  | Fed            (** the period went into an engine pair *)
+  | Skipped        (** replay-skip: the resumed checkpoint holds it *)
+  | Dropped of int (** recover-mode salvage dropped this period index *)
+
+val next : t -> (step option, Rt_trace.Stream_io.parse_error) result
+(** Parse and handle the next period; [Ok None] at end of input.
+    @raise Rt_learn.Exact.Blowup from an exact core. *)
+
+val periods_fed : t -> int
+(** Periods in the engines, a resumed checkpoint's included. *)
+
+val hypotheses : t -> int
+(** Hypotheses across the main engines. *)
+
+val checkpoints_written : t -> int
+
+val names : t -> string array option
+(** The task names, once the [tasks] header was parsed. *)
+
+val quarantine : t -> Rt_trace.Quarantine.t
+(** The ingestion account so far: parser skips and repairs plus salvage
+    verdicts. *)
+
+val save : t -> unit
+(** Checkpoint now (no-op without a checkpoint or an engine). *)
+
+val discard : t -> unit
+(** Remove the checkpoint: the run completed. *)
+
+val publish : t -> unit
+(** Record provenance in the engines and publish their counters; with a
+    registry, also the ingest counters and, when sharded, the
+    ["shard.shards"], ["shard.periods"] and ["shard.messages"] totals
+    ({!Shard.learn}'s). *)
+
+val snapshot : t -> Rt_engine.Engine.snapshot option
+(** The (first) main engine's model so far; [None] before any period
+    was fed. *)
+
+val finalize : t -> Rt_engine.Engine.snapshot option
+(** {!publish}, then the (first) main engine's final snapshot. *)
+
+val parts : t -> (Rt_lattice.Depfun.t option * bool array array) array
+(** Each pair's {!Pair.part} in shard order; empty when no pair has a
+    bound-1 engine. *)

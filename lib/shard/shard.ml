@@ -1,6 +1,6 @@
 (* Sharded learning. The correctness story lives in shard.mli and
    DESIGN.md §14; the code is deliberately small: plan ranges, run one
-   private engine pair per range (on pool workers when given — the
+   private Session.Pair per range (on pool workers when given — the
    workers never see the pool itself, it is not reentrant), fold the
    bound-1 companion models with the fused byte-matrix lub and one
    end-of-fold weakening pass under the union violation matrix. *)
@@ -54,9 +54,6 @@ let union_violations parts =
     parts;
   v
 
-let summary_of engine =
-  match Engine.current engine with [] -> None | hs -> Some (Df.lub hs)
-
 (* The exchange-law fold over bound-1 summaries: any inconsistent shard
    means the whole trace is inconsistent; otherwise join the summaries
    in one fused pass and weaken once under the union matrix. *)
@@ -80,7 +77,7 @@ let fold_engines engines =
     Array.map
       (fun e ->
          match Engine.violations e with
-         | Some v -> (summary_of e, v)
+         | Some v -> (Session.Pair.summary_of e, v)
          | None ->
            invalid_arg "Shard.fold_engines: exact-core engine has no fold")
       engines
@@ -99,23 +96,22 @@ let learn ?window ?pool ?obs ~bound ~shards (trace : Rt_trace.Trace.t) =
     | Some r -> Rt_obs.Registry.with_span r name f
   in
   (* One private engine pair per range; everything the orchestrator
-     needs comes back by value, so pool workers mutate nothing shared.
-     At [bound = 1] the main engine is its own companion. *)
+     needs comes back by value, so pool workers mutate nothing shared. *)
   let worker (lo, hi) =
     let t0 = Rt_obs.Registry.now_ns () in
-    let main = Engine.create ?window ~ntasks (Engine.Heuristic { bound }) in
-    let companion =
-      if bound = 1 then None
-      else Some (Engine.create ?window ~ntasks (Engine.Heuristic { bound = 1 }))
+    let pair =
+      Session.Pair.create ?window ~ntasks ~companion:true
+        (Engine.Heuristic { bound })
     in
     for i = lo to hi - 1 do
-      Engine.feed main periods.(i);
-      Option.iter (fun c -> Engine.feed c periods.(i)) companion
+      Session.Pair.feed pair periods.(i)
     done;
+    let main = Session.Pair.main pair in
+    let summary, violations = Option.get (Session.Pair.part pair) in
     {
       hypotheses = Engine.current main;
-      summary = summary_of (Option.value companion ~default:main);
-      violations = Option.get (Engine.violations main);
+      summary;
+      violations;
       periods = Engine.periods_fed main;
       messages = Engine.messages_fed main;
       elapsed_ns = Rt_obs.Registry.now_ns () - t0;
@@ -148,59 +144,3 @@ let learn ?window ?pool ?obs ~bound ~shards (trace : Rt_trace.Trace.t) =
        shards_out);
   { model; shards = shards_out; periods = periods_total;
     messages = messages_total }
-
-(* Round-robin sharded units for the streaming path: each unit is a
-   main engine at the user's bound plus its bound-1 companion, and the
-   fold at end of stream is the same exchange-law fold as the batch
-   path — the companions' per-period deltas commute, so the round-robin
-   (non-contiguous) partition folds just as exactly. *)
-module Stream = struct
-  type unit_t = { main : Engine.t; companion : Engine.t option }
-
-  type t = {
-    units : unit_t array;
-    mutable next : int;
-    mutable fed : int;
-  }
-
-  let create ?window ~ntasks ~bound ~shards () =
-    if shards < 1 then invalid_arg "Shard.Stream.create: shards must be >= 1";
-    if bound < 1 then invalid_arg "Shard.Stream.create: bound must be >= 1";
-    let unit () =
-      { main = Engine.create ?window ~ntasks (Engine.Heuristic { bound });
-        companion =
-          (if bound = 1 then None
-           else
-             Some (Engine.create ?window ~ntasks (Engine.Heuristic { bound = 1 })))
-      }
-    in
-    { units = Array.init shards (fun _ -> unit ()); next = 0; fed = 0 }
-
-  let shards t = Array.length t.units
-
-  let feed t p =
-    let u = t.units.(t.next) in
-    Engine.feed u.main p;
-    Option.iter (fun c -> Engine.feed c p) u.companion;
-    t.next <- (t.next + 1) mod Array.length t.units;
-    t.fed <- t.fed + 1
-
-  let periods_fed t = t.fed
-
-  let hypotheses t =
-    Array.fold_left
-      (fun acc u -> acc + List.length (Engine.current u.main))
-      0 t.units
-
-  let messages_fed t =
-    Array.fold_left (fun acc u -> acc + Engine.messages_fed u.main) 0 t.units
-
-  let parts t =
-    Array.map
-      (fun u ->
-         (summary_of (Option.value u.companion ~default:u.main),
-          Option.get (Engine.violations u.main)))
-      t.units
-
-  let fold t = fold_summaries (parts t)
-end

@@ -73,12 +73,6 @@ val plan : shards:int -> periods:int -> (int * int) array
     one, possibly empty, when [periods = 0]) ranges come back.
     @raise Invalid_argument when [shards < 1] or [periods < 0]. *)
 
-val summary_of : Rt_engine.Engine.t -> Rt_lattice.Depfun.t option
-(** The LUB of an engine's current hypotheses — its {e pre-weaken}
-    fold contribution; [None] iff the hypothesis set is empty
-    (inconsistent input). This is the matrix a bound-1 companion
-    publishes to a store as its fleet-merge interchange. *)
-
 val fold_summaries :
   (Rt_lattice.Depfun.t option * bool array array) array ->
   Rt_lattice.Depfun.t option
@@ -120,47 +114,11 @@ val learn :
     [pool], shards run on the pool's domains (each worker builds
     {e private} engines — the pool is not reentrant, so workers never
     touch it — and returns its results by value); without, they run
-    sequentially. At [bound = 1] the main engine doubles as its own
-    companion, so no duplicate work is done. With [obs], the fan-out
+    sequentially. Each shard runs a {!Session.Pair}; at [bound = 1] the
+    main engine doubles as its own companion, so no duplicate work is
+    done. With [obs], the fan-out
     and fold run inside ["shard.fanout"] / ["shard.fold"] spans,
     per-shard learn times land in a ["shard.worker_us"] histogram, and
     ["shard.shards"] / ["shard.periods"] / ["shard.messages"] counters
     are published — all recorded on the calling domain only.
     @raise Invalid_argument when [shards < 1] or [bound < 1]. *)
-
-(** Round-robin sharded engine units for [--stream --shards K]: feed
-    periods as they arrive, fold at end of stream. The fold is the
-    same exchange-law fold as {!learn} — companion deltas commute, so
-    the non-contiguous round-robin partition folds just as exactly. *)
-module Stream : sig
-  type t
-
-  val create :
-    ?window:int -> ntasks:int -> bound:int -> shards:int -> unit -> t
-  (** [shards] units, each a main engine at [bound] plus its bound-1
-      companion (shared when [bound = 1]).
-      @raise Invalid_argument when [shards < 1] or [bound < 1]. *)
-
-  val shards : t -> int
-
-  val feed : t -> Rt_trace.Period.t -> unit
-  (** Feed one period to the next unit in round-robin order. *)
-
-  val periods_fed : t -> int
-
-  val messages_fed : t -> int
-
-  val hypotheses : t -> int
-  (** Total hypotheses across the units' main engines (a progress
-      figure, not a version space — the per-shard sets are not
-      comparable across partitions). *)
-
-  val parts : t -> (Rt_lattice.Depfun.t option * bool array array) array
-  (** Each unit's [(companion summary, violation matrix)] pair — what
-      a per-process learner publishes to a store for a later
-      cross-process {!fold_summaries}. *)
-
-  val fold : t -> Rt_lattice.Depfun.t option
-  (** The folded model; [None] iff some unit saw an inconsistent
-      period. *)
-end

@@ -1,6 +1,6 @@
 (* Zero-copy strict trace reader: mmap + in-place byte scan into a
    packed Event_arena. The contract is byte-for-byte parity with a
-   strict Stream_io over lines_of_string — same accepted inputs, same
+   strict Stream_io over lines_of_channel — same accepted inputs, same
    error text, same line numbers — so every branch below mirrors a
    branch of Stream_io.consume_line, in the same order. Keep the two in
    sync. *)
@@ -219,13 +219,12 @@ let consume st lineno lo hi =
   end
   else fail lineno ("unparseable line: " ^ sub_string st lo hi)
 
-(* Line segmentation mirrors String.split_on_char '\n': N newlines make
-   N+1 segments, so a trailing newline yields a final empty line and an
-   empty file is one empty line — line numbers in errors depend on
-   this. *)
+(* Line segmentation mirrors input_line: a trailing newline ends the
+   last line rather than opening an empty one, and an empty file has no
+   lines — line numbers in errors depend on this. *)
 let scan st =
-  let continue = ref true and pos = ref 0 in
-  while !continue do
+  let pos = ref 0 in
+  while !pos < st.len do
     let nl = ref !pos in
     while !nl < st.len && A1.unsafe_get st.buf !nl <> '\n' do incr nl done;
     st.lineno <- st.lineno + 1;
@@ -236,7 +235,7 @@ let scan st =
     done;
     if !lo < !hi && A1.unsafe_get st.buf !lo <> '#' then
       consume st st.lineno !lo !hi;
-    if !nl >= st.len then continue := false else pos := !nl + 1
+    pos := !nl + 1
   done;
   flush_period st st.lineno;
   match st.task_set with
@@ -298,5 +297,3 @@ let load ?obs path =
      Rt_obs.Registry.span_end r
    | None -> ());
   res
-
-let source ?lo ?hi (t : t) = Event_arena.source ?lo ?hi t.arena

@@ -1,42 +1,69 @@
 type line_source = unit -> string option
 
-let lines_of_string s =
-  let lines = ref (String.split_on_char '\n' s) in
-  fun () ->
-    match !lines with
-    | [] -> None
-    | l :: tl ->
-      lines := tl;
-      Some l
-
-let lines_of_channel ic =
-  fun () -> match input_line ic with l -> Some l | exception End_of_file -> None
-
-let follow_lines ?(poll_interval = 0.05) ~stop ic =
-  let buf = Buffer.create 256 in
-  let finished = ref false in
-  let take () =
-    let l = Buffer.contents buf in
-    Buffer.clear buf;
+(* Cut lines out of a buffer that [input buf off len] refills, returning
+   0 at end of input: one string per line, where [input_line] also
+   allocates its scanning closures. A trailing newline ends the last
+   line rather than opening an empty one. *)
+let lines_of_input input =
+  let buf = ref (Bytes.create 65536) in
+  let lo = ref 0 and hi = ref 0 and eof = ref false in
+  let rec find_nl i =
+    if i >= !hi then -1
+    else if Bytes.unsafe_get !buf i = '\n' then i
+    else find_nl (i + 1)
+  in
+  let take stop next =
+    let l = Bytes.sub_string !buf !lo (stop - !lo) in
+    lo := next;
     Some l
   in
-  let rec read () =
-    match input_char ic with
-    | '\n' -> take ()
-    | c ->
-      Buffer.add_char buf c;
-      read ()
-    | exception End_of_file ->
-      if stop () then begin
-        finished := true;
-        if Buffer.length buf > 0 then take () else None
-      end
-      else begin
-        Unix.sleepf poll_interval;
-        read ()
-      end
+  (* [lo, from) is known to hold no newline. *)
+  let rec pull from =
+    let nl = find_nl from in
+    if nl >= 0 then take nl (nl + 1)
+    else if !eof then if !lo < !hi then take !hi !hi else None
+    else begin
+      let pending = !hi - !lo in
+      if !lo > 0 then Bytes.blit !buf !lo !buf 0 pending
+      else if pending = Bytes.length !buf then begin
+        let bigger = Bytes.create (2 * pending) in
+        Bytes.blit !buf 0 bigger 0 pending;
+        buf := bigger
+      end;
+      lo := 0;
+      hi := pending;
+      (match input !buf pending (Bytes.length !buf - pending) with
+       | 0 -> eof := true
+       | n -> hi := pending + n);
+      pull pending
+    end
   in
-  fun () -> if !finished then None else read ()
+  fun () -> pull !lo
+
+(* [input] returns whatever a pipe holds, so lines arrive as soon as
+   they are complete. *)
+let lines_of_channel ic = lines_of_input (input ic)
+
+let lines_of_string s =
+  let pos = ref 0 in
+  lines_of_input (fun buf off len ->
+      let n = min len (String.length s - !pos) in
+      Bytes.blit_string s !pos buf off n;
+      pos := !pos + n;
+      n)
+
+(* At end of file, poll until [stop ()]; the cutter yields only whole
+   lines, and the final partial one once the input ends. *)
+let follow_lines ?(poll_interval = 0.05) ~stop ic =
+  lines_of_input (fun buf off len ->
+      let rec read () =
+        match input ic buf off len with
+        | 0 when not (stop ()) ->
+          Unix.sleepf poll_interval;
+          read ()
+        | n -> n
+      in
+      read ())
 
 module Tail = struct
   type event =
@@ -180,6 +207,8 @@ type t = {
   source : line_source;
   mutable lineno : int;
   mutable task_set : Rt_task.Task_set.t option;
+  mutable names : string array;  (* the task set's names, for lookups *)
+  tok : int array;  (* scratch: (lo, hi) bounds of a line's first three tokens *)
   mutable cur_index : int option;
   mutable cur_events : Event.t list;  (* reverse line order *)
   mutable state : [ `Running | `Done | `Failed of parse_error ];
@@ -195,6 +224,8 @@ let create ?(mode = `Strict) ?eps source =
     mode; eps; source;
     lineno = 0;
     task_set = None;
+    names = [||];
+    tok = Array.make 6 0;
     cur_index = None;
     cur_events = [];
     state = `Running;
@@ -205,8 +236,6 @@ let create ?(mode = `Strict) ?eps source =
   }
 
 let task_set t = t.task_set
-
-let lines_read t = t.lineno
 
 let quarantine t =
   { Quarantine.skipped_lines = List.rev t.skipped;
@@ -233,7 +262,9 @@ let flush_period t lineno : Period.t option =
   match t.cur_index with
   | None -> None
   | Some index ->
-    let events = List.rev t.cur_events in
+    (* Reverse line order is fine: Period.make sorts, and events that
+       compare equal are identical. *)
+    let events = t.cur_events in
     t.cur_index <- None;
     t.cur_events <- [];
     (match t.task_set with
@@ -277,67 +308,158 @@ let flush_period t lineno : Period.t option =
    mode can skip just the line. *)
 exception Bad_line of string
 
-let parse_msg_id tok =
-  match int_of_string_opt tok with
-  | Some m -> m
-  | None -> raise (Bad_line ("bad message id: " ^ tok))
+(* Lines are tokenised in place: token bounds go into the parser's
+   scratch array and keywords, numbers and task names are compared
+   against the raw line directly. Substrings are cut only for error
+   text and for the once-per-file tasks line. *)
 
-let parse_task t tok =
-  match t.task_set with
-  | None -> raise (Bad_line "event before tasks line")
-  | Some ts ->
-    (match Rt_task.Task_set.index ts tok with
-     | Some i -> i
-     | None -> raise (Bad_line ("unknown task: " ^ tok)))
+(* String.trim's whitespace set. *)
+let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
-(* Consume one line. Returns a period when the line closed one. *)
+let sub raw lo hi = String.sub raw lo (hi - lo)
+
+let rec chars_eq raw lo kw i =
+  i < 0
+  || (String.unsafe_get raw (lo + i) = String.unsafe_get kw i
+      && chars_eq raw lo kw (i - 1))
+
+let token_eq raw lo hi kw =
+  hi - lo = String.length kw && chars_eq raw lo kw (hi - lo - 1)
+
+(* Raised, without allocating, by [parse_int] on a non-integer. *)
+exception Not_int
+
+(* Integer scan for the two lexemes real traces contain — plain decimal
+   and 0x hex, short enough not to overflow. Anything else (signs,
+   underscores, 0o/0b, long digit runs) goes through [int_of_string_opt]
+   on a substring, so the accepted language is exactly that function's. *)
+let rec scan_int raw hi ~hex i acc =
+  if i = hi then acc
+  else
+    let d =
+      match String.unsafe_get raw i with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c when hex -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c when hex -> Char.code c - Char.code 'A' + 10
+      | _ -> raise_notrace Not_int
+    in
+    scan_int raw hi ~hex (i + 1) ((acc * if hex then 16 else 10) + d)
+
+let parse_int raw lo hi =
+  let hex =
+    hi - lo > 2 && raw.[lo] = '0' && (raw.[lo + 1] = 'x' || raw.[lo + 1] = 'X')
+  in
+  let first = if hex then lo + 2 else lo in
+  match
+    if hi > first && hi - first <= (if hex then 15 else 18) then
+      scan_int raw hi ~hex first 0
+    else raise_notrace Not_int
+  with
+  | n -> n
+  | exception Not_int ->
+    (match int_of_string_opt (sub raw lo hi) with
+     | Some n -> n
+     | None -> raise_notrace Not_int)
+
+let msg_id raw lo hi =
+  match parse_int raw lo hi with
+  | m -> m
+  | exception Not_int -> raise (Bad_line ("bad message id: " ^ sub raw lo hi))
+
+(* Task names are unique, so the first slice match is Task_set.index. *)
+let rec find_task names raw lo hi i =
+  if i >= Array.length names then
+    raise (Bad_line ("unknown task: " ^ sub raw lo hi))
+  else if token_eq raw lo hi names.(i) then i
+  else find_task names raw lo hi (i + 1)
+
+let task t raw lo hi =
+  if Option.is_none t.task_set then raise (Bad_line "event before tasks line");
+  find_task t.names raw lo hi 0
+
+let tasks_line t lineno raw lo hi =
+  if t.task_set <> None then skip_line t lineno "duplicate tasks line"
+  else
+    match String.split_on_char ' ' (sub raw lo hi) |> List.filter (( <> ) "") with
+    | [] -> skip_line t lineno "tasks line without names"
+    | names ->
+      (match Rt_task.Task_set.of_names (Array.of_list names) with
+       | ts ->
+         t.task_set <- Some ts;
+         t.names <- Rt_task.Task_set.names ts
+       | exception Invalid_argument m -> skip_line t lineno m)
+
+(* A three-token line; [tok] holds its token bounds. *)
+let event t raw =
+  let tok = t.tok in
+  if Option.is_none t.cur_index then
+    raise (Bad_line "event before a period line");
+  let time =
+    match parse_int raw tok.(0) tok.(1) with
+    | tm when tm >= 0 -> tm
+    | _ -> raise (Bad_line "negative timestamp")
+    | exception Not_int ->
+      raise (Bad_line ("bad timestamp: " ^ sub raw tok.(0) tok.(1)))
+  in
+  let vlo = tok.(2) and vhi = tok.(3) and alo = tok.(4) and ahi = tok.(5) in
+  let kind =
+    if token_eq raw vlo vhi "start" then Event.Task_start (task t raw alo ahi)
+    else if token_eq raw vlo vhi "end" then Event.Task_end (task t raw alo ahi)
+    else if token_eq raw vlo vhi "rise" then Event.Msg_rise (msg_id raw alo ahi)
+    else if token_eq raw vlo vhi "fall" then Event.Msg_fall (msg_id raw alo ahi)
+    else raise (Bad_line ("unknown event kind: " ^ sub raw vlo vhi))
+  in
+  { Event.time; kind }
+
+(* Consume one line. Returns a period when the line closed one. Arm
+   order: a "tasks" head wins at any arity, "period" needs exactly two
+   tokens, any other three-token line is an event (so "period 1 2"
+   fails as "bad timestamp: period"). *)
 let consume_line t raw : Period.t option =
   let lineno = t.lineno in
-  let line = String.trim raw in
-  if line = "" || (String.length line > 0 && line.[0] = '#') then None
-  else
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | "tasks" :: names ->
-      (if t.task_set <> None then skip_line t lineno "duplicate tasks line"
-       else if names = [] then skip_line t lineno "tasks line without names"
-       else
-         match Rt_task.Task_set.of_names (Array.of_list names) with
-         | ts -> t.task_set <- Some ts
-         | exception Invalid_argument m -> skip_line t lineno m);
+  let lo = ref 0 and hi = ref (String.length raw) in
+  while !lo < !hi && is_space (String.unsafe_get raw !lo) do incr lo done;
+  while !hi > !lo && is_space (String.unsafe_get raw (!hi - 1)) do decr hi done;
+  let lo = !lo and hi = !hi in
+  if lo = hi || String.unsafe_get raw lo = '#' then None
+  else begin
+    let tok = t.tok in
+    let ntok = ref 0 and p = ref lo in
+    while !p < hi do
+      if String.unsafe_get raw !p = ' ' then incr p
+      else begin
+        let s = !p in
+        while !p < hi && String.unsafe_get raw !p <> ' ' do incr p done;
+        if !ntok < 3 then begin
+          tok.(!ntok * 2) <- s;
+          tok.((!ntok * 2) + 1) <- !p
+        end;
+        incr ntok
+      end
+    done;
+    if token_eq raw tok.(0) tok.(1) "tasks" then begin
+      tasks_line t lineno raw tok.(1) hi;
       None
-    | [ "period"; idx ] ->
+    end
+    else if !ntok = 2 && token_eq raw tok.(0) tok.(1) "period" then begin
       let finished = flush_period t lineno in
-      (match int_of_string_opt idx with
-       | Some n -> t.cur_index <- Some n
-       | None -> skip_line t lineno ("bad period index: " ^ idx));
+      (match parse_int raw tok.(2) tok.(3) with
+       | n -> t.cur_index <- Some n
+       | exception Not_int ->
+         skip_line t lineno ("bad period index: " ^ sub raw tok.(2) tok.(3)));
       finished
-    | [ time; verb; arg ] ->
-      (match
-         if t.cur_index = None then raise (Bad_line "event before a period line")
-         else begin
-           let time =
-             match int_of_string_opt time with
-             | Some tm when tm >= 0 -> tm
-             | Some _ -> raise (Bad_line "negative timestamp")
-             | None -> raise (Bad_line ("bad timestamp: " ^ time))
-           in
-           let kind =
-             match verb with
-             | "start" -> Event.Task_start (parse_task t arg)
-             | "end" -> Event.Task_end (parse_task t arg)
-             | "rise" -> Event.Msg_rise (parse_msg_id arg)
-             | "fall" -> Event.Msg_fall (parse_msg_id arg)
-             | _ -> raise (Bad_line ("unknown event kind: " ^ verb))
-           in
-           { Event.time; kind }
-         end
-       with
+    end
+    else if !ntok = 3 then begin
+      (match event t raw with
        | e -> t.cur_events <- e :: t.cur_events
        | exception Bad_line m -> skip_line t lineno m);
       None
-    | _ ->
-      skip_line t lineno ("unparseable line: " ^ line);
+    end
+    else begin
+      skip_line t lineno ("unparseable line: " ^ sub raw lo hi);
       None
+    end
+  end
 
 let rec next t =
   match t.state with

@@ -10,16 +10,18 @@
     quarantine accounting.
 
     Line sources never materialize the input: {!lines_of_channel} reads
-    a pipe or file as it goes, and {!follow_lines} tails a growing file,
-    which is what [rtgen watch] and [rtgen learn --stream] sit on. *)
+    a pipe or file as it goes, and {!follow_lines} tails a growing file.
+    Every learn sits on them, through [Rt_shard.Session]. *)
 
 type line_source = unit -> string option
 (** The next raw line (without its newline), or [None] at end of input.
     Once [None] is returned the parser never calls the source again. *)
 
 val lines_of_string : string -> line_source
-(** Split on ['\n'], exactly as the batch loader did (a trailing newline
-    yields a final empty line). *)
+(** The lines {!lines_of_channel} would read from a file holding the
+    string: a trailing newline ends the last line and opens no empty
+    one, and [""] has no lines. Every source therefore numbers lines —
+    and cites them in errors — identically. *)
 
 val lines_of_channel : in_channel -> line_source
 (** Read lines as they become available; blocks with the channel. The
@@ -29,8 +31,8 @@ val follow_lines :
   ?poll_interval:float -> stop:(unit -> bool) -> in_channel -> line_source
 (** [tail -f] over a growing file: at end of file, sleep [poll_interval]
     seconds (default 0.05) and retry until [stop ()] is true, then yield
-    any final partial line and end. Lines are assembled byte-by-byte so
-    a half-written line is never handed out early. Bound to one open
+    any final partial line and end. A half-written line is never
+    handed out early. Bound to one open
     channel, so it cannot survive log rotation — use {!follow_path} for
     a path-tracking follower. *)
 
@@ -103,6 +105,3 @@ val task_set : t -> Rt_task.Task_set.t option
 
 val quarantine : t -> Quarantine.t
 (** Snapshot of the account so far; grows as the stream is consumed. *)
-
-val lines_read : t -> int
-(** Lines pulled from the source so far. *)

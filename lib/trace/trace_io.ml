@@ -28,8 +28,6 @@ let to_string (t : Trace.t) =
     (Trace.periods t);
   Buffer.contents buf
 
-let output oc t = Stdlib.output_string oc (to_string t)
-
 let save path t = Rt_util.Atomic_file.write path (to_string t)
 
 type parse_error = Stream_io.parse_error = { line : int; message : string }
@@ -47,16 +45,11 @@ let publish_quarantine_to r (q : Quarantine.t) =
   set "ingest.periods_repaired" (List.length q.repaired);
   set "ingest.periods_dropped" (List.length q.dropped)
 
-let publish_quarantine obs (q : Quarantine.t) =
-  match obs with
-  | None -> ()
-  | Some r -> publish_quarantine_to r q
-
-(* Batch parsing drains the incremental {!Stream_io} parser over an
-   in-memory string: one implementation serves both this path and the
-   live [--stream]/[watch] paths, so they cannot disagree. *)
-let of_string_body ~mode ?eps s =
-  let p = Stream_io.create ~mode ?eps (Stream_io.lines_of_string s) in
+(* Batch parsing drains the incremental {!Stream_io} parser: one
+   implementation serves this path and the live [--stream]/[watch]
+   paths, so they cannot disagree. *)
+let parse ~mode ?eps ?obs source =
+  let p = Stream_io.create ~mode ?eps source in
   let rec drain acc =
     match Stream_io.next p with
     | Ok (Some period) -> drain (period :: acc)
@@ -65,19 +58,16 @@ let of_string_body ~mode ?eps s =
       Ok (Trace.of_periods ~task_set:ts (List.rev acc), Stream_io.quarantine p)
     | Error e -> Error e
   in
-  drain []
+  match obs with
+  | None -> drain []
+  | Some r ->
+    Rt_obs.Registry.with_span r "ingest.parse" (fun () ->
+        let res = drain [] in
+        (match res with Ok (_, q) -> publish_quarantine_to r q | Error _ -> ());
+        res)
 
 let of_string ?(mode = `Strict) ?eps ?obs s =
-  (match obs with
-   | Some r -> Rt_obs.Registry.span_begin r "ingest.parse"
-   | None -> ());
-  let res = of_string_body ~mode ?eps s in
-  (match obs with
-   | Some r ->
-     (match res with Ok (_, q) -> publish_quarantine obs q | Error _ -> ());
-     Rt_obs.Registry.span_end r
-   | None -> ());
-  res
+  parse ~mode ?eps ?obs (Stream_io.lines_of_string s)
 
 let of_string_exn s =
   match of_string s with
@@ -85,13 +75,10 @@ let of_string_exn s =
   | Error e ->
     invalid_arg (Printf.sprintf "Trace_io.of_string_exn: line %d: %s" e.line e.message)
 
-let load ?mode ?eps ?obs path =
+let load ?(mode = `Strict) ?eps ?obs path =
   let ic = open_in path in
-  let content =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
-  of_string ?mode ?eps ?obs content
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      parse ~mode ?eps ?obs (Stream_io.lines_of_channel ic))
 
 (* A structurally valid period can still be semantically hopeless: a
    message with an empty candidate set A_m collapses the learner's
@@ -176,7 +163,7 @@ let salvage_account (q : Quarantine.t) ~excised ~dropped_idx =
 
 let publish_salvage r (q : Quarantine.t) ~frames_excised =
   Rt_obs.Registry.set_counter r "ingest.frames_excised" frames_excised;
-  publish_quarantine (Some r) q
+  publish_quarantine_to r q
 
 let semantic_filter ?window ?obs (trace : Trace.t) (q : Quarantine.t) =
   let good = ref [] and excised = ref [] and dropped = ref [] in

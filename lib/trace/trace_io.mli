@@ -24,8 +24,6 @@
 
 val to_string : Trace.t -> string
 
-val output : out_channel -> Trace.t -> unit
-
 val save : string -> Trace.t -> unit
 (** Write to a file path, atomically (tmp + rename): an interrupted
     export never leaves a truncated trace on disk. *)
@@ -53,7 +51,8 @@ val of_string_exn : string -> Trace.t
 val load :
   ?mode:mode -> ?eps:int -> ?obs:Rt_obs.Registry.t -> string ->
   (Trace.t * Quarantine.t, parse_error) result
-(** Read from a file path. *)
+(** Read from a file path, line by line through {!Stream_io} — the
+    file is never held in memory as one string. *)
 
 val salvage_period :
   ?window:int -> Period.t ->

@@ -594,6 +594,9 @@ let test_learn_metrics_and_report () =
     (contains ~needle:"\"ph\": \"X\"" ev);
   Alcotest.(check bool) "learn span present" true
     (contains ~needle:"\"learn.period\"" ev);
+  Alcotest.(check bool) "parse span present" true
+    (contains ~needle:"\"ingest.parse\"" ev
+     && contains ~needle:"\"ingest.parse\"" m);
   let report = run (Printf.sprintf "report %s" metrics) in
   Alcotest.(check bool) "per-phase sections" true
     (contains ~needle:"== learn ==" report
@@ -641,7 +644,8 @@ let test_learn_profile_byte_equal () =
   Alcotest.(check string) "profiled stdout unchanged" plain profiled;
   let table = read_file (tmp "stderr") in
   Alcotest.(check bool) "hotspot table on stderr" true
-    (contains ~needle:"excl%" table && contains ~needle:"learn.period" table);
+    (contains ~needle:"excl%" table && contains ~needle:"learn.period" table
+     && contains ~needle:"ingest.parse" table);
   let stacks = read_file folded in
   Alcotest.(check bool) "folded stacks mention the root span" true
     (contains ~needle:"learn.period" stacks);
@@ -1021,6 +1025,34 @@ let test_merge_fleet_byte_equal () =
          blob)
     [ 1; 2; 4 ]
 
+(* A checkpointed learn checkpoints and commits the bound-1 companion
+   too: merging the store of a killed-and-resumed run gives exactly what
+   merging a plain learn's store gives. *)
+let test_merge_after_checkpoint_resume () =
+  let plain = tmp "ckmerge_plain.store" in
+  let resumed = tmp "ckmerge_resumed.store" in
+  let ckpt = tmp "ckmerge.ckpt" in
+  List.iter rm_rf [ plain; resumed ];
+  List.iter
+    (fun p -> if Sys.file_exists p then Sys.remove p)
+    [ ckpt; ckpt ^ ".b1" ];
+  ignore
+    (run (Printf.sprintf "learn %s --bound 4 --store %s" trace_file plain));
+  ignore
+    (run (Printf.sprintf
+            "learn %s --bound 4 --store %s --checkpoint %s --stop-after 2"
+            trace_file resumed ckpt));
+  Alcotest.(check bool) "companion checkpointed beside the engine" true
+    (Sys.file_exists (ckpt ^ ".b1"));
+  ignore
+    (run (Printf.sprintf "learn %s --bound 4 --store %s --checkpoint %s"
+            trace_file resumed ckpt));
+  Alcotest.(check bool) "companion checkpoint removed on success" false
+    (Sys.file_exists (ckpt ^ ".b1"));
+  let want = run (Printf.sprintf "merge %s" plain) in
+  Alcotest.(check string) "merge after resume = merge after a plain learn"
+    want (run (Printf.sprintf "merge %s" resumed))
+
 let test_store_checkpoint_resume () =
   let store = tmp "ckpt.store" in
   rm_rf store;
@@ -1196,6 +1228,8 @@ let () =
             test_store_addressed_check_query;
           Alcotest.test_case "merge and flag validation" `Quick
             test_store_merge_validation;
+          Alcotest.test_case "merge after checkpoint resume" `Quick
+            test_merge_after_checkpoint_resume;
         ] );
       ( "observability",
         [

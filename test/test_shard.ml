@@ -252,25 +252,36 @@ let test_pool_identical () =
          (Array.length serial.shards)
          (Array.length parallel.shards))
 
-(* --- streaming fold: round-robin units -------------------------------- *)
+(* --- streaming fold: a sharded session's round-robin pairs ----------- *)
 
 let test_stream_round_robin () =
   let trace =
     Test_support.simulate ~periods:12 ~seed:4 (Test_support.small_design 4)
   in
-  let ntasks = Trace.task_count trace in
+  let text = Rt_trace.Trace_io.to_string trace in
   (* Bounds above 1 exercise the companion plumbing; the fold must be
      oracle-equal either way, despite the non-contiguous partition. *)
   List.iter
     (fun bound ->
-       let st = S.Stream.create ~ntasks ~bound ~shards:3 () in
-       List.iter (S.Stream.feed st) (Trace.periods trace);
+       let st, _ =
+         Rt_shard.Session.create ~shards:3 (Engine.Heuristic { bound })
+           (Rt_trace.Stream_io.lines_of_string text)
+       in
+       let rec drain () =
+         match Rt_shard.Session.next st with
+         | Ok (Some _) -> drain ()
+         | Ok None -> ()
+         | Error e -> Alcotest.failf "line %d: %s" e.line e.message
+       in
+       drain ();
        Alcotest.(check int) "all periods fed"
          (Trace.period_count trace)
-         (S.Stream.periods_fed st);
+         (Rt_shard.Session.periods_fed st);
+       Alcotest.(check int) "one part per shard" 3
+         (Array.length (Rt_shard.Session.parts st));
        check_equal_opt
          (Printf.sprintf "round-robin stream fold (bound %d)" bound)
-         (oracle_of trace) (S.Stream.fold st))
+         (oracle_of trace) (S.fold_summaries (Rt_shard.Session.parts st)))
     [ 1; 4 ]
 
 let test_fold_engines_round_robin () =

@@ -382,7 +382,7 @@ let test_store_interchange_fold () =
      sub-namespace `rtgen learn --store` uses. *)
   Array.iteri
     (fun i e ->
-       let summary = Option.get (S.summary_of e) in
+       let summary = Option.get (Rt_shard.Session.Pair.summary_of e) in
        let violations = Option.get (Engine.violations e) in
        let blob = Codec.companion_to_blob ~summary ~violations () in
        ignore

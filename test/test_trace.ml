@@ -233,6 +233,53 @@ let test_io_error_line_numbers () =
   | Ok _ -> Alcotest.fail "expected error"
   | Error e -> Alcotest.(check int) "line 3" 3 e.line
 
+(* Errors found at end of input cite the last line actually read, from
+   every source: an in-memory string, a channel, a file, and the mmap
+   reference reader. *)
+let test_io_error_line_at_end_of_input () =
+  let cases =
+    [ (* the last period never closes: line 3, not a phantom line 4 *)
+      ("tasks t1\nperiod 0\n1 start t1\n", 3,
+       "invalid period 0: task 0 started but never ended");
+      (* a file holding only a header: line 1, not 2 *)
+      ("# rtgen-trace v1\n", 1, "missing tasks line") ]
+  in
+  List.iter
+    (fun (text, line, message) ->
+       let path = Filename.temp_file "rtgen" ".trace" in
+       Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+           let oc = open_out_bin path in
+           output_string oc text;
+           close_out oc;
+           let via_channel =
+             let ic = open_in path in
+             Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+                 let p =
+                   Rt_trace.Stream_io.create
+                     (Rt_trace.Stream_io.lines_of_channel ic)
+                 in
+                 let rec drain () =
+                   match Rt_trace.Stream_io.next p with
+                   | Ok (Some _) -> drain ()
+                   | Ok None -> Ok ()
+                   | Error e -> Error e
+                 in
+                 drain ())
+           in
+           let error_of what = function
+             | Ok _ -> Alcotest.failf "%s: %S parsed" what text
+             | Error (e : Io.parse_error) -> (e.line, e.message)
+           in
+           List.iter
+             (fun (what, got) ->
+                Alcotest.(check (pair int string))
+                  (Printf.sprintf "%s: %S" what text) (line, message) got)
+             [ ("string", error_of "string" (Io.of_string text));
+               ("channel", error_of "channel" via_channel);
+               ("file", error_of "file" (Io.load path));
+               ("mmap", error_of "mmap" (Rt_trace.Mmap_io.load path)) ]))
+    cases
+
 let test_io_save_load () =
   let t = fig2_trace () in
   let path = Filename.temp_file "rtgen" ".trace" in
@@ -725,6 +772,8 @@ let () =
             test_io_comments_and_blanks;
           Alcotest.test_case "error line numbers" `Quick
             test_io_error_line_numbers;
+          Alcotest.test_case "error line at end of input" `Quick
+            test_io_error_line_at_end_of_input;
           Alcotest.test_case "save/load" `Quick test_io_save_load;
         ] );
     ]
