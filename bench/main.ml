@@ -225,17 +225,31 @@ let bench_sharded trace =
   let pool =
     if jobs > 1 then Some (Rt_util.Domain_pool.create ~jobs) else None
   in
+  (* Each run is the program's one sharded path: a session parsing the
+     trace's text, its rounds of K periods fed on the pool, then folded. *)
+  let text = Rt_trace.Trace_io.to_string trace in
+  let learn k =
+    let module S = Rt_shard.Session in
+    let s, _ =
+      S.create ?pool ~shards:k (Rt_engine.Engine.Heuristic { bound })
+        (Rt_trace.Stream_io.lines_of_string text)
+    in
+    let rec drain () =
+      match S.next s with
+      | Ok (Some _) -> drain ()
+      | Ok None -> S.fold s
+      | Error e -> failwith ("sharded bench: " ^ e.message)
+    in
+    drain ()
+  in
   let runs =
     Fun.protect
       ~finally:(fun () -> Option.iter Rt_util.Domain_pool.shutdown pool)
       (fun () ->
          List.map
            (fun k ->
-              let o, dt =
-                wall (fun () ->
-                    Rt_shard.Shard.learn ?pool ~bound ~shards:k trace)
-              in
-              (match o.Rt_shard.Shard.model with
+              let model, dt = wall (fun () -> learn k) in
+              (match model with
                | Some m when Df.equal m oracle -> ()
                | Some _ | None ->
                  failwith "sharded bench: fold differs from monolithic d*(1)");

@@ -347,10 +347,11 @@ let with_flight flight_out f =
    | _ -> ());
   code
 
-(* Every learn but --auto and parallel --shards: one streaming session
-   over the file (or stdin, spelled "-") that holds one period in
-   memory. With --shards the session feeds K round-robin engine pairs,
-   folded at the end of input. *)
+(* Every learn but --auto: one streaming session over the file (or
+   stdin, spelled "-") that holds one period in memory. With --shards
+   the session deals periods round-robin to K engine pairs, runs each
+   round of K on the worker pool, and folds the pairs at the end of
+   input. *)
 let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
     ~progress ~ckpt ~every ~stop_after ~companion ~write_sinks ~finish path =
   let module S = Rt_shard.Session in
@@ -382,9 +383,9 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
          Printf.eprintf "progress: %d periods, %d hypotheses\n%!"
            (S.periods_fed s) (S.hypotheses s)
        | Some _ | None -> ());
-      (match (stop_after, ckpt) with
-       | Some k, Some _ when fed + 1 >= k -> Ok `Stopped
-       | _ -> pump (fed + 1))
+      (match stop_after with
+       | Some k when fed + 1 >= k -> Ok `Stopped
+       | Some _ | None -> pump (fed + 1))
   in
   (match resume with
    | S.Resumed n ->
@@ -436,66 +437,47 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
        | Some snap ->
          (* Success: the checkpoint has served its purpose. *)
          S.discard s;
-         write_sinks ();
-         let parts = S.parts s in
-         let finish =
-           finish ~names:(Option.get (S.names s)) ~created_at:(S.periods_fed s)
-             ~parts
+         let result =
+           match shards with
+           | None -> `Answers snap.hypotheses
+           | Some _ -> `Folded (S.fold s)
          in
-         (match shards with
-          | None ->
-            finish ~answers:(Some snap.hypotheses) (`Answers snap.hypotheses)
-          | Some _ ->
-            finish ~answers:None (`Folded (Rt_shard.Shard.fold_summaries parts))))
+         Array.iteri
+           (fun i (r : S.shard) ->
+              Printf.eprintf
+                "shard %d: %d periods, %d messages, %d hypotheses, %.3fs\n"
+                i r.periods r.messages (List.length r.hypotheses)
+                (float_of_int r.feed_ns /. 1e9))
+           (S.shards s);
+         write_sinks ();
+         finish ~names:(Option.get (S.names s)) ~created_at:(S.periods_fed s)
+           ~parts:(S.parts s)
+           ~answers:(if shards = None then Some snap.hypotheses else None)
+           result)
 
-(* --auto and parallel --shards work on the whole trace in memory. *)
-let learn_batch ~auto ~shards ~bound ~window ~jobs ~obs ~mode ~eps
-    ~write_sinks ~finish path =
+(* --auto re-feeds the whole trace, in memory, at each bound. *)
+let learn_auto ~window ~jobs ~obs ~mode ~eps ~write_sinks ~finish path =
   match read_trace ~mode ~eps ?window ?obs path with
   | Error m -> err m
   | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
     err "no usable periods after quarantine"
   | Ok (trace, _) ->
-    let names = Rt_task.Task_set.names trace.task_set in
-    let created_at = Rt_trace.Trace.period_count trace in
-    if auto then begin
-      let report, chosen =
-        with_pool jobs (fun pool ->
-            Rt_engine.Learner.auto ?window ?pool ?obs trace)
-      in
-      Format.printf "auto bound search:@.";
-      List.iter (fun (s : Rt_engine.Learner.bound_step) ->
-          Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
-            s.bound s.hypotheses
-            (if s.lub_changed then "changed" else "stable")
-            s.elapsed_s)
-        report.Rt_engine.Learner.trajectory;
-      Format.printf "selected bound %d@." chosen;
-      write_sinks ();
-      finish ~names ~created_at ~parts:[||] ~answers:None
-        (`Answers report.Rt_engine.Learner.hypotheses)
-    end
-    else begin
-      let out =
-        with_pool jobs (fun pool ->
-            Rt_shard.Shard.learn ?window ?pool ?obs ~bound
-              ~shards:(Option.get shards) trace)
-      in
-      Array.iteri
-        (fun i (r : Rt_shard.Shard.result) ->
-           Printf.eprintf
-             "shard %d: %d periods, %d messages, %d hypotheses, %.3fs\n"
-             i r.periods r.messages
-             (List.length r.hypotheses)
-             (float_of_int r.elapsed_ns /. 1e9))
-        out.shards;
-      write_sinks ();
-      finish ~names ~created_at
-        ~parts:(Array.map
-                  (fun (r : Rt_shard.Shard.result) -> (r.summary, r.violations))
-                  out.shards)
-        ~answers:None (`Folded out.model)
-    end
+    let report, chosen =
+      with_pool jobs (fun pool ->
+          Rt_engine.Learner.auto ?window ?pool ?obs trace)
+    in
+    Format.printf "auto bound search:@.";
+    List.iter (fun (s : Rt_engine.Learner.bound_step) ->
+        Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
+          s.bound s.hypotheses
+          (if s.lub_changed then "changed" else "stable")
+          s.elapsed_s)
+      report.Rt_engine.Learner.trajectory;
+    Format.printf "selected bound %d@." chosen;
+    write_sinks ();
+    finish ~names:(Rt_task.Task_set.names trace.task_set)
+      ~created_at:(Rt_trace.Trace.period_count trace) ~parts:[||] ~answers:None
+      (`Answers report.Rt_engine.Learner.hypotheses)
 
 let learn path exact auto stream shards bound window jobs dot output mode eps
     checkpoint every stop_after store store_ref flight_out metrics
@@ -535,6 +517,8 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
       Some "--checkpoint requires the heuristic algorithm (drop --exact)"
     else if checkpoint <> None && path = "-" then
       Some "--checkpoint needs a trace file to resume against, not stdin"
+    else if stop_after <> None && checkpoint = None then
+      Some "--stop-after leaves a checkpoint to resume from; add --checkpoint"
     else None
   in
   (match (shards, obs) with
@@ -549,9 +533,8 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     | Some (Error m) -> err m
     | ckpt ->
       let ckpt = Option.map Result.get_ok ckpt in
-      if auto || (shards <> None && not stream && ckpt = None) then
-        learn_batch ~auto ~shards ~bound ~window ~jobs ~obs ~mode ~eps
-          ~write_sinks ~finish path
+      if auto then
+        learn_auto ~window ~jobs ~obs ~mode ~eps ~write_sinks ~finish path
       else
         learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode
           ~eps ~progress ~ckpt ~every ~stop_after ~companion:(store <> None)
@@ -1510,10 +1493,11 @@ let learn_cmd =
   let stream =
     Arg.(value & flag & info [ "stream" ]
            ~doc:"Read the input once, as a pipe or stdin ($(b,-)) \
-                 allows: refuses $(b,--checkpoint) and $(b,--auto), and \
-                 makes $(b,--shards) round-robin. Every learn but \
-                 $(b,--auto) and parallel $(b,--shards) streams anyway, \
-                 holding one period in memory.")
+                 allows: refuses $(b,--checkpoint) and $(b,--auto). \
+                 Every learn but $(b,--auto) streams anyway, holding one \
+                 period (one round of K with $(b,--shards)) in memory, \
+                 so the flag changes neither the result nor the shard \
+                 partition.")
   in
   let output =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -1589,13 +1573,13 @@ let learn_cmd =
   in
   let shards =
     Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K"
-           ~doc:"Partition the trace into K period ranges, learn each \
-                 with a private engine pair (in parallel with $(b,-j)) \
-                 and fold the per-shard results into one model — \
-                 byte-equal for every K and every partition. With \
-                 $(b,--stream) or $(b,--checkpoint) the trace is \
-                 streamed to K round-robin pairs instead (one checkpoint \
-                 pair per shard, SLOT.shard<i>).")
+           ~doc:"Deal the trace's periods round-robin to K private \
+                 engine pairs, feeding each round of K periods in \
+                 parallel with $(b,-j), and fold the per-shard results \
+                 into one model — byte-equal for every K and every \
+                 $(b,-j). Streams in every combination, stdin included; \
+                 with $(b,--checkpoint), one checkpoint pair per shard \
+                 (SLOT.shard<i>).")
   in
   Cmd.v (Cmd.info "learn" ~doc:"Learn a dependency model from a trace")
     Term.((const learn $ stream_trace_arg $ exact $ auto $ stream $ shards

@@ -114,7 +114,7 @@ type step = Fed | Skipped | Dropped of int
 type t = {
   parser : Sio.t;
   recover : bool;
-  obs : Rt_obs.Registry.t option;  (* ingest spans and counters *)
+  obs : Rt_obs.Registry.t option;  (* ingest spans, counters, shard fold *)
   shards : int option;
   checkpoint : checkpoint option;
   (* How pairs are made; sharded pairs get no pool, registry or recorder. *)
@@ -126,6 +126,12 @@ type t = {
   companion : bool;
   mutable pairs : Pair.t array;  (* empty until the first feed or a resume *)
   mutable turn : int;            (* the pair the next period goes to *)
+  (* Sharded only: the round being collected, one slot per pair, run on
+     [round_pool] when it closes; each pair's summed feed time. *)
+  round_pool : Rt_util.Domain_pool.t option;
+  round : Rt_trace.Period.t option array;
+  mutable buffered : int;
+  busy_ns : int array;
   mutable skip : int;            (* replay-skip budget of a resume *)
   mutable excised : (int * int) list;  (* (index, frames), reversed *)
   mutable dropped : int list;          (* reversed *)
@@ -148,11 +154,34 @@ let tag_of t c i =
 
 let sum f t = Array.fold_left (fun acc p -> acc + f (Pair.main p)) 0 t.pairs
 
-let periods_fed = sum Engine.periods_fed
+(* Feed the collected round's pairs, in parallel on [round_pool]. Each
+   chunk touches only its own pair, slot and timer, and the pool never
+   reaches an engine: it is not reentrant. *)
+let flush t =
+  if t.buffered > 0 then begin
+    let feed_pair i =
+      match t.round.(i) with
+      | None -> ()
+      | Some p ->
+        let t0 = Rt_obs.Registry.now_ns () in
+        Pair.feed t.pairs.(i) p;
+        t.busy_ns.(i) <- t.busy_ns.(i) + Rt_obs.Registry.now_ns () - t0;
+        t.round.(i) <- None
+    in
+    (match t.round_pool with
+     | Some pool ->
+       Rt_util.Domain_pool.run pool ~chunks:(Array.length t.round) feed_pair
+     | None -> Array.iteri (fun i _ -> feed_pair i) t.round);
+    t.buffered <- 0
+  end
+
+let periods_fed t = sum Engine.periods_fed t + t.buffered
 
 let messages_fed = sum Engine.messages_fed
 
-let hypotheses = sum (fun e -> List.length (Engine.current e))
+let hypotheses t =
+  flush t;
+  sum (fun e -> List.length (Engine.current e)) t
 
 (* Every pair saved, each holding its round-robin share of the total —
    anything else is a kill between two pairs' saves. *)
@@ -189,6 +218,7 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
    | Some k when k < 1 -> invalid_arg "Session.create: shards must be >= 1"
    | Some _ | None -> ());
   let single x = if Option.is_none shards then x else None in
+  let k = Option.value shards ~default:0 in
   let t =
     {
       parser = Sio.create ~mode ?eps source;
@@ -200,6 +230,10 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
       companion = companion || Option.is_some shards;
       pairs = [||];
       turn = 0;
+      round_pool = pool;
+      round = Array.make k None;
+      buffered = 0;
+      busy_ns = Array.make k 0;
       skip = 0;
       excised = [];
       dropped = [];
@@ -213,6 +247,7 @@ let checkpoints_written t = t.checkpoints
 let names t = Option.map Rt_task.Task_set.names (Sio.task_set t.parser)
 
 let save t =
+  flush t;
   match t.checkpoint with
   | Some c when Array.length t.pairs > 0 ->
     Array.iteri
@@ -245,8 +280,13 @@ let feed t p =
             Pair.create ?window:t.window ?pool:t.pool ?obs:t.engine_obs
               ?flight:t.flight ~ntasks ~companion:t.companion t.algorithm)
     end;
-    Pair.feed t.pairs.(t.turn) p;
-    t.turn <- (t.turn + 1) mod Array.length t.pairs;
+    if Option.is_none t.shards then Pair.feed t.pairs.(0) p
+    else begin
+      t.round.(t.turn) <- Some p;
+      t.buffered <- t.buffered + 1;
+      t.turn <- (t.turn + 1) mod Array.length t.pairs;
+      if t.turn = 0 then flush t
+    end;
     (match t.checkpoint with
      | Some c when periods_fed t mod c.every = 0 -> save t
      | Some _ | None -> ());
@@ -282,6 +322,7 @@ let quarantine t =
     ~dropped_idx:(List.rev t.dropped)
 
 let publish t =
+  flush t;
   let q = quarantine t in
   Array.iter
     (fun p ->
@@ -302,10 +343,15 @@ let publish t =
          let set = Rt_obs.Registry.set_counter r in
          set "shard.shards" k;
          set "shard.periods" (periods_fed t);
-         set "shard.messages" (messages_fed t))
+         set "shard.messages" (messages_fed t);
+         (* One sample per shard, however often the session publishes. *)
+         let h = Rt_obs.Registry.histogram r "shard.worker_us" in
+         if Rt_obs.Histogram.count h = 0 then
+           Array.iter (fun ns -> Rt_obs.Histogram.record h (ns / 1000)) t.busy_ns)
       t.shards
 
 let first t f =
+  flush t;
   if Array.length t.pairs = 0 then None else Some (f (Pair.main t.pairs.(0)))
 
 let snapshot t = first t Engine.snapshot
@@ -314,4 +360,30 @@ let finalize t =
   publish t;
   first t Engine.finalize
 
-let parts t = Array.of_list (List.filter_map Pair.part (Array.to_list t.pairs))
+let parts t =
+  flush t;
+  Array.of_list (List.filter_map Pair.part (Array.to_list t.pairs))
+
+let fold t =
+  let parts = parts t in
+  match t.obs with
+  | None -> Shard.fold_summaries parts
+  | Some r ->
+    Rt_obs.Registry.with_span r "shard.fold" (fun () ->
+        Shard.fold_summaries parts)
+
+type shard = {
+  periods : int;
+  messages : int;
+  hypotheses : Rt_lattice.Depfun.t list;
+  feed_ns : int;
+}
+
+let shards t =
+  flush t;
+  Array.mapi
+    (fun i p ->
+       let e = Pair.main p in
+       { periods = Engine.periods_fed e; messages = Engine.messages_fed e;
+         hypotheses = Engine.current e; feed_ns = t.busy_ns.(i) })
+    (if Option.is_none t.shards then [||] else t.pairs)

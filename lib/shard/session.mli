@@ -1,7 +1,7 @@
-(** One learn session: trace lines in, a learned model out, one period
-    at a time — the path every learner shares: [rtgen learn] (all but
-    [--auto] and parallel [--shards]), [rtgen watch], and each stream of
-    [rtgen serve] ([Rt_daemon.Stream]).
+(** One learn session: trace lines in, a learned model out — the path
+    every learner shares: [rtgen learn] (all but [--auto], sharded or
+    not), [rtgen watch], and each stream of [rtgen serve]
+    ([Rt_daemon.Stream]).
 
     A session owns the {!Rt_trace.Stream_io} parser over a caller's line
     source; the engine pairs, created when the first period is fed;
@@ -11,9 +11,11 @@
     replay-skip of the periods they hold, and a save every N fed
     periods; provenance, counters, and the final answer set plus the
     bound-1 fold parts. Only the period under construction is in
-    memory. An exception from the line source propagates out of {!next}
-    and leaves the session as it was, so a source may signal "no data
-    yet" by raising, and the caller retries later (the daemon does). *)
+    memory — a sharded session also holds the round it is collecting,
+    at most one period per pair. An exception from the line source
+    propagates out of {!next} and leaves the session as it was, so a
+    source may signal "no data yet" by raising, and the caller retries
+    later (the daemon does). *)
 
 (** A main engine plus an optional bound-1 companion, whose pre-weaken
     matrix is the fleet-merge and shard-fold interchange
@@ -75,15 +77,19 @@ val create :
   Rt_trace.Stream_io.line_source -> t * resume
 (** [mode] and [eps] are the parser's; [window] is the engines' and
     salvage's. [companion] adds a bound-1 companion to the pair.
-    [shards] runs that many pairs with companions instead, fed
-    round-robin, for {!Shard.fold_summaries} over {!parts}; [pool],
-    [obs] and [flight] do not reach them. With [obs], each period's
-    parse runs in an ["ingest.parse"] span. With [flight], the main
-    engine records its periods and each save a ["checkpoint.write"].
+    [shards] runs that many pairs with companions instead, for
+    {!fold}: period [n] goes to pair [n mod shards], collected a round
+    (one period per pair) at a time, and each round's pairs are fed in
+    parallel on [pool]. The pool never reaches the pairs' engines (it is
+    not reentrant), and neither do [obs] nor [flight]. With [obs], each
+    period's parse runs in an ["ingest.parse"] span. With [flight], the
+    main engine records its periods and each save a
+    ["checkpoint.write"].
     @raise Invalid_argument when [shards < 1]. *)
 
 type step =
-  | Fed            (** the period went into an engine pair *)
+  | Fed            (** the period went to an engine pair (when sharded,
+                       into the round being collected) *)
   | Skipped        (** replay-skip: the resumed checkpoint holds it *)
   | Dropped of int (** recover-mode salvage dropped this period index *)
 
@@ -92,10 +98,13 @@ val next : t -> (step option, Rt_trace.Stream_io.parse_error) result
     @raise Rt_learn.Exact.Blowup from an exact core. *)
 
 val periods_fed : t -> int
-(** Periods in the engines, a resumed checkpoint's included. *)
+(** Periods fed, a resumed checkpoint's and an open round's included. *)
 
 val hypotheses : t -> int
-(** Hypotheses across the main engines. *)
+(** Hypotheses across the main engines. This, {!save}, {!publish},
+    {!snapshot}, {!finalize}, {!parts}, {!fold} and {!shards} first
+    feed a sharded session's open round, so what they report does not
+    depend on the round barrier. *)
 
 val checkpoints_written : t -> int
 
@@ -116,7 +125,8 @@ val publish : t -> unit
 (** Record provenance in the engines and publish their counters; with a
     registry, also the ingest counters and, when sharded, the
     ["shard.shards"], ["shard.periods"] and ["shard.messages"] totals
-    ({!Shard.learn}'s). *)
+    and a ["shard.worker_us"] histogram of each pair's summed feed time
+    (recorded by the first publish only). *)
 
 val snapshot : t -> Rt_engine.Engine.snapshot option
 (** The (first) main engine's model so far; [None] before any period
@@ -128,3 +138,18 @@ val finalize : t -> Rt_engine.Engine.snapshot option
 val parts : t -> (Rt_lattice.Depfun.t option * bool array array) array
 (** Each pair's {!Pair.part} in shard order; empty when no pair has a
     bound-1 engine. *)
+
+val fold : t -> Rt_lattice.Depfun.t option
+(** {!Shard.fold_summaries} over {!parts}, in a ["shard.fold"] span with
+    a registry. *)
+
+type shard = {
+  periods : int;
+  messages : int;
+  hypotheses : Rt_lattice.Depfun.t list;  (** the main engine's *)
+  feed_ns : int;     (** summed wall-clock feed time of the pair *)
+}
+
+val shards : t -> shard array
+(** A sharded session's per-pair accounting in shard order; empty when
+    unsharded or before any period was fed. *)

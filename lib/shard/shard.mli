@@ -1,9 +1,9 @@
-(** Sharded lub-merge learning: partition, learn per shard, fold.
+(** The sharded lub-merge fold.
 
     Periods are independent instances of the learning problem (paper
-    §2.2), so a trace can be cut into [K] period ranges, each range
-    learned by its own {!Rt_engine.Engine} on a {!Rt_util.Domain_pool}
-    worker, and the per-shard results folded into a single model.
+    §2.2), so a trace's periods can be split over [K] engine pairs in
+    any partition — {!Session} deals them round-robin — and the
+    per-pair results folded into a single model.
 
     {b What the fold can — and cannot — reconstruct.} The LUB of a
     {e bounded} run's answer set is NOT partition-independent: under
@@ -19,10 +19,11 @@
     that depends only on the period itself. Joins commute, so any
     partition — contiguous or not — accumulates the same matrix.
 
-    Each shard therefore runs {e two} engines over its range: the main
-    engine at the user's bound (the expensive work being parallelized;
-    its version space is reported per shard) and a cheap bound-1
-    companion whose single matrix is the shard's fold contribution.
+    Each shard therefore runs {e two} engines over its periods: the
+    main engine at the user's bound (the expensive work being
+    parallelized; its version space is reported per shard) and a cheap
+    bound-1 companion whose single matrix is the shard's fold
+    contribution.
 
     The fold is not a plain pointwise join of the companions either.
     Each shard weakens against only the violations {e it} observed; the
@@ -43,42 +44,14 @@
     converges to. All of this is enforced against the
     {!Rt_learn.Reference} oracle by test_shard. *)
 
-type result = {
-  hypotheses : Rt_lattice.Depfun.t list;
-      (** the main (user-bound) engine's final hypotheses for this
-          shard's range (empty = inconsistent) *)
-  summary : Rt_lattice.Depfun.t option;
-      (** the bound-1 companion's model — the shard's fold
-          contribution; [None] iff the range is inconsistent *)
-  violations : bool array array;  (** the shard's violation matrix *)
-  periods : int;
-  messages : int;
-  elapsed_ns : int;  (** wall-clock learn time of this shard *)
-}
-
-type outcome = {
-  model : Rt_lattice.Depfun.t option;
-      (** the folded model — byte-equal to the monolithic bound-1
-          model [d*(1)] for every shard count; [None] iff the trace is
-          inconsistent *)
-  shards : result array;
-  periods : int;   (** total periods, across shards *)
-  messages : int;  (** total bus messages, across shards *)
-}
-
-val plan : shards:int -> periods:int -> (int * int) array
-(** Near-equal contiguous ranges [\[lo, hi)] covering [\[0, periods)]:
-    the first [periods mod K] ranges hold one extra period. Empty
-    ranges are dropped, so at most [min shards periods] (but at least
-    one, possibly empty, when [periods = 0]) ranges come back.
-    @raise Invalid_argument when [shards < 1] or [periods < 0]. *)
-
 val fold_summaries :
   (Rt_lattice.Depfun.t option * bool array array) array ->
   Rt_lattice.Depfun.t option
-(** The raw exchange-law fold over [(summary, violations)] pairs:
-    [None] if any part is inconsistent, otherwise
-    [weaken_{∪ᵢ Vᵢ} (⊔ᵢ b1ᵢ)]. This is the cross-process merge
+(** The exchange-law fold over [(summary, violations)] pairs:
+    [None] if any part is inconsistent, otherwise the fused
+    {!Rt_lattice.Depfun.lub_many} of every summary with the union
+    violation matrix [∪ᵢ Vᵢ] applied once at the end. This is both the
+    in-process fold of a sharded {!Session} and the cross-process merge
     primitive — [rtgen merge] feeds it companion blobs read from K
     separately-produced stores, and partition-shape independence makes
     the result byte-equal to the monolithic bound-1 model. Exact when
@@ -86,39 +59,12 @@ val fold_summaries :
     parts produced at higher bounds fold to a conservative upper
     bound instead. *)
 
-val fold_results : result array -> Rt_lattice.Depfun.t option
-(** The exchange-law fold described above, over the shards' companion
-    summaries: [None] if any shard came back inconsistent, otherwise
-    the fused {!Rt_lattice.Depfun.lub_many} of every summary with the
-    union violation matrix applied once at the end. *)
-
 val fold_engines : Rt_engine.Engine.t array -> Rt_lattice.Depfun.t option
-(** {!fold_results} over live engines: each engine contributes the LUB
-    of its current hypotheses and its violation matrix. Exact — equal
-    to the monolithic [d*(1)] — when the engines are bound-1 cores fed
-    a partition (any partition, order irrelevant) of the trace's
-    periods. The engines must have heuristic cores
+(** {!fold_summaries} over live engines: each engine contributes the
+    LUB of its current hypotheses and its violation matrix. Exact —
+    equal to the monolithic [d*(1)] — when the engines are bound-1
+    cores fed a partition (any partition, order irrelevant) of the
+    trace's periods. The engines must have heuristic cores
     ([Engine.violations = Some]).
     @raise Invalid_argument on an exact-core engine or an empty
     array. *)
-
-val learn :
-  ?window:int ->
-  ?pool:Rt_util.Domain_pool.t ->
-  ?obs:Rt_obs.Registry.t ->
-  bound:int ->
-  shards:int ->
-  Rt_trace.Trace.t ->
-  outcome
-(** Learn [trace] in [shards] contiguous period ranges and fold. With
-    [pool], shards run on the pool's domains (each worker builds
-    {e private} engines — the pool is not reentrant, so workers never
-    touch it — and returns its results by value); without, they run
-    sequentially. Each shard runs a {!Session.Pair}; at [bound = 1] the
-    main engine doubles as its own companion, so no duplicate work is
-    done. With [obs], the fan-out
-    and fold run inside ["shard.fanout"] / ["shard.fold"] spans,
-    per-shard learn times land in a ["shard.worker_us"] histogram, and
-    ["shard.shards"] / ["shard.periods"] / ["shard.messages"] counters
-    are published — all recorded on the calling domain only.
-    @raise Invalid_argument when [shards < 1] or [bound < 1]. *)

@@ -137,10 +137,10 @@ def check_engine_section(doc, path):
 def check_shard_section(doc, path):
     """Cross-instrument consistency for sharded runs.
 
-    A run through Rt_shard publishes shard.* counters from the calling
+    A sharded session publishes shard.* counters from the calling
     domain (pool workers carry no registry): the shard count, the
     worker-pool width it ran on, the fed totals, and one worker_us
-    sample per shard. The bench sidecar's bench.jobs / bench.shards
+    sample per shard (each pair's summed feed time). The bench sidecar's bench.jobs / bench.shards
     pair follows the same rule.
     """
     counters = doc.get("counters", {})
@@ -156,10 +156,10 @@ def check_shard_section(doc, path):
         for key in ("shard.periods", "shard.messages"):
             if key not in counters:
                 fail(path, f"shard.shards present without {key}")
-        # Batch runs record one worker_us sample per shard; streaming
-        # runs feed obs-free units and legitimately omit the histogram.
         hist = doc.get("histograms", {}).get("shard.worker_us")
-        if hist is not None and hist.get("count") != shards:
+        if hist is None:
+            fail(path, "shard.shards present without shard.worker_us")
+        elif hist.get("count") != shards:
             fail(
                 path,
                 f"shard.worker_us count {hist.get('count')} != "

@@ -337,6 +337,20 @@ let test_checkpoint_kill_resume () =
   Alcotest.(check bool) "checkpoint removed on success" false
     (Sys.file_exists ckpt)
 
+(* --stop-after stops so a later run can resume; without a checkpoint
+   there is nothing to resume from, so it is refused, not ignored. *)
+let test_stop_after_needs_checkpoint () =
+  let out = tmp "stop_after.model" in
+  if Sys.file_exists out then Sys.remove out;
+  let code, _ =
+    run_code (Printf.sprintf "learn %s --bound 4 --stop-after 2 -o %s"
+                trace_file out)
+  in
+  Alcotest.(check int) "--stop-after without --checkpoint exits 2" 2 code;
+  Alcotest.(check bool) "no model written" false (Sys.file_exists out);
+  Alcotest.(check bool) "names the missing flag" true
+    (contains ~needle:"--checkpoint" (read_file (tmp "stderr")))
+
 let test_checkpoint_wrong_trace_refused () =
   let ckpt = tmp "gm_wrong.ckpt" in
   if Sys.file_exists ckpt then Sys.remove ckpt;
@@ -1171,6 +1185,8 @@ let () =
             test_checkpoint_kill_resume;
           Alcotest.test_case "checkpoint trace mismatch" `Quick
             test_checkpoint_wrong_trace_refused;
+          Alcotest.test_case "stop-after needs checkpoint" `Quick
+            test_stop_after_needs_checkpoint;
           Alcotest.test_case "vcd import round trip" `Quick
             test_vcd_import_roundtrip;
         ] );

@@ -2,16 +2,19 @@
    any shard count, the folded shard model is byte-equal to the
    monolithic bound-1 model — with the seed's Reference implementation
    as the oracle — and a trace is reported inconsistent by the fold iff
-   the monolithic run finds it so. The bounded LUB itself is NOT
+   the monolithic run finds it so. Every sharded learn here goes the
+   program's one way: a sharded Session over the trace's text, dealing
+   periods round-robin to its pairs, a round at a time (on a domain
+   pool where given). The bounded LUB itself is NOT
    partition-independent (minimality pruning under assumption branching
    can discard evidence carriers per shard — the deviation
    test_theorems.ml documents), which is why the fold goes through the
    bound-1 companions; a regression here pins the counterexample that
-   proves it. Also pins the partition planner's arithmetic, domination
-   of every shard's bounded LUB by the folded model, and the
-   violation-exchange law the fold relies on (a naive join without the
-   final weakening pass must NOT equal the monolithic model on a
-   crafted fixture, or the fold is not being tested at all). *)
+   proves it. Also pins domination of every shard's bounded LUB by the
+   folded model, and the violation-exchange law the fold relies on (a
+   naive join without the final weakening pass must NOT equal the
+   monolithic model on a crafted fixture, or the fold is not being
+   tested at all). *)
 
 module Df = Rt_lattice.Depfun
 module H = Rt_learn.Heuristic
@@ -20,50 +23,25 @@ module S = Rt_shard.Shard
 module Engine = Rt_engine.Engine
 module Trace = Rt_trace.Trace
 
+module Session = Rt_shard.Session
+
 let depfun = Test_support.depfun
 
-(* --- plan ------------------------------------------------------------ *)
+(* A sharded session over [trace]'s text, drained to end of input. *)
+let learn ?pool ?obs ~bound ~shards trace =
+  let st, _ =
+    Session.create ?pool ?obs ~shards (Engine.Heuristic { bound })
+      (Rt_trace.Stream_io.lines_of_string (Rt_trace.Trace_io.to_string trace))
+  in
+  let rec drain () =
+    match Session.next st with
+    | Ok (Some _) -> drain ()
+    | Ok None -> st
+    | Error e -> Alcotest.failf "line %d: %s" e.line e.message
+  in
+  drain ()
 
-let test_plan () =
-  Alcotest.(check (list (pair int int)))
-    "4 shards over 10 periods"
-    [ (0, 3); (3, 6); (6, 8); (8, 10) ]
-    (Array.to_list (S.plan ~shards:4 ~periods:10));
-  Alcotest.(check (list (pair int int)))
-    "more shards than periods collapse"
-    [ (0, 1); (1, 2) ]
-    (Array.to_list (S.plan ~shards:8 ~periods:2));
-  Alcotest.(check (list (pair int int)))
-    "empty trace keeps one empty range"
-    [ (0, 0) ]
-    (Array.to_list (S.plan ~shards:4 ~periods:0));
-  Alcotest.check_raises "zero shards refused"
-    (Invalid_argument "Shard.plan: shards must be >= 1") (fun () ->
-        ignore (S.plan ~shards:0 ~periods:5))
-
-let qc_plan_partitions =
-  Test_support.qcheck_case "plan = contiguous near-equal partition"
-    ~count:200
-    QCheck.(pair (int_range 1 16) (int_range 0 64))
-    (fun (shards, periods) ->
-       let ranges = S.plan ~shards ~periods in
-       let sizes = Array.map (fun (lo, hi) -> hi - lo) ranges in
-       let covers =
-         fst ranges.(0) = 0
-         && snd ranges.(Array.length ranges - 1) = periods
-         && Array.for_all (fun s -> s >= 0) sizes
-         && (let ok = ref true in
-             for i = 1 to Array.length ranges - 1 do
-               if fst ranges.(i) <> snd ranges.(i - 1) then ok := false
-             done;
-             !ok)
-       in
-       let near_equal =
-         periods = 0
-         || Array.for_all (fun s ->
-                s >= periods / Array.length ranges) sizes
-       in
-       covers && near_equal)
+let pool2 = lazy (Rt_util.Domain_pool.create ~jobs:2)
 
 (* --- the headline property: fold = monolithic bound-1 model ---------- *)
 
@@ -81,12 +59,12 @@ let check_equal_opt what expect got =
 
 (* Besides the oracle equality: the folded model must dominate every
    shard's bounded LUB (the Lemma of test_theorems.ml, per shard). *)
-let check_domination what (out : S.outcome) =
-  match out.model with
+let check_domination what st =
+  match Session.fold st with
   | None -> ()
   | Some model ->
     Array.iteri
-      (fun i (r : S.result) ->
+      (fun i (r : Session.shard) ->
          match r.hypotheses with
          | [] -> ()
          | hs ->
@@ -94,7 +72,7 @@ let check_domination what (out : S.outcome) =
              (Printf.sprintf "%s: shard %d bounded lub dominated" what i)
              true
              (Df.leq (Df.lub hs) model))
-      out.shards
+      (Session.shards st)
 
 let check_trace ?(bounds = [ 1; 2; 8 ]) trace =
   let oracle = oracle_of trace in
@@ -103,12 +81,12 @@ let check_trace ?(bounds = [ 1; 2; 8 ]) trace =
        List.iter
          (fun shards ->
             let what = Printf.sprintf "bound %d, %d shards" bound shards in
-            let out = S.learn ~bound ~shards trace in
-            check_equal_opt what oracle out.model;
-            check_domination what out;
+            let st = learn ~bound ~shards trace in
+            check_equal_opt what oracle (Session.fold st);
+            check_domination what st;
             Alcotest.(check int)
               (Printf.sprintf "periods total (K=%d)" shards)
-              (Trace.period_count trace) out.periods)
+              (Trace.period_count trace) (Session.periods_fed st))
          [ 1; 2; 4; 8 ])
     bounds
 
@@ -126,33 +104,53 @@ let qc_oracle_random =
        let trace =
          Test_support.simulate ~periods:9 ~seed (Test_support.small_design seed)
        in
-       let oracle = oracle_of trace in
-       let got = (S.learn ~bound ~shards trace).model in
-       match (oracle, got) with
-       | None, None -> true
-       | Some e, Some g -> Df.equal e g
-       | _ -> false)
+       Option.equal Df.equal (oracle_of trace)
+         (Session.fold (learn ~bound ~shards trace)))
+
+let qc_oracle_pooled =
+  Test_support.qcheck_case
+    "pooled fold(shards) = monolithic bound-1 model on random designs"
+    ~count:40
+    QCheck.(triple (int_range 0 11) (int_range 1 12) (int_range 1 8))
+    (fun (seed, bound, shards) ->
+       let trace =
+         Test_support.simulate ~periods:9 ~seed (Test_support.small_design seed)
+       in
+       Option.equal Df.equal (oracle_of trace)
+         (Session.fold
+            (learn ~pool:(Lazy.force pool2) ~bound ~shards trace)))
 
 (* The counterexample that forced the companion design: at (seed 3,
-   bound 6, K = 5) the shards' bounded LUBs lose the weakened Fwd
-   evidence for one task pair (each shard's minimality pruning discards
-   its carrier), so a fold of the bounded hypotheses diverges from the
-   monolithic model while the companion fold does not. *)
+   bound 6, K = 5 contiguous ranges) the shards' bounded LUBs lose the
+   weakened Fwd evidence for one task pair (each shard's minimality
+   pruning discards its carrier), so a fold of the bounded hypotheses
+   diverges from the monolithic model while the companion fold does
+   not. *)
 let test_bounded_fold_is_partition_dependent () =
   let trace =
     Test_support.simulate ~periods:9 ~seed:3 (Test_support.small_design 3)
   in
-  let out = S.learn ~bound:6 ~shards:5 trace in
-  check_equal_opt "companion fold matches oracle" (oracle_of trace) out.model;
+  let pairs =
+    Array.init 5 (fun _ ->
+        Session.Pair.create ~ntasks:(Trace.task_count trace) ~companion:true
+          (Engine.Heuristic { bound = 6 }))
+  in
+  (* Nine periods in contiguous ranges of 2, 2, 2, 2 and 1. *)
+  List.iteri (fun i p -> Session.Pair.feed pairs.(i / 2) p) (Trace.periods trace);
+  let model =
+    S.fold_summaries
+      (Array.map (fun p -> Option.get (Session.Pair.part p)) pairs)
+  in
+  check_equal_opt "companion fold matches oracle" (oracle_of trace) model;
   let bounded =
     Array.concat
       (Array.to_list
          (Array.map
-            (fun (r : S.result) -> Array.of_list r.hypotheses)
-            out.shards))
+            (fun p -> Array.of_list (Engine.current (Session.Pair.main p)))
+            pairs))
   in
   let naive_bounded = Df.lub_many bounded in
-  match out.model with
+  match model with
   | None -> Alcotest.fail "regression trace unexpectedly inconsistent"
   | Some model ->
     Alcotest.(check bool)
@@ -192,13 +190,13 @@ let exchange_trace () =
 let test_exchange_law () =
   let trace = exchange_trace () in
   let oracle = oracle_of trace in
-  let out = S.learn ~bound:4 ~shards:2 trace in
-  check_equal_opt "exchange fixture, K=2" oracle out.model;
+  let st = learn ~bound:4 ~shards:2 trace in
+  check_equal_opt "exchange fixture, K=2" oracle (Session.fold st);
   (* The naive fold — plain join of companion summaries, no exchange
      pass — must differ here, or this fixture exercises nothing. *)
   let naive =
     Df.lub_many
-      (Array.map (fun (r : S.result) -> Option.get r.summary) out.shards)
+      (Array.map (fun (summary, _) -> Option.get summary) (Session.parts st))
   in
   (match oracle with
    | Some e ->
@@ -229,10 +227,9 @@ let test_inconsistent () =
   Alcotest.(check (list depfun)) "oracle inconsistent" [] oracle.hypotheses;
   List.iter
     (fun shards ->
-       let out = S.learn ~bound:4 ~shards trace in
        Alcotest.(check bool)
          (Printf.sprintf "fold inconsistent (K=%d)" shards)
-         true (out.model = None))
+         true (Session.fold (learn ~bound:4 ~shards trace) = None))
     [ 1; 2; 4 ]
 
 (* --- pool execution is invisible ------------------------------------- *)
@@ -241,16 +238,15 @@ let test_pool_identical () =
   let trace =
     Test_support.simulate ~periods:10 ~seed:9 (Test_support.small_design 9)
   in
-  let serial = S.learn ~bound:6 ~shards:4 trace in
-  let pool = Rt_util.Domain_pool.create ~jobs:2 in
-  Fun.protect
-    ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-    (fun () ->
-       let parallel = S.learn ~pool ~bound:6 ~shards:4 trace in
-       check_equal_opt "pool run identical" serial.model parallel.model;
-       Alcotest.(check int) "same shard count"
-         (Array.length serial.shards)
-         (Array.length parallel.shards))
+  let serial = learn ~bound:6 ~shards:4 trace in
+  let parallel = learn ~pool:(Lazy.force pool2) ~bound:6 ~shards:4 trace in
+  check_equal_opt "pool run identical" (Session.fold serial)
+    (Session.fold parallel);
+  let hypotheses st =
+    Array.map (fun (r : Session.shard) -> r.hypotheses) (Session.shards st)
+  in
+  Alcotest.(check (array (list depfun))) "same per-shard answer sets"
+    (hypotheses serial) (hypotheses parallel)
 
 (* --- streaming fold: a sharded session's round-robin pairs ----------- *)
 
@@ -258,30 +254,19 @@ let test_stream_round_robin () =
   let trace =
     Test_support.simulate ~periods:12 ~seed:4 (Test_support.small_design 4)
   in
-  let text = Rt_trace.Trace_io.to_string trace in
   (* Bounds above 1 exercise the companion plumbing; the fold must be
      oracle-equal either way, despite the non-contiguous partition. *)
   List.iter
     (fun bound ->
-       let st, _ =
-         Rt_shard.Session.create ~shards:3 (Engine.Heuristic { bound })
-           (Rt_trace.Stream_io.lines_of_string text)
-       in
-       let rec drain () =
-         match Rt_shard.Session.next st with
-         | Ok (Some _) -> drain ()
-         | Ok None -> ()
-         | Error e -> Alcotest.failf "line %d: %s" e.line e.message
-       in
-       drain ();
+       let st = learn ~bound ~shards:3 trace in
        Alcotest.(check int) "all periods fed"
          (Trace.period_count trace)
-         (Rt_shard.Session.periods_fed st);
+         (Session.periods_fed st);
        Alcotest.(check int) "one part per shard" 3
-         (Array.length (Rt_shard.Session.parts st));
+         (Array.length (Session.parts st));
        check_equal_opt
          (Printf.sprintf "round-robin stream fold (bound %d)" bound)
-         (oracle_of trace) (S.fold_summaries (Rt_shard.Session.parts st)))
+         (oracle_of trace) (S.fold_summaries (Session.parts st)))
     [ 1; 4 ]
 
 let test_fold_engines_round_robin () =
@@ -314,30 +299,30 @@ let test_obs () =
     Test_support.simulate ~periods:8 ~seed:2 (Test_support.small_design 2)
   in
   let r = Rt_obs.Registry.create () in
-  let out = S.learn ~obs:r ~bound:4 ~shards:3 trace in
+  let st = learn ~pool:(Lazy.force pool2) ~obs:r ~bound:4 ~shards:3 trace in
+  ignore (Session.finalize st);
+  ignore (Session.fold st);
   let json =
     Rt_obs.Json.to_string ~pretty:true (Rt_obs.Registry.to_json r)
   in
   let has needle = Astring.String.is_infix ~affix:needle json in
   Alcotest.(check bool) "shard.shards counter" true (has "\"shard.shards\": 3");
-  Alcotest.(check bool) "shard.fanout span" true (has "shard.fanout");
   Alcotest.(check bool) "shard.fold span" true (has "shard.fold");
-  Alcotest.(check bool) "shard.worker_us histogram" true
-    (has "shard.worker_us");
+  Alcotest.(check int) "shard.worker_us: one sample per shard" 3
+    (Rt_obs.Histogram.count (Rt_obs.Registry.histogram r "shard.worker_us"));
   Alcotest.(check int) "messages total" (Trace.total_messages trace)
-    out.messages
+    (Array.fold_left (fun a (s : Session.shard) -> a + s.messages) 0
+       (Session.shards st))
 
 let () =
   Alcotest.run "shard"
     [
-      ( "plan",
-        [ Alcotest.test_case "fixed partitions" `Quick test_plan;
-          qc_plan_partitions ] );
       ( "fold = monolithic bound-1 model",
         [
           Alcotest.test_case "pipeline design" `Quick test_oracle_pipeline;
           Alcotest.test_case "paper example" `Quick test_oracle_paper_example;
           qc_oracle_random;
+          qc_oracle_pooled;
           Alcotest.test_case "bounded fold is partition-dependent" `Quick
             test_bounded_fold_is_partition_dependent;
           Alcotest.test_case "violation-exchange law" `Quick

@@ -85,7 +85,7 @@ let closure_of_string = function
   | _ -> None
 
 type fn = {
-  fn_key : string;             (* "Shard.learn.worker" *)
+  fn_key : string;             (* "Session.flush.feed_pair" *)
   fn_site : site;
   fn_locks : bool;
   fn_raises : bool;
