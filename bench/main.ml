@@ -57,6 +57,14 @@ let wall f =
   let r = f () in
   (r, float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9)
 
+(* [wall] repeated [n] times: the last result and the median time, so
+   one descheduled run cannot move a gated ratio. *)
+let median_wall n f =
+  let runs = List.init n (fun _ -> wall f) in
+  let times = Array.of_list (List.map snd runs) in
+  Array.sort Float.compare times;
+  (fst (List.nth runs (n - 1)), times.(n / 2))
+
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
 
@@ -221,7 +229,11 @@ let bench_sharded trace =
     | [ d ] -> d
     | _ -> failwith "sharded bench: reference trace must be consistent"
   in
-  let _, mono_s = wall (fun () -> Rt_learn.Heuristic.run ~bound trace) in
+  (* Every timing below is the median of [repeats] runs. *)
+  let repeats = 3 in
+  let _, mono_s =
+    median_wall repeats (fun () -> Rt_learn.Heuristic.run ~bound trace)
+  in
   let pool =
     if jobs > 1 then Some (Rt_util.Domain_pool.create ~jobs) else None
   in
@@ -248,7 +260,7 @@ let bench_sharded trace =
       (fun () ->
          List.map
            (fun k ->
-              let model, dt = wall (fun () -> learn k) in
+              let model, dt = median_wall repeats (fun () -> learn k) in
               (match model with
                | Some m when Df.equal m oracle -> ()
                | Some _ | None ->
@@ -267,11 +279,12 @@ let bench_sharded trace =
                Printf.sprintf "%.2fx" (mono_s /. Float.max r.sharded_s 1e-9) ])
           runs));
   Printf.printf
-    "bound %d, %d worker domain(s); every fold asserted byte-equal to the\n\
-     monolithic bound-1 model. Each shard also runs a bound-1 companion, so\n\
-     at jobs=1 the sweep measures pure fan-out overhead — wall-clock wins\n\
-     need RTGEN_BENCH_JOBS >= 2 (see EXPERIMENTS.md).\n"
-    bound jobs;
+    "bound %d, %d worker domain(s), median of %d runs; every fold asserted\n\
+     byte-equal to the monolithic bound-1 model. Each shard also runs a\n\
+     bound-1 companion, so at jobs=1 the sweep measures pure sharding\n\
+     overhead — wall-clock wins need RTGEN_BENCH_JOBS >= 2 (see\n\
+     EXPERIMENTS.md).\n"
+    bound jobs repeats;
   { sh_bound = bound; sh_jobs = jobs; monolithic_s = mono_s; runs }
 
 (* ------------------------------------------------------------------ *)

@@ -35,9 +35,9 @@ let read_trace ?(mode = `Strict) ?eps ?window ?obs ?(quiet = false) path =
     Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
   | exception Sys_error m -> Error m
 
-(* Shared -j/--jobs support. [jobs <= 1] stays strictly sequential (no
-   pool, no domains); learned results are identical either way — only
-   wall-clock time may differ. *)
+(* -j/--jobs for the rounds of [learn --shards]. [jobs <= 1] stays
+   strictly sequential (no pool, no domains); learned results are
+   identical either way — only wall-clock time may differ. *)
 let with_pool jobs f =
   if jobs <= 1 then f None
   else begin
@@ -357,7 +357,7 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
   let module S = Rt_shard.Session in
   let ckpt_path = Option.fold ~none:"" ~some:Slot.describe ckpt in
   with_input path @@ fun ic ->
-  with_pool jobs @@ fun pool ->
+  with_pool (if shards = None then 1 else jobs) @@ fun pool ->
   let checkpoint =
     Option.map
       (fun slot ->
@@ -456,16 +456,13 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
            result)
 
 (* --auto re-feeds the whole trace, in memory, at each bound. *)
-let learn_auto ~window ~jobs ~obs ~mode ~eps ~write_sinks ~finish path =
+let learn_auto ~window ~obs ~mode ~eps ~write_sinks ~finish path =
   match read_trace ~mode ~eps ?window ?obs path with
   | Error m -> err m
   | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
     err "no usable periods after quarantine"
   | Ok (trace, _) ->
-    let report, chosen =
-      with_pool jobs (fun pool ->
-          Rt_engine.Learner.auto ?window ?pool ?obs trace)
-    in
+    let report, chosen = Rt_engine.Learner.auto ?window ?obs trace in
     Format.printf "auto bound search:@.";
     List.iter (fun (s : Rt_engine.Learner.bound_step) ->
         Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
@@ -534,7 +531,7 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     | ckpt ->
       let ckpt = Option.map Result.get_ok ckpt in
       if auto then
-        learn_auto ~window ~jobs ~obs ~mode ~eps ~write_sinks ~finish path
+        learn_auto ~window ~obs ~mode ~eps ~write_sinks ~finish path
       else
         learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode
           ~eps ~progress ~ckpt ~every ~stop_after ~companion:(store <> None)
@@ -633,7 +630,7 @@ let watch path bound window mode eps poll follow max_periods flight_out =
 
 (* --- analyze --- *)
 
-let analyze path bound window jobs mode eps =
+let analyze path bound window _jobs mode eps =
   match read_trace ~mode ~eps ?window path with
   | Error m -> err (m)
   | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
@@ -649,10 +646,7 @@ let analyze path bound window jobs mode eps =
            repaired, %d dropped@."
           (100.0 *. c) (List.length q.repaired) (List.length q.dropped)
     end;
-    (match
-       with_pool jobs (fun pool ->
-           (Rt_learn.Heuristic.run ?pool ?window ~bound trace).hypotheses)
-     with
+    (match (Rt_learn.Heuristic.run ?window ~bound trace).hypotheses with
      | [] -> err ("inconsistent trace")
      | hs ->
        let model = Rt_lattice.Depfun.lub hs in
@@ -841,7 +835,7 @@ let top socket interval count no_clear =
 (* --- serve --- *)
 
 let serve spool listen control out_dir checkpoint_dir store checkpoint_every
-    bound window eps jobs max_streams queue_capacity tick max_restarts backoff
+    bound window eps _jobs max_streams queue_capacity tick max_restarts backoff
     backoff_cap stall_timeout idle_timeout metrics flight flight_capacity
     stop_after_total drain_after_total =
   let policy =
@@ -868,7 +862,6 @@ let serve spool listen control out_dir checkpoint_dir store checkpoint_every
       bound;
       window;
       eps = Some eps;
-      jobs;
       max_streams;
       queue_capacity;
       tick;
@@ -975,7 +968,7 @@ let gantt path period output =
 
 (* --- query (was `check` before the model auditor took that name) --- *)
 
-let run_query path query bound window jobs model_file =
+let run_query path query bound window _jobs model_file =
   match read_trace path with
   | Error m -> err (m)
   | Ok (trace, _) ->
@@ -1001,10 +994,7 @@ let run_query path query bound window jobs model_file =
                | Error m -> Error (file ^ ": " ^ m)
                | exception Sys_error m -> Error m))
          | None ->
-           (match
-              with_pool jobs (fun pool ->
-                  (Rt_learn.Heuristic.run ?pool ?window ~bound trace).hypotheses)
-            with
+           (match (Rt_learn.Heuristic.run ?window ~bound trace).hypotheses with
             | [] -> Error "inconsistent trace"
             | hs ->
               Ok (Rt_lattice.Depfun.lub hs,
@@ -1324,19 +1314,18 @@ let cmd_store_gc dir =
 
 (* --- table1 --- *)
 
-let table1 fast jobs =
+let table1 fast _jobs =
   let trace = Rt_case.Gm_model.trace () in
   Format.printf "%a@." Rt_trace.Trace.pp_summary trace;
   let bounds = if fast then [ 1; 4; 16 ] else [ 1; 4; 16; 32; 64; 100; 120; 150 ] in
   let rows =
-    with_pool jobs (fun pool ->
-        List.map (fun bound ->
-            let t0 = Rt_obs.Registry.now_ns () in
-            let o = Rt_learn.Heuristic.run ?pool ~bound trace in
-            let dt = float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9 in
-            [ string_of_int bound; Printf.sprintf "%.3f" dt;
-              string_of_int (List.length o.hypotheses) ])
-          bounds)
+    List.map (fun bound ->
+        let t0 = Rt_obs.Registry.now_ns () in
+        let o = Rt_learn.Heuristic.run ~bound trace in
+        let dt = float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9 in
+        [ string_of_int bound; Printf.sprintf "%.3f" dt;
+          string_of_int (List.length o.hypotheses) ])
+      bounds
   in
   print_string
     (Rt_util.Table.render
@@ -1368,10 +1357,20 @@ let bound_arg =
   Arg.(value & opt int 16 & info [ "bound"; "b" ] ~docv:"B"
          ~doc:"Hypothesis-set bound for the heuristic algorithm.")
 
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the hypothesis fan-out (1 = sequential; \
-               results are identical for every N).")
+(* Every command that learns accepts -j; only sharded learning has
+   parallel work to give it. *)
+let jobs_arg ~doc = Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let learn_jobs_arg =
+  jobs_arg
+    ~doc:"Worker domains for the rounds of $(b,--shards) (1 = sequential; \
+          results are identical for every N). Without $(b,--shards), \
+          $(b,--auto) included, it has no effect."
+
+let inert_jobs_arg =
+  jobs_arg
+    ~doc:"Accepted for compatibility; has no effect (the learner runs on \
+          one domain, and results never depended on N)."
 
 let window_arg =
   Arg.(value & opt (some int) None & info [ "window" ] ~docv:"US"
@@ -1583,7 +1582,7 @@ let learn_cmd =
   in
   Cmd.v (Cmd.info "learn" ~doc:"Learn a dependency model from a trace")
     Term.((const learn $ stream_trace_arg $ exact $ auto $ stream $ shards
-               $ bound_arg $ window_arg $ jobs_arg $ dot_arg $ output
+               $ bound_arg $ window_arg $ learn_jobs_arg $ dot_arg $ output
                $ mode_arg $ eps_arg $ checkpoint $ every $ stop_after
                $ store $ store_ref $ flight
                $ metrics $ trace_events $ profile $ folded $ progress))
@@ -1618,7 +1617,7 @@ let watch_cmd =
 let analyze_cmd =
   Cmd.v (Cmd.info "analyze"
            ~doc:"Learn and analyze: classification, state space, modes")
-    Term.((const analyze $ trace_arg $ bound_arg $ window_arg $ jobs_arg
+    Term.((const analyze $ trace_arg $ bound_arg $ window_arg $ inert_jobs_arg
                $ mode_arg $ eps_arg))
 
 let inject_cmd =
@@ -1814,7 +1813,7 @@ let serve_cmd =
                  (rtgend)")
     Term.((const serve $ spool $ listen $ control $ out_dir $ checkpoint_dir
                $ store $ checkpoint_every $ bound_arg $ window_arg $ eps_arg
-               $ jobs_arg $ max_streams $ queue_capacity $ tick
+               $ inert_jobs_arg $ max_streams $ queue_capacity $ tick
                $ max_restarts $ backoff $ backoff_cap $ stall_timeout
                $ idle_timeout $ metrics $ flight $ flight_capacity
                $ stop_after_total $ drain_after_total))
@@ -1901,7 +1900,7 @@ let query_cmd =
            ~doc:"Check a dependency property against the learned model \
                  (exit 1 when it does not hold)")
     Term.((const run_query $ trace_arg $ query $ bound_arg $ window_arg
-               $ jobs_arg $ model_file))
+               $ inert_jobs_arg $ model_file))
 
 let check_cmd =
   (* [string], not [file]: a missing model is this tool's input error
@@ -2037,7 +2036,7 @@ let store_cmd =
 let table1_cmd =
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"Only the small bounds.") in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce the paper's runtime-vs-bound table")
-    Term.((const table1 $ fast $ jobs_arg))
+    Term.((const table1 $ fast $ inert_jobs_arg))
 
 let example_cmd =
   Cmd.v (Cmd.info "example" ~doc:"Run the paper's worked example")

@@ -35,7 +35,6 @@ type state = {
   policy : merge_policy;
   window : int option;
   bound : int;
-  pool : Rt_util.Domain_pool.t option;
   violations : Violations.t;
   scratch : Workset.t;  (* per-message working set, reused across messages *)
   mutable hs : Hypothesis.t array;  (* ascending (weight, structural) order *)
@@ -46,10 +45,8 @@ type state = {
   mutable dropped : int;   (* periods quarantine dropped before feeding *)
   mutable repaired : int;  (* periods repaired by ingestion *)
   (* Observability counters. Like [merges]/[created] they are counted
-     unconditionally (single int stores on the sequential merge path —
-     nothing observable on the parallel fan-out), deterministically
-     across -j levels, and travel through checkpoints so a resumed run
-     reports the same totals as an uninterrupted one. *)
+     unconditionally (single int stores), and travel through checkpoints
+     so a resumed run reports the same totals as an uninterrupted one. *)
   mutable branches : int;      (* generalization attempts (parents × pairs) *)
   mutable dedup_hits : int;    (* children the working set rejected as dups *)
   mutable evictions : int;     (* hypotheses removed by bound-forced merges *)
@@ -62,14 +59,13 @@ type state = {
   occ_gauge : Rt_obs.Registry.gauge option;
 }
 
-let init ?(policy = Lightest_pair) ?window ?pool ?obs ~bound ~ntasks () =
+let init ?(policy = Lightest_pair) ?window ?obs ~bound ~ntasks () =
   if bound < 1 then invalid_arg "Heuristic.init: bound must be >= 1";
   if ntasks < 1 then invalid_arg "Heuristic.init: need at least one task";
   {
     policy;
     window;
     bound;
-    pool;
     violations = Violations.create ntasks;
     scratch = Workset.create ~bound;
     hs = [| Hypothesis.bottom ntasks |];
@@ -104,64 +100,62 @@ let set_provenance st ~dropped ~repaired =
   st.repaired <- repaired
 
 (* Insert with deduplication, then enforce the bound by merging. *)
-let rec add st h =
+let rec add st m h =
   if Workset.add st.scratch h then begin
     if Workset.length st.scratch > st.bound then begin
       let a, b = Workset.extract_pair st.scratch st.policy in
       st.merges <- st.merges + 1;
       st.evictions <- st.evictions + 2;
-      add st (Hypothesis.merge_lub a b)
+      add st m (Hypothesis.merge_in m a b)
     end
   end
   else st.dedup_hits <- st.dedup_hits + 1
 
-let fanout pairs h =
-  List.filter_map
-    (fun (s, r) -> Hypothesis.generalize_message h ~sender:s ~receiver:r)
-    pairs
-
-(* The fan-out (one fresh hypothesis per live hypothesis × candidate pair,
-   each an O(t²) matrix copy) is where the time goes and is embarrassingly
-   parallel: [generalize_message] only reads its parent. The merge into
-   the bounded set stays sequential and consumes the children in canonical
-   parent order — chunk scheduling cannot change the outcome. *)
+(* Each child is inserted as soon as it is made, parents in canonical
+   order × pairs in candidate order; it costs O(1) until something reads
+   its cells, and most children are merged away before that. The working
+   set's contents depend only on this insertion sequence. *)
 let step_message st hs pairs =
-  st.branches <- st.branches + (Array.length hs * List.length pairs);
-  let children =
-    match st.pool with
-    | Some pool when Array.length hs > 1 ->
-      Rt_util.Domain_pool.map pool (fanout pairs) hs
-    | Some _ | None -> Array.map (fanout pairs) hs
-  in
+  let pairs = Array.of_list pairs in
+  let np = Array.length pairs in
+  st.branches <- st.branches + (Array.length hs * np);
+  let m = Hypothesis.message ~parents:(Array.length hs) ~pairs in
   Workset.clear st.scratch;
-  Array.iter
-    (List.iter (fun h' ->
-         st.created <- st.created + 1;
-         add st h'))
-    children;
-  Workset.to_array st.scratch
+  Array.iteri
+    (fun i h ->
+       for k = 0 to np - 1 do
+         let s, r = pairs.(k) in
+         match Hypothesis.child h ~parent:i ~pair:k ~sender:s ~receiver:r with
+         | Some h' ->
+           st.created <- st.created + 1;
+           add st m h'
+         | None -> ()
+       done)
+    hs;
+  let survivors = Workset.to_array st.scratch in
+  Array.iter Hypothesis.settle survivors;
+  survivors
 
-let feed st (p : Period.t) =
-  (match st.obs with
-   | Some r -> Rt_obs.Registry.span_begin r "learn.period"
-   | None -> ());
-  let hs =
-    Array.fold_left
-      (fun hs m ->
-         step_message st hs
-           (Candidates.pairs ?window:st.window ?hist:st.cand_hist p m))
-      st.hs p.msgs
-  in
+let messages st (p : Period.t) =
+  Array.fold_left
+    (fun hs m ->
+       step_message st hs
+         (Candidates.pairs ?window:st.window ?hist:st.cand_hist p m))
+    st.hs p.msgs
+
+let weaken st (p : Period.t) hs =
   Violations.observe st.violations ~executed:p.executed;
   let violated = Violations.matrix st.violations in
   Array.iter (fun h ->
       st.weakenings <-
         st.weakenings + Hypothesis.weaken_violations_count h ~violated;
       Hypothesis.clear_assumptions h)
-    hs;
-  (* Post-processing: unify equal hypotheses, drop non-minimal ones.
-     [minimal_only] returns ascending (weight, structural) order, which is
-     exactly the state invariant (weakening changed the weights). *)
+    hs
+
+(* Post-processing: unify equal hypotheses, drop non-minimal ones.
+   [minimal_only] returns ascending (weight, structural) order, which is
+   exactly the state invariant (weakening changed the weights). *)
+let postprocess st hs =
   let cut_dup = ref 0 and cut_min = ref 0 in
   let survivors =
     Postprocess.minimal_only ~removed:cut_min
@@ -169,16 +163,30 @@ let feed st (p : Period.t) =
   in
   st.end_dedup <- st.end_dedup + !cut_dup;
   st.nonminimal <- st.nonminimal + !cut_min;
-  st.hs <- Array.of_list survivors;
+  st.hs <- Array.of_list survivors
+
+let close_period st (p : Period.t) =
   st.periods <- st.periods + 1;
-  st.msgs <- st.msgs + Array.length p.msgs;
-  (match st.obs with
-   | Some r ->
-     (match st.occ_gauge with
-      | Some g -> Rt_obs.Registry.set_gauge g (Array.length st.hs)
-      | None -> ());
-     Rt_obs.Registry.span_end r
-   | None -> ())
+  st.msgs <- st.msgs + Array.length p.msgs
+
+(* With a registry, the period span splits into its three layers;
+   without one, the only cost is one branch per period. *)
+let feed st p =
+  match st.obs with
+  | None ->
+    let hs = messages st p in
+    weaken st p hs;
+    postprocess st hs;
+    close_period st p
+  | Some r ->
+    let module R = Rt_obs.Registry in
+    R.span_begin r "learn.period";
+    let hs = R.with_span r "learn.messages" (fun () -> messages st p) in
+    R.with_span r "learn.weaken" (fun () -> weaken st p hs);
+    R.with_span r "learn.postprocess" (fun () -> postprocess st hs);
+    close_period st p;
+    Option.iter (fun g -> R.set_gauge g (Array.length st.hs)) st.occ_gauge;
+    R.span_end r
 
 let bound st = st.bound
 
@@ -228,9 +236,9 @@ let snapshot st =
   publish st;
   { hypotheses = current st; stats = stats st }
 
-let run ?policy ?window ?pool ?obs ~bound trace =
+let run ?policy ?window ?obs ~bound trace =
   let st =
-    init ?policy ?window ?pool ?obs ~bound
+    init ?policy ?window ?obs ~bound
       ~ntasks:(Rt_trace.Trace.task_count trace) ()
   in
   List.iter (feed st) (Rt_trace.Trace.periods trace);
@@ -330,7 +338,7 @@ let verify_trailer data =
   end
   else Ok data
 
-let resume_payload ?pool ?obs data =
+let resume_payload ?obs data =
   let exception Bad of string in
   let len = String.length data in
   let pos = ref 0 in
@@ -420,7 +428,6 @@ let resume_payload ?pool ?obs data =
         policy;
         window;
         bound;
-        pool;
         violations = Violations.of_matrix vm;
         scratch = Workset.create ~bound;
         hs;
@@ -450,7 +457,7 @@ let resume_payload ?pool ?obs data =
     Ok (st, tag)
   with Bad m -> Error m
 
-let resume ?pool ?obs data =
+let resume ?obs data =
   (* A well-formed header with a foreign version number is reported as
      such before the trailer is consulted: other versions wrote other
      trailers (or none), so the checksum verdict would only mislead. *)
@@ -465,7 +472,7 @@ let resume ?pool ?obs data =
   match verify_trailer data with
   | Error _ as e -> e
   | Ok payload ->
-    (match resume_payload ?pool ?obs payload with
+    (match resume_payload ?obs payload with
      | r -> r
      | exception e ->
        (* A corrupt legacy blob (no trailer to catch it) must degrade

@@ -24,11 +24,9 @@ type counters = {
 }
 (** Observability counters, disjoint from {!stats} (which is the paper's
     cost model and is asserted against the reference oracle). Counted
-    unconditionally — plain integer stores on the sequential merge path —
-    and deterministic across [-j] levels because the parallel fan-out
-    computes children only; everything countable happens on the
-    orchestrating domain. They travel through {!checkpoint}/{!resume}, so
-    a resumed run reports the same totals as an uninterrupted one. *)
+    unconditionally, as plain integer stores. They travel through
+    {!checkpoint}/{!resume}, so a resumed run reports the same totals as
+    an uninterrupted one. *)
 
 type outcome = {
   hypotheses : Rt_lattice.Depfun.t list;
@@ -42,15 +40,13 @@ type merge_policy = Workset.victim_policy =
   | Heaviest_pair  (** ablation: merge the two highest-weight *)
   | First_last     (** ablation: merge the lightest with the heaviest *)
 
-val run : ?policy:merge_policy -> ?window:int ->
-  ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t -> bound:int ->
-  Rt_trace.Trace.t -> outcome
-(** With [pool], the per-message hypothesis fan-out runs on the pool's
-    domains; results are identical to a sequential run (the working set
-    is ordered canonically, never by arrival). With [obs], per-period
-    ["learn.period"] spans, the candidate-size histogram, the working-set
-    occupancy gauge and the final counter totals are recorded into the
-    registry; without it, instrumentation costs integer stores only.
+val run : ?policy:merge_policy -> ?window:int -> ?obs:Rt_obs.Registry.t ->
+  bound:int -> Rt_trace.Trace.t -> outcome
+(** With [obs], per-period ["learn.period"] spans (split into
+    ["learn.messages"], ["learn.weaken"] and ["learn.postprocess"]), the
+    candidate-size histogram, the working-set occupancy gauge and the
+    final counter totals are recorded into the registry; without it,
+    instrumentation costs integer stores only.
     @raise Invalid_argument if [bound < 1]. *)
 
 val converged : outcome -> Rt_lattice.Depfun.t option
@@ -64,8 +60,8 @@ val converged : outcome -> Rt_lattice.Depfun.t option
 type state
 
 val init :
-  ?policy:merge_policy -> ?window:int -> ?pool:Rt_util.Domain_pool.t ->
-  ?obs:Rt_obs.Registry.t -> bound:int -> ntasks:int -> unit -> state
+  ?policy:merge_policy -> ?window:int -> ?obs:Rt_obs.Registry.t ->
+  bound:int -> ntasks:int -> unit -> state
 (** Fresh state over [ntasks] tasks, holding only [{d⊥}]. *)
 
 val feed : state -> Rt_trace.Period.t -> unit
@@ -141,11 +137,10 @@ val checkpoint : ?tag:string -> state -> string
     a checkpoint taken against different data. *)
 
 val resume :
-  ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t -> string ->
-  (state * string, string) result
+  ?obs:Rt_obs.Registry.t -> string -> (state * string, string) result
 (** Deserialise a {!checkpoint} into a live state plus its tag.
-    [pool] re-attaches a domain pool and [obs] a metrics registry
-    (runtime resources are not serialised). Malformed or
+    [obs] re-attaches a metrics registry (runtime resources are not
+    serialised). Malformed or
     version-mismatched input yields [Error message], never an
     exception. The current format is version 3 (version 1 predates the
     observability counters, version 2 the message count; both are

@@ -1,12 +1,29 @@
 module Dv = Rt_lattice.Depval
 module Df = Rt_lattice.Depfun
 
+(* A hypothesis is either materialized ([pend = -1], [dep] is its own
+   matrix) or a lazy child: [dep] is its parent's matrix, shared and
+   read-only, and [pend = s * n + r] names the one message it adds,
+   [d(s,r) ⊔ →] and [d(r,s) ⊔ ←]. Weight and hashes are exact in both
+   forms; [force] turns a child into the first form on the first read
+   of its cells.
+
+   [parent], [pair] and [bits] are the in-message provenance the cover
+   merge relies on (see [merge_in]): a child of the message's parent
+   [parent] by its candidate pair [pair] has [bits = [||]]; a merge
+   result has [parent = -1] and [bits] holding its cover set, then its
+   edit set; every other hypothesis has [parent = -1] and
+   [bits = [||]]. *)
 type t = {
-  dep : Df.t;
+  mutable dep : Df.t;
+  mutable pend : int;
   mutable weight : int;
   mutable hash : int;
   mutable a_hash : int;  (* order-independent hash of the assumption set *)
   mutable assumptions : (int * int) list;
+  mutable parent : int;
+  pair : int;
+  mutable bits : int array;
 }
 
 (* A structural hash of the matrix, maintained incrementally on every
@@ -65,21 +82,70 @@ let pair_mix (s, r) = (((s * 8191) + r + 1) * 0x9E3779B1) land max_int
 let assumptions_hash l =
   List.fold_left (fun acc pair -> (acc + pair_mix pair) land max_int) 0 l
 
+(* Cell [i]'s mixing weight: [position_weight n a b] for [i = a * n + b],
+   [a <> b]. *)
+let cell_weight i = ((i + 1) * 0x9E3779B1) land max_int
+
+let plain dep ~weight ~hash ~a_hash assumptions =
+  { dep; pend = -1; weight; hash; a_hash; assumptions;
+    parent = -1; pair = 0; bits = [||] }
+
 let bottom n =
   let dep = Df.create n in
-  { dep; weight = 0; hash = full_hash dep; a_hash = 0; assumptions = [] }
+  plain dep ~weight:0 ~hash:(full_hash dep) ~a_hash:0 []
 
 let of_depfun d =
   let dep = Df.copy d in
-  { dep; weight = Df.weight dep; hash = full_hash dep; a_hash = 0; assumptions = [] }
+  plain dep ~weight:(Df.weight dep) ~hash:(full_hash dep) ~a_hash:0 []
 
-let depfun h = h.dep
+let join_ix = Dv.join_ix_tbl
+let dist_ix = Dv.dist_ix_tbl
+let fwd_ix = Dv.index Dv.Fwd
+let bwd_ix = Dv.index Dv.Bwd
+
+(* The cell a message's reverse half lands in: [r * n + s] for
+   [i = s * n + r]. *)
+let transpose n i = ((i mod n) * n) + (i / n)
+
+(* Cell [i] := cell [i] ⊔ value index [v] on a hypothesis that owns its
+   matrix, keeping the cached weight and hash exact ([update_cell] on
+   byte indices). *)
+let join_byte h i v =
+  let c = Df.cells h.dep in
+  let old = Char.code (Bytes.get c i) in
+  let v' = Array.unsafe_get join_ix ((old * 7) + v) in
+  if v' <> old then begin
+    Bytes.set c i (Char.chr v');
+    h.weight <- h.weight - dist_ix.(old) + dist_ix.(v');
+    h.hash <- (h.hash + (cell_weight i * (v' - old))) land max_int
+  end
+
+(* Materialize a lazy child: copy the parent's matrix and apply the
+   pending message. Weight and hashes already count it. *)
+let force h =
+  if h.pend >= 0 then begin
+    let i = h.pend in
+    h.dep <- Df.copy h.dep;
+    h.pend <- -1;
+    let c = Df.cells h.dep in
+    let set i v =
+      Bytes.set c i (Char.chr join_ix.((Char.code (Bytes.get c i) * 7) + v))
+    in
+    set i fwd_ix;
+    set (transpose (Df.size h.dep) i) bwd_ix
+  end
+
+let depfun h = force h; h.dep
 
 let weight h = h.weight
 
 let assumptions h = h.assumptions
 
-let assumed h s r = List.mem (s, r) h.assumptions
+let rec mem_pair (s : int) (r : int) = function
+  | [] -> false
+  | (a, b) :: tl -> (a = s && b = r) || mem_pair s r tl
+
+let assumed h s r = mem_pair s r h.assumptions
 
 (* Mutate cell (a,b), keeping the cached weight and hash exact. *)
 let update_cell h a b old v' =
@@ -107,19 +173,49 @@ let generalize_message h ~sender ~receiver =
   if sender = receiver then invalid_arg "Hypothesis.generalize_message: sender = receiver";
   if assumed h sender receiver then None
   else begin
+    force h;
     let h' =
-      { dep = Df.copy h.dep;
-        weight = h.weight;
-        hash = h.hash;
-        a_hash = (h.a_hash + pair_mix (sender, receiver)) land max_int;
-        assumptions = insert_sorted (sender, receiver) h.assumptions }
+      plain (Df.copy h.dep) ~weight:h.weight ~hash:h.hash
+        ~a_hash:((h.a_hash + pair_mix (sender, receiver)) land max_int)
+        (insert_sorted (sender, receiver) h.assumptions)
     in
     join_cell h' sender receiver Dv.Fwd;
     join_cell h' receiver sender Dv.Bwd;
     Some h'
   end
 
+(* [generalize_message] in O(1): the child shares its parent's matrix,
+   and its weight and hash are the parent's plus the deltas of the two
+   cells the message joins. *)
+let child h ~parent ~pair ~sender:s ~receiver:r =
+  force h;
+  let n = Df.size h.dep in
+  if s < 0 || s >= n || r < 0 || r >= n then
+    invalid_arg "Hypothesis.child: task index out of range";
+  if s = r then invalid_arg "Hypothesis.child: sender = receiver";
+  if assumed h s r then None
+  else begin
+    let c = Df.cells h.dep in
+    let i = (s * n) + r and j = (r * n) + s in
+    let oi = Char.code (Bytes.get c i) and oj = Char.code (Bytes.get c j) in
+    let vi = join_ix.((oi * 7) + fwd_ix) and vj = join_ix.((oj * 7) + bwd_ix) in
+    Some
+      { dep = h.dep;
+        pend = i;
+        weight =
+          h.weight + dist_ix.(vi) - dist_ix.(oi) + dist_ix.(vj) - dist_ix.(oj);
+        hash =
+          (h.hash + (cell_weight i * (vi - oi)) + (cell_weight j * (vj - oj)))
+          land max_int;
+        a_hash = (h.a_hash + pair_mix (s, r)) land max_int;
+        assumptions = insert_sorted (s, r) h.assumptions;
+        parent;
+        pair;
+        bits = [||] }
+  end
+
 let weaken_violations_count h ~violated =
+  force h;
   let n = ref 0 in
   Df.iter_pairs (fun a b v ->
       if Dv.is_definite v && violated.(a).(b) then begin
@@ -145,11 +241,10 @@ let clear_assumptions h =
    Joined cells, the Definition-8 weight and the structural hash are all
    produced in one pass over the flat cell arrays (the separate
    join/weight/hash passes of the naive version tripled the memory
-   traffic); the resulting hash is bit-identical to [full_hash]. *)
-let join_ix = Dv.join_ix_tbl
-let dist_ix = Dv.dist_ix_tbl
-
-let merge_lub h1 h2 =
+   traffic); the resulting hash is bit-identical to [full_hash]. [lub]
+   joins the two stored matrices as they are, pending messages of lazy
+   children excluded. *)
+let lub h1 h2 inter ~bits =
   let n = Df.size h1.dep in
   if Df.size h2.dep <> n then invalid_arg "Hypothesis.merge_lub: size mismatch";
   let dep = Df.create n in
@@ -166,13 +261,148 @@ let merge_lub h1 h2 =
     w := !w + Array.unsafe_get dist_ix j;
     h := !h + (Array.unsafe_get pw i * (j + 1))
   done;
+  { dep; pend = -1; weight = !w; hash = !h land max_int;
+    a_hash = assumptions_hash inter; assumptions = inter;
+    parent = -1; pair = 0; bits }
+
+let merge_lub h1 h2 =
+  force h1;
+  force h2;
   let inter = List.filter (fun p -> List.mem p h2.assumptions) h1.assumptions in
-  { dep; weight = !w; hash = !h land max_int;
-    a_hash = assumptions_hash inter; assumptions = inter }
+  lub h1 h2 inter ~bits:[||]
 
-let equal h1 h2 = Df.equal h1.dep h2.dep
+(* {2 Cover merges}
 
-let compare h1 h2 = Df.compare h1.dep h2.dep
+   Within one message every working-set member equals
+   [⊔cov ⊔ J(E)]: the join of the message's parents it lies above
+   (its cover set [cov]) and of the candidate pairs joined on top (its
+   edit set [E], [J] joining [→] at [(s,r)] and [←] at [(r,s)] for each).
+   A child is [p ⊔ J({k})]; as [⊔] is pointwise, a merge takes the union
+   of both sets. Hence when [cov(b) ⊆ cov(a)], [a ⊔ b = a ⊔ J(E_b \ E_a)]:
+   a few cell joins on [a] instead of a fresh t² matrix. *)
+
+type message = {
+  pairs : (int * int) array;
+  cw : int;  (* words of a cover set; the edit set's follow *)
+  ew : int;
+}
+
+let wbits = Sys.int_size
+
+let words k = (k + wbits - 1) / wbits
+
+let message ~parents ~pairs =
+  { pairs; cw = words parents; ew = words (Array.length pairs) }
+
+let has bits base k =
+  bits.(base + (k / wbits)) land (1 lsl (k mod wbits)) <> 0
+
+let set_bit bits base k =
+  let w = base + (k / wbits) in
+  bits.(w) <- bits.(w) lor (1 lsl (k mod wbits))
+
+(* cov(b) ⊆ cov(a). *)
+let covers m a b =
+  if b.parent >= 0 then
+    if a.parent >= 0 then a.parent = b.parent else has a.bits 0 b.parent
+  else
+    let mask w =
+      if a.parent < 0 then a.bits.(w)
+      else if w = a.parent / wbits then 1 lsl (a.parent mod wbits)
+      else 0
+    in
+    let rec sub w = w >= m.cw || (b.bits.(w) land lnot (mask w) = 0 && sub (w + 1)) in
+    sub 0
+
+(* The bits of a child's singleton sets, or a merge result's own. *)
+let bits_of m h =
+  if h.parent < 0 then h.bits
+  else begin
+    let bits = Array.make (m.cw + m.ew) 0 in
+    set_bit bits 0 h.parent;
+    set_bit bits m.cw h.pair;
+    bits
+  end
+
+(* Sorted assumption lists intersect in one pass; the result is [l1]
+   itself when nothing is dropped. Same list as [merge_lub]'s filter. *)
+let rec inter_sorted l1 l2 =
+  match l1, l2 with
+  | [], _ | _, [] -> []
+  | ((a1, b1) as p) :: t1, (a2, b2) :: t2 ->
+    let c = if a1 <> a2 then Int.compare a1 a2 else Int.compare b1 b2 in
+    if c = 0 then
+      let t = inter_sorted t1 t2 in
+      if t == t1 then l1 else p :: t
+    else if c < 0 then inter_sorted t1 l2
+    else inter_sorted l1 t2
+
+let add_edit m h k =
+  let s, r = m.pairs.(k) in
+  let n = Df.size h.dep in
+  join_byte h ((s * n) + r) fwd_ix;
+  join_byte h ((r * n) + s) bwd_ix;
+  set_bit h.bits m.cw k
+
+(* [a := a ⊔ b] in place, given cov(b) ⊆ cov(a): join the edits of [b]
+   that [a] lacks. [a] must have just left the working set: it is no
+   parent, so nothing else reads its matrix. *)
+let absorb m a b =
+  force a;
+  a.bits <- bits_of m a;
+  a.parent <- -1;
+  if b.parent >= 0 then begin
+    if not (has a.bits m.cw b.pair) then add_edit m a b.pair
+  end
+  else
+    for w = 0 to m.ew - 1 do
+      let x = ref (b.bits.(m.cw + w) land lnot a.bits.(m.cw + w)) in
+      let k = ref (w * wbits) in
+      while !x <> 0 do
+        if !x land 1 <> 0 then add_edit m a !k;
+        x := !x lsr 1;
+        incr k
+      done
+    done;
+  let inter = inter_sorted a.assumptions b.assumptions in
+  if inter != a.assumptions then begin
+    a.assumptions <- inter;
+    a.a_hash <- assumptions_hash inter
+  end;
+  a
+
+(* Neither cover contains the other: one fused pass over both stored
+   matrices, then the lazy children's pending messages on top. *)
+let merge_full m a b =
+  let ba = bits_of m a and bb = bits_of m b in
+  let bits = Array.init (m.cw + m.ew) (fun w -> ba.(w) lor bb.(w)) in
+  let h = lub a b (inter_sorted a.assumptions b.assumptions) ~bits in
+  let pending i =
+    if i >= 0 then begin
+      join_byte h i fwd_ix;
+      join_byte h (transpose (Df.size h.dep) i) bwd_ix
+    end
+  in
+  pending a.pend;
+  pending b.pend;
+  h
+
+let merge_in m a b =
+  let ab = covers m a b and ba = covers m b a in
+  (* On equal covers, grow the side that already owns a matrix. *)
+  if ab && ((not ba) || Array.length a.bits > 0 || Array.length b.bits = 0)
+  then absorb m a b
+  else if ba then absorb m b a
+  else merge_full m a b
+
+let settle h =
+  force h;
+  h.parent <- -1;
+  h.bits <- [||]
+
+let equal h1 h2 = force h1; force h2; Df.equal h1.dep h2.dep
+
+let compare h1 h2 = force h1; force h2; Df.compare h1.dep h2.dep
 
 let hash h = h.hash
 
@@ -189,10 +419,10 @@ let compare_full h1 h2 =
     let c = Int.compare h1.a_hash h2.a_hash in
     if c <> 0 then c
     else
-      let c = Df.compare h1.dep h2.dep in
+      let c = compare h1 h2 in
       if c <> 0 then c
       else List.compare compare_assumption h1.assumptions h2.assumptions
 
-let leq h1 h2 = Df.leq h1.dep h2.dep
+let leq h1 h2 = force h1; force h2; Df.leq h1.dep h2.dep
 
-let pp ?names ppf h = Df.pp ?names ppf h.dep
+let pp ?names ppf h = Df.pp ?names ppf (depfun h)

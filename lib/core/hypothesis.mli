@@ -1,7 +1,13 @@
 (** A hypothesis of the version space: a dependency function plus the
     sender/receiver assumptions made in the period currently being
     analyzed (paper §3.1). The weight of Definition 8 is cached and
-    maintained incrementally. *)
+    maintained incrementally.
+
+    A hypothesis made by {!child} is lazy: it shares its parent's matrix
+    and records the one message it adds. Its weight and hashes are exact
+    from the start; the first reader of its cells ({!depfun}, the
+    comparisons, {!pp}, weakening, a merge that needs them) copies the
+    matrix. Laziness is invisible to every function below. *)
 
 type t
 
@@ -17,7 +23,8 @@ val depfun : t -> Rt_lattice.Depfun.t
 val weight : t -> int
 
 val assumptions : t -> (int * int) list
-(** Sender/receiver pairs assumed in the current period, latest first. *)
+(** Sender/receiver pairs assumed in the current period, in ascending
+    [(sender, receiver)] order. *)
 
 val assumed : t -> int -> int -> bool
 (** Has [(s, r)] already been used for a message this period? *)
@@ -28,6 +35,41 @@ val generalize_message : t -> sender:int -> receiver:int -> t option
     [d(s,r) := d(s,r) ⊔ →], [d(r,s) := d(r,s) ⊔ ←] and the assumption
     recorded. [None] if [(s, r)] was already assumed this period (at most
     one message per pair and period). *)
+
+(** {2 Branching within one message}
+
+    The bounded heuristic branches every hypothesis of the previous
+    message (its {e parents}) once per candidate pair and merges the
+    overflow. These functions do that without copying matrices: a child
+    costs O(1), and a merge whose inputs share their parents joins a
+    few cells in place. *)
+
+type message
+(** One message's branching context: how many parents it has and its
+    candidate pairs, indexed as listed. *)
+
+val message : parents:int -> pairs:(int * int) array -> message
+
+val child :
+  t -> parent:int -> pair:int -> sender:int -> receiver:int -> t option
+(** {!generalize_message} in O(1), as a lazy hypothesis that shares the
+    parent's matrix. [parent] is the parent's index among the message's
+    parents and [pair] the pair's index among its candidate pairs
+    ([pairs.(pair) = (sender, receiver)]); they make the child usable by
+    {!merge_in}. The parent must not be mutated while the child is in
+    use. *)
+
+val merge_in : message -> t -> t -> t
+(** [merge_lub a b] for two hypotheses of the same message, each made by
+    {!child} or [merge_in] with that message and not yet {!settle}d. The
+    result is equal to [merge_lub a b] in matrix, weight, hashes and
+    assumptions. When the parents one input lies above include the
+    other's, the result {e is} that input, updated in place; [a] and [b]
+    are consumed. *)
+
+val settle : t -> unit
+(** End a hypothesis's part in its message: materialize its matrix and
+    drop the branching record, so it can be the next message's parent. *)
 
 val weaken_violations : t -> violated:bool array array -> unit
 (** End-of-period conditional-dependency test, in place: every definite

@@ -17,6 +17,15 @@ let crossover_bound = 64
 
 type repr = Array_repr | List_repr
 
+(* The dedup index is keyed by one int mixing [hash] and [a_hash]: no
+   tuple to allocate, and no polymorphic [caml_hash]/[compare] per
+   lookup. Keys are already mixed, so the table hashes them as they are. *)
+module Index = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
 type t = {
   bound : int;
   repr : repr;
@@ -25,9 +34,9 @@ type t = {
      the first insertion (OCaml arrays need a witness element). *)
   mutable data : Hypothesis.t array;
   mutable len : int;
-  (* (hash, a_hash) -> hypotheses with those cached hashes. Buckets are
-     almost always singletons; [compare_full] resolves true collisions. *)
-  index : (int * int, Hypothesis.t list) Hashtbl.t;
+  (* [key] -> hypotheses with that mixed key. Buckets are almost always
+     singletons; [compare_full] resolves true collisions. *)
+  index : Hypothesis.t list Index.t;
   (* List representation: sorted ascending under [canonical] — the seed
      layout, selected below [crossover_bound]. [len] tracks both. *)
   mutable items : Hypothesis.t list;
@@ -35,7 +44,7 @@ type t = {
 
 let make repr ~bound =
   { bound; repr; data = [||]; len = 0;
-    index = Hashtbl.create (2 * (bound + 1)); items = [] }
+    index = Index.create (2 * (bound + 1)); items = [] }
 
 let create_with ~repr ~bound =
   make (match repr with `Array -> Array_repr | `List -> List_repr) ~bound
@@ -51,9 +60,16 @@ let clear t =
   t.len <- 0;
   match t.repr with
   | List_repr -> t.items <- []
-  | Array_repr -> Hashtbl.reset t.index
+  | Array_repr -> Index.reset t.index
 
-let key h = (Hypothesis.hash h, Hypothesis.a_hash h)
+(* Both hashes mixed into one key; the final multiply-xorshift spreads
+   them into the low bits the table indexes by. *)
+let key h =
+  let k = (Hypothesis.hash h lxor (Hypothesis.a_hash h * 0x2545F4914F6CDD1D))
+          * 0x1E3779B97F4A7C15 in
+  k lxor (k lsr 29)
+
+let bucket t k = match Index.find t.index k with b -> b | exception Not_found -> []
 
 let rec mem_list h = function
   | [] -> false
@@ -65,19 +81,13 @@ let mem t h =
   match t.repr with
   | List_repr -> mem_list h t.items
   | Array_repr ->
-    (match Hashtbl.find_opt t.index (key h) with
-     | None -> false
-     | Some bucket ->
-       List.exists (fun h' -> Hypothesis.compare_full h h' = 0) bucket)
+    List.exists (fun h' -> Hypothesis.compare_full h h' = 0) (bucket t (key h))
 
 let index_remove t h =
   let k = key h in
-  match Hashtbl.find_opt t.index k with
-  | None -> ()
-  | Some bucket ->
-    (match List.filter (fun h' -> h' != h) bucket with
-     | [] -> Hashtbl.remove t.index k
-     | rest -> Hashtbl.replace t.index k rest)
+  match List.filter (fun h' -> h' != h) (bucket t k) with
+  | [] -> Index.remove t.index k
+  | rest -> Index.replace t.index k rest
 
 let ensure_capacity t h =
   let cap = Array.length t.data in
@@ -113,7 +123,7 @@ let add t h =
      | exception Duplicate -> false)
   | Array_repr ->
     let k = key h in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt t.index k) in
+    let bucket = bucket t k in
     if List.exists (fun h' -> Hypothesis.compare_full h h' = 0) bucket then
       false
     else begin
@@ -129,7 +139,7 @@ let add t h =
       Array.blit t.data pos t.data (pos + 1) (t.len - pos);
       t.data.(pos) <- h;
       t.len <- t.len + 1;
-      Hashtbl.replace t.index k (h :: bucket);
+      Index.replace t.index k (h :: bucket);
       true
     end
 
@@ -201,8 +211,7 @@ let to_array t =
 
 let index_add t h =
   let k = key h in
-  Hashtbl.replace t.index k
-    (h :: Option.value ~default:[] (Hashtbl.find_opt t.index k))
+  Index.replace t.index k (h :: bucket t k)
 
 let of_list ~bound l =
   let t = create ~bound in

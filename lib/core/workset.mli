@@ -10,15 +10,16 @@
       the hot eviction — the paper's lightest pair — pops the last two
       slots in O(1), and insertion is an O(log b) binary search plus one
       [Array.blit];
-    - a [Hashtbl] deduplication index keyed on the pair of cached
-      structural hashes [(hash, a_hash)], falling back to
+    - a deduplication index keyed by one int mixing the cached
+      structural hashes [hash] and [a_hash] (a [Hashtbl.Make] table, so
+      no tuple and no polymorphic hash per lookup), falling back to
       [Hypothesis.compare_full] only on a bucket collision, making
       membership O(1) integer work in the common case;
     - a tracked length (no [List.length] scans).
 
     Contents are a function of the {e set} of inserted hypotheses only —
-    the sorted order is canonical, never insertion order — which is what
-    keeps parallel fan-out deterministic (see DESIGN.md §9).
+    the sorted order is canonical, never insertion order (see DESIGN.md
+    §9).
 
     The array machinery only pays for itself once the set is large:
     below {!crossover_bound} (the break-even measured in

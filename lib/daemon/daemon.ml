@@ -12,7 +12,6 @@ type config = {
   bound : int;
   window : int option;
   eps : int option;
-  jobs : int;
   max_streams : int;
   queue_capacity : int;
   pump_budget : int;
@@ -38,7 +37,6 @@ let default =
     bound = 2;
     window = None;
     eps = None;
-    jobs = 1;
     max_streams = 64;
     queue_capacity = 4096;
     pump_budget = 64;
@@ -83,7 +81,6 @@ type state = {
   flight : Rt_obs.Flight.t;
   store : Rt_store.Store.t option;  (* opened once at startup *)
   mutable now : float;  (* the loop's current clock, for status ages *)
-  pool : Rt_util.Domain_pool.t option;
   entries : (string, entry) Hashtbl.t;
   mutable order : string list;  (* ids, newest first *)
   deferred : (string, unit) Hashtbl.t;  (* spool files refused as BUSY *)
@@ -158,7 +155,7 @@ let checkpoint_slot_of st id =
 let make_stream st ~checkpointed id =
   let checkpoint = if checkpointed then checkpoint_slot_of st id else None in
   let s, note =
-    Stream.create ~id ?pool:st.pool
+    Stream.create ~id
       ~flight:(Rt_obs.Flight.scope st.flight id)
       {
         Stream.bound = st.cfg.bound;
@@ -836,10 +833,6 @@ let run ?clock cfg =
            flight = Rt_obs.Flight.create ~capacity:cfg.flight_capacity ();
            store;
            now = clock ();
-           pool =
-             (if cfg.jobs > 1 then
-                Some (Rt_util.Domain_pool.create ~jobs:cfg.jobs)
-              else None);
            entries = Hashtbl.create 64;
            order = [];
            deferred = Hashtbl.create 16;
@@ -976,7 +969,6 @@ let run ?clock cfg =
        List.iter (fun (fd, _) -> close_fd fd) st.ctrl_clients;
        Option.iter close_fd data_l;
        Option.iter close_fd ctrl_l;
-       Option.iter Rt_util.Domain_pool.shutdown st.pool;
        List.iter
          (fun p -> Option.iter (fun p -> try Unix.unlink p with Unix.Unix_error _ -> ()) p)
          [ cfg.listen; cfg.control ];

@@ -5,10 +5,7 @@
     trace connections on a unix socket, spool files followed with
     {!Rt_trace.Stream_io.Tail}, control clients — and turns each
     stream's crank with a bounded per-tick budget, so no stream can
-    starve the others. Heavy lifting (the heuristic fan-out) runs on a
-    shared {!Rt_util.Domain_pool}; everything else, including all
-    counters, stays on the orchestrating domain, which keeps the totals
-    deterministic.
+    starve the others.
 
     Failure domains are per-stream by construction: a crash (parse
     latch, engine exception, vanished/rotated spool file) goes to that
@@ -37,7 +34,6 @@ type config = {
   bound : int;                    (** heuristic bound for every stream *)
   window : int option;
   eps : int option;
-  jobs : int;                     (** shared domain-pool size; 1 = none *)
   max_streams : int;              (** admission limit on live streams *)
   queue_capacity : int;           (** per-stream ingest queue, in lines *)
   pump_budget : int;              (** periods per stream per tick *)

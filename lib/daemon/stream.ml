@@ -24,7 +24,7 @@ type t = {
   mutable crashed : string option;
 }
 
-let create ~id ?pool ?flight cfg =
+let create ~id ?flight cfg =
   let lines = Bqueue.create ~capacity:cfg.queue_capacity in
   let eof = ref false in
   let source () =
@@ -40,8 +40,8 @@ let create ~id ?pool ?flight cfg =
       cfg.checkpoint
   in
   let session, resume =
-    Session.create ~mode:`Recover ?eps:cfg.eps ?window:cfg.window ?pool
-      ?flight ?checkpoint
+    Session.create ~mode:`Recover ?eps:cfg.eps ?window:cfg.window ?flight
+      ?checkpoint
       (Eng.Heuristic { bound = cfg.bound })
       source
   in

@@ -28,8 +28,7 @@ type config = {
 type t
 
 val create :
-  id:string -> ?pool:Rt_util.Domain_pool.t -> ?flight:Rt_obs.Flight.scope ->
-  config -> t * string option
+  id:string -> ?flight:Rt_obs.Flight.scope -> config -> t * string option
 (** A fresh stream. When [config.checkpoint] names an existing,
     intact checkpoint whose tag matches [id], the engine resumes from it
     and replay-skip is armed; a corrupt, unreadable or foreign

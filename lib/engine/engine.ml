@@ -43,11 +43,11 @@ let wrap ?obs ?flight core =
         obs;
   }
 
-let create ?window ?pool ?obs ?flight ~ntasks algorithm =
+let create ?window ?obs ?flight ~ntasks algorithm =
   let core =
     match algorithm with
     | Exact { limit } -> Estate (E.init ?limit ?window ?obs ~ntasks ())
-    | Heuristic { bound } -> Hstate (H.init ?window ?pool ?obs ~bound ~ntasks ())
+    | Heuristic { bound } -> Hstate (H.init ?window ?obs ~bound ~ntasks ())
   in
   wrap ?obs ?flight core
 
@@ -136,7 +136,7 @@ let checkpoint ?tag t =
   | Hstate st -> Ok (H.checkpoint ?tag st)
   | Estate _ -> Error "the exact algorithm has no checkpoint format"
 
-let resume ?pool ?obs ?flight data =
-  match H.resume ?pool ?obs data with
+let resume ?obs ?flight data =
+  match H.resume ?obs data with
   | Ok (st, tag) -> Ok (of_heuristic ?obs ?flight st, tag)
   | Error _ as e -> e

@@ -34,11 +34,9 @@ type snapshot = {
 }
 
 val create :
-  ?window:int -> ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
-  ?flight:Rt_obs.Flight.scope -> ntasks:int -> algorithm -> t
-(** A fresh engine holding only [{d⊥}]. [pool] parallelizes the
-    heuristic fan-out (ignored by [Exact]); results are identical for
-    every pool size. [flight] attaches a flight-recorder scope: each
+  ?window:int -> ?obs:Rt_obs.Registry.t -> ?flight:Rt_obs.Flight.scope ->
+  ntasks:int -> algorithm -> t
+(** A fresh engine holding only [{d⊥}]. [flight] attaches a flight-recorder scope: each
     {!feed} appends one [Debug]-severity ["engine.period"] event. *)
 
 val of_heuristic :
@@ -98,7 +96,6 @@ val checkpoint : ?tag:string -> t -> (string, string) result
     [Error] for an exact-core engine, which has no checkpoint format. *)
 
 val resume :
-  ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
-  ?flight:Rt_obs.Flight.scope -> string ->
+  ?obs:Rt_obs.Registry.t -> ?flight:Rt_obs.Flight.scope -> string ->
   (t * string, string) result
 (** Deserialize a heuristic checkpoint into a live engine plus its tag. *)

@@ -26,14 +26,14 @@ let now_s () = float_of_int (Rt_obs.Registry.now_ns ()) /. 1e9
 (* Feed every period of [trace] through a fresh engine and finalize:
    the batch entry point is literally the streaming one driven from an
    in-memory list. *)
-let engine_snapshot ?exact_limit ?window ?pool ?obs algorithm trace =
+let engine_snapshot ?exact_limit ?window ?obs algorithm trace =
   let alg =
     match algorithm with
     | Exact -> Engine.Exact { limit = exact_limit }
     | Heuristic bound -> Engine.Heuristic { bound }
   in
   let eng =
-    Engine.create ?window ?pool ?obs
+    Engine.create ?window ?obs
       ~ntasks:(Rt_trace.Trace.task_count trace) alg
   in
   List.iter (Engine.feed eng) (Rt_trace.Trace.periods trace);
@@ -52,17 +52,17 @@ let report_of ~algorithm ~elapsed_s ~trajectory (s : Engine.snapshot) trace =
     trajectory;
   }
 
-let learn ?exact_limit ?window ?pool ?obs algorithm trace =
+let learn ?exact_limit ?window ?obs algorithm trace =
   let t0 = now_s () in
-  let s = engine_snapshot ?exact_limit ?window ?pool ?obs algorithm trace in
+  let s = engine_snapshot ?exact_limit ?window ?obs algorithm trace in
   report_of ~algorithm ~elapsed_s:(now_s () -. t0) ~trajectory:[] s trace
 
-let auto ?(initial = 1) ?(max_bound = 256) ?window ?pool ?obs trace =
+let auto ?(initial = 1) ?(max_bound = 256) ?window ?obs trace =
   if initial < 1 then invalid_arg "Learner.auto: initial bound must be >= 1";
   let t0 = now_s () in
   let rec go bound prev steps =
     let s0 = now_s () in
-    let s = engine_snapshot ?window ?pool ?obs (Heuristic bound) trace in
+    let s = engine_snapshot ?window ?obs (Heuristic bound) trace in
     let pass_elapsed = now_s () -. s0 in
     let stable =
       match prev, s.lub with

@@ -36,12 +36,11 @@ type report = {
 }
 
 val learn :
-  ?exact_limit:int -> ?window:int -> ?pool:Rt_util.Domain_pool.t ->
-  ?obs:Rt_obs.Registry.t -> algorithm -> Rt_trace.Trace.t -> report
+  ?exact_limit:int -> ?window:int -> ?obs:Rt_obs.Registry.t -> algorithm ->
+  Rt_trace.Trace.t -> report
 
 val auto :
-  ?initial:int -> ?max_bound:int -> ?window:int ->
-  ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
+  ?initial:int -> ?max_bound:int -> ?window:int -> ?obs:Rt_obs.Registry.t ->
   Rt_trace.Trace.t -> report * int
 (** Pick the heuristic bound automatically: double it (starting at
     [initial], default 1) until the least upper bound of the answer set

@@ -66,10 +66,13 @@ let equal d1 d2 = d1.n = d2.n && Bytes.equal d1.cells d2.cells
 let compare d1 d2 =
   let c = Int.compare d1.n d2.n in
   if c <> 0 then c
+  else if Bytes.equal d1.cells d2.cells then 0
   else
     (* Per-cell [Depval.compare] (distance-major), {e not} byte order —
        the learner's canonical tie-break depends on this order staying
-       exactly what the boxed representation used. *)
+       exactly what the boxed representation used. Equal matrices, the
+       learner's common case (its structural hash ties often), skip the
+       loop through one [memcmp]. *)
     let rec loop i =
       if i >= d1.n * d1.n then 0
       else

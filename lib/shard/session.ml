@@ -26,9 +26,9 @@ module Pair = struct
   let wants_companion ~companion alg =
     companion && Option.fold ~none:false ~some:(fun b -> b > 1) (bound_of alg)
 
-  let create ?window ?pool ?obs ?flight ~ntasks ~companion alg =
+  let create ?window ?obs ?flight ~ntasks ~companion alg =
     {
-      main = Engine.create ?window ?pool ?obs ?flight ~ntasks alg;
+      main = Engine.create ?window ?obs ?flight ~ntasks alg;
       companion =
         (if wants_companion ~companion alg then
            Some (Engine.create ?window ~ntasks (Engine.Heuristic { bound = 1 }))
@@ -57,22 +57,22 @@ module Pair = struct
     | Slot.File p -> Slot.File (p ^ ".b1")
     | Slot.Ref (s, r) -> Slot.Ref (s, r ^ "/b1")
 
-  let resume_engine ?pool ?obs ?flight ~tag slot =
+  let resume_engine ?obs ?flight ~tag slot =
     match Slot.load slot with
     | Error m -> Error (Corrupt (Slot.describe slot ^ ": " ^ m))
     | Ok data ->
-      (match Engine.resume ?pool ?obs ?flight data with
+      (match Engine.resume ?obs ?flight data with
        | Error m -> Error (Corrupt (Slot.describe slot ^ ": " ^ m))
        | Ok (e, found) when String.equal found tag -> Ok e
        | Ok (_, found) -> Error (Foreign found))
 
   (* [Ok None]: nothing saved. A companion that is missing, damaged or
      at another period than its main engine makes the pair [Corrupt]. *)
-  let load ?pool ?obs ?flight ~companion ~tag alg slot =
+  let load ?obs ?flight ~companion ~tag alg slot =
     if not (Slot.exists slot) then Ok None
     else
       let ( let* ) = Result.bind in
-      let* main = resume_engine ?pool ?obs ?flight ~tag slot in
+      let* main = resume_engine ?obs ?flight ~tag slot in
       let pair companion = Ok (Some { main; companion; bound = bound_of alg }) in
       if not (wants_companion ~companion alg) then pair None
       else
@@ -117,18 +117,17 @@ type t = {
   obs : Rt_obs.Registry.t option;  (* ingest spans, counters, shard fold *)
   shards : int option;
   checkpoint : checkpoint option;
-  (* How pairs are made; sharded pairs get no pool, registry or recorder. *)
+  (* How pairs are made; sharded pairs get no registry or recorder. *)
   window : int option;
   algorithm : Engine.algorithm;
-  pool : Rt_util.Domain_pool.t option;
   engine_obs : Rt_obs.Registry.t option;
   flight : Rt_obs.Flight.scope option;
   companion : bool;
   mutable pairs : Pair.t array;  (* empty until the first feed or a resume *)
   mutable turn : int;            (* the pair the next period goes to *)
   (* Sharded only: the round being collected, one slot per pair, run on
-     [round_pool] when it closes; each pair's summed feed time. *)
-  round_pool : Rt_util.Domain_pool.t option;
+     [pool] when it closes; each pair's summed feed time. *)
+  pool : Rt_util.Domain_pool.t option;
   round : Rt_trace.Period.t option array;
   mutable buffered : int;
   busy_ns : int array;
@@ -154,7 +153,7 @@ let tag_of t c i =
 
 let sum f t = Array.fold_left (fun acc p -> acc + f (Pair.main p)) 0 t.pairs
 
-(* Feed the collected round's pairs, in parallel on [round_pool]. Each
+(* Feed the collected round's pairs, in parallel on [pool]. Each
    chunk touches only its own pair, slot and timer, and the pool never
    reaches an engine: it is not reentrant. *)
 let flush t =
@@ -168,7 +167,7 @@ let flush t =
         t.busy_ns.(i) <- t.busy_ns.(i) + Rt_obs.Registry.now_ns () - t0;
         t.round.(i) <- None
     in
-    (match t.round_pool with
+    (match t.pool with
      | Some pool ->
        Rt_util.Domain_pool.run pool ~chunks:(Array.length t.round) feed_pair
      | None -> Array.iteri (fun i _ -> feed_pair i) t.round);
@@ -189,7 +188,7 @@ let resume t c =
   let k = width t in
   let loaded =
     List.init k (fun i ->
-        Pair.load ?pool:t.pool ?obs:t.engine_obs ?flight:t.flight
+        Pair.load ?obs:t.engine_obs ?flight:t.flight
           ~companion:t.companion ~tag:(tag_of t c i) t.algorithm (slot_of t c i))
   in
   match List.find_map (function Error r -> Some r | Ok _ -> None) loaded with
@@ -224,13 +223,12 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
       parser = Sio.create ~mode ?eps source;
       recover = mode = `Recover;
       obs; shards; checkpoint; window; algorithm;
-      pool = single pool;
       engine_obs = single obs;
       flight = single flight;
       companion = companion || Option.is_some shards;
       pairs = [||];
       turn = 0;
-      round_pool = pool;
+      pool;
       round = Array.make k None;
       buffered = 0;
       busy_ns = Array.make k 0;
@@ -277,7 +275,7 @@ let feed t p =
       let ntasks = Rt_task.Task_set.size (Option.get (Sio.task_set t.parser)) in
       t.pairs <-
         Array.init (width t) (fun _ ->
-            Pair.create ?window:t.window ?pool:t.pool ?obs:t.engine_obs
+            Pair.create ?window:t.window ?obs:t.engine_obs
               ?flight:t.flight ~ntasks ~companion:t.companion t.algorithm)
     end;
     if Option.is_none t.shards then Pair.feed t.pairs.(0) p

@@ -25,12 +25,11 @@ module Pair : sig
   type t
 
   val create :
-    ?window:int -> ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
-    ?flight:Rt_obs.Flight.scope -> ntasks:int -> companion:bool ->
-    Rt_engine.Engine.algorithm -> t
+    ?window:int -> ?obs:Rt_obs.Registry.t -> ?flight:Rt_obs.Flight.scope ->
+    ntasks:int -> companion:bool -> Rt_engine.Engine.algorithm -> t
   (** The companion exists only when asked for and the main engine is a
-      heuristic above bound 1. [pool], [obs] and [flight] attach to the
-      main engine. *)
+      heuristic above bound 1. [obs] and [flight] attach to the main
+      engine. *)
 
   val main : t -> Rt_engine.Engine.t
 
@@ -80,8 +79,9 @@ val create :
     [shards] runs that many pairs with companions instead, for
     {!fold}: period [n] goes to pair [n mod shards], collected a round
     (one period per pair) at a time, and each round's pairs are fed in
-    parallel on [pool]. The pool never reaches the pairs' engines (it is
-    not reentrant), and neither do [obs] nor [flight]. With [obs], each
+    parallel on [pool] (which an unsharded session ignores). The pool
+    never reaches the pairs' engines, and neither do [obs] nor
+    [flight]. With [obs], each
     period's parse runs in an ["ingest.parse"] span. With [flight], the
     main engine records its periods and each save a
     ["checkpoint.write"].

@@ -1,7 +1,7 @@
 (** A fixed pool of OCaml 5 domains with a chunked parallel map.
 
-    Domains are expensive to spawn (~ms) while the learner's fan-out runs
-    per message (~µs-ms), so the workers are spawned once and reused; each
+    Domains are expensive to spawn (~ms) while a sharded learn's rounds
+    run per period (~µs-ms), so the workers are spawned once and reused; each
     parallel call hands out contiguous index chunks to whichever worker is
     free, and the caller participates as a worker itself. Results are
     written at their input index, so the output never depends on domain
@@ -24,8 +24,8 @@ val shutdown : t -> unit
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr] computed on all domains of the
-    pool. [f] must be safe to run concurrently with itself (the learner's
-    fan-out only reads its argument and allocates fresh hypotheses). The
+    pool. [f] must be safe to run concurrently with itself (a sharded
+    session's round touches only its own engine pair per index). The
     first exception raised by [f], if any, is re-raised in the caller. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list

@@ -660,6 +660,11 @@ let test_learn_profile_byte_equal () =
   Alcotest.(check bool) "hotspot table on stderr" true
     (contains ~needle:"excl%" table && contains ~needle:"learn.period" table
      && contains ~needle:"ingest.parse" table);
+  List.iter
+    (fun layer ->
+       Alcotest.(check bool) (layer ^ " in the hotspot table") true
+         (contains ~needle:layer table))
+    [ "learn.messages"; "learn.weaken"; "learn.postprocess" ];
   let stacks = read_file folded in
   Alcotest.(check bool) "folded stacks mention the root span" true
     (contains ~needle:"learn.period" stacks);

@@ -33,17 +33,9 @@ let counters r =
   let a = find "\"counters\"" 0 in
   String.sub s a (find "\"gauges\"" a - a)
 
-let with_pool jobs f =
-  if jobs <= 1 then f None
-  else begin
-    let pool = Rt_util.Domain_pool.create ~jobs in
-    Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-      (fun () -> f (Some pool))
-  end
-
-let engine_fed ?pool ?obs ~bound trace =
+let engine_fed ?obs ~bound trace =
   let eng =
-    Eng.create ?pool ?obs ~ntasks:(T.task_count trace)
+    Eng.create ?obs ~ntasks:(T.task_count trace)
       (Eng.Heuristic { bound })
   in
   List.iter (Eng.feed eng) (T.periods trace);
@@ -51,15 +43,7 @@ let engine_fed ?pool ?obs ~bound trace =
 
 (* --- batch = engine-fed, byte for byte --- *)
 
-let check_equiv ~bound ~jobs () =
-  let r_learner = Reg.create () and r_engine = Reg.create () in
-  let rep =
-    with_pool jobs (fun pool ->
-        L.learn ?pool ~obs:r_learner (L.Heuristic bound) gm)
-  in
-  let snap =
-    with_pool jobs (fun pool -> engine_fed ?pool ~obs:r_engine ~bound gm)
-  in
+let check_snapshot rep r_learner r_engine snap =
   Alcotest.(check (list string)) "hypotheses byte-equal"
     (hyp_strings rep.L.hypotheses) (hyp_strings snap.Eng.hypotheses);
   Alcotest.(check (option string)) "lub equal"
@@ -70,6 +54,24 @@ let check_equiv ~bound ~jobs () =
   Alcotest.(check bool) "converged agrees" rep.L.converged snap.Eng.converged;
   Alcotest.(check string) "counters byte-equal"
     (counters r_learner) (counters r_engine)
+
+(* With [jobs > 1], [jobs] engines are fed at once on a pool's domains,
+   as a sharded session feeds its pairs; each must equal the batch
+   learner. *)
+let check_equiv ~bound ~jobs () =
+  let r_learner = Reg.create () in
+  let rep = L.learn ~obs:r_learner (L.Heuristic bound) gm in
+  let regs = Array.init jobs (fun _ -> Reg.create ()) in
+  let fed i = engine_fed ~obs:regs.(i) ~bound gm in
+  let snaps =
+    if jobs <= 1 then [| fed 0 |]
+    else begin
+      let pool = Rt_util.Domain_pool.create ~jobs in
+      Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
+        (fun () -> Rt_util.Domain_pool.map pool fed (Array.init jobs Fun.id))
+    end
+  in
+  Array.iteri (fun i snap -> check_snapshot rep r_learner regs.(i) snap) snaps
 
 let test_equiv_bound4_j1 () = check_equiv ~bound:4 ~jobs:1 ()
 let test_equiv_bound4_j4 () = check_equiv ~bound:4 ~jobs:4 ()

@@ -245,23 +245,26 @@ let test_trace_events () =
 
 let gm_trace = lazy (Rt_case.Gm_model.trace ~periods:6 ())
 
-let learn_counters ?pool () =
+let learn_counters () =
   let module H = Rt_learn.Heuristic in
   let trace = Lazy.force gm_trace in
-  let st =
-    H.init ?pool ~bound:8 ~ntasks:(Rt_trace.Trace.task_count trace) ()
-  in
+  let st = H.init ~bound:8 ~ntasks:(Rt_trace.Trace.task_count trace) () in
   List.iter (H.feed st) (Rt_trace.Trace.periods trace);
   H.counters st
 
+(* Four learns at once on a 4-domain pool, as a sharded session runs its
+   pairs, count exactly what a sequential one does. *)
 let test_counters_parallel_deterministic () =
   let seq = learn_counters () in
   let pool = Rt_util.Domain_pool.create ~jobs:4 in
   let par =
     Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-      (fun () -> learn_counters ~pool ())
+      (fun () -> Rt_util.Domain_pool.map pool learn_counters (Array.make 4 ()))
   in
-  Alcotest.(check bool) "counters identical across -j" true (seq = par)
+  Array.iter
+    (fun c ->
+       Alcotest.(check bool) "counters identical across -j" true (seq = c))
+    par
 
 let test_counters_travel_checkpoint () =
   let module H = Rt_learn.Heuristic in

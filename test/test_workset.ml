@@ -184,16 +184,165 @@ let test_equivalence_all_policies () =
         [ 1; 2; 3; 8; 64 ])
     policies
 
-(* Parallel fan-out must be invisible in the result (DESIGN.md §9). *)
-let test_parallel_fanout_deterministic () =
+(* Messages with more candidate pairs than one machine word holds, at
+   bounds above 256 parents too: a trace of 18 tasks that run one after
+   another, with a message between two of them, so everything before a
+   message can send it and everything after can receive it (72–81 pairs
+   in the first period). Some tasks skip the second period, so weakening
+   has work. *)
+let wide_trace seed =
+  let rs = Random.State.make [| seed |] in
+  let t = 18 in
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "# rtgen-trace v1\ntasks";
+  for i = 0 to t - 1 do Printf.bprintf b " t%d" i done;
+  Buffer.add_char b '\n';
+  for period = 0 to 1 do
+    Printf.bprintf b "period %d\n" period;
+    let order = Array.init t Fun.id in
+    for i = t - 1 downto 1 do
+      let j = Random.State.int rs (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    let cut1 = 7 + Random.State.int rs 2 and cut2 = 9 + Random.State.int rs 2 in
+    Array.iteri
+      (fun pos task ->
+         let at = pos * 10 in
+         if period = 0 || Random.State.int rs 6 > 0 then
+           Printf.bprintf b "%d start t%d\n%d end t%d\n" (at + 1) task (at + 5)
+             task;
+         if pos = cut1 || pos = cut2 then
+           Printf.bprintf b "%d rise 0x%x\n%d fall 0x%x\n" (at + 6) (0x10 + pos)
+             (at + 8) (0x10 + pos))
+      order
+  done;
+  Rt_trace.Trace_io.of_string_exn (Buffer.contents b)
+
+let qc_equivalence_wide =
+  Test_support.qcheck_case
+    "heuristic = reference: > 62 candidate pairs, bounds past 256" ~count:12
+    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 0 5))
+    (fun (seed, pol_ix, bound_ix) ->
+       let trace = wide_trace seed in
+       let policy = policies.(pol_ix) in
+       let bound = [| 1; 8; 64; 150; 257; 300 |].(bound_ix) in
+       let wide (p : Rt_trace.Period.t) =
+         Array.exists
+           (fun m -> List.length (Rt_trace.Candidates.pairs p m) > 62)
+           p.msgs
+       in
+       List.exists wide (Rt_trace.Trace.periods trace)
+       && same_outcome (H.run ~policy ~bound trace) (R.run ~policy ~bound trace))
+
+(* --- cover merges against the eager operations --- *)
+
+(* One random message: up to 80 parents and up to 90 candidate pairs, so
+   both bit sets span several words. A pool of in-message hypotheses is
+   grown by [Hy.child] and consumed by [Hy.merge_in]; next to each entry
+   runs its shadow, the same value built eagerly by [generalize_message]
+   and [merge_lub], and its cover, the parents it lies above. Every merge
+   must equal its shadow's in matrix bytes, weight, both hashes and
+   assumptions, run in place exactly when one cover contains the other,
+   and leave the parents untouched. Returns the number of merges of
+   nested (strictly contained), equal and incomparable covers. *)
+let cover_run seed =
+  let rs = Random.State.make [| seed |] in
+  let n = 4 + Random.State.int rs 7 in
+  let pairs =
+    List.init n (fun s -> List.init n (fun r -> (s, r)))
+    |> List.concat
+    |> List.filter (fun (s, r) -> s <> r && Random.State.int rs 5 > 0)
+    |> Array.of_list
+  in
+  let np = 1 + Random.State.int rs 80 in
+  let random_pairs () =
+    List.init (Random.State.int rs 4) (fun _ ->
+        (Random.State.int rs n, Random.State.int rs n))
+  in
+  let parents = Array.init np (fun _ -> mk n (random_pairs ())) in
+  let before = Array.map (fun h -> Bytes.copy (Df.cells (Hy.depfun h))) parents in
+  let m = Hy.message ~parents:np ~pairs in
+  let pool = ref [] and nested = ref 0 and equal = ref 0 and apart = ref 0 in
+  let same a b =
+    Bytes.equal (Df.cells (Hy.depfun a)) (Df.cells (Hy.depfun b))
+    && Hy.weight a = Hy.weight b
+    && Hy.hash a = Hy.hash b
+    && Hy.a_hash a = Hy.a_hash b
+    && Hy.assumptions a = Hy.assumptions b
+  in
+  let take () =
+    let i = Random.State.int rs (List.length !pool) in
+    let x = List.nth !pool i in
+    pool := List.filteri (fun j _ -> j <> i) !pool;
+    x
+  in
+  let ok = ref true in
+  for _ = 1 to 120 do
+    if List.length !pool < 2 || Random.State.bool rs then begin
+      if Array.length pairs > 0 then begin
+        let i = Random.State.int rs np and k = Random.State.int rs (Array.length pairs) in
+        let s, r = pairs.(k) in
+        match
+          ( Hy.child parents.(i) ~parent:i ~pair:k ~sender:s ~receiver:r,
+            Hy.generalize_message parents.(i) ~sender:s ~receiver:r )
+        with
+        | Some h, Some sh -> pool := (h, sh, [ i ]) :: !pool
+        | None, None -> ()
+        | Some _, None | None, Some _ -> ok := false
+      end
+    end
+    else begin
+      let a, sa, ca = take () in
+      let b, sb, cb = take () in
+      let sub x y = List.for_all (fun p -> List.mem p y) x in
+      let inplace = sub cb ca || sub ca cb in
+      if sub cb ca && sub ca cb then incr equal
+      else if inplace then incr nested
+      else incr apart;
+      let h = Hy.merge_in m a b and sh = Hy.merge_lub sa sb in
+      if not (same h sh && inplace = (h == a || h == b)) then ok := false;
+      pool := (h, sh, List.sort_uniq Int.compare (ca @ cb)) :: !pool
+    end
+  done;
+  let untouched =
+    Array.for_all2 (fun h c -> Bytes.equal (Df.cells (Hy.depfun h)) c) parents before
+  in
+  (!ok && untouched, (!nested, !equal, !apart))
+
+let qc_cover_merge =
+  Test_support.qcheck_case "merge_in = merge_lub, in place iff covers nest"
+    ~count:200 QCheck.(int_range 0 100_000)
+    (fun seed -> fst (cover_run seed))
+
+let test_cover_paths_exercised () =
+  let n, e, a =
+    List.fold_left
+      (fun (n, e, a) seed ->
+         let _, (n', e', a') = cover_run seed in
+         (n + n', e + e', a + a'))
+      (0, 0, 0) (List.init 40 Fun.id)
+  in
+  Alcotest.(check bool) "nested covers merged" true (n > 0);
+  Alcotest.(check bool) "equal covers merged" true (e > 0);
+  Alcotest.(check bool) "incomparable covers merged" true (a > 0)
+
+(* Whole runs on pool domains (as a sharded session feeds its pairs)
+   must be invisible in the result: lazy children share matrices only
+   within one run. *)
+let test_pool_domains_deterministic () =
   let trace = Test_support.simulate ~periods:6 ~seed:7 (Test_support.small_design 7) in
   let serial = H.run ~bound:8 trace in
   let pool = Rt_util.Domain_pool.create ~jobs:3 in
   Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
     (fun () ->
-       let parallel = H.run ~pool ~bound:8 trace in
-       Alcotest.(check bool) "pool run identical" true
-         (same_outcome serial parallel))
+       Array.iter
+         (fun parallel ->
+            Alcotest.(check bool) "pool run identical" true
+              (same_outcome serial parallel))
+         (Rt_util.Domain_pool.map pool (fun () -> H.run ~bound:8 trace)
+            (Array.make 3 ())))
 
 let () =
   Alcotest.run "workset"
@@ -221,7 +370,14 @@ let () =
           qc_equivalence;
           Alcotest.test_case "all policies, merge-heavy bounds" `Quick
             test_equivalence_all_policies;
-          Alcotest.test_case "parallel fan-out deterministic" `Quick
-            test_parallel_fanout_deterministic;
+          Alcotest.test_case "runs on pool domains deterministic" `Quick
+            test_pool_domains_deterministic;
+          qc_equivalence_wide;
+        ] );
+      ( "cover merge",
+        [
+          qc_cover_merge;
+          Alcotest.test_case "nested, equal and incomparable covers" `Quick
+            test_cover_paths_exercised;
         ] );
     ]
