@@ -771,71 +771,6 @@ let bench_robustness trace =
      the gap on damaged input is the price of the repair pass."
 
 (* ------------------------------------------------------------------ *)
-(* Streaming engine: a 100k-period synthetic stream must ingest with
-   memory bounded by one period — the segmenter's event high-water mark
-   stays at a single period's size and the live heap after ingest is a
-   constant (engine state), not a function of stream length.            *)
-(* ------------------------------------------------------------------ *)
-
-let bench_streaming () =
-  section "Streaming engine: 100k-period ingest, memory bounded by one period";
-  let module E = Rt_trace.Event in
-  let ts = Rt_task.Task_set.of_names [| "a"; "b"; "c"; "d" |] in
-  let n = if fast_mode then 10_000 else 100_000 in
-  let events_per_period = 8 in
-  let k = ref (-1) in
-  let ev time kind = { E.time; kind } in
-  let src =
-    Rt_trace.Event_source.of_fun (fun () ->
-        incr k;
-        let period = !k / events_per_period
-        and slot = !k mod events_per_period in
-        if period >= n then None
-        else
-          let base = period * 1_000 in
-          Some
-            (match slot with
-             | 0 -> ev (base + 10) (E.Task_start 0)
-             | 1 -> ev (base + 100) (E.Task_end 0)
-             | 2 -> ev (base + 110) (E.Msg_rise 0x10)
-             | 3 -> ev (base + 130) (E.Msg_fall 0x10)
-             | 4 -> ev (base + 150) (E.Task_start 1)
-             | 5 -> ev (base + 300) (E.Task_end 1)
-             | 6 -> ev (base + 350) (E.Task_start 2)
-             | _ -> ev (base + 500) (E.Task_end 2)))
-  in
-  let seg = Rt_trace.Segmenter.create ~task_set:ts ~period_len:1_000 src in
-  let eng =
-    Rt_engine.Engine.create ~ntasks:4 (Rt_engine.Engine.Heuristic { bound = 4 })
-  in
-  Gc.full_major ();
-  let before = Gc.quick_stat () in
-  let res, dt = wall (fun () -> Rt_engine.Engine.feed_source eng seg) in
-  Gc.full_major ();
-  let after = Gc.quick_stat () in
-  (match res with
-   | Ok fed ->
-     Printf.printf "fed %d periods in %.2fs (%.0f periods/s)\n" fed dt
-       (float_of_int fed /. dt)
-   | Error _ -> failwith "streaming bench: synthetic stream must segment");
-  let buffered = Rt_trace.Segmenter.max_buffered seg in
-  Printf.printf "segmenter high-water mark: %d events (one period = %d)\n"
-    buffered events_per_period;
-  if buffered <> events_per_period then
-    failwith "streaming bench: memory bound violated";
-  let live_delta = after.Gc.live_words - before.Gc.live_words in
-  Printf.printf
-    "live-heap delta across ingest: %d words (%.1f KiB) — engine state \
-     only,\nindependent of the %d-period stream length\n"
-    live_delta
-    (float_of_int (live_delta * 8) /. 1024.)
-    n;
-  let snap = Rt_engine.Engine.finalize eng in
-  Printf.printf "model: %d hypothesis(es) over %d messages\n"
-    (List.length snap.Rt_engine.Engine.hypotheses)
-    snap.Rt_engine.Engine.messages
-
-(* ------------------------------------------------------------------ *)
 (* Baseline: process-mining ordering inference vs the learner.         *)
 (* ------------------------------------------------------------------ *)
 
@@ -972,7 +907,6 @@ let () =
   bench_candidate_window trace;
   bench_tooling trace;
   bench_robustness trace;
-  bench_streaming ();
   bench_baseline trace;
   bench_lint ();
   print_newline ()

@@ -1347,14 +1347,29 @@ let example () =
 
 (* --- cmdliner wiring --- *)
 
+(* Counts and periods below [lo] would only fail deep inside a run (a
+   division by zero, an invariant check); refuse them up front as
+   command-line misuse instead. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let nonneg_int = int_at_least 0
+
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let periods_arg =
-  Arg.(value & opt int 27 & info [ "periods" ] ~docv:"N" ~doc:"Periods to simulate.")
+  Arg.(value & opt positive_int 27 & info [ "periods" ] ~docv:"N" ~doc:"Periods to simulate.")
 
 let bound_arg =
-  Arg.(value & opt int 16 & info [ "bound"; "b" ] ~docv:"B"
+  Arg.(value & opt positive_int 16 & info [ "bound"; "b" ] ~docv:"B"
          ~doc:"Hypothesis-set bound for the heuristic algorithm.")
 
 (* Every command that learns accepts -j; only sharded learning has
@@ -1513,7 +1528,7 @@ let learn_cmd =
                  it. Removed on successful completion.")
   in
   let every =
-    Arg.(value & opt int 1 & info [ "every" ] ~docv:"N"
+    Arg.(value & opt positive_int 1 & info [ "every" ] ~docv:"N"
            ~doc:"Checkpoint every N periods (default 1).")
   in
   let stop_after =
@@ -1566,7 +1581,7 @@ let learn_cmd =
                  FILE at exit.")
   in
   let progress =
-    Arg.(value & opt (some int) None & info [ "progress" ] ~docv:"N"
+    Arg.(value & opt (some positive_int) None & info [ "progress" ] ~docv:"N"
            ~doc:"Report progress on stderr every N periods (heuristic \
                  algorithm only).")
   in
@@ -1598,7 +1613,7 @@ let watch_cmd =
                  periods appended to TRACE are learned as they arrive.")
   in
   let max_periods =
-    Arg.(value & opt (some int) None & info [ "max-periods" ] ~docv:"N"
+    Arg.(value & opt (some positive_int) None & info [ "max-periods" ] ~docv:"N"
            ~doc:"Stop after learning N periods (mainly for scripting a \
                  bounded watch over a live source).")
   in
@@ -1739,7 +1754,7 @@ let serve_cmd =
                  drift-diff interchange.")
   in
   let checkpoint_every =
-    Arg.(value & opt int 64 & info [ "checkpoint-every" ] ~docv:"N"
+    Arg.(value & opt positive_int 64 & info [ "checkpoint-every" ] ~docv:"N"
            ~doc:"Periods between checkpoints.")
   in
   let max_streams =
@@ -1875,7 +1890,7 @@ let anonymize_cmd =
 
 let gantt_cmd =
   let period =
-    Arg.(value & opt int 0 & info [ "period" ] ~docv:"N"
+    Arg.(value & opt nonneg_int 0 & info [ "period" ] ~docv:"N"
            ~doc:"Which period to draw (default 0).")
   in
   let output =

@@ -1,19 +1,17 @@
 (* Online monitoring: learn the dependency model of a live system period
    by period, and watch properties become provable as evidence arrives.
 
-   This runs the full streaming stack end to end: the simulator emits
-   events into a pull-based Event_source (one period buffered, never the
-   whole trace), the Segmenter cuts the stream into validated periods,
-   and the Engine folds each period into the model the moment it
-   completes — the same pipeline `rtgen watch` runs against a growing
-   capture file.
+   The simulator stands in for the live bus: its periods are handed to
+   the Engine one at a time, and the current model is queried after
+   each. `rtgen watch` runs the same per-period fold over a capture file
+   (with --follow, a growing one), parsed period by period through
+   Stream_io and Rt_shard.Session.
 
    Run with: dune exec examples/online_monitoring.exe *)
 
 module Gm = Rt_case.Gm_model
 module Df = Rt_lattice.Depfun
 module Q = Rt_analysis.Query
-module Seg = Rt_trace.Segmenter
 module Engine = Rt_engine.Engine
 
 let properties =
@@ -25,12 +23,9 @@ let properties =
 let () =
   let design = Gm.design () in
   let names = Gm.names in
-  (* The "live bus": events appear one at a time, periods on demand. *)
-  let src = Rt_sim.Simulator.source design Gm.reference_config in
-  let seg =
-    Seg.create
-      ~task_set:(Rt_task.Design.task_set design)
-      ~period_len:design.Rt_task.Design.period src
+  (* The "live bus": periods arrive one at a time. *)
+  let periods =
+    Rt_trace.Trace.periods (Rt_sim.Simulator.run design Gm.reference_config)
   in
   let eng =
     Engine.create ~ntasks:(Array.length names) (Engine.Heuristic { bound = 1 })
@@ -38,33 +33,25 @@ let () =
   let proven = Hashtbl.create 4 in
   Format.printf "%-8s %-8s %-10s %s@." "period" "weight" "consistent"
     "newly provable properties";
-  let rec monitor () =
-    match Seg.next seg with
-    | None -> ()
-    | Some (`Invalid e) ->
-      Format.printf "%-8d %-8s %-10s@." (e.Seg.period_index + 1) "-" "INVALID";
-      monitor ()
-    | Some (`Period p) ->
+  List.iter (fun (p : Rt_trace.Period.t) ->
       Engine.feed eng p;
-      (match Engine.current eng with
-       | [] -> Format.printf "%-8d %-8s %-10s@." (p.index + 1) "-" "NO"
-       | model :: _ ->
-         let newly =
-           List.filter_map (fun (label, q) ->
-               if Hashtbl.mem proven label then None
-               else
-                 match Q.holds ~model ~names (Q.parse_exn q) with
-                 | Ok true ->
-                   Hashtbl.replace proven label ();
-                   Some label
-                 | Ok false | Error _ -> None)
-             properties
-         in
-         Format.printf "%-8d %-8d %-10s %s@." (p.index + 1) (Df.weight model)
-           "yes" (String.concat ", " newly));
-      monitor ()
-  in
-  monitor ();
+      match Engine.current eng with
+      | [] -> Format.printf "%-8d %-8s %-10s@." (p.index + 1) "-" "NO"
+      | model :: _ ->
+        let newly =
+          List.filter_map (fun (label, q) ->
+              if Hashtbl.mem proven label then None
+              else
+                match Q.holds ~model ~names (Q.parse_exn q) with
+                | Ok true ->
+                  Hashtbl.replace proven label ();
+                  Some label
+                | Ok false | Error _ -> None)
+            properties
+        in
+        Format.printf "%-8d %-8d %-10s %s@." (p.index + 1) (Df.weight model)
+          "yes" (String.concat ", " newly))
+    periods;
   let final = Engine.finalize eng in
   Format.printf "@.%d of %d properties provable after %d periods@."
     (Hashtbl.length proven) (List.length properties) final.Engine.periods;

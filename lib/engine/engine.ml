@@ -83,15 +83,6 @@ let feed t p =
      | Some g -> Rt_obs.Registry.set_gauge g (messages_fed t)
      | None -> ())
 
-let rec feed_source ?on_period t seg =
-  match Rt_trace.Segmenter.next seg with
-  | None -> Ok (periods_fed t)
-  | Some (`Invalid e) -> Error e
-  | Some (`Period p) ->
-    feed t p;
-    (match on_period with Some f -> f t | None -> ());
-    feed_source ?on_period t seg
-
 let current t =
   match t.core with Hstate st -> H.current st | Estate st -> E.current st
 

@@ -3,12 +3,12 @@
     This is the per-period fold the paper's algorithms actually are,
     surfaced as an API. An engine wraps either core ({!Rt_learn.Exact}
     or {!Rt_learn.Heuristic}); callers [feed] it periods from any source
-    — a batch {!Rt_trace.Trace.t}, a {!Rt_trace.Segmenter} over a live
-    {!Rt_trace.Event_source}, a growing file — and may take a
-    {!snapshot} at any point mid-stream. Feeding the periods of a trace
-    in order and finalizing is {e exactly} [Learner.learn] on that
-    trace: same hypotheses, same LUB, same published counters, because
-    both run this code.
+    — a batch {!Rt_trace.Trace.t}, a {!Rt_trace.Stream_io} reader over
+    a file or a growing capture — and may take a {!snapshot} at any
+    point mid-stream. Feeding the periods of a trace in order and
+    finalizing is {e exactly} [Learner.learn] on that trace: same
+    hypotheses, same LUB, same published counters, because both run
+    this code.
 
     Instrumentation (with [obs]): an ["engine.feed_ns"] latency
     histogram and ["engine.periods_in_flight"] /
@@ -50,15 +50,6 @@ val feed : t -> Rt_trace.Period.t -> unit
 (** Consume one period.
     @raise Rt_learn.Exact.Blowup when the exact working set exceeds
     its limit. *)
-
-val feed_source :
-  ?on_period:(t -> unit) -> t -> Rt_trace.Segmenter.t ->
-  (int, Rt_trace.Segmenter.segment_error) result
-(** Drain a streaming segmenter into the engine: pull, feed, repeat,
-    never holding more than one period. [on_period] runs after each
-    period is consumed (print a snapshot, write a checkpoint, …).
-    Returns the number of periods fed, or the first [`Invalid] from a
-    strict-mode segmenter. *)
 
 val periods_fed : t -> int
 

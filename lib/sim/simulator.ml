@@ -256,48 +256,3 @@ let run_with_truth ?obs d config =
     Array.of_list (List.rev !truths) )
 
 let run ?obs d config = fst (run_with_truth ?obs d config)
-
-(* Live feed: simulate lazily, one period ahead of the consumer. Only
-   the period currently being drained is buffered, so an arbitrarily
-   long simulation streams in constant memory. Event times are absolute
-   (offset by [index * d.period]), which is what a segmenter expects. *)
-let source ?obs d config =
-  if config.periods <= 0 then
-    invalid_arg "Simulator.source: periods must be positive";
-  let rng = Pcg.of_int config.seed in
-  let tally = { t_events = 0; t_dropped = 0; t_glitches = 0; t_spikes = 0 } in
-  let idx = ref 0 in
-  let buf = ref [] in
-  let published = ref false in
-  let publish () =
-    match obs with
-    | Some r when not !published ->
-      published := true;
-      let set = Rt_obs.Registry.set_counter r in
-      set "sim.periods" config.periods;
-      set "sim.events" tally.t_events;
-      set "sim.frames_dropped" tally.t_dropped;
-      set "sim.glitches" tally.t_glitches;
-      set "sim.jitter_spikes" tally.t_spikes
-    | Some _ | None -> ()
-  in
-  let rec pull () =
-    match !buf with
-    | e :: tl ->
-      buf := tl;
-      Some e
-    | [] ->
-      if !idx >= config.periods then begin
-        publish ();
-        None
-      end
-      else begin
-        let events, _ = simulate_period d rng config ~tally ~period_index:!idx in
-        let off = !idx * d.period in
-        buf :=
-          List.map (fun (e : Event.t) -> { e with time = e.time + off }) events;
-        incr idx;
-        pull ()
-      end
-  in
-  Rt_trace.Event_source.of_fun pull

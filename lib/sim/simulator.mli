@@ -61,17 +61,3 @@ val run_with_truth :
   Rt_task.Design.t -> config -> Rt_trace.Trace.t * period_truth array
 (** Like [run] but also returns per-period ground truth, for evaluating
     candidate inference and baselines. *)
-
-val source :
-  ?obs:Rt_obs.Registry.t ->
-  Rt_task.Design.t -> config -> Rt_trace.Event_source.t
-(** The simulator as a live feed: an event source that simulates each
-    period lazily as the consumer drains it, holding at most one period
-    in memory — plug it into a {!Rt_trace.Segmenter} (with
-    [period_len = design.period] and the design's task set) and feed an
-    engine for an end-to-end online run. Event times are absolute
-    ([index * period] plus the in-period time), unlike [run]'s periods,
-    which are relative — a uniform shift the learner is invariant to.
-    The same seed draws the same PRNG stream as [run], so the streamed
-    periods are the same periods. [sim.*] counters are published once
-    the source is exhausted. *)

@@ -89,24 +89,9 @@ let of_events events =
   List.iter (push a) events;
   a
 
-let range name ?lo ?hi a =
+let to_list ?lo ?hi a =
   let lo = Option.value lo ~default:0 in
   let hi = Option.value hi ~default:a.len in
   if lo < 0 || hi > a.len || lo > hi then
-    invalid_arg (name ^ ": range out of bounds");
-  (lo, hi)
-
-let to_list ?lo ?hi a =
-  let lo, hi = range "Event_arena.to_list" ?lo ?hi a in
+    invalid_arg "Event_arena.to_list: range out of bounds";
   List.init (hi - lo) (fun i -> decode (Bigarray.Array1.unsafe_get a.buf (lo + i)))
-
-let source ?lo ?hi a =
-  let lo, hi = range "Event_arena.source" ?lo ?hi a in
-  let pos = ref lo in
-  Event_source.of_fun (fun () ->
-      if !pos >= hi then None
-      else begin
-        let w = Bigarray.Array1.unsafe_get a.buf !pos in
-        incr pos;
-        Some (decode w)
-      end)

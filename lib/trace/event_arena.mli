@@ -69,8 +69,3 @@ val of_events : Event.t list -> t
 
 val to_list : ?lo:int -> ?hi:int -> t -> Event.t list
 (** Decode the range [\[lo, hi)] (defaults: the whole arena). *)
-
-val source : ?lo:int -> ?hi:int -> t -> Event_source.t
-(** A pull source decoding the range [\[lo, hi)] on demand — this is how
-    an arena slots behind the streaming engine and how shard workers
-    read their slice of a shared capture. *)

@@ -4,10 +4,10 @@
     edges — and a production ingest path must degrade gracefully while
     telling the analyst exactly how much evidence was lost.
 
-    A report is assembled by {!Trace_io} and {!Trace.segment_recover}
-    and consumed by [rtgen learn --mode recover] / [rtgen analyze]:
-    dropped periods shrink the instance set, so the learned model's
-    confidence degrades with the drop fraction. *)
+    A report is assembled by {!Stream_io} (and so by {!Trace_io}) and
+    consumed by [rtgen learn --mode recover] / [rtgen analyze]: dropped
+    periods shrink the instance set, so the learned model's confidence
+    degrades with the drop fraction. *)
 
 type line_issue = {
   line : int;        (** 1-based line number in the source file *)

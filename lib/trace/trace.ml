@@ -7,58 +7,6 @@ let of_periods ~task_set ps =
     ps;
   { task_set; periods = Array.of_list ps }
 
-type segment_error = Segmenter.segment_error = {
-  period_index : int;
-  error : Period.error;
-}
-
-(* The batch entry points are thin wrappers over the streaming
-   {!Segmenter}: stable-sort the flat event list into nondecreasing
-   period order (preserving arrival order within each period, which is
-   what the old hash-bucketing preserved too) and drain the segmenter.
-   One implementation serves both batch and live ingestion. *)
-let ordered_source ~period_len events =
-  List.stable_sort
-    (fun (a : Event.t) (b : Event.t) ->
-      Int.compare (a.time / period_len) (b.time / period_len))
-    events
-  |> Event_source.of_list
-
-let segment ~task_set ~period_len events =
-  if period_len <= 0 then invalid_arg "Trace.segment: period_len must be positive";
-  let seg =
-    Segmenter.create ~mode:`Strict ~task_set ~period_len
-      (ordered_source ~period_len events)
-  in
-  let oks = ref [] and errs = ref [] in
-  let rec drain () =
-    match Segmenter.next seg with
-    | None -> ()
-    | Some (`Period p) -> oks := p :: !oks; drain ()
-    | Some (`Invalid e) -> errs := e :: !errs; drain ()
-  in
-  drain ();
-  if !errs <> [] then Error (List.rev !errs)
-  else Ok { task_set; periods = Array.of_list (List.rev !oks) }
-
-let segment_recover ?eps ~task_set ~period_len events =
-  if period_len <= 0 then
-    invalid_arg "Trace.segment_recover: period_len must be positive";
-  let seg =
-    Segmenter.create ~mode:`Recover ?eps ~task_set ~period_len
-      (ordered_source ~period_len events)
-  in
-  let oks = ref [] in
-  let rec drain () =
-    match Segmenter.next seg with
-    | None -> ()
-    | Some (`Period p) -> oks := p :: !oks; drain ()
-    | Some (`Invalid _) -> drain ()
-  in
-  drain ();
-  ( { task_set; periods = Array.of_list (List.rev !oks) },
-    Segmenter.quarantine seg )
-
 let median = function
   | [] -> None
   | l ->
@@ -90,14 +38,6 @@ let infer_period events =
       starts []
   in
   median per_task
-
-let segment_auto ~task_set events =
-  match infer_period events with
-  | None -> Error []
-  | Some period_len ->
-    (match segment ~task_set ~period_len events with
-     | Ok t -> Ok (t, period_len)
-     | Error e -> Error e)
 
 let periods t = Array.to_list t.periods
 

@@ -10,29 +10,6 @@ type t = private {
 val of_periods : task_set:Rt_task.Task_set.t -> Period.t list -> t
 (** All periods must share [task_set]. *)
 
-type segment_error = Segmenter.segment_error = {
-  period_index : int;
-  error : Period.error;
-}
-
-val segment :
-  task_set:Rt_task.Task_set.t -> period_len:int -> Event.t list ->
-  (t, segment_error list) result
-(** Cut a flat timestamped event stream into periods of [period_len]
-    microseconds (event at time [x] belongs to period [x / period_len]),
-    re-basing each period at index 0..  A message whose edges straddle a
-    boundary violates the model-of-computation assumption and is reported
-    as an error. Empty periods are dropped. *)
-
-val segment_recover :
-  ?eps:int -> task_set:Rt_task.Task_set.t -> period_len:int ->
-  Event.t list -> t * Quarantine.t
-(** [segment] for messy streams: a period that fails validation is
-    salvaged with {!Repair} (counted as repaired) or, if irreparable,
-    dropped — never an error. The quarantine report accounts for every
-    period by its original (pre-renumbering) index. [eps] is the
-    clock-skew tolerance forwarded to {!Repair}. *)
-
 val infer_period : Event.t list -> int option
 (** Estimate the period length of a flat absolute-time event stream from
     the recurrence of task start events: for every task with at least
@@ -41,12 +18,6 @@ val infer_period : Event.t list -> int option
     Robust to release jitter and to tasks that skip periods (their gaps
     are near-multiples of the true period and the median discards
     them). *)
-
-val segment_auto :
-  task_set:Rt_task.Task_set.t -> Event.t list ->
-  (t * int, segment_error list) result
-(** [segment] with an inferred period length (also returned). Errors with
-    an empty list when no period could be inferred. *)
 
 val periods : t -> Period.t list
 

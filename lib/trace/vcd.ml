@@ -179,8 +179,8 @@ let of_string ?period_len s =
          | None ->
            1 + List.fold_left (fun acc (e : Event.t) -> max acc e.time) 0 events)
     in
-    (* [Trace.segment] keeps absolute timestamps; a VCD timeline is laid
-       out end to end, so re-base each period at 0 ourselves. *)
+    (* A VCD timeline is laid out end to end: bucket each event by
+       [time / period_len] and re-base its period at 0. *)
     let by_period : (int, Event.t list) Hashtbl.t = Hashtbl.create 32 in
     List.iter (fun (e : Event.t) ->
         let idx = e.time / period_len in

@@ -351,6 +351,36 @@ let test_stop_after_needs_checkpoint () =
   Alcotest.(check bool) "names the missing flag" true
     (contains ~needle:"--checkpoint" (read_file (tmp "stderr")))
 
+(* Counts below their range are command-line misuse (cmdliner's 124),
+   never an internal error (3) raised deep inside a run. *)
+let test_out_of_range_options_refused () =
+  let ckpt = tmp "range.ckpt" in
+  List.iter (fun args ->
+      let code, _ = run_code args in
+      Alcotest.(check int) ("refused as misuse: " ^ args) 124 code)
+    [ Printf.sprintf "learn %s --progress 0" trace_file;
+      Printf.sprintf "learn %s --checkpoint %s --every 0" trace_file ckpt;
+      Printf.sprintf "learn %s -b 0" trace_file;
+      Printf.sprintf "analyze %s -b 0" trace_file;
+      Printf.sprintf "learn %s --shards 2 -b 0" trace_file;
+      Printf.sprintf "gantt %s --period=-1" trace_file;
+      "simulate --periods 0";
+      Printf.sprintf "watch %s --max-periods 0" trace_file ];
+  Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ckpt);
+  (* serve must refuse before it follows a single stream; the timeout
+     keeps a regression from hanging the suite. *)
+  let spool = tmp "range_spool" and out = tmp "range_out" in
+  ignore (Sys.command (Printf.sprintf "rm -rf %s %s" spool out));
+  ignore
+    (run (Printf.sprintf "simulate --fleet 1 --spool %s --periods 4" spool));
+  let code, _ =
+    run_code ~bin:("timeout 30 " ^ rtgen)
+      (Printf.sprintf "serve --spool %s --out %s --checkpoint-every 0 \
+                       --drain-after-total 3" spool out)
+  in
+  Alcotest.(check int) "serve --checkpoint-every 0 refused as misuse" 124 code;
+  Alcotest.(check bool) "no stream followed" false (Sys.file_exists out)
+
 let test_checkpoint_wrong_trace_refused () =
   let ckpt = tmp "gm_wrong.ckpt" in
   if Sys.file_exists ckpt then Sys.remove ckpt;
@@ -1192,6 +1222,8 @@ let () =
             test_checkpoint_wrong_trace_refused;
           Alcotest.test_case "stop-after needs checkpoint" `Quick
             test_stop_after_needs_checkpoint;
+          Alcotest.test_case "out-of-range options refused" `Quick
+            test_out_of_range_options_refused;
           Alcotest.test_case "vcd import round trip" `Quick
             test_vcd_import_roundtrip;
         ] );

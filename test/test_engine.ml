@@ -1,37 +1,31 @@
 (* The streaming engine's contract: feeding a trace period by period is
-   bit-identical to batch learning — same hypotheses, same counters — at
-   every bound, every -j level, with snapshots taken mid-stream, and
-   from a live segmented event stream instead of a materialized trace. *)
+   bit-identical to the core algorithm run over the whole trace — same
+   hypotheses, same counters — at every bound, with engines fed in
+   parallel, and with snapshots taken mid-stream. *)
 
 module Eng = Rt_engine.Engine
 module L = Rt_engine.Learner
+module H = Rt_learn.Heuristic
 module Df = Rt_lattice.Depfun
 module Reg = Rt_obs.Registry
+module Json = Rt_obs.Json
 module T = Rt_trace.Trace
-module P = Rt_trace.Period
-module E = Rt_trace.Event
-module Es = Rt_trace.Event_source
-module Seg = Rt_trace.Segmenter
 
 let gm = Rt_case.Gm_model.trace ()
 
 let hyp_strings hs = List.map Df.to_string hs
 
-(* The deterministic prefix of a metrics dump: everything before the
-   timing-dependent gauge/histogram/span sections. *)
-let counters r =
-  let s = Rt_obs.Json.to_string (Reg.to_json r) in
-  let find needle from =
-    let nn = String.length needle and nh = String.length s in
-    let rec go i =
-      if i + nn > nh then Alcotest.failf "no %S section in metrics" needle
-      else if String.sub s i nn = needle then i
-      else go (i + 1)
-    in
-    go from
-  in
-  let a = find "\"counters\"" 0 in
-  String.sub s a (find "\"gauges\"" a - a)
+(* The core's counters, by name: what the engine must publish unchanged
+   (its own [engine.*] totals come on top). *)
+let learn_counters r =
+  match Option.bind (Json.member "counters" (Reg.to_json r)) Json.to_obj with
+  | None -> Alcotest.fail "no counters section in metrics"
+  | Some kvs ->
+    List.filter_map (fun (name, v) ->
+        if String.starts_with ~prefix:"learn." name then
+          Option.map (fun n -> (name, n)) (Json.to_int v)
+        else None)
+      kvs
 
 let engine_fed ?obs ~bound trace =
   let eng =
@@ -41,26 +35,26 @@ let engine_fed ?obs ~bound trace =
   List.iter (Eng.feed eng) (T.periods trace);
   Eng.finalize eng
 
-(* --- batch = engine-fed, byte for byte --- *)
+(* --- engine-fed = the core's batch run, byte for byte --- *)
 
-let check_snapshot rep r_learner r_engine snap =
+let check_snapshot (core : H.outcome) r_core r_engine snap =
   Alcotest.(check (list string)) "hypotheses byte-equal"
-    (hyp_strings rep.L.hypotheses) (hyp_strings snap.Eng.hypotheses);
-  Alcotest.(check (option string)) "lub equal"
-    (Option.map Df.to_string rep.L.lub)
-    (Option.map Df.to_string snap.Eng.lub);
-  Alcotest.(check int) "periods" rep.L.periods snap.Eng.periods;
-  Alcotest.(check int) "messages" rep.L.messages snap.Eng.messages;
-  Alcotest.(check bool) "converged agrees" rep.L.converged snap.Eng.converged;
-  Alcotest.(check string) "counters byte-equal"
-    (counters r_learner) (counters r_engine)
+    (hyp_strings core.H.hypotheses) (hyp_strings snap.Eng.hypotheses);
+  Alcotest.(check int) "periods" core.H.stats.H.periods_processed
+    snap.Eng.periods;
+  Alcotest.(check int) "messages" (T.total_messages gm) snap.Eng.messages;
+  Alcotest.(check bool) "converged agrees" (H.converged core <> None)
+    snap.Eng.converged;
+  Alcotest.(check (list (pair string int))) "learn.* counters equal"
+    (learn_counters r_core) (learn_counters r_engine)
 
 (* With [jobs > 1], [jobs] engines are fed at once on a pool's domains,
-   as a sharded session feeds its pairs; each must equal the batch
-   learner. *)
+   as a sharded session feeds its pairs; each must equal the core. *)
 let check_equiv ~bound ~jobs () =
-  let r_learner = Reg.create () in
-  let rep = L.learn ~obs:r_learner (L.Heuristic bound) gm in
+  let r_core = Reg.create () in
+  let core = H.run ~obs:r_core ~bound gm in
+  Alcotest.(check bool) "core publishes learn.* counters" true
+    (learn_counters r_core <> []);
   let regs = Array.init jobs (fun _ -> Reg.create ()) in
   let fed i = engine_fed ~obs:regs.(i) ~bound gm in
   let snaps =
@@ -71,7 +65,7 @@ let check_equiv ~bound ~jobs () =
         (fun () -> Rt_util.Domain_pool.map pool fed (Array.init jobs Fun.id))
     end
   in
-  Array.iteri (fun i snap -> check_snapshot rep r_learner regs.(i) snap) snaps
+  Array.iteri (fun i snap -> check_snapshot core r_core regs.(i) snap) snaps
 
 let test_equiv_bound4_j1 () = check_equiv ~bound:4 ~jobs:1 ()
 let test_equiv_bound4_j4 () = check_equiv ~bound:4 ~jobs:4 ()
@@ -102,64 +96,6 @@ let test_midstream_snapshot_is_free () =
     (hyp_strings interrupted.Eng.hypotheses);
   Alcotest.(check int) "periods" clean.Eng.periods interrupted.Eng.periods;
   Alcotest.(check int) "messages" clean.Eng.messages interrupted.Eng.messages
-
-(* --- streamed periods from a flat event capture = batch --- *)
-
-let flatten ~period_len trace =
-  List.concat_map (fun (pd : P.t) ->
-      List.map (fun (e : E.t) ->
-          { e with E.time = e.time + (pd.index * period_len) })
-        pd.events)
-    (T.periods trace)
-
-let test_feed_source_equals_batch () =
-  let d = Rt_case.Gm_model.design () in
-  let period_len = d.Rt_task.Design.period in
-  let events = flatten ~period_len gm in
-  let seg =
-    Seg.create ~task_set:gm.task_set ~period_len (Es.of_list events)
-  in
-  let eng =
-    Eng.create ~ntasks:(T.task_count gm) (Eng.Heuristic { bound = 4 })
-  in
-  (match Eng.feed_source eng seg with
-   | Error e ->
-     Alcotest.failf "segmentation failed at period %d" e.Seg.period_index
-   | Ok n -> Alcotest.(check int) "all periods fed" (T.period_count gm) n);
-  let streamed = Eng.finalize eng in
-  let batch = L.learn (L.Heuristic 4) gm in
-  (* The streamed periods carry absolute timestamps; the learner depends
-     only on time differences, so the model is identical anyway. *)
-  Alcotest.(check (list string)) "streamed = batch hypotheses"
-    (hyp_strings batch.L.hypotheses) (hyp_strings streamed.Eng.hypotheses);
-  Alcotest.(check int) "messages" batch.L.messages streamed.Eng.messages
-
-(* --- live simulator feed = batch simulator run --- *)
-
-let test_simulator_source_equals_run () =
-  let d = Rt_case.Gm_model.design () in
-  let cfg =
-    { Rt_case.Gm_model.reference_config with Rt_sim.Simulator.periods = 6 }
-  in
-  let batch = Rt_sim.Simulator.run d cfg in
-  let seg =
-    Seg.create ~task_set:(Rt_task.Design.task_set d)
-      ~period_len:d.Rt_task.Design.period
-      (Rt_sim.Simulator.source d cfg)
-  in
-  let eng =
-    Eng.create ~ntasks:(T.task_count batch) (Eng.Heuristic { bound = 4 })
-  in
-  (match Eng.feed_source eng seg with
-   | Error _ -> Alcotest.fail "simulated stream must segment cleanly"
-   | Ok n -> Alcotest.(check int) "6 periods" 6 n);
-  let streamed = Eng.finalize eng in
-  let from_trace = engine_fed ~bound:4 batch in
-  Alcotest.(check (list string)) "same model from the live feed"
-    (hyp_strings from_trace.Eng.hypotheses)
-    (hyp_strings streamed.Eng.hypotheses);
-  Alcotest.(check int) "same messages"
-    from_trace.Eng.messages streamed.Eng.messages
 
 (* --- the exact core, driven incrementally --- *)
 
@@ -251,13 +187,6 @@ let () =
           Alcotest.test_case "bound 64, -j 4" `Quick test_equiv_bound64_j4;
           Alcotest.test_case "mid-stream snapshot" `Quick
             test_midstream_snapshot_is_free;
-        ] );
-      ( "streaming",
-        [
-          Alcotest.test_case "feed_source = batch" `Quick
-            test_feed_source_equals_batch;
-          Alcotest.test_case "simulator live feed" `Quick
-            test_simulator_source_equals_run;
         ] );
       ( "cores",
         [

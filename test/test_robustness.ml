@@ -201,23 +201,6 @@ let prop_recover_survives_all_kinds =
        | Ok (_, q) -> Q.periods_seen q + List.length [] >= 0
        | Error _ -> false)
 
-(* --- segment_recover --- *)
-
-let test_segment_recover () =
-  let events =
-    [ (* period 0 (absolute times 0..99): clean *)
-      ev 10 (E.Task_start 0); ev 20 (E.Task_end 0);
-      (* period 1: dangling rise, repairable *)
-      ev 110 (E.Task_start 0); ev 120 (E.Task_end 0); ev 125 (E.Msg_rise 5) ]
-  in
-  let t, q = T.segment_recover ~task_set:ts2 ~period_len:100 events in
-  Alcotest.(check int) "both periods kept" 2 (T.period_count t);
-  Alcotest.(check int) "one clean" 1 q.Q.kept;
-  Alcotest.(check int) "one repaired" 1 (List.length q.Q.repaired);
-  Alcotest.(check int) "repaired period reported by original index" 1
-    (List.hd q.Q.repaired).Q.period_index;
-  Alcotest.(check int) "nothing dropped" 0 (List.length q.Q.dropped)
-
 (* --- Checkpoint / resume --- *)
 
 let policies = [ H.Lightest_pair; H.Heaviest_pair; H.First_last ]
@@ -337,7 +320,15 @@ let test_vcd_errors_are_positioned () =
   Alcotest.(check int) "bad signal name" 1
     (line_of "$var wire 1 ! voltage $end\n");
   Alcotest.(check int) "decreasing time" 4
-    (line_of "$var wire 1 ! task_a $end\n#5\n1!\n#3\n0!\n")
+    (line_of "$var wire 1 ! task_a $end\n#5\n1!\n#3\n0!\n");
+  (* A task running across a period boundary breaks the model of
+     computation: a whole-dump error, not a silently split period. *)
+  match
+    V.of_string ~period_len:100
+      "$var wire 1 ! task_a $end\n#90\n1!\n#110\n0!\n"
+  with
+  | Ok _ -> Alcotest.fail "accepted a task straddling a period boundary"
+  | Error e -> Alcotest.(check int) "straddling task" 0 e.V.line
 
 let test_vcd_exporter_total () =
   (* Every bus id present in the events gets a declared signal; the
@@ -410,7 +401,6 @@ let () =
             test_io_missing_tasks_fatal_in_both_modes;
           Alcotest.test_case "quarantine confidence" `Quick
             test_quarantine_confidence;
-          Alcotest.test_case "segment_recover" `Quick test_segment_recover;
         ] );
       ( "corrupt",
         [

@@ -148,25 +148,6 @@ let test_trace_of_periods_checks_task_set () =
     (Invalid_argument "Trace.of_periods: period over a different task set")
     (fun () -> ignore (T.of_periods ~task_set:(Ts.numbered 3) [ pd ]))
 
-let test_trace_segment () =
-  let events =
-    [ ev 10 (E.Task_start 0); ev 20 (E.Task_end 0);
-      ev 110 (E.Task_start 0); ev 120 (E.Task_end 0);
-      ev 130 (E.Task_start 1); ev 140 (E.Task_end 1) ]
-  in
-  match T.segment ~task_set:ts4 ~period_len:100 events with
-  | Error _ -> Alcotest.fail "should segment"
-  | Ok t ->
-    Alcotest.(check int) "2 periods" 2 (T.period_count t);
-    Alcotest.(check int) "events" 6 (T.total_events t)
-
-let test_trace_segment_boundary_violation () =
-  (* A task spanning the period boundary is a validation error. *)
-  let events = [ ev 90 (E.Task_start 0); ev 110 (E.Task_end 0) ] in
-  match T.segment ~task_set:ts4 ~period_len:100 events with
-  | Ok _ -> Alcotest.fail "must reject"
-  | Error errs -> Alcotest.(check int) "two bad periods" 2 (List.length errs)
-
 let test_trace_stats () =
   let t = fig2_trace () in
   Alcotest.(check int) "periods" 3 (T.period_count t);
@@ -389,171 +370,6 @@ let test_infer_period_no_task_recurs_enough () =
          ev 101 (E.Msg_rise 5); ev 102 (E.Msg_fall 5);
          ev 201 (E.Msg_rise 5); ev 202 (E.Msg_fall 5) ])
 
-let test_segment_auto_round_trip () =
-  let d = small_design 7 in
-  let trace = simulate ~periods:10 d in
-  let events = flatten ~period_len:10_000 trace in
-  match T.segment_auto ~task_set:trace.task_set events with
-  | Error _ -> Alcotest.fail "auto segmentation failed"
-  | Ok (t, inferred) ->
-    Alcotest.(check bool) "period close" true (abs (inferred - 10_000) < 200);
-    Alcotest.(check int) "10 periods recovered" 10 (T.period_count t);
-    (* Same per-period executed sets as the original. *)
-    List.iter2 (fun (a : P.t) (b : P.t) ->
-        Alcotest.(check (list int)) "same executions" (P.executed_tasks a)
-          (P.executed_tasks b))
-      (T.periods trace) (T.periods t)
-
-(* --- Streaming segmentation --- *)
-
-module Es = Rt_trace.Event_source
-module Seg = Rt_trace.Segmenter
-
-let drain_segmenter seg =
-  let rec go acc =
-    match Seg.next seg with
-    | None -> List.rev acc
-    | Some item -> go (item :: acc)
-  in
-  go []
-
-(* A message whose edges straddle the period boundary at t=100: period 0
-   sees a dangling rise, period 1 a dangling fall. *)
-let straddle_events =
-  [ ev 10 (E.Task_start 0); ev 20 (E.Task_end 0);
-    ev 90 (E.Msg_rise 5); ev 110 (E.Msg_fall 5);
-    ev 120 (E.Task_start 1); ev 130 (E.Task_end 1) ]
-
-let test_event_source_latches () =
-  let calls = ref 0 in
-  let src =
-    Es.of_fun (fun () ->
-        incr calls;
-        if !calls <= 2 then Some (ev !calls (E.Task_start 0)) else None)
-  in
-  Alcotest.(check bool) "yields" true (Es.next src <> None);
-  Alcotest.(check bool) "yields again" true (Es.next src <> None);
-  Alcotest.(check bool) "exhausted" true (Es.next src = None);
-  Alcotest.(check bool) "stays exhausted" true (Es.next src = None);
-  (* The generator is never called past its first None. *)
-  Alcotest.(check int) "no re-entry" 3 !calls;
-  Alcotest.(check int) "served" 2 (Es.count src)
-
-let test_segmenter_straddle_matches_batch_strict () =
-  let batch_errs =
-    match T.segment ~task_set:ts4 ~period_len:100 straddle_events with
-    | Ok _ -> Alcotest.fail "batch must reject the straddling message"
-    | Error errs ->
-      List.map (fun (e : T.segment_error) ->
-          (e.period_index, P.string_of_error e.error))
-        errs
-  in
-  let seg =
-    Seg.create ~task_set:ts4 ~period_len:100 (Es.of_list straddle_events)
-  in
-  let stream_errs =
-    List.filter_map (function
-        | `Invalid (e : Seg.segment_error) ->
-          Some (e.period_index, P.string_of_error e.error)
-        | `Period _ -> None)
-      (drain_segmenter seg)
-  in
-  Alcotest.(check (list (pair int string)))
-    "streaming errors identical to batch" batch_errs stream_errs
-
-let test_segmenter_straddle_matches_batch_recover () =
-  let batch_trace, batch_q =
-    T.segment_recover ~task_set:ts4 ~period_len:100 straddle_events
-  in
-  let seg =
-    Seg.create ~mode:`Recover ~task_set:ts4 ~period_len:100
-      (Es.of_list straddle_events)
-  in
-  let streamed =
-    List.filter_map (function
-        | `Period p -> Some p
-        | `Invalid _ -> Alcotest.fail "recover mode never yields `Invalid")
-      (drain_segmenter seg)
-  in
-  let q = Seg.quarantine seg in
-  Alcotest.(check int) "same period count"
-    (T.period_count batch_trace) (List.length streamed);
-  List.iter2 (fun (a : P.t) (b : P.t) ->
-      Alcotest.(check (list int)) "same executions"
-        (P.executed_tasks a) (P.executed_tasks b);
-      Alcotest.(check int) "same frames" (P.msg_count a) (P.msg_count b))
-    (T.periods batch_trace) streamed;
-  Alcotest.(check int) "same kept" batch_q.Rt_trace.Quarantine.kept
-    q.Rt_trace.Quarantine.kept;
-  Alcotest.(check (list (pair int (list string)))) "same repairs"
-    (List.map (fun (r : Rt_trace.Quarantine.period_repair) ->
-         (r.period_index, r.fixes))
-       batch_q.repaired)
-    (List.map (fun (r : Rt_trace.Quarantine.period_repair) ->
-         (r.period_index, r.fixes))
-       q.repaired);
-  Alcotest.(check (list (pair int string))) "same drops"
-    (List.map (fun (d : Rt_trace.Quarantine.period_drop) ->
-         (d.period_index, d.reason))
-       batch_q.dropped)
-    (List.map (fun (d : Rt_trace.Quarantine.period_drop) ->
-         (d.period_index, d.reason))
-       q.dropped)
-
-let test_segmenter_bounded_memory () =
-  (* 500 periods, 6 events each: the high-water mark must be one period's
-     worth of events no matter how long the stream runs. *)
-  let n = 500 in
-  let k = ref (-1) in
-  let src =
-    Es.of_fun (fun () ->
-        incr k;
-        let period = !k / 6 and slot = !k mod 6 in
-        if period >= n then None
-        else
-          let base = period * 100 in
-          Some
-            (match slot with
-             | 0 -> ev (base + 10) (E.Task_start 0)
-             | 1 -> ev (base + 20) (E.Task_end 0)
-             | 2 -> ev (base + 30) (E.Msg_rise 5)
-             | 3 -> ev (base + 40) (E.Msg_fall 5)
-             | 4 -> ev (base + 50) (E.Task_start 1)
-             | _ -> ev (base + 60) (E.Task_end 1)))
-  in
-  let seg = Seg.create ~task_set:ts4 ~period_len:100 src in
-  let items = drain_segmenter seg in
-  Alcotest.(check int) "all periods" n (List.length items);
-  Alcotest.(check int) "periods seen" n (Seg.periods_seen seg);
-  Alcotest.(check int) "memory bounded by one period" 6 (Seg.max_buffered seg)
-
-let test_segmenter_rejects_out_of_order () =
-  let seg =
-    Seg.create ~task_set:ts4 ~period_len:100
-      (Es.of_list
-         [ ev 150 (E.Task_start 0); ev 160 (E.Task_end 0);
-           ev 10 (E.Task_start 1); ev 20 (E.Task_end 1) ])
-  in
-  Alcotest.check_raises "time travel rejected"
-    (Invalid_argument
-       "Segmenter.next: event at time 10 belongs to period 0 but period 1 \
-        is already being assembled (stream not in nondecreasing period \
-        order)")
-    (fun () -> ignore (drain_segmenter seg))
-
-let test_segment_wrapper_unordered_input () =
-  (* The batch wrapper must keep accepting events in arbitrary order (the
-     seed behaviour), sorting by period before the segmenter sees them. *)
-  let shuffled =
-    [ ev 130 (E.Task_start 1); ev 10 (E.Task_start 0); ev 140 (E.Task_end 1);
-      ev 20 (E.Task_end 0); ev 110 (E.Task_start 0); ev 120 (E.Task_end 0) ]
-  in
-  match T.segment ~task_set:ts4 ~period_len:100 shuffled with
-  | Error _ -> Alcotest.fail "should segment"
-  | Ok t ->
-    Alcotest.(check int) "2 periods" 2 (T.period_count t);
-    Alcotest.(check int) "events" 6 (T.total_events t)
-
 (* --- Gantt --- *)
 
 let export_total_on_random_traces =
@@ -710,22 +526,6 @@ let () =
             test_infer_period_heavy_jitter;
           Alcotest.test_case "no task recurs 3x" `Quick
             test_infer_period_no_task_recurs_enough;
-          Alcotest.test_case "segment auto" `Quick test_segment_auto_round_trip;
-        ] );
-      ( "streaming",
-        [
-          Alcotest.test_case "event source latches" `Quick
-            test_event_source_latches;
-          Alcotest.test_case "straddle = batch (strict)" `Quick
-            test_segmenter_straddle_matches_batch_strict;
-          Alcotest.test_case "straddle = batch (recover)" `Quick
-            test_segmenter_straddle_matches_batch_recover;
-          Alcotest.test_case "bounded memory" `Quick
-            test_segmenter_bounded_memory;
-          Alcotest.test_case "out-of-order rejected" `Quick
-            test_segmenter_rejects_out_of_order;
-          Alcotest.test_case "wrapper sorts input" `Quick
-            test_segment_wrapper_unordered_input;
         ] );
       ( "gantt",
         [
@@ -749,9 +549,6 @@ let () =
         [
           Alcotest.test_case "task set check" `Quick
             test_trace_of_periods_checks_task_set;
-          Alcotest.test_case "segment" `Quick test_trace_segment;
-          Alcotest.test_case "boundary violation" `Quick
-            test_trace_segment_boundary_violation;
           Alcotest.test_case "stats" `Quick test_trace_stats;
           Alcotest.test_case "executed matrix" `Quick test_executed_matrix;
         ] );
