@@ -35,6 +35,7 @@ type state = {
   policy : merge_policy;
   window : int option;
   bound : int;
+  closed_form : bool;  (* bound 1 takes [step_closed] *)
   violations : Violations.t;
   scratch : Workset.t;  (* per-message working set, reused across messages *)
   mutable hs : Hypothesis.t array;  (* ascending (weight, structural) order *)
@@ -59,13 +60,15 @@ type state = {
   occ_gauge : Rt_obs.Registry.gauge option;
 }
 
-let init ?(policy = Lightest_pair) ?window ?obs ~bound ~ntasks () =
+let init ?(policy = Lightest_pair) ?window ?obs ?(closed_form = true) ~bound
+    ~ntasks () =
   if bound < 1 then invalid_arg "Heuristic.init: bound must be >= 1";
   if ntasks < 1 then invalid_arg "Heuristic.init: need at least one task";
   {
     policy;
     window;
     bound;
+    closed_form = closed_form && bound = 1;
     violations = Violations.create ntasks;
     scratch = Workset.create ~bound;
     hs = [| Hypothesis.bottom ntasks |];
@@ -136,11 +139,31 @@ let step_message st hs pairs =
   Array.iter Hypothesis.settle survivors;
   survivors
 
+(* [step_message] at bound 1 in closed form (DESIGN.md §20): the one
+   parent's children all merge, so the message leaves the join of all of
+   them, built on one matrix copy. The counters follow: every pair is a
+   branch, each of the |C'| children counts as created, and folding them
+   into one takes |C'| - 1 merges of two evictions each. No child can be
+   a duplicate, as each holds a different pair in its assumptions. *)
+let step_closed st hs pairs =
+  if Array.length hs = 0 then hs
+  else begin
+    st.branches <- st.branches + List.length pairs;
+    let next, admitted = Hypothesis.join_message hs.(0) pairs in
+    st.created <- st.created + admitted;
+    if admitted > 1 then begin
+      st.merges <- st.merges + admitted - 1;
+      st.evictions <- st.evictions + (2 * (admitted - 1))
+    end;
+    match next with Some h -> [| h |] | None -> [||]
+  end
+
 let messages st (p : Period.t) =
   Array.fold_left
     (fun hs m ->
-       step_message st hs
-         (Candidates.pairs ?window:st.window ?hist:st.cand_hist p m))
+       let pairs = Candidates.pairs ?window:st.window ?hist:st.cand_hist p m in
+       if st.closed_form then step_closed st hs pairs
+       else step_message st hs pairs)
     st.hs p.msgs
 
 let weaken st (p : Period.t) hs =
@@ -428,6 +451,7 @@ let resume_payload ?obs data =
         policy;
         window;
         bound;
+        closed_form = bound = 1;
         violations = Violations.of_matrix vm;
         scratch = Workset.create ~bound;
         hs;

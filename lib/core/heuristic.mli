@@ -61,8 +61,13 @@ type state
 
 val init :
   ?policy:merge_policy -> ?window:int -> ?obs:Rt_obs.Registry.t ->
-  bound:int -> ntasks:int -> unit -> state
-(** Fresh state over [ntasks] tasks, holding only [{d⊥}]. *)
+  ?closed_form:bool -> bound:int -> ntasks:int -> unit -> state
+(** Fresh state over [ntasks] tasks, holding only [{d⊥}]. At bound 1 a
+    message is learned in closed form (DESIGN.md §20), with the same
+    hypotheses, counters and checkpoints as the general branching path;
+    [~closed_form:false] (default [true]) keeps the general path, the
+    oracle the closed form is tested against. A resumed state always
+    takes the closed form at bound 1. *)
 
 val feed : state -> Rt_trace.Period.t -> unit
 (** Consume one period (messages, then end-of-period post-processing). *)

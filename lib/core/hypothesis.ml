@@ -214,6 +214,46 @@ let child h ~parent ~pair ~sender:s ~receiver:r =
         bits = [||] }
   end
 
+(* Bound 1 in closed form (DESIGN.md §20): with [h] the only parent,
+   the children are [h ⊔ J({c})] for [c] in C', the pairs [h] has not
+   assumed, and the bound merges them all. One copy of [h]'s matrix
+   takes every join, weight and hash kept by the same per-cell update
+   as a merge; the assumptions are [A ∪ {c}] for a lone child and the
+   intersection [A] otherwise. *)
+let join_message h pairs =
+  force h;
+  let n = Df.size h.dep in
+  let out = ref None and admitted = ref 0 in
+  List.iter
+    (fun (s, r) ->
+       if s < 0 || s >= n || r < 0 || r >= n then
+         invalid_arg "Hypothesis.join_message: task index out of range";
+       if s = r then invalid_arg "Hypothesis.join_message: sender = receiver";
+       if not (assumed h s r) then begin
+         let h' =
+           match !out with
+           | Some h' ->
+             if !admitted = 1 then begin
+               h'.assumptions <- h.assumptions;
+               h'.a_hash <- h.a_hash
+             end;
+             h'
+           | None ->
+             let h' =
+               plain (Df.copy h.dep) ~weight:h.weight ~hash:h.hash
+                 ~a_hash:((h.a_hash + pair_mix (s, r)) land max_int)
+                 (insert_sorted (s, r) h.assumptions)
+             in
+             out := Some h';
+             h'
+         in
+         incr admitted;
+         join_byte h' ((s * n) + r) fwd_ix;
+         join_byte h' ((r * n) + s) bwd_ix
+       end)
+    pairs;
+  (!out, !admitted)
+
 let weaken_violations_count h ~violated =
   force h;
   let n = ref 0 in

@@ -71,6 +71,17 @@ val settle : t -> unit
 (** End a hypothesis's part in its message: materialize its matrix and
     drop the branching record, so it can be the next message's parent. *)
 
+val join_message : t -> (int * int) list -> t option * int
+(** Bound 1 in closed form: [join_message h pairs] is what a message
+    with candidate pairs [pairs] leaves of the set [{h}] at bound 1 —
+    {!child} by every pair, each insert followed by the forced
+    {!merge_in} — computed as [h ⊔ J(C')] on one copy of [h]'s matrix,
+    where C' are the pairs [h] has not assumed. Its assumptions are
+    [A ∪ {c}] when C' = [{c}] and [h]'s own [A] otherwise; it is [None]
+    iff C' is empty. The second component is [|C'|]. [pairs] must be
+    distinct; every pair gets {!child}'s range and [sender <> receiver]
+    checks. [h] is left unchanged. *)
+
 val weaken_violations : t -> violated:bool array array -> unit
 (** End-of-period conditional-dependency test, in place: every definite
     cell [d(a,b)] such that some period seen so far executed [a] without

@@ -1,6 +1,6 @@
 (* Content-addressed store. Everything durable goes through
    Rt_util.Atomic_file; objects are immutable once written, refs are
-   small text ledgers rewritten atomically on commit. No wall clock
+   append-only text ledgers, one line per commit. No wall clock
    anywhere: created_at is injected by callers so identical inputs
    yield identical store trees. *)
 
@@ -220,13 +220,21 @@ let entry_of_line line =
     end
   | _ -> fail "shape"
 
+(* A ledger line ends with '\n'. [Atomic_file.append] is not atomic, so
+   a writer that dies mid-commit can leave an unterminated last line:
+   that generation was never committed, and readers drop it. *)
+let committed_part text =
+  match String.rindex_opt text '\n' with
+  | None -> ""
+  | Some i -> String.sub text 0 (i + 1)
+
 let load_ref t name =
   let path = ref_path t name in
   if not (Sys.file_exists path) then
     Error (Printf.sprintf "%s: no such ref" name)
   else
     let lines =
-      read_file path |> String.split_on_char '\n'
+      committed_part (read_file path) |> String.split_on_char '\n'
       |> List.filter (fun l -> String.trim l <> "")
     in
     match lines with
@@ -241,19 +249,34 @@ let load_ref t name =
       go [] rest
     | _ -> Error (Printf.sprintf "%s: foreign ref format" name)
 
-let store_ref t name entries =
-  let path = ref_path t name in
-  mkdir_p (Filename.dirname path);
-  let body =
-    ref_header :: List.map entry_to_line entries
-    |> String.concat "\n"
-  in
-  Rt_util.Atomic_file.write path (body ^ "\n")
-
 let generations t name =
   if not (ref_ok name) then Error (Printf.sprintf "%s: invalid ref name" name)
   else load_ref t name
 
+(* The ledger's last line, read backwards from the end in doubling
+   windows, so a commit costs the same at generation 800 as at 1.
+   [None] when the file does not end in a newline (a torn append). *)
+let last_line path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+  let len = in_channel_length ic in
+  let rec go w =
+    let w = min w len in
+    seek_in ic (len - w);
+    let s = really_input_string ic w in
+    if w = 0 || s.[w - 1] <> '\n' then None
+    else
+      match String.rindex_from_opt s (w - 2) '\n' with
+      | Some i -> Some (String.sub s (i + 1) (w - i - 2))
+      | None when w = len -> Some (String.sub s 0 (w - 1))
+      | None -> go (2 * w)
+  in
+  go 256
+
+(* A commit appends one line to the ledger. Creating a ref, or
+   recovering one whose last line is torn (or holds no generation),
+   rewrites it whole through [Atomic_file.write] instead: header, the
+   committed generations, the new one. Both give the same bytes. *)
 let commit t ~ref_ ~meta blob =
   if not (ref_ok ref_) then
     Error (Printf.sprintf "%s: invalid ref name" ref_)
@@ -261,19 +284,32 @@ let commit t ~ref_ ~meta blob =
     match put_blob t blob with
     | Error e -> Error e
     | Ok address ->
-      let prior =
-        if Sys.file_exists (ref_path t ref_) then load_ref t ref_
-        else Ok []
+      let path = ref_path t ref_ in
+      let entry gen = { gen; address; meta } in
+      let rewrite entries =
+        let e =
+          entry (1 + List.fold_left (fun a e -> max a e.gen) 0 entries)
+        in
+        mkdir_p (Filename.dirname path);
+        Rt_util.Atomic_file.write path
+          (String.concat "\n"
+             (ref_header :: List.map entry_to_line (entries @ [ e ]))
+           ^ "\n");
+        Ok e
       in
-      (match prior with
-       | Error e -> Error e
-       | Ok entries ->
-         let gen =
-           1 + List.fold_left (fun a e -> max a e.gen) 0 entries
-         in
-         let entry = { gen; address; meta } in
-         store_ref t ref_ (entries @ [ entry ]);
-         Ok entry)
+      let append gen =
+        let e = entry gen in
+        Rt_util.Atomic_file.append path (entry_to_line e ^ "\n");
+        Ok e
+      in
+      if not (Sys.file_exists path) then rewrite []
+      else
+        match last_line path with
+        | Some l when l <> ref_header && String.trim l <> "" -> (
+            match entry_of_line l with
+            | Ok last -> append (last.gen + 1)
+            | Error m -> Error (Printf.sprintf "%s: %s" ref_ m))
+        | Some _ | None -> Result.bind (load_ref t ref_) rewrite
 
 let resolve t spec =
   let name, sel =
@@ -329,19 +365,24 @@ let delete_ref t name =
       Ok ()
     end
 
+(* A ref that does not load names blobs nobody can list, so gc refuses
+   before deleting anything rather than collect what it may hold. *)
 let gc t =
   let live = Hashtbl.create 64 in
-  let collect name =
-    match load_ref t name with
-    | Error _ -> ()
-    | Ok entries ->
-      List.iter
-        (fun e ->
-           Hashtbl.replace live e.address ();
-           List.iter (fun p -> Hashtbl.replace live p ()) e.meta.parents)
-        entries
+  let rec collect = function
+    | [] -> Ok ()
+    | name :: rest -> (
+        match load_ref t name with
+        | Error m -> Error (Printf.sprintf "%s; gc deleted nothing" m)
+        | Ok entries ->
+          List.iter
+            (fun e ->
+               Hashtbl.replace live e.address ();
+               List.iter (fun p -> Hashtbl.replace live p ()) e.meta.parents)
+            entries;
+          collect rest)
   in
-  List.iter collect (refs t);
+  Result.bind (collect (refs t)) @@ fun () ->
   let kept = ref 0 and deleted = ref 0 in
   let odir = objects_dir t in
   if Sys.file_exists odir && Sys.is_directory odir then

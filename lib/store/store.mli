@@ -15,8 +15,10 @@
     v}
 
     Blobs are immutable and deduplicated: writing the same bytes twice
-    yields the same address and one file. Refs are small append-mostly
-    text files rewritten atomically; a generation records the blob
+    yields the same address and one file. Refs are append-only text
+    ledgers, one newline-terminated line per commit, with one writer
+    per ref; an unterminated last line is a commit cut short by a dying
+    writer and reads as absent. A generation records the blob
     address plus metadata (kind, bound, source stream, parent
     addresses, created-at). [created_at] is injected by the caller —
     typically periods fed — never read from a wall clock, so store
@@ -74,7 +76,10 @@ val has_blob : t -> string -> bool
 val commit :
   t -> ref_:string -> meta:meta -> string -> (entry, string) result
 (** [commit t ~ref_ ~meta blob] writes the blob and appends a new
-    generation to [ref_] (creating the ref at generation 1). *)
+    generation to [ref_] (creating the ref at generation 1). The next
+    generation number comes from the ledger's last line alone, so the
+    cost does not grow with the ref's history. A torn last line makes
+    the commit rewrite the ledger whole instead, without the fragment. *)
 
 val generations : t -> string -> (entry list, string) result
 (** All generations of a ref, oldest first. Unknown ref is an error. *)
@@ -89,7 +94,8 @@ val delete_ref : t -> string -> (unit, string) result
 
 val gc : t -> (int * int, string) result
 (** Delete blobs referenced by no generation of any ref. Returns
-    [(kept, deleted)]. *)
+    [(kept, deleted)]. [Error], naming the ref, when any ref fails to
+    load: then nothing is deleted. *)
 
 val split_address : string -> (string * string) option
 (** [split_address "DIR//ref@N"] is [Some ("DIR", "ref@N")]; [None]

@@ -3,19 +3,78 @@
    stage/commit split exists so tests can stop a writer inside the
    crash window and observe that the destination is untouched. *)
 
+module Fault = struct
+  type kind = Fail | Prefix of int
+
+  (* [armed] holds the operation number (1-based, counted from the
+     arming) and the fault to act out there; [tripped] latches once it
+     fired. Atomics, not refs: writers may run on pool domains. *)
+  let armed : (int * kind) option Atomic.t = Atomic.make None
+  let seen = Atomic.make 0
+  let tripped_ = Atomic.make false
+
+  let disarm () =
+    Atomic.set armed None;
+    Atomic.set seen 0;
+    Atomic.set tripped_ false
+
+  let arm ~at kind =
+    if at < 1 then invalid_arg "Atomic_file.Fault.arm: at must be >= 1";
+    disarm ();
+    Atomic.set armed (Some (at, kind))
+
+  let ops () = Atomic.get seen
+  let tripped () = Atomic.get tripped_
+
+  let dead path = raise (Sys_error (path ^ ": injected fault"))
+
+  (* Once per write or append, before any byte moves: [None] lets it
+     through, [Some kind] is the fault to act out. After the fault every
+     operation fails untouched, as nothing outlives a dead process. *)
+  let check path =
+    if Atomic.get tripped_ then dead path;
+    match Atomic.get armed with
+    | None -> None
+    | Some (at, kind) ->
+      if 1 + Atomic.fetch_and_add seen 1 <> at then None
+      else begin
+        Atomic.set tripped_ true;
+        Some kind
+      end
+end
+
+let output_file flags path content =
+  let oc = open_out_gen flags 0o666 path in
+  try
+    output_string oc content;
+    close_out oc
+  with e ->
+    close_out_noerr oc;
+    raise e
+
+let create = [ Open_wronly; Open_creat; Open_trunc; Open_binary ]
+let append_only = [ Open_wronly; Open_append; Open_binary ]
+
+(* Act out an armed fault: [Fail] leaves nothing, [Prefix k] the first
+   [k] bytes, written with [flags] to [path]; then the process "dies". *)
+let fault flags path content = function
+  | Fault.Fail -> Fault.dead path
+  | Fault.Prefix k ->
+    let k = max 0 (min k (String.length content)) in
+    output_file flags path (String.sub content 0 k);
+    Fault.dead path
+
 let stage path content =
   let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc content;
-     close_out oc
+  Option.iter (fault create tmp content) (Fault.check path);
+  (try output_file create tmp content
    with e ->
-     close_out_noerr oc;
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   tmp
 
 let commit ~tmp path =
+  if Fault.tripped () then Fault.dead path;
   try Sys.rename tmp path
   with e ->
     (try Sys.remove tmp with Sys_error _ -> ());
@@ -24,3 +83,7 @@ let commit ~tmp path =
 let abort ~tmp = try Sys.remove tmp with Sys_error _ -> ()
 
 let write path content = commit ~tmp:(stage path content) path
+
+let append path content =
+  Option.iter (fault append_only path content) (Fault.check path);
+  output_file append_only path content

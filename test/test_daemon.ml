@@ -724,6 +724,180 @@ let test_daemon_flight_resume_sequence () =
   (* and the resumed run still renders byte-equal models *)
   check_models out seeds
 
+(* --- write faults: crash consistency at every write ------------------ *)
+
+module Fault = Rt_util.Atomic_file.Fault
+module Store = Rt_store.Store
+module Session = Rt_shard.Session
+
+(* What a death at any write may leave: every ref loads, and gc runs
+   and keeps every blob a ref names. A fault at the store's first write
+   leaves no store at all. *)
+let check_store_sound ~label dir =
+  match Store.open_ dir with
+  | Error _ -> ()
+  | Ok s ->
+    let named =
+      List.concat_map
+        (fun r ->
+           match Store.generations s r with
+           | Ok gens ->
+             List.concat_map
+               (fun e -> e.Store.address :: e.Store.meta.Store.parents)
+               gens
+           | Error m -> Alcotest.failf "%s: ref does not load: %s" label m)
+        (Store.refs s)
+    in
+    (match Store.gc s with
+     | Ok _ -> ()
+     | Error m -> Alcotest.failf "%s: gc refused: %s" label m);
+    List.iter
+      (fun a ->
+         if not (Store.has_blob s a) then
+           Alcotest.failf "%s: gc deleted named blob %s" label a)
+      named
+
+(* Run [f] with the [at]th write faulted; [None] counts the writes of a
+   run without faults. An exception out of [f] is the process dying. *)
+let faulted ?at kind f =
+  Fault.arm ~at:(Option.value at ~default:max_int) kind;
+  Fun.protect ~finally:Fault.disarm (fun () ->
+      (try ignore (f ()) with _ -> ());
+      Fault.ops ())
+
+let rm_rf path = ignore (Sys.command (Printf.sprintf "rm -rf %s" path))
+
+(* One fault per write: nothing at all, or a prefix of the bytes. *)
+let kinds n = [ Fault.Fail; Fault.Prefix (n * 37 mod 150) ]
+
+let fault_daemon_cfg ~spool ~out ~store threshold =
+  {
+    (daemon_cfg ~spool ~out ~drain_after:threshold ()) with
+    Daemon.store = Some store;
+    policy =
+      { Sup.default_policy with Sup.max_restarts = 1; backoff_base = 0.0001 };
+  }
+
+let test_daemon_write_faults () =
+  let spool = tmpdir () in
+  let seeds = [ 5; 6; 7 ] in
+  let threshold = make_spool spool seeds in
+  (* The daemon's loop reads the clock every pass, outside any stream's
+     supervision: there the process dies once a fault has fired. *)
+  let clock () =
+    if Fault.tripped () then raise Exit;
+    float_of_int (Rt_obs.Registry.now_ns ()) /. 1e9
+  in
+  let run ~out ~store () =
+    Daemon.run ~clock (fault_daemon_cfg ~spool ~out ~store threshold)
+  in
+  let store_of () = Filename.concat (tmpdir ()) "s" in
+  let writes = faulted Fault.Fail (run ~out:(tmpdir ()) ~store:(store_of ())) in
+  Alcotest.(check bool) "the drain writes" true (writes > 10);
+  for n = 1 to writes do
+    List.iter
+      (fun kind ->
+         let out = tmpdir () and store = store_of () in
+         let label =
+           Printf.sprintf "write %d/%d %s" n writes
+             (match kind with
+              | Fault.Fail -> "failed"
+              | Fault.Prefix k -> Printf.sprintf "cut at %d" k)
+         in
+         ignore (faulted ~at:n kind (run ~out ~store));
+         check_store_sound ~label store;
+         (match run ~out ~store () with
+          | Ok Daemon.Drained -> ()
+          | Ok Daemon.Stopped -> Alcotest.failf "%s: rerun stopped" label
+          | Error e -> Alcotest.failf "%s: rerun: %s" label e);
+         check_store_sound ~label store;
+         let s = Result.get_ok (Store.open_ store) in
+         List.iteri
+           (fun i seed ->
+              let id = Printf.sprintf "veh%02d" i in
+              let want = uninterrupted_model (trace_text ~periods:9 seed) in
+              Alcotest.(check string) (label ^ ": " ^ id ^ ".model") want
+                (read_file (Filename.concat out (id ^ ".model")));
+              let e = Result.get_ok (Store.resolve s ("model/" ^ id)) in
+              Alcotest.(check string) (label ^ ": model/" ^ id)
+                (Rt_store.Codec.model_wrap want)
+                (Result.get_ok (Store.read_blob s e.Store.address)))
+           seeds;
+         rm_rf out;
+         rm_rf (Filename.dirname store))
+      (kinds n)
+  done;
+  rm_rf spool
+
+(* [learn --store DIR --checkpoint DIR//ckpt/learn --every 2] at bound 4,
+   in process: checkpoints of the main engine and its bound-1 companion
+   as ref generations, then the companion and the model committed as
+   the CLI does. Returns the model text and the model blob. *)
+let learn_to_store dir text =
+  let store = Result.get_ok (Store.init dir) in
+  let checkpoint =
+    { Session.slot = Rt_store.Slot.Ref (store, "ckpt/learn"); tag = "learn";
+      source = "trace"; every = 2 }
+  in
+  let s, _ =
+    Session.create ~companion:true ~checkpoint
+      (Rt_engine.Engine.Heuristic { bound = 4 })
+      (Rt_trace.Stream_io.lines_of_string text)
+  in
+  let rec pump () =
+    match Session.next s with
+    | Ok None -> ()
+    | Ok (Some _) -> pump ()
+    | Error e -> Alcotest.failf "line %d: %s" e.line e.message
+  in
+  pump ();
+  let snap = Option.get (Session.finalize s) in
+  Session.discard s;
+  let names = Option.get (Session.names s) in
+  let model = Rt_lattice.Depfun.lub snap.Rt_engine.Engine.hypotheses in
+  let meta kind bound parents =
+    { Store.kind; bound = Some bound; source = Some "trace"; parents;
+      created_at = Session.periods_fed s }
+  in
+  let commit ref_ meta blob =
+    (Result.get_ok (Store.commit store ~ref_ ~meta blob)).Store.address
+  in
+  let parents =
+    List.map
+      (fun (summary, violations) ->
+         commit "m/b1" (meta Store.Companion 1 [])
+           (Rt_store.Codec.companion_to_blob ~names
+              ~summary:(Option.get summary) ~violations ()))
+      (Array.to_list (Session.parts s))
+  in
+  let blob = Rt_store.Codec.model_to_blob ~names model in
+  ignore (commit "m" (meta Store.Model 4 parents) blob);
+  (Rt_lattice.Depfun.to_string ~names model, blob)
+
+let test_learn_write_faults () =
+  let text = trace_text ~periods:9 13 in
+  let fresh () = Filename.concat (tmpdir ()) "s" in
+  let want = learn_to_store (fresh ()) text in
+  let writes = faulted Fault.Fail (fun () -> learn_to_store (fresh ()) text) in
+  Alcotest.(check bool) "the learn writes" true (writes > 10);
+  for n = 1 to writes do
+    List.iter
+      (fun kind ->
+         let dir = fresh () in
+         let label = Printf.sprintf "write %d/%d" n writes in
+         ignore (faulted ~at:n kind (fun () -> learn_to_store dir text));
+         check_store_sound ~label dir;
+         let got = learn_to_store dir text in
+         Alcotest.(check (pair string string)) (label ^ ": rerun") want got;
+         check_store_sound ~label dir;
+         let s = Result.get_ok (Store.open_ dir) in
+         let e = Result.get_ok (Store.resolve s "m") in
+         Alcotest.(check string) (label ^ ": m@latest") (snd want)
+           (Result.get_ok (Store.read_blob s e.Store.address));
+         rm_rf (Filename.dirname dir))
+      (kinds n)
+  done
+
 let () =
   Alcotest.run "daemon"
     [
@@ -778,5 +952,12 @@ let () =
             test_daemon_flight_sequence;
           Alcotest.test_case "resume sequence after abrupt stop" `Quick
             test_daemon_flight_resume_sequence;
+        ] );
+      ( "write faults",
+        [
+          Alcotest.test_case "store-backed drain survives a fault at every write"
+            `Quick test_daemon_write_faults;
+          Alcotest.test_case "store-backed learn survives a fault at every write"
+            `Quick test_learn_write_faults;
         ] );
     ]

@@ -134,6 +134,8 @@ let test_persist_writes () =
     "let publish tmp path = Sys.rename tmp path";
   check_rules "atomic write is the sanctioned route" []
     "let save path s = Rt_util.Atomic_file.write path s";
+  check_rules "funnel append is sanctioned too" []
+    "let log path s = Rt_util.Atomic_file.append path s";
   (* The funnel itself and the store own the raw syscalls. *)
   Alcotest.(check (list string)) "atomic_file.ml exempt" []
     (rules
@@ -237,6 +239,11 @@ let test_deep_clock_taint () =
        "let now () = Unix.gettimeofday ()\n\
         let stamp file =\n\
        \  Rt_util.Atomic_file.write file (string_of_float (now ()))") ];
+  check_deep "wall clock appended to a ledger" [ "RTL201" ]
+    [ ("lib/x/save.ml",
+       "let stamp file =\n\
+       \  let t = Unix.gettimeofday () in\n\
+       \  Rt_util.Atomic_file.append file (string_of_float t)") ];
   check_deep "clock that never reaches a sink" []
     [ ("lib/x/save.ml",
        "let t0 = Unix.gettimeofday ()\n\

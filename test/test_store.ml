@@ -171,6 +171,132 @@ let test_gc () =
   Alcotest.(check bool) "orphan gone" false
     (Store.has_blob s (Store.address_of "orphan one"))
 
+let ref_file s name =
+  Filename.concat (Filename.concat (Store.root s) "refs") (name ^ ".ref")
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let text = really_input_string ic n in
+  close_in ic;
+  text
+
+let write_file ?(flags = [ Open_wronly; Open_creat; Open_trunc; Open_binary ])
+    path text =
+  let oc = open_out_gen flags 0o644 path in
+  output_string oc text;
+  close_out oc
+
+let append_file = write_file ~flags:[ Open_wronly; Open_append; Open_binary ]
+
+(* A ledger that fails to load names blobs gc cannot list: gc must
+   refuse, naming the ref, and delete nothing. *)
+let test_gc_refuses_unloadable_ref () =
+  let s = ok_exn (Store.init (Filename.concat (tmpdir ()) "s")) in
+  let keep = ok_exn (Store.commit s ~ref_:"keep" ~meta:(meta Store.Model) "live") in
+  ignore (ok_exn (Store.put_blob s "orphan"));
+  append_file (ref_file s "keep") "gen 2 0123\n";
+  let m = err_exn (Store.gc s) in
+  Alcotest.(check bool) "error names the ref" true
+    (Astring.String.is_infix ~affix:"keep" m);
+  Alcotest.(check bool) "live blob kept" true (Store.has_blob s keep.Store.address);
+  Alcotest.(check bool) "orphan kept too" true
+    (Store.has_blob s (Store.address_of "orphan"))
+
+(* A torn last line is a commit that never happened: the ref loads
+   without it, gc runs, and the next commit cuts it off. *)
+let test_torn_tail_ignored () =
+  let s = ok_exn (Store.init (Filename.concat (tmpdir ()) "s")) in
+  let c blob = ok_exn (Store.commit s ~ref_:"keep" ~meta:(meta Store.Model) blob) in
+  let e1 = c "one" in
+  let e2 = c "two" in
+  let clean = read_file (ref_file s "keep") in
+  append_file (ref_file s "keep") "gen 3 0123";
+  Alcotest.(check int) "torn generation absent" 2
+    (List.length (ok_exn (Store.generations s "keep")));
+  Alcotest.(check int) "resolve skips it" 2
+    (ok_exn (Store.resolve s "keep")).Store.gen;
+  ignore (ok_exn (Store.put_blob s "orphan"));
+  let kept, deleted = ok_exn (Store.gc s) in
+  Alcotest.(check (pair int int)) "gc keeps both, reaps the orphan" (2, 1)
+    (kept, deleted);
+  Alcotest.(check bool) "gens intact" true
+    (Store.has_blob s e1.Store.address && Store.has_blob s e2.Store.address);
+  let e3 = c "three" in
+  Alcotest.(check int) "next commit is gen 3" 3 e3.Store.gen;
+  let text = read_file (ref_file s "keep") in
+  Alcotest.(check string) "fragment cut off" clean
+    (String.sub text 0 (String.length clean));
+  Alcotest.(check int) "three clean generations" 3
+    (List.length (ok_exn (Store.generations s "keep")))
+
+(* The ledger before commits became appends: header plus one line per
+   generation, rewritten whole. Appending must give these bytes. *)
+let old_ledger entries =
+  let line (e : Store.entry) =
+    let m = e.Store.meta in
+    Printf.sprintf "gen %d %s kind=%s created=%d%s%s%s" e.Store.gen
+      e.Store.address (Store.kind_to_string m.Store.kind) m.Store.created_at
+      (match m.Store.bound with
+       | Some b -> Printf.sprintf " bound=%d" b
+       | None -> "")
+      (match m.Store.parents with
+       | [] -> ""
+       | ps -> " parents=" ^ String.concat "," ps)
+      (match m.Store.source with Some x -> " source=" ^ x | None -> "")
+  in
+  String.concat "\n" ("rtgen-ref v1" :: List.map line entries) ^ "\n"
+
+let gen_meta : Store.meta QCheck.Gen.t =
+  let open QCheck.Gen in
+  let kind =
+    oneofl Store.[ Model; Companion; Checkpoint; Answerset; Summary ]
+  in
+  (* Some lines outgrow the commit's first 256-byte tail read. *)
+  let source =
+    string_size ~gen:(oneofl [ 'a'; 'z'; '0'; ' '; '/'; '='; '.'; '-' ])
+      (frequency [ (5, 0 -- 12); (1, 200 -- 400) ])
+  in
+  let parents =
+    list_size (0 -- 3) (map (fun i -> Store.address_of (string_of_int i)) nat)
+  in
+  map
+    (fun ((kind, bound), (source, parents, created_at)) ->
+       { Store.kind; bound; source; parents; created_at })
+    (pair (pair kind (opt (0 -- 300)))
+       (triple (opt source) parents (0 -- 100_000)))
+
+let qc_ledger =
+  Test_support.qcheck_case
+    "appended ledger = rewrite; a torn tail reads as absent" ~count:25
+    QCheck.(make Gen.(list_size (1 -- 5) (pair gen_meta (string_size (1 -- 8)))))
+    (fun commits ->
+       let s = ok_exn (Store.init (Filename.concat (tmpdir ()) "s")) in
+       let commit (m, blob) = ok_exn (Store.commit s ~ref_:"r/x" ~meta:m blob) in
+       let entries = List.map commit commits in
+       let path = ref_file s "r/x" in
+       let full = read_file path in
+       let earlier =
+         List.filteri (fun i _ -> i < List.length entries - 1) entries
+       in
+       let before = old_ledger earlier in
+       let last = List.nth commits (List.length commits - 1) in
+       (* Cut anywhere from the end of the earlier lines up to just
+          before the final newline. *)
+       let torn_ok cut =
+         write_file path (String.sub full 0 cut);
+         let loaded = ok_exn (Store.generations s "r/x") in
+         let e = commit last in
+         loaded = earlier
+         && e.Store.gen = List.length entries
+         && read_file path = full
+       in
+       full = old_ledger entries
+       && List.for_all Fun.id (List.mapi (fun i e -> e.Store.gen = i + 1) entries)
+       && List.for_all torn_ok
+            (List.init (String.length full - String.length before)
+               (fun k -> String.length before + k)))
+
 let test_split_address () =
   Alcotest.(check (option (pair string string)))
     "dir//ref@2"
@@ -428,6 +554,11 @@ let () =
           Alcotest.test_case "ref name validation" `Quick
             test_ref_name_validation;
           Alcotest.test_case "gc keeps the reachable" `Quick test_gc;
+          Alcotest.test_case "gc refuses an unloadable ref" `Quick
+            test_gc_refuses_unloadable_ref;
+          Alcotest.test_case "torn ledger tail ignored" `Quick
+            test_torn_tail_ignored;
+          qc_ledger;
           Alcotest.test_case "split_address" `Quick test_split_address;
         ] );
       ( "slot",

@@ -236,6 +236,160 @@ let qc_equivalence_wide =
        List.exists wide (Rt_trace.Trace.periods trace)
        && same_outcome (H.run ~policy ~bound trace) (R.run ~policy ~bound trace))
 
+(* --- bound 1 in closed form against the general path --- *)
+
+(* A random trace: tasks run at random times and messages fall
+   anywhere, so some messages have no candidate pair, or only pairs
+   already assumed, and the trace turns inconsistent mid-way. *)
+let random_trace seed =
+  let rs = Random.State.make [| seed |] in
+  let n = 3 + Random.State.int rs 4 in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "# rtgen-trace v1\ntasks";
+  for i = 0 to n - 1 do Printf.bprintf b " t%d" i done;
+  Buffer.add_char b '\n';
+  for period = 0 to 1 + Random.State.int rs 5 do
+    Printf.bprintf b "period %d\n" period;
+    let events = ref [] in
+    for i = 0 to n - 1 do
+      if Random.State.int rs 5 > 0 then begin
+        let at = Random.State.int rs 100 in
+        events :=
+          (at, Printf.sprintf "start t%d" i)
+          :: (at + 1 + Random.State.int rs 20, Printf.sprintf "end t%d" i)
+          :: !events
+      end
+    done;
+    for k = 0 to Random.State.int rs 4 do
+      let at = Random.State.int rs 120 in
+      events :=
+        (at, Printf.sprintf "rise 0x%x" (0x10 + k))
+        :: (at + 1 + Random.State.int rs 4, Printf.sprintf "fall 0x%x" (0x10 + k))
+        :: !events
+    done;
+    List.iter
+      (fun (at, ev) -> Printf.bprintf b "%d %s\n" (period * 1000 + at) ev)
+      (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) !events)
+  done;
+  Result.to_option
+    (Result.map fst (Rt_trace.Trace_io.of_string (Buffer.contents b)))
+
+(* The closed form's counters, message by message: with the one parent
+   alive, [branches += |C|], [created += |C'|] and
+   [merges += |C'| - 1]; a lone admitted pair joins the assumptions; an
+   empty C' leaves the set empty for good. [lone] and [multi] count the
+   messages of each kind. *)
+type expected = {
+  mutable alive : bool;
+  mutable branches : int;
+  mutable created : int;
+  mutable merges : int;
+  mutable lone : int;
+  mutable multi : int;
+}
+
+let fresh () =
+  { alive = true; branches = 0; created = 1; merges = 0; lone = 0; multi = 0 }
+
+let expect_period ?window e (p : Rt_trace.Period.t) =
+  let assumed = ref [] in
+  Array.iter
+    (fun m ->
+       if e.alive then begin
+         let c = Rt_trace.Candidates.pairs ?window p m in
+         let c' = List.filter (fun x -> not (List.mem x !assumed)) c in
+         e.branches <- e.branches + List.length c;
+         e.created <- e.created + List.length c';
+         match c' with
+         | [] -> e.alive <- false
+         | [ x ] ->
+           e.lone <- e.lone + 1;
+           assumed := x :: !assumed
+         | _ ->
+           e.multi <- e.multi + 1;
+           e.merges <- e.merges + List.length c' - 1
+       end)
+    p.msgs
+
+let qc_closed_form =
+  Test_support.qcheck_case
+    "bound 1: closed form = general path = reference, counters by message"
+    ~count:150
+    QCheck.(
+      quad (int_range 0 100_000) (int_range 0 2) (option (int_range 0 60))
+        (pair bool (int_range 0 8)))
+    (fun (seed, pol_ix, window, (simulated, cut)) ->
+       let trace =
+         if simulated then
+           Some
+             (Test_support.simulate ~periods:6 ~seed
+                (Test_support.small_design (seed mod 12)))
+         else random_trace seed
+       in
+       QCheck.assume (trace <> None);
+       let trace = Option.get trace in
+       let policy = policies.(pol_ix) in
+       let ntasks = Rt_trace.Trace.task_count trace in
+       let periods = Rt_trace.Trace.periods trace in
+       let closed = H.init ~policy ?window ~bound:1 ~ntasks () in
+       let general =
+         H.init ~policy ?window ~closed_form:false ~bound:1 ~ntasks ()
+       in
+       let e = fresh () in
+       let cut = cut mod List.length periods in
+       let ok = ref true in
+       let check b = if not b then ok := false in
+       let resumed = ref None in
+       List.iteri
+         (fun i p ->
+            if i = cut then begin
+              let ck = H.checkpoint closed in
+              check (String.equal ck (H.checkpoint general));
+              resumed := Some (fst (Result.get_ok (H.resume ck)))
+            end;
+            H.feed closed p;
+            H.feed general p;
+            Option.iter (fun st -> H.feed st p) !resumed;
+            expect_period ?window e p;
+            let c = H.counters closed and st = H.stats closed in
+            check
+              (String.equal (H.checkpoint closed) (H.checkpoint general)
+               && c.H.branches = e.branches
+               && st.H.created = e.created
+               && st.H.merges = e.merges
+               && c.H.evictions = 2 * e.merges
+               && c.H.dedup_hits = 0
+               && c.H.end_dedup = 0
+               && c.H.nonminimal = 0
+               && (H.current closed <> []) = e.alive))
+         periods;
+       let final = H.checkpoint closed in
+       Option.iter
+         (fun st -> check (String.equal (H.checkpoint st) final))
+         !resumed;
+       !ok
+       && same_outcome (H.run ~policy ?window ~bound:1 trace)
+            (R.run ~policy ?window ~bound:1 trace))
+
+(* The distribution must reach every regime the closed form has:
+   inconsistent runs, messages with several admitted pairs, and lone
+   pairs that join the assumptions. *)
+let test_closed_form_regimes () =
+  let dead = ref 0 and multi = ref 0 and lone = ref 0 in
+  for seed = 0 to 199 do
+    match random_trace seed with
+    | None -> ()
+    | Some trace ->
+      let e = fresh () in
+      List.iter (expect_period e) (Rt_trace.Trace.periods trace);
+      if not e.alive then incr dead;
+      multi := !multi + e.multi;
+      lone := !lone + e.lone
+  done;
+  Alcotest.(check bool) "inconsistent traces" true (!dead > 0);
+  Alcotest.(check bool) "several admitted pairs" true (!multi > 0);
+  Alcotest.(check bool) "lone admitted pairs" true (!lone > 0)
+
 (* --- cover merges against the eager operations --- *)
 
 (* One random message: up to 80 parents and up to 90 candidate pairs, so
@@ -373,6 +527,12 @@ let () =
           Alcotest.test_case "runs on pool domains deterministic" `Quick
             test_pool_domains_deterministic;
           qc_equivalence_wide;
+        ] );
+      ( "closed form",
+        [
+          qc_closed_form;
+          Alcotest.test_case "inconsistent, multi-pair and lone messages"
+            `Quick test_closed_form_regimes;
         ] );
       ( "cover merge",
         [

@@ -144,6 +144,7 @@ let lock_idents =
 
 let sink_idents =
   [ [ "Atomic_file"; "write" ]; [ "Atomic_file"; "stage" ];
+    [ "Atomic_file"; "append" ];
     [ "Store"; "commit" ]; [ "Store"; "put_blob" ]; [ "Slot"; "save" ];
     [ "Codec"; "model_to_blob" ]; [ "Codec"; "companion_to_blob" ];
     [ "Codec"; "answerset_to_blob" ]; [ "Codec"; "checkpoint_to_blob" ];

@@ -26,10 +26,12 @@ let mutating_idents =
     [ "Bytes"; "fill" ]; [ "Bytes"; "blit" ]; [ "String"; "set" ] ]
 
 (* RTL007: every durable file the tools publish (models, checkpoints,
-   traces, reports) must go through the atomic temp-and-rename funnel,
-   so a crash mid-write never leaves a truncated file for a reader.
-   [Rt_util.Atomic_file] and the store own the raw syscalls; direct
-   [open_out]/[Sys.rename] anywhere else is a finding. *)
+   traces, reports) must go through the persistence funnel: the atomic
+   temp-and-rename write, or the append whose torn tail the reader
+   skips (the store's ref ledgers), so a crash mid-write never leaves a
+   truncated file for a reader. [Rt_util.Atomic_file] and the store own
+   the raw syscalls; direct [open_out]/[Sys.rename] anywhere else is a
+   finding. *)
 let persist_write_idents =
   [ [ "open_out" ]; [ "open_out_bin" ]; [ "open_out_gen" ];
     [ "Sys"; "rename" ] ]
@@ -297,8 +299,9 @@ let check_expr ctx (e : Parsetree.expression) =
          && List.exists (fun p -> path_ends_with p path) persist_write_idents
       then
         emit ctx ~loc:e.pexp_loc "RTL007"
-          "direct %s on a persistence path: route whole-file writes \
-           through Rt_util.Atomic_file (or the store) so a crash never \
+          "direct %s on a persistence path: route writes through \
+           Rt_util.Atomic_file (write/stage/commit, or append for a \
+           ledger that skips a torn tail) or the store, so a crash never \
            publishes a truncated file"
           (String.concat "." path)
   | None -> ());
