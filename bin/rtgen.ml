@@ -23,11 +23,8 @@ let err msg =
    recover mode the quarantine summary goes to stderr so stdout stays
    pipeable model output. *)
 let read_trace ?(mode = `Strict) ?eps ?window ?obs ?(quiet = false) path =
-  match Rt_trace.Trace_io.load ~mode ?eps ?obs path with
+  match Rt_trace.Trace_io.load ~mode ?eps ?window ?obs path with
   | Ok (t, q) ->
-    let t, q =
-      if mode = `Recover then Rt_trace.Trace_io.semantic_filter ?window ?obs t q
-      else (t, q) in
     if mode = `Recover && not quiet then
       prerr_endline (Rt_trace.Quarantine.summary q);
     Ok (t, q)
@@ -83,7 +80,9 @@ let offset_after_lines text off k =
 let simulate_fleet ~case_study ~tasks ~local_fraction ~seed ~periods
     ~drop_rate ~jitter_spike_rate ~glitch_rate ~fleet ~dir ~trickle_lines
     ~trickle_sleep =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  match Rt_util.Atomic_file.mkdir_p dir with
+  | Error m -> err m
+  | Ok () ->
   match
     Array.init fleet (fun i ->
         let seed = seed + i in
@@ -376,7 +375,7 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
     match S.next s with
     | Error e -> Error (Printf.sprintf "%s: line %d: %s" path e.line e.message)
     | Ok None -> Ok `Done
-    | Ok (Some (S.Skipped | S.Dropped _)) -> pump fed
+    | Ok (Some S.Skipped) -> pump fed
     | Ok (Some S.Fed) ->
       (match progress with
        | Some n when S.periods_fed s mod n = 0 ->
@@ -578,19 +577,26 @@ let watch path bound window mode eps poll follow max_periods flight_out =
   in
   let run src =
     let s, _ = S.create ~mode ~eps ?window (Rt_engine.Engine.Heuristic { bound }) src in
+    (* Each period recover mode drops is noted once, in trace order,
+       before the model of any later period. *)
+    let drops = ref 0 in
+    let note_drops () =
+      List.iter
+        (fun (d : Rt_trace.Quarantine.period_drop) ->
+           incr drops;
+           Printf.eprintf "period %d dropped: %s\n%!" d.period_index d.reason)
+        (S.dropped_since s !drops)
+    in
     let rec loop last =
-      match S.next s with
+      let step = S.next s in
+      note_drops ();
+      match step with
       | Error e -> err (Printf.sprintf "%s: line %d: %s" path e.line e.message)
       | Ok None -> Ec.ok
       | Ok (Some step) ->
         let last =
           match step with
           | S.Fed -> report s last
-          | S.Dropped index ->
-            Printf.eprintf
-              "period %d dropped: message with no admissible \
-               sender/receiver\n%!" index;
-            last
           | S.Skipped -> last
         in
         (match max_periods with

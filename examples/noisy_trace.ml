@@ -99,7 +99,6 @@ let () =
        | Error e ->
          Format.printf "%.2f   unreadable: line %d: %s@." rate e.line e.message
        | Ok (t, q) ->
-         let t, q = Io.semantic_filter t q in
          let o = Rt_learn.Heuristic.run ~bound:16 t in
          (match o.hypotheses with
           | [] -> Format.printf "%.2f   inconsistent after recovery@." rate

@@ -9,10 +9,9 @@ let canonical h h' =
 
 (* Below this bound the array-plus-index machinery loses to a plain
    sorted list: the hash index, binary search and blits only pay for
-   themselves once the set is big enough, and BENCH_heuristic.json puts
-   the measured break-even at bound 64 on the reference workload.
-   Below it the list is worth keeping: forcing the array at bounds 1–32
-   cost 13–33% more CPU per learn on a GM trace (DESIGN.md §14.4). *)
+   themselves once the set is big enough. 64 is the conservative
+   break-even of the array-vs-list runs in DESIGN.md §14.4: forcing the
+   array at bounds 1–32 cost 13–33% more CPU per learn on a GM trace. *)
 let crossover_bound = 64
 
 type repr = Array_repr | List_repr

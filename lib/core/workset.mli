@@ -22,8 +22,8 @@
     §9).
 
     The array machinery only pays for itself once the set is large:
-    below {!crossover_bound} (the break-even measured in
-    BENCH_heuristic.json) {!create} silently selects the seed's sorted
+    below {!crossover_bound} (the array-vs-list break-even measured in
+    DESIGN.md §14.4) {!create} silently selects the seed's sorted
     singly-linked-list layout instead — same canonical order, same
     dedup decisions, same eviction victims, observably identical, just
     without the hash index and blits that dominate at small bounds.
@@ -45,8 +45,8 @@ type victim_policy =
   | First_last     (** ablation: merge the lightest with the heaviest *)
 
 val crossover_bound : int
-(** The measured array-vs-list break-even bound (see
-    BENCH_heuristic.json); {!create} uses the list representation
+(** The measured array-vs-list break-even bound (see DESIGN.md
+    §14.4); {!create} uses the list representation
     strictly below it. *)
 
 val create : bound:int -> t

@@ -707,13 +707,6 @@ let listen_unix path =
      raise e);
   fd
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error ((Unix.EEXIST | Unix.EISDIR), _, _) -> ()
-  end
-
 let pump_entry st now e =
   match e.stream with
   | None -> ()
@@ -791,20 +784,25 @@ let run ?clock cfg =
     (* rtlint: allow RTL201 the injected clock drives supervision and rotation timing only; checkpoint and model bytes derive from stream content (the chaos job pins byte-equality) *)
     | None -> fun () -> float_of_int (Rt_obs.Registry.now_ns ()) /. 1e9
   in
+  let mkdir what dir =
+    Result.map_error (fun m -> what ^ ": " ^ m) (Rt_util.Atomic_file.mkdir_p dir)
+  in
   match
     (match cfg.spool with
+     | Some dir when not (Sys.file_exists dir) ->
+       Error (Printf.sprintf "spool %s does not exist" dir)
      | Some dir when not (Sys.is_directory dir) ->
        Error (Printf.sprintf "spool %s is not a directory" dir)
-     | exception Sys_error m -> Error m
      | _ ->
        if cfg.spool = None && cfg.listen = None then
          Error "nothing to serve: need --spool and/or --listen"
-       else Ok ())
+       else
+         Result.bind (mkdir "out" cfg.out_dir) (fun () ->
+             Option.fold ~none:(Ok ()) ~some:(mkdir "checkpoint dir")
+               cfg.checkpoint_dir))
   with
   | Error m -> Error m
   | Ok () ->
-    mkdir_p cfg.out_dir;
-    Option.iter mkdir_p cfg.checkpoint_dir;
     (match
        match cfg.store with
        | None -> Ok None

@@ -90,10 +90,12 @@ let write_checkpoint t = Session.save t.session
 
 type status = Blocked | More | Done | Crashed of string
 
-(* Every parsed period counts as handled: fed, replay-skipped (it was
-   fed before the last checkpoint — salvage verdicts are deterministic,
-   so the skip count lines up) or dropped by salvage. The parser latches
-   end of input, so pumping a finished stream answers [Done] again. *)
+(* A period the session returns counts as handled: fed, or
+   replay-skipped (it was fed before the last checkpoint — the parser's
+   salvage verdicts are deterministic, so the skip count lines up).
+   Periods the parser drops never reach the session and cost no budget.
+   The parser latches end of input, so pumping a finished stream
+   answers [Done] again. *)
 let pump t ~budget =
   match t.crashed with
   | Some m -> (0, Crashed m)

@@ -1,6 +1,7 @@
 (** One supervised learning stream: a bounded line queue feeding a
-    recover-mode {!Rt_shard.Session} — the parser, salvage, engine and
-    periodic crash-safe checkpoints [rtgen learn] runs too.
+    recover-mode {!Rt_shard.Session} — the parser (which also
+    salvages), engine and periodic crash-safe checkpoints [rtgen learn]
+    runs too.
 
     The daemon pushes raw trace lines in with {!offer_line} and turns
     the crank with {!pump}; nothing here blocks or reads a clock. The
@@ -16,7 +17,7 @@
 
 type config = {
   bound : int;              (** heuristic bound, as [learn --bound] *)
-  window : int option;      (** salvage window, must match the learner's *)
+  window : int option;      (** candidate window of the engine and salvage *)
   eps : int option;         (** clock-skew tolerance for repair *)
   queue_capacity : int;     (** bounded ingest queue (lines) *)
   checkpoint : Rt_store.Slot.t option;
@@ -58,9 +59,11 @@ type status =
 
 val pump : t -> budget:int -> int * status
 (** Process up to [budget] periods from the queue; returns how many
-    periods were handled this call (fed or replay-skipped) and why
-    pumping stopped. After [Crashed] the stream is dead: the daemon
-    discards it and lets the supervisor schedule a rebuild. *)
+    periods were handled this call and why pumping stopped. Handled
+    means fed plus replay-skipped: a period recover mode drops is only
+    in {!quarantine}, and does not count against [budget]. After
+    [Crashed] the stream is dead: the daemon discards it and lets the
+    supervisor schedule a rebuild. *)
 
 val periods_fed : t -> int
 (** Cumulative periods the engine has eaten, including the
@@ -74,8 +77,8 @@ val rejected : t -> int
 (** Lines refused by the bounded queue so far. *)
 
 val quarantine : t -> Rt_trace.Quarantine.t
-(** Full ingestion account: parser skips/repairs plus salvage verdicts,
-    identical to what [learn --mode recover] would report. *)
+(** Full ingestion account — parser skips, repairs, excisions and
+    drops — identical to what [learn --mode recover] would report. *)
 
 val snapshot : t -> (Rt_engine.Engine.snapshot * string array option, string) result
 (** Current model plus task names (once the header was parsed);

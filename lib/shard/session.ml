@@ -4,7 +4,6 @@
 module Engine = Rt_engine.Engine
 module Slot = Rt_store.Slot
 module Sio = Rt_trace.Stream_io
-module Tio = Rt_trace.Trace_io
 
 type resume =
   | Fresh
@@ -109,11 +108,10 @@ type checkpoint = {
   every : int;
 }
 
-type step = Fed | Skipped | Dropped of int
+type step = Fed | Skipped
 
 type t = {
   parser : Sio.t;
-  recover : bool;
   obs : Rt_obs.Registry.t option;  (* ingest spans, counters, shard fold *)
   shards : int option;
   checkpoint : checkpoint option;
@@ -132,8 +130,6 @@ type t = {
   mutable buffered : int;
   busy_ns : int array;
   mutable skip : int;            (* replay-skip budget of a resume *)
-  mutable excised : (int * int) list;  (* (index, frames), reversed *)
-  mutable dropped : int list;          (* reversed *)
   mutable checkpoints : int;
 }
 
@@ -220,8 +216,7 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
   let k = Option.value shards ~default:0 in
   let t =
     {
-      parser = Sio.create ~mode ?eps source;
-      recover = mode = `Recover;
+      parser = Sio.create ~mode ?eps ?window source;
       obs; shards; checkpoint; window; algorithm;
       engine_obs = single obs;
       flight = single flight;
@@ -233,8 +228,6 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
       buffered = 0;
       busy_ns = Array.make k 0;
       skip = 0;
-      excised = [];
-      dropped = [];
       checkpoints = 0;
     }
   in
@@ -291,18 +284,6 @@ let feed t p =
     Fed
   end
 
-let handle t (p : Rt_trace.Period.t) =
-  if not t.recover then feed t p
-  else
-    match Tio.salvage_period ?window:t.window p with
-    | `Clean -> feed t p
-    | `Excised (p', n) ->
-      t.excised <- (p'.index, n) :: t.excised;
-      feed t p'
-    | `Dropped ->
-      t.dropped <- p.index :: t.dropped;
-      Dropped p.index
-
 let next t =
   let parsed =
     match t.obs with
@@ -313,11 +294,11 @@ let next t =
   match parsed with
   | Error e -> Error e
   | Ok None -> Ok None
-  | Ok (Some p) -> Ok (Some (handle t p))
+  | Ok (Some p) -> Ok (Some (feed t p))
 
-let quarantine t =
-  Tio.salvage_account (Sio.quarantine t.parser) ~excised:(List.rev t.excised)
-    ~dropped_idx:(List.rev t.dropped)
+let quarantine t = Sio.quarantine t.parser
+
+let dropped_since t n = Sio.dropped_since t.parser n
 
 let publish t =
   flush t;
@@ -332,10 +313,7 @@ let publish t =
   match t.obs with
   | None -> ()
   | Some r ->
-    if t.recover then
-      Tio.publish_salvage r q
-        ~frames_excised:(List.fold_left (fun a (_, n) -> a + n) 0 t.excised)
-    else Tio.publish_quarantine_to r q;
+    Sio.publish r t.parser;
     Option.iter
       (fun k ->
          let set = Rt_obs.Registry.set_counter r in

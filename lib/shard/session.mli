@@ -4,12 +4,11 @@
     ([Rt_daemon.Stream]).
 
     A session owns the {!Rt_trace.Stream_io} parser over a caller's line
-    source; the engine pairs, created when the first period is fed;
-    recover-mode salvage and its quarantine account (as
-    {!Rt_trace.Trace_io.semantic_filter} on a batch load); checkpoints
-    in a {!Rt_store.Slot} with tag check, fresh start on damage,
-    replay-skip of the periods they hold, and a save every N fed
-    periods; provenance, counters, and the final answer set plus the
+    source, whose recover mode also salvages periods and keeps the
+    quarantine account; the engine pairs, created when the first period
+    is fed; checkpoints in a {!Rt_store.Slot} with tag check, fresh
+    start on damage, replay-skip of the periods they hold, and a save
+    every N fed periods; provenance, counters, and the final answer set plus the
     bound-1 fold parts. Only the period under construction is in
     memory — a sharded session also holds the round it is collecting,
     at most one period per pair. An exception from the line source
@@ -75,7 +74,8 @@ val create :
   ?checkpoint:checkpoint -> Rt_engine.Engine.algorithm ->
   Rt_trace.Stream_io.line_source -> t * resume
 (** [mode] and [eps] are the parser's; [window] is the engines' and
-    salvage's. [companion] adds a bound-1 companion to the pair.
+    the parser's (for salvage). [companion] adds a bound-1 companion to
+    the pair.
     [shards] runs that many pairs with companions instead, for
     {!fold}: period [n] goes to pair [n mod shards], collected a round
     (one period per pair) at a time, and each round's pairs are fed in
@@ -88,13 +88,14 @@ val create :
     @raise Invalid_argument when [shards < 1]. *)
 
 type step =
-  | Fed            (** the period went to an engine pair (when sharded,
-                       into the round being collected) *)
-  | Skipped        (** replay-skip: the resumed checkpoint holds it *)
-  | Dropped of int (** recover-mode salvage dropped this period index *)
+  | Fed      (** the period went to an engine pair (when sharded, into
+                 the round being collected) *)
+  | Skipped  (** replay-skip: the resumed checkpoint holds it *)
 
 val next : t -> (step option, Rt_trace.Stream_io.parse_error) result
-(** Parse and handle the next period; [Ok None] at end of input.
+(** Parse and handle the next period the parser keeps; [Ok None] at end
+    of input. Periods recover mode drops never reach the session: they
+    are in {!quarantine} (see {!dropped_since}).
     @raise Rt_learn.Exact.Blowup from an exact core. *)
 
 val periods_fed : t -> int
@@ -112,8 +113,11 @@ val names : t -> string array option
 (** The task names, once the [tasks] header was parsed. *)
 
 val quarantine : t -> Rt_trace.Quarantine.t
-(** The ingestion account so far: parser skips and repairs plus salvage
-    verdicts. *)
+(** The parser's ingestion account so far
+    ({!Rt_trace.Stream_io.quarantine}). *)
+
+val dropped_since : t -> int -> Rt_trace.Quarantine.period_drop list
+(** {!Rt_trace.Stream_io.dropped_since} on the session's parser. *)
 
 val save : t -> unit
 (** Checkpoint now (no-op without a checkpoint or an engine). *)
@@ -123,10 +127,11 @@ val discard : t -> unit
 
 val publish : t -> unit
 (** Record provenance in the engines and publish their counters; with a
-    registry, also the ingest counters and, when sharded, the
-    ["shard.shards"], ["shard.periods"] and ["shard.messages"] totals
-    and a ["shard.worker_us"] histogram of each pair's summed feed time
-    (recorded by the first publish only). *)
+    registry, also the ingest counters ({!Rt_trace.Stream_io.publish})
+    and, when sharded, the ["shard.shards"], ["shard.periods"] and
+    ["shard.messages"] totals and a ["shard.worker_us"] histogram of
+    each pair's summed feed time (recorded by the first publish
+    only). *)
 
 val snapshot : t -> Rt_engine.Engine.snapshot option
 (** The (first) main engine's model so far; [None] before any period

@@ -39,16 +39,6 @@ let meta_file dir = Filename.concat dir "store.meta"
 let objects_dir t = Filename.concat t.root "objects"
 let refs_dir t = Filename.concat t.root "refs"
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755
-      with Sys_error _ when Sys.file_exists d -> ()
-    end
-  in
-  go dir
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -70,13 +60,14 @@ let init dir =
   if Sys.file_exists (meta_file dir) then open_ dir
   else if Sys.file_exists dir && not (Sys.is_directory dir) then
     Error (Printf.sprintf "%s: not a directory" dir)
-  else begin
+  else
     let t = { root = dir } in
-    mkdir_p (objects_dir t);
-    mkdir_p (refs_dir t);
-    Rt_util.Atomic_file.write (meta_file dir) marker;
-    Ok t
-  end
+    let ( let* ) = Result.bind in
+    let* () = Rt_util.Atomic_file.mkdir_p (objects_dir t) in
+    let* () = Rt_util.Atomic_file.mkdir_p (refs_dir t) in
+    match Rt_util.Atomic_file.write (meta_file dir) marker with
+    | () -> Ok t
+    | exception Sys_error m -> Error m
 
 (* ---- blobs ------------------------------------------------------- *)
 
@@ -98,11 +89,13 @@ let has_blob t addr = is_address addr && Sys.file_exists (obj_path t addr)
 let put_blob t content =
   let addr = address_of content in
   let path = obj_path t addr in
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    Rt_util.Atomic_file.write path content
-  end;
-  Ok addr
+  if Sys.file_exists path then Ok addr
+  else
+    Result.map
+      (fun () ->
+         Rt_util.Atomic_file.write path content;
+         addr)
+      (Rt_util.Atomic_file.mkdir_p (Filename.dirname path))
 
 let read_blob t addr =
   if not (is_address addr) then
@@ -290,12 +283,14 @@ let commit t ~ref_ ~meta blob =
         let e =
           entry (1 + List.fold_left (fun a e -> max a e.gen) 0 entries)
         in
-        mkdir_p (Filename.dirname path);
-        Rt_util.Atomic_file.write path
-          (String.concat "\n"
-             (ref_header :: List.map entry_to_line (entries @ [ e ]))
-           ^ "\n");
-        Ok e
+        Result.map
+          (fun () ->
+             Rt_util.Atomic_file.write path
+               (String.concat "\n"
+                  (ref_header :: List.map entry_to_line (entries @ [ e ]))
+                ^ "\n");
+             e)
+          (Rt_util.Atomic_file.mkdir_p (Filename.dirname path))
       in
       let append gen =
         let e = entry gen in

@@ -292,7 +292,7 @@ let load ?obs path =
   (match obs with
    | Some r ->
      (match res with
-      | Ok (_, q) -> Trace_io.publish_quarantine_to r q
+      | Ok (_, q) -> Quarantine.publish r q
       | Error _ -> ());
      Rt_obs.Registry.span_end r
    | None -> ());

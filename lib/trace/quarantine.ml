@@ -56,3 +56,11 @@ let to_string q =
   Buffer.contents buf
 
 let pp ppf q = Format.pp_print_string ppf (to_string q)
+
+let publish ?frames_excised r q =
+  let set = Rt_obs.Registry.set_counter r in
+  set "ingest.lines_skipped" (List.length q.skipped_lines);
+  set "ingest.periods_kept" q.kept;
+  set "ingest.periods_repaired" (List.length q.repaired);
+  set "ingest.periods_dropped" (List.length q.dropped);
+  Option.iter (set "ingest.frames_excised") frames_excised

@@ -4,8 +4,8 @@
     edges — and a production ingest path must degrade gracefully while
     telling the analyst exactly how much evidence was lost.
 
-    A report is assembled by {!Stream_io} (and so by {!Trace_io}) and
-    consumed by [rtgen learn --mode recover] / [rtgen analyze]: dropped
+    A report is assembled by {!Stream_io} (and so by {!Trace_io}) as the
+    parser closes each period, and consumed by [rtgen learn --mode recover] / [rtgen analyze]: dropped
     periods shrink the instance set, so the learned model's confidence
     degrades with the drop fraction. *)
 
@@ -58,3 +58,8 @@ val to_string : t -> string
     repair and drop. *)
 
 val pp : Format.formatter -> t -> unit
+
+val publish : ?frames_excised:int -> Rt_obs.Registry.t -> t -> unit
+(** Publish the account as ["ingest.*"] counters (overwriting), plus
+    ["ingest.frames_excised"] when given — recover-mode salvage's
+    total. *)

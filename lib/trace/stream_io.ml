@@ -204,6 +204,7 @@ type mode = [ `Strict | `Recover ]
 type t = {
   mode : mode;
   eps : int option;
+  window : int option;  (* candidate window salvage judges frames under *)
   source : line_source;
   mutable lineno : int;
   mutable task_set : Rt_task.Task_set.t option;
@@ -217,11 +218,13 @@ type t = {
   mutable skipped : Quarantine.line_issue list;
   mutable repaired : Quarantine.period_repair list;
   mutable dropped : Quarantine.period_drop list;
+  mutable ndropped : int;
+  mutable excised : int;  (* frames salvage cut, running total *)
 }
 
-let create ?(mode = `Strict) ?eps source =
+let create ?(mode = `Strict) ?eps ?window source =
   {
-    mode; eps; source;
+    mode; eps; window; source;
     lineno = 0;
     task_set = None;
     names = [||];
@@ -233,6 +236,8 @@ let create ?(mode = `Strict) ?eps source =
     skipped = [];
     repaired = [];
     dropped = [];
+    ndropped = 0;
+    excised = 0;
   }
 
 let task_set t = t.task_set
@@ -242,6 +247,19 @@ let quarantine t =
     kept = t.kept;
     repaired = List.rev t.repaired;
     dropped = List.rev t.dropped }
+
+let dropped_since t n =
+  let rec take k l acc =
+    match l with
+    | d :: rest when k > 0 -> take (k - 1) rest (d :: acc)
+    | _ -> acc
+  in
+  take (t.ndropped - n) t.dropped []
+
+let publish r t =
+  Quarantine.publish
+    ?frames_excised:(if t.mode = `Recover then Some t.excised else None)
+    r (quarantine t)
 
 exception Fail of parse_error
 
@@ -255,9 +273,66 @@ let skip_line t lineno message =
   if strict t then fail lineno message
   else t.skipped <- { Quarantine.line = lineno; message } :: t.skipped
 
+let drop t period_index reason =
+  t.dropped <- { Quarantine.period_index; reason } :: t.dropped;
+  t.ndropped <- t.ndropped + 1;
+  None
+
+(* A structurally valid period can still be semantically hopeless: a
+   message with an empty candidate set A_m collapses the learner's
+   hypothesis set to the empty set (paper §3.1). Excising just that
+   message's edges cannot invalidate the others — candidate sets depend
+   only on task times — so we cut the bad frames and re-validate, and
+   drop the period only if that fails. *)
+let salvage ?window (p : Period.t) =
+  let bad_msgs =
+    Array.to_list p.msgs
+    |> List.filter (fun m -> Candidates.pairs ?window p m = [])
+  in
+  if bad_msgs = [] then `Clean
+  else begin
+    (* Within a valid period, edges of a given bus id never overlap, so
+       (id, time) identifies each bad edge uniquely. *)
+    let is_bad (e : Event.t) =
+      match e.kind with
+      | Event.Msg_rise id ->
+        List.exists (fun (m : Period.msg) -> m.bus_id = id && m.rise = e.time)
+          bad_msgs
+      | Event.Msg_fall id ->
+        List.exists (fun (m : Period.msg) -> m.bus_id = id && m.fall = e.time)
+          bad_msgs
+      | Event.Task_start _ | Event.Task_end _ -> false
+    in
+    let events = List.filter (fun e -> not (is_bad e)) p.events in
+    match Period.make ~index:p.index ~task_set:p.task_set events with
+    | Ok p' when Candidates.unexplained ?window p' = [] ->
+      `Excised (p', List.length bad_msgs)
+    | Ok _ | Error _ -> `Dropped
+  end
+
+(* Recover mode: repair the period, then salvage it, and account for
+   both in one report entry. *)
+let recover t ~index ~task_set events =
+  match Repair.period ?eps:t.eps ~index ~task_set events with
+  | Error e -> drop t index (Period.string_of_error e)
+  | Ok (p, fixes) ->
+    let keep p fixes =
+      if fixes = [] then t.kept <- t.kept + 1
+      else
+        t.repaired <- { Quarantine.period_index = index; fixes } :: t.repaired;
+      Some p
+    in
+    let fixes = List.map Repair.string_of_fix fixes in
+    (match salvage ?window:t.window p with
+     | `Clean -> keep p fixes
+     | `Excised (p', n) ->
+       t.excised <- t.excised + n;
+       keep p' (fixes @ [ Printf.sprintf "excised %d inexplicable frame(s)" n ])
+     | `Dropped -> drop t index "message with no admissible sender/receiver")
+
 (* Close the period under construction, if any. Returns it when it
-   survives validation/repair; [None] when there was nothing to close or
-   the period was quarantined. *)
+   survives validation (strict) or repair and salvage (recover); [None]
+   when there was nothing to close or the period was quarantined. *)
 let flush_period t lineno : Period.t option =
   match t.cur_index with
   | None -> None
@@ -270,15 +345,10 @@ let flush_period t lineno : Period.t option =
     (match t.task_set with
      | None ->
        if strict t then fail lineno "period before tasks line"
-       else begin
-         t.dropped <-
-           { Quarantine.period_index = index; reason = "before tasks line" }
-           :: t.dropped;
-         None
-       end
-     | Some ts ->
+       else drop t index "before tasks line"
+     | Some task_set ->
        if strict t then
-         (match Period.make ~index ~task_set:ts events with
+         (match Period.make ~index ~task_set events with
           | Ok p ->
             t.kept <- t.kept + 1;
             Some p
@@ -286,23 +356,7 @@ let flush_period t lineno : Period.t option =
             fail lineno
               (Printf.sprintf "invalid period %d: %s" index
                  (Period.string_of_error e)))
-       else
-         (match Repair.period ?eps:t.eps ~index ~task_set:ts events with
-          | Ok (p, []) ->
-            t.kept <- t.kept + 1;
-            Some p
-          | Ok (p, fixes) ->
-            t.repaired <-
-              { Quarantine.period_index = index;
-                fixes = List.map Repair.string_of_fix fixes }
-              :: t.repaired;
-            Some p
-          | Error e ->
-            t.dropped <-
-              { Quarantine.period_index = index;
-                reason = Period.string_of_error e }
-              :: t.dropped;
-            None))
+       else recover t ~index ~task_set events)
 
 (* Line-level parse failures signal with a local exception so recover
    mode can skip just the line. *)

@@ -89,10 +89,21 @@ type mode = [ `Strict | `Recover ]
 
 type t
 
-val create : ?mode:mode -> ?eps:int -> line_source -> t
-(** [`Strict] (default) fails on the first malformed line or period;
-    [`Recover] skips and repairs, filling the quarantine account. [eps]
-    is the clock-skew tolerance forwarded to {!Repair}. *)
+val create : ?mode:mode -> ?eps:int -> ?window:int -> line_source -> t
+(** [`Strict] (default) fails on the first malformed line or period.
+    [`Recover] skips malformed lines, repairs damaged periods with
+    {!Repair}, then salvages each one: a structurally valid period can
+    still carry a message with an empty candidate set [A_m]
+    ({!Candidates.unexplained}) — a spliced bogus frame, or a real frame
+    whose sender's events were lost — and one such message collapses
+    the learner's hypothesis set to the empty set. Salvage cuts those
+    frames' edges and re-validates (the period's repair entry gains an
+    ["excised N inexplicable frame(s)"] fix), or drops the period when
+    it stays inexplicable. Every verdict lands in the quarantine
+    account as the period closes, so the account is in trace order.
+    [eps] is the clock-skew tolerance forwarded to {!Repair}; [window]
+    the candidate window salvage judges frames under, which must match
+    the learner's. *)
 
 val next : t -> (Period.t option, parse_error) result
 (** The next period of the stream; [Ok None] at end of input. Both end
@@ -105,3 +116,12 @@ val task_set : t -> Rt_task.Task_set.t option
 
 val quarantine : t -> Quarantine.t
 (** Snapshot of the account so far; grows as the stream is consumed. *)
+
+val dropped_since : t -> int -> Quarantine.period_drop list
+(** [dropped_since t n]: the account's drops after its first [n], in
+    trace order, in time proportional to their number — a follower's
+    way to report each drop once without rebuilding the account. *)
+
+val publish : Rt_obs.Registry.t -> t -> unit
+(** {!Quarantine.publish} of the account so far, with
+    ["ingest.frames_excised"] in recover mode. *)

@@ -87,3 +87,18 @@ let write path content = commit ~tmp:(stage path content) path
 let append path content =
   Option.iter (fault append_only path content) (Fault.check path);
   output_file append_only path content
+
+(* A parent that exists but is not a directory makes [Sys.mkdir] fail
+   with ENOTDIR; a racing creator of the same directory is fine. *)
+let mkdir_p dir =
+  let rec go d =
+    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+      go (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ()
+    end
+  in
+  match go dir with
+  | exception Sys_error m -> Error m
+  | () ->
+    if (try Sys.is_directory dir with Sys_error _ -> false) then Ok ()
+    else Error (dir ^ ": not a directory")

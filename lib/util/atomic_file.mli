@@ -42,6 +42,11 @@ val append : string -> string -> unit
     ignore an unterminated last line). Raises [Sys_error] if [path]
     does not exist. *)
 
+val mkdir_p : string -> (unit, string) result
+(** [mkdir_p dir] creates [dir] and its missing parents (mode 0o755),
+    like [mkdir -p]. [Error] names the path when a component is not a
+    directory or cannot be created; an existing directory is [Ok]. *)
+
 (** Deterministic write faults, for tests that prove crash consistency
     at every write. Arming counts each {!write}/{!stage} and each
     {!append} from then on; the [at]th one fails as [kind] says, and

@@ -571,6 +571,20 @@ let test_watch_reports_drift () =
   Alcotest.(check bool) "drift noticed" true
     (contains ~needle:"drift: previously converged model invalidated" out)
 
+(* Recover mode: each period the parser drops is noted once on stderr,
+   with its reason, and the following periods are still learned. *)
+let test_watch_notes_drops () =
+  let f = tmp "watch_drops.trace" in
+  write_file f
+    "period 0\nperiod 1\ntasks a b\nperiod 2\n1 start a\n2 end a\n\
+     period 3\n1 start a\n2 end a\n3 rise 0x1\n4 fall 0x1\n5 start b\n\
+     6 end b\n";
+  let out = run (Printf.sprintf "watch %s --mode recover --bound 1" f) in
+  Alcotest.(check bool) "later periods learned" true
+    (contains ~needle:"period 3:" out);
+  Alcotest.(check string) "one notice per drop"
+    "period 0 dropped: before tasks line\n" (read_file (tmp "stderr"))
+
 let test_watch_max_periods_stdin () =
   let out =
     run (Printf.sprintf "watch - --bound 1 --max-periods 2 < %s" trace_file)
@@ -920,10 +934,45 @@ let test_serve_live_report_isolation () =
 
 let test_serve_flag_validation () =
   ignore (run ~expect_fail:true "serve");
-  ignore (run ~expect_fail:true "serve --spool /nonexistent/spool_dir");
+  let code, _ = run_code "serve --spool /nonexistent/spool_dir" in
+  Alcotest.(check int) "missing spool is an input error" 2 code;
   ignore
     (run ~expect_fail:true
        (Printf.sprintf "report --socket %s" (tmp "no_such.sock")))
+
+(* A store, checkpoint or output directory below a regular file is an
+   input error — exit 2 with an "rtgen: " message — not an internal
+   one. [args file spool] builds the command line. *)
+let test_dir_under_file args () =
+  let file = tmp "plain_file" and spool = tmp "under_file_spool" in
+  write_file file "";
+  ignore (Sys.command (Printf.sprintf "rm -rf %s && mkdir -p %s" spool spool));
+  let code, _ = run_code ~bin:("timeout 30 " ^ rtgen) (args file spool) in
+  let err = read_file (tmp "stderr") in
+  Alcotest.(check int) ("input error: " ^ err) 2 code;
+  Alcotest.(check bool) ("rtgen: message: " ^ err) true
+    (String.starts_with ~prefix:"rtgen: " err
+     && not (contains ~needle:"internal error" err))
+
+let dir_under_file_cases =
+  List.map
+    (fun (name, args) ->
+       Alcotest.test_case name `Quick (test_dir_under_file args))
+    [ ("learn --store F/sub",
+       fun f _ -> Printf.sprintf "learn -b 1 %s --store %s/sub" trace_file f);
+      ("learn --checkpoint F/sub//ck",
+       fun f _ ->
+         Printf.sprintf "learn -b 1 %s --checkpoint %s/sub//ck" trace_file f);
+      ("serve --store F/sub",
+       fun f s -> Printf.sprintf "serve --spool %s --store %s/sub" s f);
+      ("serve --out F/sub",
+       fun f s -> Printf.sprintf "serve --spool %s --out %s/sub" s f);
+      ("simulate --fleet --spool F/sub",
+       fun f _ -> Printf.sprintf "simulate --fleet 1 --spool %s/sub" f);
+      ("serve --checkpoint-dir F/ck",
+       fun f s ->
+         Printf.sprintf "serve --spool %s --out %s --checkpoint-dir %s/ck" s
+           (tmp "under_file_out") f) ]
 
 let test_inject_torn_write () =
   (* --torn-at emulates a writer dying mid-write: the output is exactly
@@ -1252,6 +1301,8 @@ let () =
           Alcotest.test_case "learn --auto trajectory" `Quick
             test_learn_auto_trajectory;
           Alcotest.test_case "watch drift" `Quick test_watch_reports_drift;
+          Alcotest.test_case "watch notes recover drops" `Quick
+            test_watch_notes_drops;
           Alcotest.test_case "watch --max-periods stdin" `Quick
             test_watch_max_periods_stdin;
           Alcotest.test_case "watch --follow growing file" `Quick
@@ -1283,7 +1334,8 @@ let () =
             test_store_merge_validation;
           Alcotest.test_case "merge after checkpoint resume" `Quick
             test_merge_after_checkpoint_resume;
-        ] );
+        ]
+        @ dir_under_file_cases );
       ( "observability",
         [
           Alcotest.test_case "learn --metrics + report" `Quick

@@ -120,6 +120,44 @@ let test_io_recover_accounts () =
     Alcotest.(check int) "repaired" 1 (List.length q.repaired);
     Alcotest.(check int) "dropped" 0 (List.length q.dropped)
 
+(* Drain a recover-mode learn session over [text]: its account, which
+   must equal a whole-trace recover load's. *)
+let session_report ~eps text =
+  let s, _ =
+    Rt_shard.Session.create ~mode:`Recover ~eps
+      (Rt_engine.Engine.Heuristic { bound = 1 })
+      (Rt_trace.Stream_io.lines_of_string text)
+  in
+  let rec drain () =
+    match Rt_shard.Session.next s with
+    | Ok (Some _) -> drain ()
+    | Ok None -> Ok (Rt_shard.Session.quarantine s)
+    | Error e -> Error e
+  in
+  drain ()
+
+(* Period 0 is structurally clean but its frame has no receiver, so
+   salvage cuts it; period 1's dangling start is repaired. The account
+   lists both in trace order, from a batch load and a session alike. *)
+let test_io_recover_report_in_trace_order () =
+  let text =
+    "# rtgen-trace v1\ntasks a b\nperiod 0\n1 start a\n2 end a\n\
+     5 rise 0x1\n6 fall 0x1\nperiod 1\n1 start a\n"
+  in
+  let check what = function
+    | Error (e : Io.parse_error) -> Alcotest.failf "%s: %s" what e.message
+    | Ok (q : Q.t) ->
+      Alcotest.(check (list int)) (what ^ ": repaired in trace order")
+        [ 0; 1 ]
+        (List.map (fun (r : Q.period_repair) -> r.period_index) q.repaired);
+      Alcotest.(check (list string)) (what ^ ": period 0's fix")
+        [ "excised 1 inexplicable frame(s)" ]
+        (List.hd q.repaired).fixes;
+      Alcotest.(check int) (what ^ ": kept") 0 q.kept
+  in
+  check "load" (Result.map snd (Io.of_string ~mode:`Recover text));
+  check "session" (session_report ~eps:0 text)
+
 let test_io_missing_tasks_fatal_in_both_modes () =
   List.iter (fun mode ->
       match Io.of_string ~mode "period 0\n1 start a\n" with
@@ -186,7 +224,7 @@ let prop_recover_survives_each_kind =
        let spec = { C.kinds = [ kind ]; rate; eps = 40; seed } in
        let text = C.to_string (C.apply spec trace) in
        match Io.of_string ~mode:`Recover ~eps:80 text with
-       | Ok _ -> true
+       | Ok (_, q) -> session_report ~eps:80 text = Ok q
        | Error _ -> false)
 
 let prop_recover_survives_all_kinds =
@@ -198,7 +236,7 @@ let prop_recover_survives_all_kinds =
        let spec = { C.default with rate; seed } in
        let text = C.to_string (C.apply spec trace) in
        match Io.of_string ~mode:`Recover ~eps:80 text with
-       | Ok (_, q) -> Q.periods_seen q + List.length [] >= 0
+       | Ok (_, q) -> session_report ~eps:80 text = Ok q
        | Error _ -> false)
 
 (* --- Checkpoint / resume --- *)
@@ -397,6 +435,8 @@ let () =
             test_io_strict_still_rejects;
           Alcotest.test_case "recover accounts for damage" `Quick
             test_io_recover_accounts;
+          Alcotest.test_case "recover report in trace order" `Quick
+            test_io_recover_report_in_trace_order;
           Alcotest.test_case "missing tasks fatal in both modes" `Quick
             test_io_missing_tasks_fatal_in_both_modes;
           Alcotest.test_case "quarantine confidence" `Quick
