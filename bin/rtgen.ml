@@ -249,10 +249,9 @@ let output_model ~names ~dot ~output lub =
    the full answer set under REF/answers, and the model itself under
    REF with the companion addresses as parents — so `store gc` keeps
    the interchange alive exactly as long as the model is referenced. *)
-let store_commit ~store ~ref_ ~names ~bound ~source ~created_at ?answers
+let store_commit s ~ref_ ~names ~bound ~source ~created_at ?answers
     ~(parts : (Rt_lattice.Depfun.t option * bool array array) array) model =
   let ( let* ) = Result.bind in
-  let* s = Store.init store in
   let meta kind ~bound ~parents =
     { Store.kind; bound = Some bound; source = Some source; parents;
       created_at }
@@ -296,10 +295,11 @@ let store_commit ~store ~ref_ ~names ~bound ~source ~created_at ?answers
 
 (* Print (or save, or dot) the result, then commit it to the store:
    stdout and -o carry the model either way, and a store failure
-   surfaces as an input error without un-printing anything. A single
-   engine's result is its answer set; a sharded one is the folded model,
-   byte-identical for every shard count (per-shard accounting goes to
-   stderr). *)
+   surfaces as an input error without un-printing anything ([learn]
+   opened the store before learning, so only the commit can fail). A
+   single engine's result is its answer set; a sharded one is the
+   folded model, byte-identical for every shard count (per-shard
+   accounting goes to stderr). *)
 let finish_learn ~store ~store_ref ~bound ~source ~dot ~output ~names
     ~created_at ~parts ~answers result =
   let header, model =
@@ -317,9 +317,9 @@ let finish_learn ~store ~store_ref ~bound ~source ~dot ~output ~names
     let code = output_model ~names ~dot ~output model in
     match
       Option.map
-        (fun dir ->
-           store_commit ~store:dir ~ref_:store_ref ~names ~bound ~source
-             ~created_at ?answers ~parts model)
+        (fun s ->
+           store_commit s ~ref_:store_ref ~names ~bound ~source ~created_at
+             ?answers ~parts model)
         store
     with
     | Some (Error m) -> err ("store: " ^ m)
@@ -486,9 +486,6 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
   let write_sinks () =
     write_sinks ~profile ?folded ~metrics ~trace_events obs
   in
-  let finish =
-    finish_learn ~store ~store_ref ~bound ~source:path ~dot ~output
-  in
   let conflict =
     if stream && checkpoint <> None then
       Some "--stream cannot be combined with --checkpoint"
@@ -515,6 +512,9 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
       Some "--checkpoint needs a trace file to resume against, not stdin"
     else if stop_after <> None && checkpoint = None then
       Some "--stop-after leaves a checkpoint to resume from; add --checkpoint"
+    else if auto && checkpoint <> None then
+      Some "--auto learns in memory and writes no checkpoint; drop \
+            --checkpoint"
     else None
   in
   (match (shards, obs) with
@@ -528,7 +528,15 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     match Option.map Slot.of_string checkpoint with
     | Some (Error m) -> err m
     | ckpt ->
+    (* Open the store before learning, so a bad --store fails first. *)
+    match Option.map Store.init store with
+    | Some (Error m) -> err ("store: " ^ m)
+    | opened ->
       let ckpt = Option.map Result.get_ok ckpt in
+      let finish =
+        finish_learn ~store:(Option.map Result.get_ok opened) ~store_ref
+          ~bound ~source:path ~dot ~output
+      in
       if auto then
         learn_auto ~window ~obs ~mode ~eps ~write_sinks ~finish path
       else
@@ -1055,8 +1063,6 @@ let load_model_spec path =
             ms)
      | Some Store.Checkpoint ->
        Error (path ^ ": checkpoint blob; audit it with --checkpoint")
-     | Some Store.Summary ->
-       Error (path ^ ": rtlint summary blob; nothing to audit")
      | None -> Error (path ^ ": unrecognized blob format"))
 
 let model_check models ckpt trace_file format output strict =

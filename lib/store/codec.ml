@@ -164,5 +164,4 @@ let kind_of_blob blob =
   else if starts (companion_header ^ "\n") then Some Store.Companion
   else if starts (answerset_header ^ " ") then Some Store.Answerset
   else if starts ckpt_magic then Some Store.Checkpoint
-  else if starts "rtlint-summary v1\n" then Some Store.Summary
   else None

@@ -6,21 +6,19 @@
 
 type t = { root : string }
 
-type kind = Model | Companion | Checkpoint | Answerset | Summary
+type kind = Model | Companion | Checkpoint | Answerset
 
 let kind_to_string = function
   | Model -> "model"
   | Companion -> "companion"
   | Checkpoint -> "checkpoint"
   | Answerset -> "answerset"
-  | Summary -> "summary"
 
 let kind_of_string = function
   | "model" -> Some Model
   | "companion" -> Some Companion
   | "checkpoint" -> Some Checkpoint
   | "answerset" -> Some Answerset
-  | "summary" -> Some Summary
   | _ -> None
 
 type meta = {

@@ -30,7 +30,7 @@
 type t
 (** An opened store rooted at some directory. *)
 
-type kind = Model | Companion | Checkpoint | Answerset | Summary
+type kind = Model | Companion | Checkpoint | Answerset
 
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind option

@@ -24,14 +24,6 @@ let confidence q =
     (float_of_int q.kept +. (0.5 *. float_of_int (List.length q.repaired)))
     /. float_of_int seen
 
-let merge a b =
-  {
-    skipped_lines = a.skipped_lines @ b.skipped_lines;
-    kept = a.kept + b.kept;
-    repaired = a.repaired @ b.repaired;
-    dropped = a.dropped @ b.dropped;
-  }
-
 let summary q =
   Printf.sprintf
     "quarantine: %d kept, %d repaired, %d dropped, %d lines skipped (confidence %.2f)"

@@ -46,10 +46,6 @@ val confidence : t -> float
     periods 0. [1.0] when no period was seen at all (nothing to
     distrust). *)
 
-val merge : t -> t -> t
-(** Concatenate two reports (line issues and period lists appended,
-    counters summed). *)
-
 val summary : t -> string
 (** One line: ["quarantine: 24 kept, 2 repaired, 1 dropped, 3 lines skipped (confidence 0.87)"]. *)
 

@@ -459,7 +459,16 @@ let test_learn_stream_conflicts () =
        (Printf.sprintf "learn --stream --auto %s" trace_file));
   ignore
     (run ~expect_fail:true
-       (Printf.sprintf "learn --auto --exact %s" trace_file))
+       (Printf.sprintf "learn --auto --exact %s" trace_file));
+  (* --auto learns in memory; a checkpoint it would never write is
+     refused as misuse rather than silently ignored *)
+  let code, out =
+    run_code
+      (Printf.sprintf "learn --auto %s --checkpoint %s" trace_file
+         (tmp "auto_never.ckpt"))
+  in
+  Alcotest.(check int) "learn --auto --checkpoint: input error" 2 code;
+  Alcotest.(check string) "learn --auto --checkpoint: no model" "" out
 
 (* --- sharded learning surfaces --- *)
 
@@ -947,9 +956,11 @@ let test_dir_under_file args () =
   let file = tmp "plain_file" and spool = tmp "under_file_spool" in
   write_file file "";
   ignore (Sys.command (Printf.sprintf "rm -rf %s && mkdir -p %s" spool spool));
-  let code, _ = run_code ~bin:("timeout 30 " ^ rtgen) (args file spool) in
+  let code, out = run_code ~bin:("timeout 30 " ^ rtgen) (args file spool) in
   let err = read_file (tmp "stderr") in
   Alcotest.(check int) ("input error: " ^ err) 2 code;
+  (* the bad directory is refused before any work: nothing on stdout *)
+  Alcotest.(check string) "stdout empty" "" out;
   Alcotest.(check bool) ("rtgen: message: " ^ err) true
     (String.starts_with ~prefix:"rtgen: " err
      && not (contains ~needle:"internal error" err))

@@ -166,7 +166,6 @@ let test_parse_error () =
 (* --- deep (interprocedural) analysis: the rtlint --deep engine --- *)
 
 module Deep = Rt_lint.Deep
-module Store = Rt_store.Store
 
 (* [analyze_sources] also runs the shallow per-file rules over each
    file; the deep families all have ids >= RTL100 (and the shallow
@@ -336,7 +335,7 @@ let test_deep_stale_suppression () =
        "(* rtlint: allow RTL003 bench harness timing, not model input *)\n\
         let t0 = Unix.gettimeofday ()") ]
 
-(* --- the summary cache: warm runs reuse store blobs --- *)
+(* --- analyze_paths: the on-disk walk, one cold pass per run --- *)
 
 let tmpdir () =
   let d = Filename.temp_file "rtlint_deep" "" in
@@ -358,60 +357,21 @@ let violating_src =
   \  let t = Unix.gettimeofday () in\n\
   \  Rt_util.Atomic_file.write file (string_of_float t)\n"
 
-let render fs = F.render ~tool:"rtlint" ~format:F.Text fs
-
-let test_deep_cache () =
+let test_deep_walk () =
   let dir = tmpdir () in
   let src = Filename.concat dir "lib" in
   Unix.mkdir src 0o755;
   let file = Filename.concat src "clockly.ml" in
   write_file file violating_src;
-  let store = ok_exn (Store.init (Filename.concat dir "store")) in
-  (* cold: everything parsed, nothing cached *)
-  let r1 = ok_exn (Deep.analyze_paths ~store [ src ]) in
-  Alcotest.(check int) "cold parses" 1 r1.Deep.r_stats.Deep.st_parsed;
-  Alcotest.(check int) "cold caches nothing" 0 r1.Deep.r_stats.Deep.st_cached;
-  Alcotest.(check bool) "cold finds the clock taint" true
+  let r1 = ok_exn (Deep.analyze_paths [ src ]) in
+  Alcotest.(check int) "walk finds the file" 1 r1.Deep.r_files;
+  Alcotest.(check bool) "finds the clock taint" true
     (List.exists (fun (f : F.t) -> f.rule = "RTL201") r1.Deep.r_findings);
-  (* warm: nothing parsed, findings byte-identical *)
-  let r2 = ok_exn (Deep.analyze_paths ~store [ src ]) in
-  Alcotest.(check int) "warm parses nothing" 0 r2.Deep.r_stats.Deep.st_parsed;
-  Alcotest.(check int) "warm cache hit" 1 r2.Deep.r_stats.Deep.st_cached;
-  Alcotest.(check string) "warm findings byte-identical"
-    (render r1.Deep.r_findings) (render r2.Deep.r_findings);
-  (* edit: the content address moves, so the file re-parses and the
-     stale summary cannot resurface *)
+  (* every run reads the bytes on disk: an edit clears the finding *)
   write_file file "let answer = 42\n";
-  let r3 = ok_exn (Deep.analyze_paths ~store [ src ]) in
-  Alcotest.(check int) "edited file re-parses" 1 r3.Deep.r_stats.Deep.st_parsed;
+  let r2 = ok_exn (Deep.analyze_paths [ src ]) in
   Alcotest.(check bool) "finding gone after the edit" true
-    (not (List.exists (fun (f : F.t) -> f.rule = "RTL201") r3.Deep.r_findings))
-
-(* Decisive proof the warm path reads store blobs rather than silently
-   re-extracting: forge a summary of violating code, commit it under
-   the cache ref of an innocent file, and watch the analyzer believe
-   the store over the bytes on disk. *)
-let test_deep_cache_reads_store () =
-  let dir = tmpdir () in
-  let src = Filename.concat dir "lib" in
-  Unix.mkdir src 0o755;
-  let file = Filename.concat src "clockly.ml" in
-  let clean = "let answer = 42\n" in
-  write_file file clean;
-  let store = ok_exn (Store.init (Filename.concat dir "store")) in
-  let forged = Deep.encode (Deep.extract ~file violating_src) in
-  let meta =
-    { Store.kind = Store.Summary; bound = None; source = Some file;
-      parents = []; created_at = 0 }
-  in
-  ignore
-    (ok_exn (Store.commit store ~ref_:(Deep.cache_ref ~file clean) ~meta
-               forged));
-  let r = ok_exn (Deep.analyze_paths ~store [ src ]) in
-  Alcotest.(check int) "forged summary is a cache hit" 1
-    r.Deep.r_stats.Deep.st_cached;
-  Alcotest.(check bool) "analyzer trusts the store blob" true
-    (List.exists (fun (f : F.t) -> f.rule = "RTL201") r.Deep.r_findings)
+    (not (List.exists (fun (f : F.t) -> f.rule = "RTL201") r2.Deep.r_findings))
 
 let test_positions_and_severity () =
   match lint "let a = 1\nlet t0 = Sys.time ()" with
@@ -462,8 +422,6 @@ let () =
           Alcotest.test_case "RTL301/302 resources" `Quick test_deep_resources;
           Alcotest.test_case "RTL998 stale suppression" `Quick
             test_deep_stale_suppression;
-          Alcotest.test_case "summary cache" `Quick test_deep_cache;
-          Alcotest.test_case "cache is read, not decoration" `Quick
-            test_deep_cache_reads_store;
+          Alcotest.test_case "analyze_paths walk" `Quick test_deep_walk;
         ] );
     ]

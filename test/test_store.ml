@@ -190,18 +190,27 @@ let write_file ?(flags = [ Open_wronly; Open_creat; Open_trunc; Open_binary ])
 let append_file = write_file ~flags:[ Open_wronly; Open_append; Open_binary ]
 
 (* A ledger that fails to load names blobs gc cannot list: gc must
-   refuse, naming the ref, and delete nothing. *)
+   refuse, naming the ref, and delete nothing. A bad address and an
+   unknown kind both make a ledger unloadable. *)
 let test_gc_refuses_unloadable_ref () =
-  let s = ok_exn (Store.init (Filename.concat (tmpdir ()) "s")) in
-  let keep = ok_exn (Store.commit s ~ref_:"keep" ~meta:(meta Store.Model) "live") in
-  ignore (ok_exn (Store.put_blob s "orphan"));
-  append_file (ref_file s "keep") "gen 2 0123\n";
-  let m = err_exn (Store.gc s) in
-  Alcotest.(check bool) "error names the ref" true
-    (Astring.String.is_infix ~affix:"keep" m);
-  Alcotest.(check bool) "live blob kept" true (Store.has_blob s keep.Store.address);
-  Alcotest.(check bool) "orphan kept too" true
-    (Store.has_blob s (Store.address_of "orphan"))
+  List.iter
+    (fun bad_line ->
+       let s = ok_exn (Store.init (Filename.concat (tmpdir ()) "s")) in
+       let keep =
+         ok_exn (Store.commit s ~ref_:"keep" ~meta:(meta Store.Model) "live")
+       in
+       ignore (ok_exn (Store.put_blob s "orphan"));
+       append_file (ref_file s "keep") bad_line;
+       let m = err_exn (Store.gc s) in
+       Alcotest.(check bool) (bad_line ^ ": error names the ref") true
+         (Astring.String.is_infix ~affix:"keep" m);
+       Alcotest.(check bool) "live blob kept" true
+         (Store.has_blob s keep.Store.address);
+       Alcotest.(check bool) "orphan kept too" true
+         (Store.has_blob s (Store.address_of "orphan")))
+    [ "gen 2 0123\n";
+      Printf.sprintf "gen 2 %s kind=summary created=0\n"
+        (Store.address_of "live") ]
 
 (* A torn last line is a commit that never happened: the ref loads
    without it, gc runs, and the next commit cuts it off. *)
@@ -250,7 +259,7 @@ let old_ledger entries =
 let gen_meta : Store.meta QCheck.Gen.t =
   let open QCheck.Gen in
   let kind =
-    oneofl Store.[ Model; Companion; Checkpoint; Answerset; Summary ]
+    oneofl Store.[ Model; Companion; Checkpoint; Answerset ]
   in
   (* Some lines outgrow the commit's first 256-byte tail read. *)
   let source =
@@ -434,7 +443,10 @@ let test_kind_sniffing () =
     (Option.map Store.kind_to_string
        (Codec.kind_of_blob (Codec.checkpoint_to_blob "RTGENCKP v3 ...")));
   Alcotest.(check (option string)) "garbage" None
-    (Option.map Store.kind_to_string (Codec.kind_of_blob "what is this"))
+    (Option.map Store.kind_to_string (Codec.kind_of_blob "what is this"));
+  Alcotest.(check (option string)) "lint summary is not a store kind" None
+    (Option.map Store.kind_to_string
+       (Codec.kind_of_blob "rtlint-summary v1\nfile lib/x.ml\n"))
 
 let test_codec_rejects_foreign () =
   ignore (err_exn (Codec.model_of_blob "rtgen-companion v1\nnope"));

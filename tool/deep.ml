@@ -1,16 +1,16 @@
 (* The rtlint --deep engine: a whole-project, summary-based effect
    analyzer layered over the per-file syntactic rules in [Lint].
 
-   Phase 1 (extract, per file, cacheable): parse with compiler-libs and
-   walk the Parsetree once, producing a [summary] — per-function effect
-   records (direct nondeterminism taints, writes/reads of top-level
-   mutable candidates, resolved-by-name call edges, lock/raise/
-   loop-alloc flags, spawn sites, persistence-sink sites with one-hop
-   argument dataflow) plus the file's top-level mutable globals and the
-   purely-local RTL3xx resource findings.  Summaries are deterministic
-   text blobs ("rtlint-summary v1"), so they content-address cleanly
-   through [Rt_store] and cold/warm runs see byte-identical data: both
-   paths decode the encoded blob before linking.
+   One in-memory pass per run: extract, link, render.  Nothing is
+   cached between runs (DESIGN §18.4).
+
+   Phase 1 (extract, per file): parse with compiler-libs and walk the
+   Parsetree once, producing a [summary] — per-function effect records
+   (direct nondeterminism taints, writes/reads of top-level mutable
+   candidates, resolved-by-name call edges, lock/raise/loop-alloc
+   flags, spawn sites, persistence-sink sites with one-hop argument
+   dataflow) plus the file's top-level mutable globals and the
+   purely-local RTL3xx resource findings.
 
    Phase 2 (link, whole project): summaries are joined by dotted-name
    resolution into a call graph; effects are closed transitively and
@@ -29,9 +29,8 @@
    name does not resolve. *)
 
 module F = Rt_check.Finding
-module Store = Rt_store.Store
 
-(* {1 Summary data model} *)
+(* {1 Data model: per-file summaries} *)
 
 type site = { s_line : int; s_col : int }
 
@@ -42,13 +41,6 @@ let tkind_to_string = function
   | Order -> "order"
   | Marshal -> "marshal"
   | Poly -> "poly"
-
-let tkind_of_string = function
-  | "clock" -> Some Clock
-  | "order" -> Some Order
-  | "marshal" -> Some Marshal
-  | "poly" -> Some Poly
-  | _ -> None
 
 type taint = { t_kind : tkind; t_site : site; t_what : string }
 
@@ -72,17 +64,6 @@ type spawn = {
 }
 
 type closure_state = No_closure | Plain_closure | Atomic_closure
-
-let closure_to_string = function
-  | No_closure -> "none"
-  | Plain_closure -> "plain"
-  | Atomic_closure -> "atomic"
-
-let closure_of_string = function
-  | "none" -> Some No_closure
-  | "plain" -> Some Plain_closure
-  | "atomic" -> Some Atomic_closure
-  | _ -> None
 
 type fn = {
   fn_key : string;             (* "Session.flush.feed_pair" *)
@@ -944,304 +925,6 @@ let extract ~file text =
     sum_locals = List.rev x.x_locals;
   }
 
-(* {1 Serialization: "rtlint-summary v1"}
-
-   A deterministic line-based text codec — one record per line, child
-   records attaching to the most recent parent, free-text fields last.
-   Marshal is deliberately not used (RTL203 bans it on persisted
-   bytes, and summaries are persisted); the format is stable under
-   re-encoding, so cold and warm analyses both consume the decoded
-   form and produce byte-identical findings. *)
-
-let summary_header = "rtlint-summary v1"
-
-let severity_to_string = function
-  | F.Error -> "error"
-  | F.Warning -> "warning"
-  | F.Info -> "info"
-
-let severity_of_string = function
-  | "error" -> Some F.Error
-  | "warning" -> Some F.Warning
-  | "info" -> Some F.Info
-  | _ -> None
-
-let encode (s : summary) =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  pf "%s\n" summary_header;
-  pf "file %s\n" s.sum_file;
-  List.iter
-    (fun g ->
-      pf "g %s %d %d %s %d\n" g.g_key g.g_site.s_line g.g_site.s_col
-        g.g_kind
-        (if g.g_protected then 1 else 0);
-      List.iter
-        (fun t ->
-          pf "gt %s %d %d %s\n" (tkind_to_string t.t_kind) t.t_site.s_line
-            t.t_site.s_col t.t_what)
-        g.g_taints)
-    s.sum_globals;
-  List.iter
-    (fun f ->
-      pf "fn %s %d %d %d %d %d %s\n" f.fn_key f.fn_site.s_line
-        f.fn_site.s_col
-        (if f.fn_locks then 1 else 0)
-        (if f.fn_raises then 1 else 0)
-        (if f.fn_loop_alloc then 1 else 0)
-        (closure_to_string f.fn_closure);
-      List.iter
-        (fun t ->
-          pf "t %s %d %d %s\n" (tkind_to_string t.t_kind) t.t_site.s_line
-            t.t_site.s_col t.t_what)
-        f.fn_taints;
-      List.iter (fun (g, l) -> pf "w %d %s\n" l g) f.fn_writes;
-      List.iter (fun (g, l) -> pf "r %d %s\n" l g) f.fn_reads;
-      List.iter (fun (c, l) -> pf "c %d %s\n" l c) f.fn_calls;
-      List.iter
-        (fun sp ->
-          pf "sp %d %d %s |%s\n" sp.sp_site.s_line sp.sp_site.s_col
-            sp.sp_what
-            (String.concat ""
-               (List.map (fun e -> " " ^ e) sp.sp_entries)))
-        f.fn_spawns;
-      List.iter
-        (fun sk ->
-          pf "sk %d %d %d %s\n"
-            (if sk.sk_potential then 1 else 0)
-            sk.sk_site.s_line sk.sk_site.s_col sk.sk_name;
-          List.iter (fun (c, l) -> pf "kc %d %s\n" l c) sk.d_calls;
-          List.iter
-            (fun t ->
-              pf "kt %s %d %d %s\n" (tkind_to_string t.t_kind)
-                t.t_site.s_line t.t_site.s_col t.t_what)
-            sk.d_taints)
-        f.fn_sinks)
-    s.sum_fns;
-  List.iter
-    (fun (f : F.t) ->
-      match f.pos with
-      | Some p ->
-          pf "lf %s %s %d %d %s\n" f.rule
-            (severity_to_string f.severity)
-            p.line p.col f.message
-      | None -> ())
-    s.sum_locals;
-  Buffer.contents b
-
-(* Mutable decode accumulators, reversed at the end. *)
-type dec_fn = {
-  df_fn : fn;
-  mutable df_taints : taint list;
-  mutable df_writes : (string * int) list;
-  mutable df_reads : (string * int) list;
-  mutable df_calls : (string * int) list;
-  mutable df_spawns : spawn list;
-  mutable df_sinks : sink list;
-}
-
-let decode blob =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let lines = String.split_on_char '\n' blob in
-  match lines with
-  | hd :: rest when hd = summary_header -> (
-      let file = ref "" in
-      let globals = ref [] and fns = ref [] and locals = ref [] in
-      let cur : dec_fn option ref = ref None in
-      let cur_sink : sink option ref = ref None in
-      let err = ref None in
-      let flush_sink () =
-        match (!cur, !cur_sink) with
-        | Some d, Some sk ->
-            d.df_sinks <-
-              { sk with
-                d_calls = List.rev sk.d_calls;
-                d_taints = List.rev sk.d_taints }
-              :: d.df_sinks;
-            cur_sink := None
-        | _ -> ()
-      in
-      let flush_fn () =
-        flush_sink ();
-        match !cur with
-        | Some d ->
-            fns :=
-              { d.df_fn with
-                fn_taints = List.rev d.df_taints;
-                fn_writes = List.rev d.df_writes;
-                fn_reads = List.rev d.df_reads;
-                fn_calls = List.rev d.df_calls;
-                fn_spawns = List.rev d.df_spawns;
-                fn_sinks = List.rev d.df_sinks }
-              :: !fns;
-            cur := None
-        | None -> ()
-      in
-      let toks line = String.split_on_char ' ' line in
-      let rest_of n line =
-        (* everything after the first n space-separated fields *)
-        let rec skip i n =
-          if n = 0 then i
-          else
-            match String.index_from_opt line i ' ' with
-            | Some j -> skip (j + 1) (n - 1)
-            | None -> String.length line
-        in
-        let i = skip 0 n in
-        String.sub line i (String.length line - i)
-      in
-      let int_of tok =
-        match int_of_string_opt tok with
-        | Some n -> n
-        | None ->
-            err := Some (Printf.sprintf "bad integer %S" tok);
-            0
-      in
-      let bool_of tok = int_of tok <> 0 in
-      List.iter
-        (fun line ->
-          if !err <> None || line = "" then ()
-          else
-            match toks line with
-            | "file" :: _ -> file := rest_of 1 line
-            | "g" :: key :: l :: c :: kind :: prot :: _ ->
-                globals :=
-                  { g_key = key;
-                    g_site = { s_line = int_of l; s_col = int_of c };
-                    g_kind = kind; g_protected = bool_of prot;
-                    g_taints = [] }
-                  :: !globals
-            | "gt" :: k :: l :: c :: _ -> (
-                match (tkind_of_string k, !globals) with
-                | Some kind, g :: gs ->
-                    globals :=
-                      { g with
-                        g_taints =
-                          g.g_taints
-                          @ [ { t_kind = kind;
-                                t_site =
-                                  { s_line = int_of l; s_col = int_of c };
-                                t_what = rest_of 4 line } ] }
-                      :: gs
-                | _ -> err := Some "stray gt line")
-            | "fn" :: key :: l :: c :: lk :: rs :: la :: cl :: _ -> (
-                flush_fn ();
-                match closure_of_string cl with
-                | Some closure ->
-                    cur :=
-                      Some
-                        { df_fn =
-                            { fn_key = key;
-                              fn_site =
-                                { s_line = int_of l; s_col = int_of c };
-                              fn_locks = bool_of lk; fn_raises = bool_of rs;
-                              fn_loop_alloc = bool_of la;
-                              fn_closure = closure; fn_taints = [];
-                              fn_writes = []; fn_reads = []; fn_calls = [];
-                              fn_spawns = []; fn_sinks = [] };
-                          df_taints = []; df_writes = []; df_reads = [];
-                          df_calls = []; df_spawns = []; df_sinks = [] }
-                | None -> err := Some "bad closure flag")
-            | "t" :: k :: l :: c :: _ -> (
-                match (tkind_of_string k, !cur) with
-                | Some kind, Some d ->
-                    d.df_taints <-
-                      { t_kind = kind;
-                        t_site = { s_line = int_of l; s_col = int_of c };
-                        t_what = rest_of 4 line }
-                      :: d.df_taints
-                | _ -> err := Some "stray t line")
-            | "w" :: l :: _ -> (
-                match !cur with
-                | Some d ->
-                    d.df_writes <- (rest_of 2 line, int_of l) :: d.df_writes
-                | None -> err := Some "stray w line")
-            | "r" :: l :: _ -> (
-                match !cur with
-                | Some d ->
-                    d.df_reads <- (rest_of 2 line, int_of l) :: d.df_reads
-                | None -> err := Some "stray r line")
-            | "c" :: l :: _ -> (
-                match !cur with
-                | Some d ->
-                    d.df_calls <- (rest_of 2 line, int_of l) :: d.df_calls
-                | None -> err := Some "stray c line")
-            | "sp" :: l :: c :: rest -> (
-                match !cur with
-                | Some d ->
-                    let what, entries =
-                      let rec split acc = function
-                        | "|" :: es -> (List.rev acc, es)
-                        | tok :: tl -> split (tok :: acc) tl
-                        | [] -> (List.rev acc, [])
-                      in
-                      let w, es = split [] rest in
-                      (String.concat " " w, es)
-                    in
-                    d.df_spawns <-
-                      { sp_site = { s_line = int_of l; s_col = int_of c };
-                        sp_what = what; sp_entries = entries }
-                      :: d.df_spawns
-                | None -> err := Some "stray sp line")
-            | "sk" :: pot :: l :: c :: _ -> (
-                match !cur with
-                | Some _ ->
-                    flush_sink ();
-                    cur_sink :=
-                      Some
-                        { sk_site = { s_line = int_of l; s_col = int_of c };
-                          sk_name = rest_of 4 line;
-                          sk_potential = bool_of pot; d_calls = [];
-                          d_taints = [] }
-                | None -> err := Some "stray sk line")
-            | "kc" :: l :: _ -> (
-                match !cur_sink with
-                | Some sk ->
-                    cur_sink :=
-                      Some
-                        { sk with
-                          d_calls = (rest_of 2 line, int_of l) :: sk.d_calls }
-                | None -> err := Some "stray kc line")
-            | "kt" :: k :: l :: c :: _ -> (
-                match (tkind_of_string k, !cur_sink) with
-                | Some kind, Some sk ->
-                    cur_sink :=
-                      Some
-                        { sk with
-                          d_taints =
-                            { t_kind = kind;
-                              t_site =
-                                { s_line = int_of l; s_col = int_of c };
-                              t_what = rest_of 4 line }
-                            :: sk.d_taints }
-                | _ -> err := Some "stray kt line")
-            | "lf" :: rule :: sev :: l :: c :: _ -> (
-                flush_fn ();
-                match severity_of_string sev with
-                | Some severity ->
-                    locals :=
-                      F.v
-                        ~pos:
-                          (F.at ~file:!file ~line:(int_of l)
-                             ~col:(int_of c))
-                        ~rule ~severity (rest_of 5 line)
-                      :: !locals
-                | None -> err := Some "bad severity")
-            | _ -> err := Some (Printf.sprintf "unrecognized line %S" line))
-        rest;
-      flush_fn ();
-      match !err with
-      | Some m -> fail "summary decode: %s" m
-      | None ->
-          Ok
-            {
-              sum_file = !file;
-              sum_fns = List.rev !fns;
-              sum_globals = List.rev !globals;
-              sum_locals = List.rev !locals;
-            })
-  | _ -> fail "summary decode: missing %S header" summary_header
-
 (* {1 Link phase: name resolution, effect closure, rule evaluation} *)
 
 type target = Tfn of string | Tglobal of string | Tnone
@@ -1651,11 +1334,9 @@ let link_findings summaries =
 
 (* {1 Whole-run drivers} *)
 
-type stats = { st_files : int; st_parsed : int; st_cached : int }
-
 type run = {
   r_findings : F.t list;
-  r_stats : stats;
+  r_files : int;
   r_table : string;            (* --summaries dump *)
 }
 
@@ -1743,82 +1424,20 @@ let dump_table summaries =
     summaries;
   Buffer.contents b
 
-(* Round-trip every summary through the codec so cached and fresh runs
-   analyze byte-identical data. *)
-let roundtrip s =
-  match decode (encode s) with Ok s' -> s' | Error _ -> s
+let summarize sources =
+  List.map (fun (file, text) -> extract ~file text) sources
 
-let analyze_sources sources =
-  let summaries =
-    List.map (fun (file, text) -> roundtrip (extract ~file text)) sources
-  in
-  finalize sources summaries
+let analyze_sources sources = finalize sources (summarize sources)
 
-(* {1 Store-backed summary cache}
-
-   The cache key is the content address of (format, analyzer version,
-   path, file bytes): any edit to the file — or to the analyzer —
-   changes the key, so invalidation is automatic and stale summaries
-   are simply unreferenced garbage for [store gc]. One ref per key
-   keeps lookups O(1) without a manifest. *)
-
-let cache_version = "1"
-
-let cache_ref ~file text =
-  "lint/"
-  ^ Store.address_of
-      (String.concat "\000" [ summary_header; cache_version; file; text ])
-
-let summary_cached store ~file text =
-  let ref_ = cache_ref ~file text in
-  match Store.resolve store ref_ with
-  | Error _ -> None
-  | Ok entry -> (
-      match Store.read_blob store entry.Store.address with
-      | Error _ -> None
-      | Ok blob -> (
-          match decode blob with Ok s -> Some s | Error _ -> None))
-
-let summary_commit store ~file text s =
-  let blob = encode s in
-  let meta =
-    { Store.kind = Store.Summary; bound = None; source = Some file;
-      parents = []; created_at = 0 }
-  in
-  (* a cache write failure degrades to cold analysis, never to a
-     missing finding *)
-  (match Store.commit store ~ref_:(cache_ref ~file text) ~meta blob with
-  | Ok _ | Error _ -> ());
-  roundtrip s
-
-let analyze_paths ?store paths =
+let analyze_paths paths =
   match Lint.ml_files_under paths with
   | Error e -> Error e
   | Ok files ->
       let sources = List.map (fun f -> (f, Lint.read_file f)) files in
-      let parsed = ref 0 and cached = ref 0 in
-      let summaries =
-        List.map
-          (fun (file, text) ->
-            match store with
-            | None ->
-                incr parsed;
-                roundtrip (extract ~file text)
-            | Some st -> (
-                match summary_cached st ~file text with
-                | Some s ->
-                    incr cached;
-                    s
-                | None ->
-                    incr parsed;
-                    summary_commit st ~file text (extract ~file text)))
-          sources
-      in
+      let summaries = summarize sources in
       Ok
         {
           r_findings = finalize sources summaries;
-          r_stats =
-            { st_files = List.length files; st_parsed = !parsed;
-              st_cached = !cached };
+          r_files = List.length files;
           r_table = dump_table summaries;
         }

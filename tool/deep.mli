@@ -21,24 +21,8 @@
       extraction);
     - RTL998 — allow-comments consumed by no finding.
 
-    Summaries serialize to a deterministic "rtlint-summary v1" text
-    blob and cache content-addressed through {!Rt_store.Store} (kind
-    [Summary], ref ["lint/<key>"]); both cold and warm runs analyze
-    the decoded form, so findings are byte-identical either way. *)
-
-type summary
-(** A per-file effect summary (extraction output, link input). *)
-
-val extract : file:string -> string -> summary
-(** Parse and summarize one file. Unparseable sources yield an empty
-    summary; the shallow pass owns the RTL999 report. *)
-
-val encode : summary -> string
-
-val decode : string -> (summary, string) result
-
-val summary_header : string
-(** First line of every encoded summary, ["rtlint-summary v1"]. *)
+    Every run is one in-memory pass over the sources (extract, link,
+    render); summaries are not persisted or cached between runs. *)
 
 val analyze_sources :
   (string * string) list -> Rt_check.Finding.t list
@@ -47,22 +31,12 @@ val analyze_sources :
     application over the combined findings, and RTL998 — purely in
     memory. Findings are sorted. *)
 
-type stats = { st_files : int; st_parsed : int; st_cached : int }
-
 type run = {
   r_findings : Rt_check.Finding.t list;
-  r_stats : stats;
+  r_files : int;  (** [.ml] files found, read and extracted *)
   r_table : string;  (** per-function effect table for [--summaries] *)
 }
 
-val analyze_paths :
-  ?store:Rt_store.Store.t -> string list -> (run, string) result
+val analyze_paths : string list -> (run, string) result
 (** Analyze every [.ml] under [paths] (same walk as
-    {!Lint.ml_files_under}). With [store], per-file summaries are
-    reused from / committed to the store keyed by content address;
-    editing a file (or changing the analyzer) changes the key, so
-    invalidation is automatic. *)
-
-val cache_ref : file:string -> string -> string
-(** The store ref a (file, text) pair caches under — exposed so tests
-    can prove warm runs read the cache. *)
+    {!Lint.ml_files_under}), reading and extracting each file once. *)

@@ -4,8 +4,8 @@
    which adds the whole-project effect analysis (Deep): summary
    extraction per file, call-graph propagation, and the RTL1xx race /
    RTL2xx determinism / RTL3xx resource / RTL998 stale-suppression
-   families. --cache DIR keeps per-file summaries in a content-
-   addressed Rt_store so warm re-analysis only re-parses edits.
+   families. Each --deep run is one cold in-memory pass; nothing is
+   cached between runs.
 
    Exit codes follow the shared convention (Rt_check.Exit_code):
    0 clean, 1 findings at error severity, 2 input error (missing
@@ -59,15 +59,6 @@ let deep_arg =
   in
   Arg.(value & flag & info [ "deep" ] ~doc)
 
-let cache_arg =
-  let doc =
-    "Content-addressed summary cache for $(b,--deep): an Rt_store \
-     directory (created on first use) holding one \"rtlint-summary \
-     v1\" blob per (file, content) pair, so warm runs only re-parse \
-     changed files."
-  in
-  Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR" ~doc)
-
 let summaries_arg =
   let doc =
     "With $(b,--deep): print the per-function effect table (locks, \
@@ -91,42 +82,30 @@ let run_shallow paths format output quiet =
         write_report output (F.render ~tool:"rtlint" ~format findings);
       F.exit_code findings
 
-let run_deep paths format output quiet cache summaries =
-  let store =
-    match cache with
-    | None -> Ok None
-    | Some dir -> Result.map Option.some (Rt_store.Store.init dir)
-  in
-  match store with
+let run_deep paths format output quiet summaries =
+  let t0 = Rt_obs.Registry.now_ns () in
+  match Rt_lint.Deep.analyze_paths paths with
   | Error msg ->
-      prerr_endline ("rtlint: --cache: " ^ msg);
+      prerr_endline ("rtlint: " ^ msg);
       Ec.input_error
-  | Ok store -> (
-      let t0 = Rt_obs.Registry.now_ns () in
-      match Rt_lint.Deep.analyze_paths ?store paths with
-      | Error msg ->
-          prerr_endline ("rtlint: " ^ msg);
-          Ec.input_error
-      | Ok run ->
-          let t1 = Rt_obs.Registry.now_ns () in
-          let st = run.Rt_lint.Deep.r_stats in
-          Printf.eprintf "rtlint: deep: %d files, %d parsed, %d cached, %.0f ms\n%!"
-            st.Rt_lint.Deep.st_files st.Rt_lint.Deep.st_parsed
-            st.Rt_lint.Deep.st_cached
-            (float_of_int (t1 - t0) /. 1e6);
-          if summaries then print_string run.Rt_lint.Deep.r_table;
-          if not quiet then
-            write_report output
-              (F.render ~tool:"rtlint" ~format run.Rt_lint.Deep.r_findings);
-          F.exit_code run.Rt_lint.Deep.r_findings)
+  | Ok run ->
+      let t1 = Rt_obs.Registry.now_ns () in
+      Printf.eprintf "rtlint: deep: %d files, %.0f ms\n%!"
+        run.Rt_lint.Deep.r_files
+        (float_of_int (t1 - t0) /. 1e6);
+      if summaries then print_string run.Rt_lint.Deep.r_table;
+      if not quiet then
+        write_report output
+          (F.render ~tool:"rtlint" ~format run.Rt_lint.Deep.r_findings);
+      F.exit_code run.Rt_lint.Deep.r_findings
 
-let run paths format output quiet deep cache summaries =
+let run paths format output quiet deep summaries =
   let paths =
     if paths <> [] then paths
     else if deep then [ "lib"; "bin"; "tool" ]
     else [ "lib"; "bin"; "bench" ]
   in
-  if deep then run_deep paths format output quiet cache summaries
+  if deep then run_deep paths format output quiet summaries
   else run_shallow paths format output quiet
 
 let cmd =
@@ -162,7 +141,7 @@ let cmd =
   let term =
     Term.(
       const run $ paths_arg $ format_arg $ output_arg $ quiet_arg $ deep_arg
-      $ cache_arg $ summaries_arg)
+      $ summaries_arg)
   in
   Cmd.v (Cmd.info "rtlint" ~version:"%%VERSION%%" ~doc ~man) term
 
