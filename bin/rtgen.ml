@@ -494,8 +494,6 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
             drop --stream"
     else if auto && exact then
       Some "--auto searches for a heuristic bound; drop --exact"
-    else if (match shards with Some k -> k < 1 | None -> false) then
-      Some "--shards must be >= 1"
     else if shards <> None && exact then
       Some "sharded learning runs the bounded heuristic; drop --exact"
     else if shards <> None && auto then
@@ -1598,7 +1596,7 @@ let learn_cmd =
                  algorithm only).")
   in
   let shards =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K"
+    Arg.(value & opt (some positive_int) None & info [ "shards" ] ~docv:"K"
            ~doc:"Deal the trace's periods round-robin to K private \
                  engine pairs, feeding each round of K periods in \
                  parallel with $(b,-j), and fold the per-shard results \
@@ -1770,12 +1768,12 @@ let serve_cmd =
            ~doc:"Periods between checkpoints.")
   in
   let max_streams =
-    Arg.(value & opt int 64 & info [ "max-streams" ] ~docv:"N"
+    Arg.(value & opt positive_int 64 & info [ "max-streams" ] ~docv:"N"
            ~doc:"Admission limit on concurrently live streams; beyond it, \
                  connects get $(b,BUSY) and spool files are deferred.")
   in
   let queue_capacity =
-    Arg.(value & opt int 4096 & info [ "queue-capacity" ] ~docv:"LINES"
+    Arg.(value & opt positive_int 4096 & info [ "queue-capacity" ] ~docv:"LINES"
            ~doc:"Per-stream bounded ingest queue. An overflowing socket \
                  stream is shed (the stream, never the daemon); an \
                  overflowing spool stream just stops being read ahead.")
@@ -1819,7 +1817,7 @@ let serve_cmd =
                  flight).")
   in
   let flight_capacity =
-    Arg.(value & opt int 1024 & info [ "flight-capacity" ] ~docv:"N"
+    Arg.(value & opt positive_int 1024 & info [ "flight-capacity" ] ~docv:"N"
            ~doc:"Flight-recorder ring size in events; when it wraps, the \
                  oldest events are overwritten (the dump reports how \
                  many).")

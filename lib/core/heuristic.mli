@@ -145,8 +145,8 @@ val resume :
   ?obs:Rt_obs.Registry.t -> string -> (state * string, string) result
 (** Deserialise a {!checkpoint} into a live state plus its tag.
     [obs] re-attaches a metrics registry (runtime resources are not
-    serialised). Malformed or
-    version-mismatched input yields [Error message], never an
+    serialised). Malformed or version-mismatched input, and input
+    without its integrity trailer, yields [Error message], never an
     exception. The current format is version 3 (version 1 predates the
     observability counters, version 2 the message count; both are
     refused). *)

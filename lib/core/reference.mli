@@ -4,10 +4,14 @@
     original O(b²)-per-message implementation so that
 
     - the benchmark harness can print measured old-vs-new head-to-head
-      rows, and
-    - the qcheck equivalence property ([test/test_workset.ml]) can prove
-      the rewrite changes {e nothing} about the learned hypothesis sets,
-      eviction victims included, for every merge policy.
+      rows,
+    - [test/test_workset.ml]'s qcheck properties can prove the rewrite
+      changes {e nothing} about the learned hypothesis sets, eviction
+      victims included, for every merge policy, and
+    - the equivalence property ([test/test_equivalence.ml]) can hold
+      every learn path — engine, sessions sharded or not, the daemon's
+      stream, checkpoint resume, store merge — to its answer sets and
+      bound-1 model.
 
     Not part of the supported API surface; use {!Heuristic}. *)
 
@@ -15,4 +19,4 @@ val run :
   ?policy:Heuristic.merge_policy -> ?window:int -> bound:int ->
   Rt_trace.Trace.t -> Heuristic.outcome
 (** Batch learning with the seed implementation. Same contract (and,
-    by the equivalence property, same results) as {!Heuristic.run}. *)
+    by [test_workset]'s properties, same results) as {!Heuristic.run}. *)

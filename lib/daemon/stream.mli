@@ -10,10 +10,11 @@
     end-of-input has not been declared — the parser's own state survives
     that unwind, so a period split across pushes is assembled exactly as
     if the whole file had been read at once. That is what makes the
-    recovery guarantee byte-exact: replaying a spool file through a
-    stream equals [rtgen learn --stream --mode recover] on that file.
-    After a restart the spool file is re-read from byte 0 and the
-    session replay-skips the periods its checkpoint holds. *)
+    recovery guarantee byte-exact: a stream runs the session
+    [rtgen learn --mode recover] runs, so replaying a spool file through
+    it renders that learn's model. After a restart the spool file is
+    re-read from byte 0 and the session replay-skips the periods its
+    checkpoint holds. *)
 
 type config = {
   bound : int;              (** heuristic bound, as [learn --bound] *)

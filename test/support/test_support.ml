@@ -63,5 +63,6 @@ let simulate ?(periods = 8) ?(seed = 1) design =
   Rt_sim.Simulator.run design
     { Rt_sim.Simulator.default_config with periods; seed }
 
-let qcheck_case ?(count = 100) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+let qcheck_case ?(count = 100) ?long_factor name arb law =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ?long_factor ~name arb law)

@@ -363,6 +363,7 @@ let test_out_of_range_options_refused () =
       Printf.sprintf "learn %s -b 0" trace_file;
       Printf.sprintf "analyze %s -b 0" trace_file;
       Printf.sprintf "learn %s --shards 2 -b 0" trace_file;
+      Printf.sprintf "learn %s --shards 0" trace_file;
       Printf.sprintf "gantt %s --period=-1" trace_file;
       "simulate --periods 0";
       Printf.sprintf "watch %s --max-periods 0" trace_file ];
@@ -373,13 +374,22 @@ let test_out_of_range_options_refused () =
   ignore (Sys.command (Printf.sprintf "rm -rf %s %s" spool out));
   ignore
     (run (Printf.sprintf "simulate --fleet 1 --spool %s --periods 4" spool));
-  let code, _ =
-    run_code ~bin:("timeout 30 " ^ rtgen)
-      (Printf.sprintf "serve --spool %s --out %s --checkpoint-every 0 \
-                       --drain-after-total 3" spool out)
-  in
-  Alcotest.(check int) "serve --checkpoint-every 0 refused as misuse" 124 code;
-  Alcotest.(check bool) "no stream followed" false (Sys.file_exists out)
+  List.iter
+    (fun args ->
+       let code, _ =
+         run_code ~bin:("timeout 30 " ^ rtgen)
+           (Printf.sprintf "serve --spool %s --out %s %s" spool out args)
+       in
+       (* timeout's own exit code is 124 too: a refusal also never
+          starts the daemon *)
+       Alcotest.(check int) ("serve refused as misuse: " ^ args) 124 code;
+       Alcotest.(check bool) "daemon never started" false
+         (contains ~needle:"rtgend:" (read_file (tmp "stderr")));
+       Alcotest.(check bool) "no stream followed" false (Sys.file_exists out))
+    [ "--checkpoint-every 0 --drain-after-total 3";
+      "--queue-capacity 0 --drain-after-total 3";
+      "--flight-capacity 0 --drain-after-total 3";
+      "--max-streams 0 --drain-after-total 5" ]
 
 let test_checkpoint_wrong_trace_refused () =
   let ckpt = tmp "gm_wrong.ckpt" in
@@ -423,31 +433,6 @@ let test_learn_stream_equals_batch () =
     run (Printf.sprintf "learn --stream --bound 4 - < %s" trace_file)
   in
   Alcotest.(check string) "stdin model = batch model" batch piped
-
-let test_learn_stream_recover_equals_batch () =
-  let batch =
-    run (Printf.sprintf "learn %s --mode recover --eps 60 --bound 4"
-           corrupted_file)
-  in
-  let batch_err = read_file (tmp "stderr") in
-  let streamed =
-    run (Printf.sprintf "learn --stream %s --mode recover --eps 60 --bound 4"
-           corrupted_file)
-  in
-  Alcotest.(check string) "recover stream = recover batch" batch streamed;
-  Alcotest.(check string) "identical quarantine summary" batch_err
-    (read_file (tmp "stderr"))
-
-let test_learn_stream_metrics_equal_batch () =
-  let mb = tmp "gm_metrics_batch.json" and ms = tmp "gm_metrics_stream.json" in
-  ignore (run (Printf.sprintf "learn %s --bound 4 --metrics %s" trace_file mb));
-  ignore
-    (run (Printf.sprintf "learn --stream %s --bound 4 --metrics %s" trace_file
-            ms));
-  Alcotest.(check string) "engine counters identical batch vs stream"
-    (counters_section mb) (counters_section ms);
-  Alcotest.(check bool) "engine section present" true
-    (contains ~needle:"\"engine.periods\"" (read_file ms))
 
 let test_learn_stream_conflicts () =
   ignore
@@ -500,14 +485,6 @@ let test_learn_shards_equal_across_k () =
   Alcotest.(check bool) "per-shard accounting on stderr" true
     (contains ~needle:"shard 0:" (read_file (tmp "stderr")))
 
-let test_learn_shards_stream_equals_batch () =
-  let batch = run (Printf.sprintf "learn %s --bound 4 --shards 3" trace_file) in
-  let streamed =
-    run (Printf.sprintf "learn --stream %s --bound 4 --shards 3" trace_file)
-  in
-  Alcotest.(check string) "sharded stream model = sharded batch model"
-    batch streamed
-
 let test_learn_shards_checkpoint_resume () =
   let ckpt = tmp "gm_shard.ckpt" in
   List.iter (fun i ->
@@ -552,9 +529,6 @@ let test_learn_shards_metrics () =
       "shard.worker_us" ]
 
 let test_learn_shards_conflicts () =
-  ignore
-    (run ~expect_fail:true
-       (Printf.sprintf "learn --shards 0 %s" trace_file));
   ignore
     (run ~expect_fail:true
        (Printf.sprintf "learn --shards 2 --exact %s" trace_file));
@@ -652,6 +626,8 @@ let test_learn_metrics_and_report () =
     (contains ~needle:"\"schema\": \"rtgen-metrics\"" m);
   Alcotest.(check bool) "merge counter present" true
     (contains ~needle:"\"learn.merges\"" m);
+  Alcotest.(check bool) "engine section present" true
+    (contains ~needle:"\"engine.periods\"" m);
   Alcotest.(check bool) "merges non-zero" false
     (contains ~needle:"\"learn.merges\": 0" m);
   Alcotest.(check bool) "weakenings non-zero" false
@@ -1291,18 +1267,12 @@ let () =
         [
           Alcotest.test_case "learn --stream = batch" `Quick
             test_learn_stream_equals_batch;
-          Alcotest.test_case "recover stream = batch" `Quick
-            test_learn_stream_recover_equals_batch;
-          Alcotest.test_case "stream metrics = batch" `Quick
-            test_learn_stream_metrics_equal_batch;
           Alcotest.test_case "flag conflicts" `Quick test_learn_stream_conflicts;
         ] );
       ( "sharded",
         [
           Alcotest.test_case "model byte-equal across K" `Quick
             test_learn_shards_equal_across_k;
-          Alcotest.test_case "sharded stream = sharded batch" `Quick
-            test_learn_shards_stream_equals_batch;
           Alcotest.test_case "sharded checkpoint kill-resume" `Quick
             test_learn_shards_checkpoint_resume;
           Alcotest.test_case "sharded metrics keys" `Quick

@@ -321,7 +321,9 @@ let test_resume_rejects_garbage () =
   let st = H.init ~bound:2 ~ntasks:3 () in
   let data = H.checkpoint st in
   bad (String.sub data 0 (String.length data - 1));
-  bad (data ^ "\000")
+  bad (data ^ "\000");
+  (* a valid payload cut exactly by its 32-byte integrity trailer *)
+  bad (String.sub data 0 (String.length data - 32))
 
 (* --- Vcd import/export --- *)
 
