@@ -710,7 +710,7 @@ let bench_tooling trace =
     List.concat_map (fun (p : Rt_trace.Period.t) ->
         List.map (fun (e : Rt_trace.Event.t) ->
             { e with Rt_trace.Event.time = e.time + (p.index * 20_000) })
-          p.events)
+          (Rt_trace.Period.events p))
       periods
   in
   let open Bechamel in

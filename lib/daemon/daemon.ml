@@ -487,8 +487,9 @@ let conn_eof st e c =
   match e.stream with
   | None -> ()
   | Some s ->
-    (* a final line without its newline still counts, as input_line's
-       would — byte-parity with [learn --stream] on the same bytes *)
+    (* a final line without its newline still counts, as it does for
+       the Stream_io line sources that [learn]'s Session reads, so the
+       same bytes give the same model *)
     if Buffer.length c.rbuf > 0 then begin
       ignore (offer_forcing st s (Buffer.contents c.rbuf));
       Buffer.clear c.rbuf

@@ -342,11 +342,19 @@ let parts t =
 
 let fold t =
   let parts = parts t in
-  match t.obs with
-  | None -> Shard.fold_summaries parts
-  | Some r ->
-    Rt_obs.Registry.with_span r "shard.fold" (fun () ->
-        Shard.fold_summaries parts)
+  if Array.length t.pairs = 0 then
+    (* No period fed: the LUB of no periods is the bottom model. *)
+    match Sio.task_set t.parser with
+    | Some ts -> Some (Rt_lattice.Depfun.create (Rt_task.Task_set.size ts))
+    | None -> invalid_arg "Session.fold: no tasks line read"
+  else if Array.length parts = 0 then
+    invalid_arg "Session.fold: no bound-1 engine"
+  else
+    match t.obs with
+    | None -> Shard.fold_summaries parts
+    | Some r ->
+      Rt_obs.Registry.with_span r "shard.fold" (fun () ->
+          Shard.fold_summaries parts)
 
 type shard = {
   periods : int;

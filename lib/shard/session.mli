@@ -146,7 +146,11 @@ val parts : t -> (Rt_lattice.Depfun.t option * bool array array) array
 
 val fold : t -> Rt_lattice.Depfun.t option
 (** {!Shard.fold_summaries} over {!parts}, in a ["shard.fold"] span with
-    a registry. *)
+    a registry; [None] when the trace is inconsistent. A session that
+    fed no period folds to the bottom model over its task set
+    ({!Rt_lattice.Depfun.create}), the LUB of no periods.
+    @raise Invalid_argument before the tasks line was read, or when
+    periods were fed but no pair has a bound-1 engine. *)
 
 type shard = {
   periods : int;

@@ -25,10 +25,11 @@ let anonymize ?(rebase_time = true) (t : Trace.t) =
   in
   let periods =
     List.map (fun (p : Period.t) ->
+        let events = Period.events p in
         let base =
           if rebase_time then
             List.fold_left (fun acc (e : Event.t) -> min acc e.time) max_int
-              p.events
+              events
           else 0
         in
         let base = if base = max_int then 0 else base in
@@ -41,7 +42,7 @@ let anonymize ?(rebase_time = true) (t : Trace.t) =
                 | (Event.Task_start _ | Event.Task_end _) as k -> k
               in
               { Event.time = e.time - base; kind })
-            p.events
+            events
         in
         Period.make_exn ~index:p.index ~task_set events)
       (Trace.periods t)

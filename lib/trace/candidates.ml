@@ -31,13 +31,26 @@ let pairs ?slack ?window ?hist p m =
    | None -> ());
   out
 
+(* [pairs p m <> []] without building it: some sender and some
+   receiver, not both the same single task. Only the first of each and
+   the counts are kept, so the check allocates nothing. *)
+let admissible ?(slack = 0) ?window (p : Period.t) (m : Period.msg) =
+  let slo = match window with None -> min_int | Some w -> m.rise - w in
+  let rhi = match window with None -> max_int | Some w -> m.fall + w in
+  let ns = ref 0 and s0 = ref (-1) and nr = ref 0 and r0 = ref (-1) in
+  for k = 0 to Array.length p.executed_ix - 1 do
+    let i = p.executed_ix.(k) in
+    if p.end_time.(i) <= m.rise + slack && p.end_time.(i) >= slo then begin
+      if !ns = 0 then s0 := i;
+      incr ns
+    end;
+    if p.start_time.(i) + slack >= m.fall && p.start_time.(i) <= rhi then begin
+      if !nr = 0 then r0 := i;
+      incr nr
+    end
+  done;
+  !ns > 0 && !nr > 0 && (!ns > 1 || !nr > 1 || !s0 <> !r0)
+
 let pair_count ?slack ?window p =
   Array.fold_left (fun acc m -> acc + List.length (pairs ?slack ?window p m))
     0 p.Period.msgs
-
-let unexplained ?slack ?window (p : Period.t) =
-  let bad = ref [] in
-  Array.iter (fun (m : Period.msg) ->
-      if pairs ?slack ?window p m = [] then bad := m.bus_id :: !bad)
-    p.msgs;
-  List.rev !bad

@@ -32,14 +32,14 @@ val pairs :
     their ["*.candidate_pairs"] histogram; the cost when absent is one
     branch. *)
 
+val admissible : ?slack:int -> ?window:int -> Period.t -> Period.msg -> bool
+(** [pairs p m <> []], without allocating. A message without an
+    admissible pair is a frame no task could have sent or received
+    under the model of computation. A structurally valid period
+    containing one (a spurious frame, or a real frame whose sender was
+    lost) would collapse the learner's hypothesis set to ∅; recover-mode
+    ingestion excises such frames. *)
+
 val pair_count : ?slack:int -> ?window:int -> Period.t -> int
 (** Total candidate pairs across all messages of the period — the
     branching factor the exact algorithm faces. *)
-
-val unexplained : ?slack:int -> ?window:int -> Period.t -> int list
-(** Bus ids of messages with an empty candidate set [A_m] — frames no
-    task could have sent or received under the model of computation.
-    A structurally valid period containing one (a spurious frame, or a
-    real frame whose sender was lost) would collapse the learner's
-    hypothesis set to ∅; recover-mode ingestion quarantines such periods
-    instead. *)

@@ -38,7 +38,7 @@ let raw_of_trace (t : Trace.t) =
   {
     task_set = t.task_set;
     raw_periods =
-      List.map (fun (p : Period.t) -> (p.index, p.events)) (Trace.periods t);
+      List.map (fun (p : Period.t) -> (p.index, Period.events p)) (Trace.periods t);
   }
 
 (* Corruptions are applied in [all_kinds] order, period by period, off a
@@ -51,7 +51,7 @@ let apply spec (trace : Trace.t) =
   let ntasks = Trace.task_count trace in
   let has k = List.mem k spec.kinds in
   let corrupt_period (p : Period.t) =
-    let evs = ref p.events in
+    let evs = ref (Period.events p) in
     if has Drop_edge then
       evs := List.filter (fun _ -> not (Pcg.chance rng rate)) !evs;
     if has Duplicate_edge then

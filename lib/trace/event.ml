@@ -9,14 +9,26 @@ type t = { time : int; kind : kind }
 (* At equal timestamps, order events causally: a task end may enable a
    frame; a falling edge may enable both the next frame's rising edge
    (back-to-back bus transmissions) and a task start. *)
+let rank_end = 0
+let rank_fall = 1
+let rank_rise = 2
+let rank_start = 3
+
 let kind_rank = function
-  | Task_end _ -> 0
-  | Msg_fall _ -> 1
-  | Msg_rise _ -> 2
-  | Task_start _ -> 3
+  | Task_end _ -> rank_end
+  | Msg_fall _ -> rank_fall
+  | Msg_rise _ -> rank_rise
+  | Task_start _ -> rank_start
 
 let kind_key = function
   | Task_start i | Task_end i | Msg_rise i | Msg_fall i -> i
+
+let kind_of_rank rank key =
+  if rank = rank_end then Task_end key
+  else if rank = rank_fall then Msg_fall key
+  else if rank = rank_rise then Msg_rise key
+  else if rank = rank_start then Task_start key
+  else invalid_arg "Event.kind_of_rank"
 
 let compare a b =
   let c = Int.compare a.time b.time in

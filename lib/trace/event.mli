@@ -18,6 +18,23 @@ val compare : t -> t -> int
     before starts at equal times, which matches causality: a sender's end,
     the frame, then the receiver's start). *)
 
+val rank_end : int
+val rank_fall : int
+val rank_rise : int
+val rank_start : int
+(** The equal-time order {!compare} uses, as ints: 0 end, 1 fall,
+    2 rise, 3 start. Unboxed period builders store a kind as its rank
+    and its {!kind_key}. *)
+
+val kind_rank : kind -> int
+
+val kind_key : kind -> int
+(** The task index or bus id. *)
+
+val kind_of_rank : int -> int -> kind
+(** [kind_of_rank (kind_rank k) (kind_key k) = k].
+    @raise Invalid_argument on a rank outside 0–3. *)
+
 val task : t -> int option
 (** The task index for task events, [None] for message events. *)
 

@@ -8,7 +8,7 @@ let to_svg ?(width = 800) (p : Period.t) =
   let height = top_margin + (nrows * row_height) + 8 in
   let tmin, tmax =
     List.fold_left (fun (lo, hi) (e : Event.t) -> (min lo e.time, max hi e.time))
-      (max_int, min_int) p.events
+      (max_int, min_int) (Period.events p)
   in
   let tmin, tmax = if tmin > tmax then (0, 1) else (tmin, max tmax (tmin + 1)) in
   let plot = width - label_width - 10 in

@@ -59,7 +59,7 @@ let of_trace trace =
       List.iter (fun (e : Event.t) ->
           span_lo := min !span_lo e.time;
           span_hi := max !span_hi e.time)
-        p.events)
+        (Period.events p))
     periods;
   let tasks =
     List.filter_map (fun i ->

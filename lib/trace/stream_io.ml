@@ -211,7 +211,7 @@ type t = {
   mutable names : string array;  (* the task set's names, for lookups *)
   tok : int array;  (* scratch: (lo, hi) bounds of a line's first three tokens *)
   mutable cur_index : int option;
-  mutable cur_events : Event.t list;  (* reverse line order *)
+  period : Period.Builder.t;  (* the events of period [cur_index] *)
   mutable state : [ `Running | `Done | `Failed of parse_error ];
   (* Quarantine accumulators, reverse order. *)
   mutable kept : int;
@@ -230,7 +230,7 @@ let create ?(mode = `Strict) ?eps ?window source =
     names = [||];
     tok = Array.make 6 0;
     cur_index = None;
-    cur_events = [];
+    period = Period.Builder.create ();
     state = `Running;
     kept = 0;
     skipped = [];
@@ -278,85 +278,61 @@ let drop t period_index reason =
   t.ndropped <- t.ndropped + 1;
   None
 
-(* A structurally valid period can still be semantically hopeless: a
-   message with an empty candidate set A_m collapses the learner's
-   hypothesis set to the empty set (paper §3.1). Excising just that
-   message's edges cannot invalidate the others — candidate sets depend
-   only on task times — so we cut the bad frames and re-validate, and
-   drop the period only if that fails. *)
-let salvage ?window (p : Period.t) =
-  let bad_msgs =
-    Array.to_list p.msgs
-    |> List.filter (fun m -> Candidates.pairs ?window p m = [])
+(* Recover mode: salvage the period, and account for its repair fixes
+   and its salvage in one report entry. A structurally valid period can
+   still be semantically hopeless: a message with an empty candidate set
+   A_m collapses the learner's hypothesis set to the empty set (paper
+   §3.1). Candidate sets depend only on task times, so cutting just
+   those frames leaves every other frame's set, and the period's
+   validity, as they were. *)
+let keep t ~index p fixes =
+  let admissible = Candidates.admissible ?window:t.window p in
+  let bad =
+    Array.fold_left (fun n m -> if admissible m then n else n + 1) 0 p.msgs
   in
-  if bad_msgs = [] then `Clean
-  else begin
-    (* Within a valid period, edges of a given bus id never overlap, so
-       (id, time) identifies each bad edge uniquely. *)
-    let is_bad (e : Event.t) =
-      match e.kind with
-      | Event.Msg_rise id ->
-        List.exists (fun (m : Period.msg) -> m.bus_id = id && m.rise = e.time)
-          bad_msgs
-      | Event.Msg_fall id ->
-        List.exists (fun (m : Period.msg) -> m.bus_id = id && m.fall = e.time)
-          bad_msgs
-      | Event.Task_start _ | Event.Task_end _ -> false
-    in
-    let events = List.filter (fun e -> not (is_bad e)) p.events in
-    match Period.make ~index:p.index ~task_set:p.task_set events with
-    | Ok p' when Candidates.unexplained ?window p' = [] ->
-      `Excised (p', List.length bad_msgs)
-    | Ok _ | Error _ -> `Dropped
-  end
-
-(* Recover mode: repair the period, then salvage it, and account for
-   both in one report entry. *)
-let recover t ~index ~task_set events =
-  match Repair.period ?eps:t.eps ~index ~task_set events with
-  | Error e -> drop t index (Period.string_of_error e)
-  | Ok (p, fixes) ->
-    let keep p fixes =
-      if fixes = [] then t.kept <- t.kept + 1
-      else
-        t.repaired <- { Quarantine.period_index = index; fixes } :: t.repaired;
-      Some p
-    in
-    let fixes = List.map Repair.string_of_fix fixes in
-    (match salvage ?window:t.window p with
-     | `Clean -> keep p fixes
-     | `Excised (p', n) ->
-       t.excised <- t.excised + n;
-       keep p' (fixes @ [ Printf.sprintf "excised %d inexplicable frame(s)" n ])
-     | `Dropped -> drop t index "message with no admissible sender/receiver")
+  let p, fixes =
+    if bad = 0 then (p, fixes)
+    else begin
+      t.excised <- t.excised + bad;
+      ( Period.filter_msgs admissible p,
+        fixes @ [ Printf.sprintf "excised %d inexplicable frame(s)" bad ] )
+    end
+  in
+  if fixes = [] then t.kept <- t.kept + 1
+  else t.repaired <- { Quarantine.period_index = index; fixes } :: t.repaired;
+  Some p
 
 (* Close the period under construction, if any. Returns it when it
    survives validation (strict) or repair and salvage (recover); [None]
-   when there was nothing to close or the period was quarantined. *)
+   when there was nothing to close or the period was quarantined. A
+   period that validates skips [Repair], which would return it
+   unchanged with no fixes; only a failing one becomes an event list. *)
 let flush_period t lineno : Period.t option =
   match t.cur_index with
   | None -> None
   | Some index ->
-    (* Reverse line order is fine: Period.make sorts, and events that
-       compare equal are identical. *)
-    let events = t.cur_events in
     t.cur_index <- None;
-    t.cur_events <- [];
     (match t.task_set with
      | None ->
        if strict t then fail lineno "period before tasks line"
        else drop t index "before tasks line"
      | Some task_set ->
-       if strict t then
-         (match Period.make ~index ~task_set events with
-          | Ok p ->
-            t.kept <- t.kept + 1;
-            Some p
-          | Error e ->
-            fail lineno
-              (Printf.sprintf "invalid period %d: %s" index
-                 (Period.string_of_error e)))
-       else recover t ~index ~task_set events)
+       (match Period.Builder.finish t.period ~index ~task_set with
+        | Ok p when strict t ->
+          t.kept <- t.kept + 1;
+          Some p
+        | Ok p -> keep t ~index p []
+        | Error e when strict t ->
+          fail lineno
+            (Printf.sprintf "invalid period %d: %s" index
+               (Period.string_of_error e))
+        | Error _ ->
+          (match
+             Repair.period ?eps:t.eps ~index ~task_set
+               (Period.Builder.events t.period)
+           with
+           | Ok (p, fixes) -> keep t ~index p (List.map Repair.string_of_fix fixes)
+           | Error e -> drop t index (Period.string_of_error e))))
 
 (* Line-level parse failures signal with a local exception so recover
    mode can skip just the line. *)
@@ -443,7 +419,8 @@ let tasks_line t lineno raw lo hi =
          t.names <- Rt_task.Task_set.names ts
        | exception Invalid_argument m -> skip_line t lineno m)
 
-(* A three-token line; [tok] holds its token bounds. *)
+(* A three-token line; [tok] holds its token bounds. Appends the event
+   to the period's builder, or raises [Bad_line] leaving it as it was. *)
 let event t raw =
   let tok = t.tok in
   if Option.is_none t.cur_index then
@@ -456,14 +433,18 @@ let event t raw =
       raise (Bad_line ("bad timestamp: " ^ sub raw tok.(0) tok.(1)))
   in
   let vlo = tok.(2) and vhi = tok.(3) and alo = tok.(4) and ahi = tok.(5) in
-  let kind =
-    if token_eq raw vlo vhi "start" then Event.Task_start (task t raw alo ahi)
-    else if token_eq raw vlo vhi "end" then Event.Task_end (task t raw alo ahi)
-    else if token_eq raw vlo vhi "rise" then Event.Msg_rise (msg_id raw alo ahi)
-    else if token_eq raw vlo vhi "fall" then Event.Msg_fall (msg_id raw alo ahi)
+  let rank =
+    if token_eq raw vlo vhi "start" then Event.rank_start
+    else if token_eq raw vlo vhi "end" then Event.rank_end
+    else if token_eq raw vlo vhi "rise" then Event.rank_rise
+    else if token_eq raw vlo vhi "fall" then Event.rank_fall
     else raise (Bad_line ("unknown event kind: " ^ sub raw vlo vhi))
   in
-  { Event.time; kind }
+  let key =
+    if rank = Event.rank_start || rank = Event.rank_end then task t raw alo ahi
+    else msg_id raw alo ahi
+  in
+  Period.Builder.add t.period ~time ~rank ~key
 
 (* Consume one line. Returns a period when the line closed one. Arm
    order: a "tasks" head wins at any arity, "period" needs exactly two
@@ -497,6 +478,7 @@ let consume_line t raw : Period.t option =
     end
     else if !ntok = 2 && token_eq raw tok.(0) tok.(1) "period" then begin
       let finished = flush_period t lineno in
+      Period.Builder.clear t.period;
       (match parse_int raw tok.(2) tok.(3) with
        | n -> t.cur_index <- Some n
        | exception Not_int ->
@@ -504,9 +486,7 @@ let consume_line t raw : Period.t option =
       finished
     end
     else if !ntok = 3 then begin
-      (match event t raw with
-       | e -> t.cur_events <- e :: t.cur_events
-       | exception Bad_line m -> skip_line t lineno m);
+      (try event t raw with Bad_line m -> skip_line t lineno m);
       None
     end
     else begin

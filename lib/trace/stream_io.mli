@@ -91,19 +91,22 @@ type t
 
 val create : ?mode:mode -> ?eps:int -> ?window:int -> line_source -> t
 (** [`Strict] (default) fails on the first malformed line or period.
-    [`Recover] skips malformed lines, repairs damaged periods with
-    {!Repair}, then salvages each one: a structurally valid period can
-    still carry a message with an empty candidate set [A_m]
-    ({!Candidates.unexplained}) — a spliced bogus frame, or a real frame
-    whose sender's events were lost — and one such message collapses
-    the learner's hypothesis set to the empty set. Salvage cuts those
-    frames' edges and re-validates (the period's repair entry gains an
-    ["excised N inexplicable frame(s)"] fix), or drops the period when
-    it stays inexplicable. Every verdict lands in the quarantine
-    account as the period closes, so the account is in trace order.
-    [eps] is the clock-skew tolerance forwarded to {!Repair}; [window]
-    the candidate window salvage judges frames under, which must match
-    the learner's. *)
+    [`Recover] skips malformed lines and repairs, with {!Repair}, the
+    periods that fail validation; a valid period skips {!Repair},
+    which would leave it unchanged. Then it salvages each period: a
+    structurally valid period can still carry a message with an empty
+    candidate set [A_m] ({!Candidates.admissible}) — a spliced bogus
+    frame, or a real frame whose sender's events were lost — and one
+    such message collapses the learner's hypothesis set to the empty
+    set. Salvage cuts those frames ({!Period.filter_msgs}); the
+    period's repair entry gains an ["excised N inexplicable frame(s)"]
+    fix. Every verdict lands in the quarantine account as the period
+    closes, so the account is in trace order. [eps] is the clock-skew
+    tolerance forwarded to {!Repair}; [window] the candidate window
+    salvage judges frames under, which must match the learner's.
+
+    Event lines go straight into the parser's {!Period.Builder}: on a
+    period that validates, no {!Event.t} is built. *)
 
 val next : t -> (Period.t option, parse_error) result
 (** The next period of the stream; [Ok None] at end of input. Both end

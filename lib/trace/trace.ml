@@ -49,7 +49,7 @@ let total_messages t =
   Array.fold_left (fun acc p -> acc + Period.msg_count p) 0 t.periods
 
 let total_events t =
-  Array.fold_left (fun acc (p : Period.t) -> acc + List.length p.events) 0 t.periods
+  Array.fold_left (fun acc p -> acc + Period.event_count p) 0 t.periods
 
 let executed_matrix t =
   Array.to_list t.periods

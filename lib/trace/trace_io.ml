@@ -24,7 +24,7 @@ let to_string (t : Trace.t) =
           in
           Buffer.add_string buf line;
           Buffer.add_char buf '\n')
-        p.events)
+        (Period.events p))
     (Trace.periods t);
   Buffer.contents buf
 

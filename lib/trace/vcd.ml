@@ -10,7 +10,7 @@ let code k =
 let default_period_len t =
   let tmax =
     List.fold_left (fun acc (p : Period.t) ->
-        List.fold_left (fun acc (e : Event.t) -> max acc e.time) acc p.events)
+        List.fold_left (fun acc (e : Event.t) -> max acc e.time) acc (Period.events p))
       0 (Trace.periods t)
   in
   let rec pow10 x = if x > tmax then x else pow10 (x * 10) in
@@ -35,7 +35,7 @@ let to_string ?period_len (t : Trace.t) =
               ids := m :: !ids
             end
           | Event.Task_start _ | Event.Task_end _ -> ())
-        p.events)
+        (Period.events p))
     (Trace.periods t);
   let ids = List.rev !ids in
   let buf = Buffer.create 4096 in
@@ -67,7 +67,7 @@ let to_string ?period_len (t : Trace.t) =
             | Event.Task_end i -> (base + e.time, '0', code i)
             | Event.Msg_rise m -> (base + e.time, '1', Hashtbl.find id_code m)
             | Event.Msg_fall m -> (base + e.time, '0', Hashtbl.find id_code m))
-          p.events)
+          (Period.events p))
       (Trace.periods t)
   in
   let changes = List.stable_sort (fun (t1, _, _) (t2, _, _) -> Int.compare t1 t2) changes in

@@ -99,7 +99,7 @@ let test_quarantined_roundtrip () =
     Alcotest.(check bool) "something was quarantined" true
       (q.repaired <> [] || q.dropped <> []);
     let events =
-      List.concat_map (fun (p : Rt_trace.Period.t) -> p.events)
+      List.concat_map Rt_trace.Period.events
         (Trace.periods trace)
     in
     Alcotest.(check (list event)) "quarantined-frame events roundtrip"
@@ -136,7 +136,7 @@ let check_parity ?(name = "parity") text =
              Alcotest.(check int) (name ^ ": mark index") p.index idx;
              Alcotest.(check (list event))
                (name ^ ": mark slice = period events")
-               (List.sort E.compare p.events)
+               (Rt_trace.Period.events p)
                (List.sort E.compare (A.to_list ~lo ~hi mm.Mmap.arena)))
           (Trace.periods mm.Mmap.trace)
       | Error e1, Error e2 ->

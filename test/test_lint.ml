@@ -112,6 +112,14 @@ let test_hot_loop_alloc () =
     \  for i = 0 to n - 1 do\n\
     \    if bad i then fail i (Printf.sprintf \"bad %d\" i)\n\
     \  done";
+  (* The period builder's validation scan is held to the same rule. *)
+  Alcotest.(check (list string)) "period builder scan" [ "RTL006" ]
+    (rules
+       (Lint.lint_source ~file:"lib/trace/period.ml"
+          "let finish b =\n\
+          \  for k = 0 to b.len - 1 do\n\
+          \    b.msgs <- { occ = k; bus_id = b.key.(k) } :: b.msgs\n\
+          \  done"));
   (* The rule is scoped to the packed ingest files. *)
   check_rules "same loop elsewhere is fine" []
     "let scan n =\n\

@@ -314,6 +314,26 @@ let test_obs () =
     (Array.fold_left (fun a (s : Session.shard) -> a + s.messages) 0
        (Session.shards st))
 
+(* A trace holding only its tasks line feeds no period: its fold is the
+   LUB of no periods, the bottom model over the two tasks, sharded or
+   not. *)
+let test_empty_fold () =
+  List.iter
+    (fun (bound, shards) ->
+       let st, _ =
+         Session.create ?shards (Engine.Heuristic { bound })
+           (Rt_trace.Stream_io.lines_of_string "tasks a b\n")
+       in
+       (match Session.next st with
+        | Ok None -> ()
+        | Ok (Some _) -> Alcotest.fail "a period from a tasks line"
+        | Error e -> Alcotest.failf "line %d: %s" e.line e.message);
+       check_equal_opt
+         (Printf.sprintf "bound %d, shards %s" bound
+            (Option.fold ~none:"none" ~some:string_of_int shards))
+         (Some (Df.create 2)) (Session.fold st))
+    [ (1, None); (1, Some 1); (1, Some 4); (8, Some 2) ]
+
 let () =
   Alcotest.run "shard"
     [
@@ -329,6 +349,8 @@ let () =
             test_exchange_law;
           Alcotest.test_case "inconsistency localises" `Quick
             test_inconsistent;
+          Alcotest.test_case "empty session folds to bottom" `Quick
+            test_empty_fold;
         ] );
       ( "execution",
         [

@@ -99,6 +99,172 @@ let test_period_msgs_sorted_by_rise () =
   Alcotest.(check int) "first is earliest" 7 pd.msgs.(0).bus_id;
   Alcotest.(check int) "occ renumbered" 0 pd.msgs.(0).occ
 
+(* Two frames left open: the error names the earliest rise, then the
+   lowest bus id, whatever order the lines came in. *)
+let test_period_dangling_rises () =
+  let strict_error text =
+    match Io.of_string text with
+    | Ok _ -> Alcotest.failf "%S parsed" text
+    | Error e -> e.message
+  in
+  let check name expected lines =
+    List.iter
+      (fun lines ->
+         Alcotest.(check string) name expected
+           (strict_error ("tasks a\nperiod 0\n" ^ String.concat "\n" lines)))
+      [ lines; List.rev lines ]
+  in
+  check "earliest rise first"
+    "invalid period 0: rising edge of 0x9 without falling edge"
+    [ "3 rise 0x9"; "5 rise 0x7" ];
+  check "then lowest id"
+    "invalid period 0: rising edge of 0x7 without falling edge"
+    [ "4 rise 0x9"; "4 rise 0x7" ];
+  expect_error (P.Rise_without_fall 7)
+    [ ev 4 (E.Msg_rise 9); ev 4 (E.Msg_rise 7) ]
+
+(* Valid periods over four tasks and bus ids 1–3, on a small clock so
+   that equal timestamps are common: a frame may fall exactly when the
+   next one (of any id, the same included) rises, frames of two ids may
+   rise together, and one id may carry several frames. Events come out
+   shuffled. *)
+let valid_period_events =
+  let open QCheck.Gen in
+  let task i =
+    bool >>= fun runs ->
+    if not runs then return []
+    else
+      int_range 0 20 >>= fun s ->
+      int_range 1 8 >|= fun d ->
+      [ ev s (E.Task_start i); ev (s + d) (E.Task_end i) ]
+  in
+  let frames id =
+    int_range 0 3 >>= fun n ->
+    int_range 0 10 >>= fun t0 ->
+    let rec go k t acc =
+      if k = 0 then return acc
+      else
+        int_range 1 4 >>= fun len ->
+        int_range 0 2 >>= fun gap ->
+        go (k - 1) (t + len + gap)
+          (ev t (E.Msg_rise id) :: ev (t + len) (E.Msg_fall id) :: acc)
+    in
+    go n t0 []
+  in
+  flatten_l (List.map task [ 0; 1; 2; 3 ] @ List.map frames [ 1; 2; 3 ])
+  >>= fun parts -> shuffle_l (List.concat parts)
+
+let print_events evs =
+  String.concat "; " (List.map (E.to_string ts4) evs)
+
+let events_of_make =
+  Test_support.qcheck_case "events (make evs) = sorted evs" ~count:300
+    (QCheck.make ~print:print_events valid_period_events)
+    (fun evs ->
+       match P.make ~index:0 ~task_set:ts4 evs with
+       | Error e -> QCheck.Test.fail_report (P.string_of_error e)
+       | Ok p ->
+         (* Frames are numbered by rise, then by when they fell. *)
+         let key (m : P.msg) = (m.rise, m.fall, m.bus_id) in
+         let msgs = Array.to_list p.msgs in
+         let rec ordered = function
+           | a :: (b :: _ as rest) -> compare (key a) (key b) < 0 && ordered rest
+           | [ _ ] | [] -> true
+         in
+         P.events p = List.sort E.compare evs
+         && P.event_count p = List.length evs
+         && ordered msgs
+         && List.for_all2 (fun (m : P.msg) k -> m.occ = k) msgs
+              (List.init (List.length msgs) Fun.id))
+
+(* The allocation-free test salvage uses agrees with [pairs], slack
+   (which can make a task its own candidate sender and receiver) and
+   windows included. *)
+let admissible_is_nonempty_pairs =
+  Test_support.qcheck_case "admissible = (pairs <> [])" ~count:200
+    (QCheck.make ~print:print_events valid_period_events)
+    (fun evs ->
+       let p = P.make_exn ~index:0 ~task_set:ts4 evs in
+       List.for_all
+         (fun (slack, window) ->
+            Array.for_all
+              (fun m ->
+                 C.admissible ~slack ?window p m
+                 = (C.pairs ~slack ?window p m <> []))
+              p.msgs)
+         [ (0, None); (3, None); (6, Some 2); (0, Some 1); (-2, Some 5) ])
+
+(* Damage a valid period now and then (drop, duplicate or retime an
+   event, or add a stray one) so both outcomes are exercised. *)
+let maybe_broken_events =
+  let open QCheck.Gen in
+  valid_period_events >>= fun evs ->
+  int_range 0 4 >>= fun damage ->
+  let n = List.length evs in
+  int_range 0 (max 0 (n - 1)) >>= fun at ->
+  int_range 0 30 >>= fun t ->
+  let stray = oneofl [ E.Task_start 2; E.Task_end 1; E.Msg_rise 2; E.Msg_fall 3 ] in
+  match damage with
+  | 0 when n > 0 -> return (List.filteri (fun i _ -> i <> at) evs)
+  | 1 when n > 0 -> return (List.nth evs at :: evs)
+  | 2 when n > 0 ->
+    return (List.mapi (fun i (e : E.t) -> if i = at then { e with time = t } else e) evs)
+  | 3 -> stray >|= fun kind -> ev t kind :: evs
+  | _ -> return evs
+
+let period_text lines = "tasks t1 t2 t3 t4\nperiod 0\n" ^ String.concat "" lines
+
+let line_of (e : E.t) =
+  match e.kind with
+  | E.Task_start i -> Printf.sprintf "%d start t%d\n" e.time (i + 1)
+  | E.Task_end i -> Printf.sprintf "%d end t%d\n" e.time (i + 1)
+  | E.Msg_rise m -> Printf.sprintf "%d rise 0x%x\n" e.time m
+  | E.Msg_fall m -> Printf.sprintf "%d fall 0x%x\n" e.time m
+
+let digest = function
+  | Error (e : Io.parse_error) -> Error (e.line, e.message)
+  | Ok (t, _) ->
+    Ok (List.map (fun (p : P.t) ->
+        (p.index, p.executed, p.executed_ix, p.start_time, p.end_time, p.msgs))
+        (T.periods t))
+
+let shuffled_lines_parse_alike =
+  Test_support.qcheck_case "shuffled period lines parse alike" ~count:300
+    (QCheck.make
+       ~print:(fun (evs, _) -> print_events evs)
+       QCheck.Gen.(pair maybe_broken_events (int_bound 1_000_000)))
+    (fun (evs, seed) ->
+       let sorted = List.map line_of (List.sort E.compare evs) in
+       let shuffled =
+         QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |])
+           (QCheck.Gen.shuffle_l sorted)
+       in
+       digest (Io.of_string (period_text sorted))
+       = digest (Io.of_string (period_text shuffled)))
+
+(* Draining the streaming parser over a simulated trace allocates a
+   bounded number of bytes per event: the line string and its option,
+   and each period's digest; no per-event record. [Gc.allocated_bytes]
+   counts deterministically, so the bound is exact, not a timing. *)
+let test_stream_alloc_per_event () =
+  let trace = simulate ~periods:2_000 ~seed:3 (small_design 3) in
+  let text = Io.to_string trace in
+  let events = T.total_events trace in
+  let p = Rt_trace.Stream_io.create (Rt_trace.Stream_io.lines_of_string text) in
+  let rec drain n =
+    match Rt_trace.Stream_io.next p with
+    | Ok (Some _) -> drain (n + 1)
+    | Ok None -> n
+    | Error e -> Alcotest.failf "line %d: %s" e.line e.message
+  in
+  let before = Gc.allocated_bytes () in
+  let periods = drain 0 in
+  let per_event = (Gc.allocated_bytes () -. before) /. float_of_int events in
+  Alcotest.(check int) "every period" 2_000 periods;
+  if per_event > 112.0 then
+    Alcotest.failf "%.1f B/event allocated draining %d events (bound 112)"
+      per_event events
+
 (* --- Candidates (the paper's A_m computation) --- *)
 
 (* Period 1 of Fig. 2: t1 [10,20], m1 (21,24), t2 [25,35], m2 (36,39),
@@ -306,7 +472,7 @@ let test_candidates_window_monotone () =
 let flatten ~period_len trace =
   List.concat_map (fun (pd : P.t) ->
       List.map (fun (e : E.t) -> { e with E.time = e.time + (pd.index * period_len) })
-        pd.events)
+        (P.events pd))
     (Rt_trace.Trace.periods trace)
 
 let test_infer_period_exact () =
@@ -502,6 +668,8 @@ let () =
           Alcotest.test_case "same-id frames" `Quick
             test_period_multiple_frames_same_id;
           Alcotest.test_case "msgs sorted" `Quick test_period_msgs_sorted_by_rise;
+          Alcotest.test_case "dangling rises" `Quick test_period_dangling_rises;
+          events_of_make;
         ] );
       ( "candidates",
         [
@@ -514,6 +682,7 @@ let () =
             test_candidates_window_narrows;
           Alcotest.test_case "window monotone" `Quick
             test_candidates_window_monotone;
+          admissible_is_nonempty_pairs;
         ] );
       ( "inference",
         [
@@ -572,5 +741,8 @@ let () =
           Alcotest.test_case "error line at end of input" `Quick
             test_io_error_line_at_end_of_input;
           Alcotest.test_case "save/load" `Quick test_io_save_load;
+          shuffled_lines_parse_alike;
+          Alcotest.test_case "stream alloc per event" `Quick
+            test_stream_alloc_per_event;
         ] );
     ]
