@@ -741,7 +741,7 @@ let bench_robustness trace =
   let clean = Rt_trace.Trace_io.to_string trace in
   let st = Rt_learn.Heuristic.init ~bound:16 ~ntasks:18 () in
   List.iter (Rt_learn.Heuristic.feed st) (Rt_trace.Trace.periods trace);
-  let ckpt = Rt_learn.Heuristic.checkpoint st in
+  let ckpt = Rt_learn.Heuristic.checkpoint [ st ] in
   Printf.printf "corrupted text: %d bytes; checkpoint: %d bytes\n%!"
     (String.length corrupted) (String.length ckpt);
   let open Bechamel in
@@ -761,7 +761,7 @@ let bench_robustness trace =
              ignore
                (Rt_trace.Trace_io.of_string ~mode:`Recover ~eps:60 corrupted)));
       Test.make ~name:"robust/checkpoint-bound16"
-        (Staged.stage (fun () -> ignore (Rt_learn.Heuristic.checkpoint st)));
+        (Staged.stage (fun () -> ignore (Rt_learn.Heuristic.checkpoint [ st ])));
       Test.make ~name:"robust/resume-bound16"
         (Staged.stage (fun () ->
              ignore (Result.get_ok (Rt_learn.Heuristic.resume ckpt))));

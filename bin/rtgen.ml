@@ -892,6 +892,7 @@ let serve spool listen control out_dir checkpoint_dir store checkpoint_every
 let vcd path import period_len output =
   if import then
     match Rt_trace.Vcd.load ?period_len path with
+    | Error { line = 0; message } -> err (Printf.sprintf "%s: %s" path message)
     | Error (e : Rt_trace.Vcd.parse_error) ->
       err (Printf.sprintf "%s: line %d: %s" path e.line e.message)
     | exception Sys_error m -> err (m)
@@ -1531,8 +1532,8 @@ let learn_cmd =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"SLOT"
            ~doc:"Snapshot the learner state to SLOT every $(b,--every) \
                  periods: a plain FILE (written atomically) or a store \
-                 ref $(b,DIR//ref) (one generation per snapshot), with \
-                 any bound-1 companion beside it (SLOT.b1, REF/b1). If \
+                 ref $(b,DIR//ref) (one generation per snapshot), each \
+                 save one image of every engine of the run. If \
                  the slot exists and matches the trace file's MD5, \
                  $(b,--mode), $(b,--eps) and $(b,--window), resume from \
                  it. Removed on successful completion.")
@@ -1602,8 +1603,8 @@ let learn_cmd =
                  parallel with $(b,-j), and fold the per-shard results \
                  into one model — byte-equal for every K and every \
                  $(b,-j). Streams in every combination, stdin included; \
-                 with $(b,--checkpoint), one checkpoint pair per shard \
-                 (SLOT.shard<i>).")
+                 with $(b,--checkpoint), the image holds every shard's \
+                 engines and resumes only under the same K.")
   in
   Cmd.v (Cmd.info "learn" ~doc:"Learn a dependency model from a trace")
     Term.((const learn $ stream_trace_arg $ exact $ auto $ stream $ shards
@@ -1941,8 +1942,8 @@ let check_cmd =
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"SLOT"
            ~doc:"Audit a learner checkpoint written by $(b,learn \
                  --checkpoint) — a file or a store address \
-                 ($(b,DIR//ref@N)): bound respected, working set \
-                 canonical.")
+                 ($(b,DIR//ref@N)): intact, bound respected, and every \
+                 engine's working set canonical.")
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"TRACE"

@@ -413,19 +413,22 @@ let check_checkpoint ~source data =
     Error
       (Printf.sprintf "%s: %s" source m,
        finding "RTC203" err "unreadable checkpoint %s: %s" source m)
-  | Ok (st, _tag) ->
-    let hs = Rt_learn.Heuristic.current st in
-    let bound = Rt_learn.Heuristic.bound st in
-    let acc = ref [] in
-    if List.length hs > bound then
-      acc :=
-        [ finding "RTC203" err
-            "working set holds %d hypotheses but the bound is %d"
-            (List.length hs) bound ];
-    let models =
-      List.mapi (fun i d ->
-          model_of_depfun ~source:(Printf.sprintf "%s[%d]" source i) d)
-        hs
+  | Ok (sts, _tag) ->
+    (* Each engine's working set is its own answer set. The decoder
+       refuses a working set over its bound. In a several-engine image
+       a per-model finding names its engine and hypothesis. *)
+    let one = List.compare_length_with sts 1 = 0 in
+    let audit e st =
+      let source = if one then source else Printf.sprintf "%s[engine %d]" source e in
+      let models =
+        List.mapi (fun i d ->
+            model_of_depfun ~source:(Printf.sprintf "%s[%d]" source i) d)
+          (Rt_learn.Heuristic.current st)
+      in
+      let named m (f : Finding.t) =
+        if one then f else { f with message = m.source ^ ": " ^ f.message }
+      in
+      List.concat_map (fun m -> List.map (named m) (check_model m)) models
+      @ check_answer_set models
     in
-    let per_model = List.concat_map check_model models in
-    Ok (Finding.sort (!acc @ per_model @ check_answer_set models))
+    Ok (Finding.sort (List.concat (List.mapi audit sts)))

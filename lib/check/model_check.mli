@@ -58,9 +58,10 @@ val check_answer_set : model list -> Finding.t list
 
 val check_checkpoint :
   source:string -> string -> (Finding.t list, string * Finding.t) result
-(** Deserialize a {!Rt_learn.Heuristic} checkpoint and audit its
-    working set: RTC203 bound overflow, plus the per-model and
-    answer-set rules over the serialized hypotheses. [Error] when the
-    blob does not parse — truncated, torn or checksum-failed — carrying
+(** Deserialize a {!Rt_learn.Heuristic} checkpoint image and audit
+    every engine's working set with the per-model and answer-set rules;
+    in a several-engine image a finding names hypothesis [i] of engine
+    [e] [SOURCE[engine e][i]]. [Error] when the blob does
+    not parse — truncated, torn or checksum-failed — carrying
     both the input-error message (the audit could not run, exit 2) and
     an RTC203 finding for the report. *)

@@ -277,7 +277,11 @@ let converged o = match o.hypotheses with [ d ] -> Some d | [] | _ :: _ -> None
    64-bit; matrices are row-major bytes. Version 2 extended version 1
    with the six observability counters; version 3 adds the message
    count, so a resumed run reports the same totals as an uninterrupted
-   one. *)
+   one.
+
+   An image is one or more payloads back to back under one trailer,
+   the tag in the first (the others' is empty and unread), so a
+   one-state image is byte for byte the single-state checkpoint. *)
 
 let ckpt_magic = "RTGENCKP"
 let ckpt_version = 3
@@ -297,8 +301,7 @@ let policy_of_byte = function
   | 0 -> Some Lightest_pair | 1 -> Some Heaviest_pair | 2 -> Some First_last
   | _ -> None
 
-let checkpoint ?(tag = "") st =
-  let buf = Buffer.create 1024 in
+let add_payload buf ~tag st =
   let i64 n = Buffer.add_int64_le buf (Int64.of_int n) in
   Buffer.add_string buf ckpt_magic;
   Buffer.add_char buf (Char.chr ckpt_version);
@@ -331,7 +334,12 @@ let checkpoint ?(tag = "") st =
   done;
   i64 (Array.length st.hs);
   Array.iter (fun h -> Buffer.add_bytes buf (Df.cells (Hypothesis.depfun h)))
-    st.hs;
+    st.hs
+
+let checkpoint ?(tag = "") sts =
+  let buf = Buffer.create 1024 in
+  List.iteri (fun i st -> add_payload buf ~tag:(if i = 0 then tag else "") st)
+    sts;
   let payload = Buffer.contents buf in
   Buffer.add_string buf trailer_magic;
   Buffer.add_int64_le buf (Int64.of_int (String.length payload));
@@ -359,10 +367,10 @@ let verify_trailer data =
       else Ok payload
   end
 
-let resume_payload ?obs data =
+(* Decode the payload at [!pos], leaving [pos] just past it. *)
+let decode_payload ?obs data pos =
   let exception Bad of string in
   let len = String.length data in
-  let pos = ref 0 in
   let need n = if !pos + n > len then raise (Bad "truncated checkpoint") in
   let byte () =
     need 1;
@@ -379,9 +387,9 @@ let resume_payload ?obs data =
   in
   let str n = need n; let s = String.sub data !pos n in pos := !pos + n; s in
   try
-    if len < 8 || String.sub data 0 8 <> ckpt_magic then
+    if String.sub data !pos (min 8 (len - !pos)) <> ckpt_magic then
       raise (Bad "not an rtgen checkpoint");
-    pos := 8;
+    pos := !pos + 8;
     let version = byte () in
     if version <> ckpt_version then
       raise (Bad (Printf.sprintf "unsupported checkpoint version %d" version));
@@ -443,7 +451,6 @@ let resume_payload ?obs data =
       done;
       hs.(k) <- Hypothesis.of_depfun df
     done;
-    if !pos <> len then raise (Bad "trailing bytes after checkpoint");
     let st =
       {
         policy;
@@ -494,7 +501,17 @@ let resume ?obs data =
   match verify_trailer data with
   | Error _ as e -> e
   | Ok payload ->
-    (match resume_payload ?obs payload with
+    let pos = ref 0 in
+    (* [obs] goes to the first state; its tag is the image's. *)
+    let rec states i =
+      match decode_payload ?obs:(if i = 0 then obs else None) payload pos with
+      | Error m when i = 0 -> Error m
+      | Error m -> Error (Printf.sprintf "engine %d: %s" i m)
+      | Ok (st, tag) when !pos = String.length payload -> Ok ([ st ], tag)
+      | Ok (st, tag) ->
+        Result.map (fun (sts, _) -> (st :: sts, tag)) (states (i + 1))
+    in
+    (match states 0 with
      | r -> r
      | exception e ->
        (* A payload that passed its checksum but still fails to decode

@@ -131,21 +131,22 @@ val set_provenance : state -> dropped:int -> repaired:int -> unit
     A state between two [feed]s is fully described by its configuration,
     counters, violation matrix and hypothesis matrices (assumption sets
     are empty at period boundaries), so it serialises to a small
-    versioned binary snapshot. [resume (checkpoint st)] is
+    versioned binary snapshot. [resume (checkpoint [st])] is
     indistinguishable from [st] for all future [feed]s: a run killed
     after period [k] and resumed produces the same outcome as an
     uninterrupted one. *)
 
-val checkpoint : ?tag:string -> state -> string
-(** Serialise. [tag] is an opaque caller string stored verbatim —
-    e.g. a digest of the source trace, so [resume] callers can refuse
-    a checkpoint taken against different data. *)
+val checkpoint : ?tag:string -> state list -> string
+(** Serialise states as one image, their payloads under one integrity
+    trailer. [tag] is an opaque caller string stored verbatim with the
+    first — e.g. a digest of the source trace, so [resume] callers can
+    refuse a checkpoint taken against different data. An empty list
+    does not {!resume}. *)
 
 val resume :
-  ?obs:Rt_obs.Registry.t -> string -> (state * string, string) result
-(** Deserialise a {!checkpoint} into a live state plus its tag.
-    [obs] re-attaches a metrics registry (runtime resources are not
-    serialised). Malformed or version-mismatched input, and input
+  ?obs:Rt_obs.Registry.t -> string -> (state list * string, string) result
+(** Deserialise a {!checkpoint} into its states plus its tag. [obs]
+    re-attaches a metrics registry to the first state. Malformed or version-mismatched input, and input
     without its integrity trailer, yields [Error message], never an
     exception. The current format is version 3 (version 1 predates the
     observability counters, version 2 the message count; both are

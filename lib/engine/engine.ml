@@ -122,12 +122,10 @@ let set_provenance t ~dropped ~repaired =
   | Hstate st -> H.set_provenance st ~dropped ~repaired
   | Estate _ -> ()
 
-let checkpoint ?tag t =
-  match t.core with
-  | Hstate st -> Ok (H.checkpoint ?tag st)
-  | Estate _ -> Error "the exact algorithm has no checkpoint format"
+let image ?tag ts =
+  let state t = match t.core with Hstate st -> Some st | Estate _ -> None in
+  match List.filter_map state ts with
+  | sts when List.compare_lengths sts ts = 0 -> Ok (H.checkpoint ?tag sts)
+  | _ -> Error "the exact algorithm has no checkpoint format"
 
-let resume ?obs ?flight data =
-  match H.resume ?obs data with
-  | Ok (st, tag) -> Ok (of_heuristic ?obs ?flight st, tag)
-  | Error _ as e -> e
+let checkpoint ?tag t = image ?tag [ t ]

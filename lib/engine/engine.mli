@@ -86,7 +86,7 @@ val checkpoint : ?tag:string -> t -> (string, string) result
 (** Serialize the core state ({!Rt_learn.Heuristic.checkpoint}).
     [Error] for an exact-core engine, which has no checkpoint format. *)
 
-val resume :
-  ?obs:Rt_obs.Registry.t -> ?flight:Rt_obs.Flight.scope -> string ->
-  (t * string, string) result
-(** Deserialize a heuristic checkpoint into a live engine plus its tag. *)
+val image : ?tag:string -> t list -> (string, string) result
+(** Several engines as one image ({!Rt_learn.Heuristic.checkpoint});
+    [checkpoint ?tag e] is [image ?tag [e]]. {!Rt_learn.Heuristic.resume}
+    reads it back, and {!of_heuristic} wraps the states. *)

@@ -233,11 +233,6 @@ let to_int = function
   | Float f when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
-let to_float = function
-  | Int n -> Some (float_of_int n)
-  | Float f -> Some f
-  | _ -> None
-
 let to_string_opt = function String s -> Some s | _ -> None
 
 let to_list = function List l -> Some l | _ -> None

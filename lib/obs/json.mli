@@ -26,8 +26,6 @@ val member : string -> t -> t option
 val to_int : t -> int option
 (** [Int], or an integral [Float]. *)
 
-val to_float : t -> float option
-
 val to_string_opt : t -> string option
 
 val to_list : t -> t list option

@@ -2,6 +2,7 @@
    in session.mli. *)
 
 module Engine = Rt_engine.Engine
+module H = Rt_learn.Heuristic
 module Slot = Rt_store.Slot
 module Sio = Rt_trace.Stream_io
 
@@ -51,54 +52,6 @@ module Pair = struct
     | Some c, _, Some v -> Some (summary_of c, v)
     | None, Some 1, Some v -> Some (summary_of t.main, v)
     | _ -> None
-
-  let companion_slot = function
-    | Slot.File p -> Slot.File (p ^ ".b1")
-    | Slot.Ref (s, r) -> Slot.Ref (s, r ^ "/b1")
-
-  let resume_engine ?obs ?flight ~tag slot =
-    match Slot.load slot with
-    | Error m -> Error (Corrupt (Slot.describe slot ^ ": " ^ m))
-    | Ok data ->
-      (match Engine.resume ?obs ?flight data with
-       | Error m -> Error (Corrupt (Slot.describe slot ^ ": " ^ m))
-       | Ok (e, found) when String.equal found tag -> Ok e
-       | Ok (_, found) -> Error (Foreign found))
-
-  (* [Ok None]: nothing saved. A companion that is missing, damaged or
-     at another period than its main engine makes the pair [Corrupt]. *)
-  let load ?obs ?flight ~companion ~tag alg slot =
-    if not (Slot.exists slot) then Ok None
-    else
-      let ( let* ) = Result.bind in
-      let* main = resume_engine ?obs ?flight ~tag slot in
-      let pair companion = Ok (Some { main; companion; bound = bound_of alg }) in
-      if not (wants_companion ~companion alg) then pair None
-      else
-        let cslot = companion_slot slot in
-        match resume_engine ~tag:(tag ^ "+b1") cslot with
-        | Ok c when Engine.periods_fed c = Engine.periods_fed main ->
-          pair (Some c)
-        | Ok _ | Error _ ->
-          Error
-            (Corrupt
-               (Slot.describe cslot ^ ": no companion at the checkpointed period"))
-
-  let save ~source ~tag slot t =
-    let dump slot ~bound ~tag e =
-      match Engine.checkpoint ~tag e with
-      | Error _ -> ()
-      | Ok data ->
-        Slot.save ?bound ~source ~created_at:(Engine.periods_fed e) slot data
-    in
-    dump slot ~bound:t.bound ~tag t.main;
-    Option.iter
-      (dump (companion_slot slot) ~bound:(Some 1) ~tag:(tag ^ "+b1"))
-      t.companion
-
-  let discard slot =
-    Slot.discard slot;
-    Slot.discard (companion_slot slot)
 end
 
 type checkpoint = {
@@ -135,17 +88,18 @@ type t = {
 
 let width t = Option.value t.shards ~default:1
 
-(* Where pair [i] of [width t] is checkpointed, and under which tag. *)
-let slot_of t c i =
-  match (t.shards, c.slot) with
-  | None, slot -> slot
-  | Some _, Slot.File p -> Slot.File (Printf.sprintf "%s.shard%d" p i)
-  | Some _, Slot.Ref (s, r) -> Slot.Ref (s, Printf.sprintf "%s/shard%d" r i)
-
-let tag_of t c i =
+(* The image's tag binds the shard count: another [--shards] deals the
+   periods differently. *)
+let tag_of t c =
   match t.shards with
   | None -> c.tag
-  | Some k -> Printf.sprintf "%s+shard%d/%d" c.tag i k
+  | Some k -> Printf.sprintf "%s+shards%d" c.tag k
+
+(* The engines in image order: each pair's main, then its companion. *)
+let engines t =
+  List.concat_map
+    (fun (p : Pair.t) -> p.main :: Option.to_list p.companion)
+    (Array.to_list t.pairs)
 
 let sum f t = Array.fold_left (fun acc p -> acc + f (Pair.main p)) 0 t.pairs
 
@@ -178,34 +132,57 @@ let hypotheses t =
   flush t;
   sum (fun e -> List.length (Engine.current e)) t
 
-(* Every pair saved, each holding its round-robin share of the total —
-   anything else is a kill between two pairs' saves. *)
-let resume t c =
-  let k = width t in
-  let loaded =
-    List.init k (fun i ->
-        Pair.load ?obs:t.engine_obs ?flight:t.flight
-          ~companion:t.companion ~tag:(tag_of t c i) t.algorithm (slot_of t c i))
+(* The image read from disk must fit the session: a main engine per
+   pair at the session's bound, each followed by its bound-1
+   companion, and every engine holding its pair's round-robin share of
+   the periods. *)
+let pairs_of t states =
+  let k = width t and sts = Array.of_list states in
+  let per =
+    if Pair.wants_companion ~companion:t.companion t.algorithm then 2 else 1
   in
-  match List.find_map (function Error r -> Some r | Ok _ -> None) loaded with
-  | Some r -> r
-  | None ->
-    (match List.filter_map Result.get_ok loaded with
-     | [] -> Fresh
-     | pairs when List.length pairs < k -> Corrupt "shard checkpoints missing"
-     | pairs ->
-       t.pairs <- Array.of_list pairs;
-       let total = periods_fed t in
-       let share i p = Engine.periods_fed (Pair.main p) = (total - i + k - 1) / k in
-       if List.for_all Fun.id (List.mapi share pairs) then begin
+  let n = Array.length sts and fed j = (H.stats sts.(j)).periods_processed in
+  let bound j = if j mod per = 1 then Some 1 else Pair.bound_of t.algorithm in
+  let all p = List.for_all p (List.init n Fun.id) in
+  if n <> k * per then
+    Error
+      (Printf.sprintf "the image holds %d engine(s) where the session needs %d"
+         n (k * per))
+  else if not (all (fun j -> Some (H.bound sts.(j)) = bound j)) then
+    Error "an engine's bound is not the session's"
+  else
+    let total =
+      List.fold_left (fun a i -> a + fed (i * per)) 0 (List.init k Fun.id)
+    in
+    if not (all (fun j -> fed j = (total - (j / per) + k - 1) / k)) then
+      Error "the image's engines disagree on progress"
+    else
+      Ok
+        (Array.init k (fun i ->
+             { Pair.main =
+                 Engine.of_heuristic ?obs:t.engine_obs ?flight:t.flight
+                   sts.(i * per);
+               companion =
+                 (if per = 2 then Some (Engine.of_heuristic sts.((i * per) + 1))
+                  else None);
+               bound = Pair.bound_of t.algorithm }))
+
+let resume t c =
+  if not (Slot.exists c.slot) then Fresh
+  else
+    let corrupt m = Corrupt (Slot.describe c.slot ^ ": " ^ m) in
+    match Result.bind (Slot.load c.slot) (H.resume ?obs:t.engine_obs) with
+    | Error m -> corrupt m
+    | Ok (_, found) when not (String.equal found (tag_of t c)) -> Foreign found
+    | Ok (states, _) ->
+      (match pairs_of t states with
+       | Error m -> corrupt m
+       | Ok pairs ->
+         t.pairs <- pairs;
+         let total = periods_fed t in
          t.skip <- total;
-         t.turn <- total mod k;
-         Resumed total
-       end
-       else begin
-         t.pairs <- [||];
-         Corrupt "shard checkpoints disagree on progress"
-       end)
+         t.turn <- total mod width t;
+         Resumed total)
 
 let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
     ?(companion = false) ?shards ?checkpoint algorithm source =
@@ -241,9 +218,16 @@ let save t =
   flush t;
   match t.checkpoint with
   | Some c when Array.length t.pairs > 0 ->
-    Array.iteri
-      (fun i p -> Pair.save ~source:c.source ~tag:(tag_of t c i) (slot_of t c i) p)
-      t.pairs;
+    let write () =
+      match Engine.image ~tag:(tag_of t c) (engines t) with
+      | Error _ -> ()
+      | Ok data ->
+        Slot.save ?bound:(Pair.bound_of t.algorithm) ~source:c.source
+          ~created_at:(periods_fed t) c.slot data
+    in
+    (match t.obs with
+     | None -> write ()
+     | Some r -> Rt_obs.Registry.with_span r "checkpoint.write" write);
     t.checkpoints <- t.checkpoints + 1;
     Option.iter
       (fun s ->
@@ -253,10 +237,7 @@ let save t =
       t.flight
   | Some _ | None -> ()
 
-let discard t =
-  Option.iter
-    (fun c -> for i = 0 to width t - 1 do Pair.discard (slot_of t c i) done)
-    t.checkpoint
+let discard t = Option.iter (fun c -> Slot.discard c.slot) t.checkpoint
 
 let feed t p =
   if t.skip > 0 then begin

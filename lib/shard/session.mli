@@ -6,9 +6,9 @@
     A session owns the {!Rt_trace.Stream_io} parser over a caller's line
     source, whose recover mode also salvages periods and keeps the
     quarantine account; the engine pairs, created when the first period
-    is fed; checkpoints in a {!Rt_store.Slot} with tag check, fresh
-    start on damage, replay-skip of the periods they hold, and a save
-    every N fed periods; provenance, counters, and the final answer set plus the
+    is fed; one checkpoint image in a {!Rt_store.Slot} with tag check,
+    fresh start on damage, replay-skip of the periods it holds, and a
+    save every N fed periods; provenance, counters, and the final answer set plus the
     bound-1 fold parts. Only the period under construction is in
     memory — a sharded session also holds the round it is collecting,
     at most one period per pair. An exception from the line source
@@ -51,16 +51,18 @@ type checkpoint = {
   source : string;  (** recorded in store metadata *)
   every : int;      (** fed periods between saves *)
 }
-(** A pair's main engine goes to [slot] and its companion to the
-    sibling [FILE.b1] / [REF/b1]. A sharded session writes pair [i] to
-    [FILE.shard<i>] / [REF/shard<i>] and its siblings. *)
+(** A save writes every engine, each pair's main then its companion,
+    to [slot] as one image in one [Slot.save], tagged [tag] plus
+    ["+shards<K>"] when sharded. *)
 
 type resume =
   | Fresh                (** no checkpoint to resume *)
   | Resumed of int       (** periods the checkpoint already holds *)
   | Corrupt of string
-  (** unreadable, undecodable, or its engines disagree on progress
-      (they cannot rewind); the session starts fresh *)
+  (** unreadable, undecodable, or not this session's shape (engine
+      count, bounds, round-robin shares, companions at their main
+      engine's period; engines cannot rewind); the session starts
+      fresh *)
   | Foreign of string
   (** intact but tagged for other input (the tag found); the session
       starts fresh, and the caller decides whether to refuse instead *)
@@ -82,9 +84,9 @@ val create :
     parallel on [pool] (which an unsharded session ignores). The pool
     never reaches the pairs' engines, and neither do [obs] nor
     [flight]. With [obs], each
-    period's parse runs in an ["ingest.parse"] span. With [flight], the
-    main engine records its periods and each save a
-    ["checkpoint.write"].
+    period's parse runs in an ["ingest.parse"] span and each save in a
+    ["checkpoint.write"] span. With [flight], the main engine records
+    its periods and each save a ["checkpoint.write"] event.
     @raise Invalid_argument when [shards < 1]. *)
 
 type step =

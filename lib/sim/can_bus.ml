@@ -28,8 +28,6 @@ let try_start t ~now =
        t.current <- Some f;
        Some (f, now + f.tx_time))
 
-let in_flight t = t.current
-
 let complete t =
   match t.current with
   | None -> invalid_arg "Can_bus.complete: bus is idle"

@@ -26,8 +26,6 @@ val try_start : t -> now:int -> (frame * int) option
     highest-priority frame: returns it with its completion time
     [now + tx_time]. The caller must call [complete] at that time. *)
 
-val in_flight : t -> frame option
-
 val complete : t -> frame
 (** Finish the in-flight transmission.
     @raise Invalid_argument if the bus is idle. *)

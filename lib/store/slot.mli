@@ -1,11 +1,11 @@
 (** A whole-image persistence slot: a plain file, or a store ref.
 
-    Engine checkpoints (and anything else written as one atomic image)
+    Checkpoint images (and anything else written as one atomic image)
     address their destination through a slot, so [learn --checkpoint],
-    sharded per-shard checkpoints, and rtgend per-stream checkpoints
-    work identically over bare files and over store refs. The CLI
-    syntax is: a spec containing ["//"] is [DIR//ref] (store-backed,
-    the store is created on demand); anything else is a file path. *)
+    sharded or not, and rtgend per-stream checkpoints work identically
+    over bare files and over store refs. The CLI syntax is: a spec
+    containing ["//"] is [DIR//ref] (store-backed, the store is created
+    on demand); anything else is a file path. *)
 
 type t = File of string | Ref of Store.t * string
 

@@ -23,9 +23,6 @@ let names t = Array.copy t.names
 
 let index t n = Hashtbl.find_opt t.by_name n
 
-let index_exn t n =
-  match index t n with Some i -> i | None -> raise Not_found
-
 let equal a b = a.names = b.names
 
 let pp ppf t =

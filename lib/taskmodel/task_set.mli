@@ -21,9 +21,6 @@ val names : t -> string array
 val index : t -> string -> int option
 (** Look a task up by name. *)
 
-val index_exn : t -> string -> int
-(** @raise Not_found if absent. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

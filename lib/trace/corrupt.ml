@@ -34,13 +34,6 @@ type raw = {
   raw_periods : (int * Event.t list) list;
 }
 
-let raw_of_trace (t : Trace.t) =
-  {
-    task_set = t.task_set;
-    raw_periods =
-      List.map (fun (p : Period.t) -> (p.index, Period.events p)) (Trace.periods t);
-  }
-
 (* Corruptions are applied in [all_kinds] order, period by period, off a
    single PRNG stream: a spec is a complete, reproducible description of
    the damage. Every draw is gated on [rate], so at rate 0.0 each

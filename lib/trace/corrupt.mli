@@ -43,8 +43,6 @@ type raw = {
   raw_periods : (int * Event.t list) list;  (** (index, events), unvalidated *)
 }
 
-val raw_of_trace : Trace.t -> raw
-
 val apply : spec -> Trace.t -> raw
 (** Corrupt every period. At [rate = 0.0] the output is event-for-event
     identical to the input (the property tests lean on this). *)

@@ -40,6 +40,7 @@ let to_string ?period_len (t : Trace.t) =
   let ids = List.rev !ids in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "$timescale 1us $end\n";
+  Printf.bprintf buf "$comment period_len %d $end\n" period_len;
   Buffer.add_string buf "$scope module trace $end\n";
   Array.iteri (fun i name ->
       Buffer.add_string buf
@@ -105,6 +106,7 @@ let of_string ?period_len s =
   let in_defs = ref true and in_dump = ref false in
   let time = ref 0 in
   let events = ref [] in
+  let declared = ref None in  (* the exporter's period_len comment *)
   try
     List.iteri (fun i raw ->
         let lineno = i + 1 in
@@ -132,6 +134,10 @@ let of_string ?period_len s =
                  | None -> fail lineno ("unrecognised signal name: " ^ name))
             in
             Hashtbl.add codes c signal
+          | [ "$comment"; "period_len"; l; "$end" ] ->
+            (match int_of_string_opt l with
+             | Some l when l > 0 -> declared := Some l
+             | Some _ | None -> fail lineno ("bad period_len: " ^ l))
           | "$enddefinitions" :: _ -> in_defs := false
           | "$dumpvars" :: _ -> in_dump := true
           | [ "$end" ] -> in_dump := false
@@ -174,9 +180,9 @@ let of_string ?period_len s =
       match period_len with
       | Some l -> if l <= 0 then fail 0 "period_len must be positive" else l
       | None ->
-        (match Trace.infer_period events with
-         | Some l -> l
-         | None ->
+        (match (!declared, Trace.infer_period events) with
+         | Some l, _ | None, Some l -> l
+         | None, None ->
            1 + List.fold_left (fun acc (e : Event.t) -> max acc e.time) 0 events)
     in
     (* A VCD timeline is laid out end to end: bucket each event by

@@ -5,8 +5,9 @@
     identifier is on the wire). Timescale: 1 us.
 
     Period events carry period-relative timestamps; the waveform lays
-    periods out end to end every [period_len] microseconds. The default
-    is the smallest power of ten that fits the largest event time. *)
+    periods out end to end every [period_len] microseconds, and says so
+    in a [$comment period_len N $end] header line. The default is the
+    smallest power of ten that fits the largest event time. *)
 
 val to_string : ?period_len:int -> Trace.t -> string
 
@@ -22,10 +23,10 @@ val of_string : ?period_len:int -> string -> (Trace.t * int, parse_error) result
 (** Parse a VCD dump with [task_*] / [can_0x*] 1-bit signals (the shape
     {!to_string} produces) back into a trace, slicing the absolute
     timeline into periods of [period_len] microseconds and re-basing
-    each period at 0. Without [period_len] the length is inferred from
-    task-start recurrence ({!Trace.infer_period}); a dump without
-    enough recurrence becomes a single period. Returns the trace and
-    the period length used. *)
+    each period at 0. Without [period_len] the length is the dump's
+    [period_len] comment, else inferred from task-start recurrence
+    ({!Trace.infer_period}); a dump without either becomes a single
+    period. Returns the trace and the period length used. *)
 
 val load : ?period_len:int -> string -> (Trace.t * int, parse_error) result
 (** Read from a file path. *)

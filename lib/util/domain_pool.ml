@@ -22,8 +22,6 @@ type t = {
   mutable domains : unit Domain.t list;
 }
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let jobs t = t.jobs
 
 (* Runs [r.body] on chunk indices until the round drains. Called with

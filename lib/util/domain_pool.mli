@@ -16,9 +16,6 @@ val create : jobs:int -> t
 
 val jobs : t -> int
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count], the sensible [-j 0] expansion. *)
-
 val shutdown : t -> unit
 (** Join all workers. The pool must not be used afterwards; idempotent. *)
 

@@ -234,6 +234,33 @@ def check_daemon_section(doc, path):
             )
 
 
+def check_checkpoint_span(doc, path):
+    """The checkpoint.write span of a saving learn.
+
+    `learn --checkpoint`, sharded or not, times each save (one image in
+    one write) in one checkpoint.write span. Its aggregate must be
+    consistent (min <= max, count * min <= total <= count * max), and
+    a run saves only after a fed period, plus once at --stop-after, so
+    it cannot make more saves than its periods plus one.
+    """
+    span = doc.get("spans", {}).get("checkpoint.write")
+    if span is None:
+        return
+    count, total = span.get("count", 0), span.get("total_ns", 0)
+    lo, hi = span.get("min_ns", 0), span.get("max_ns", 0)
+    if lo > hi or not count * lo <= total <= count * hi:
+        fail(path, f"checkpoint.write aggregate inconsistent: {dict(span)}")
+    counters = doc.get("counters", {})
+    periods = counters.get("shard.periods", counters.get("engine.periods"))
+    if periods is None:
+        fail(path, "checkpoint.write span outside a learn run")
+    elif count > periods + 1:
+        fail(
+            path,
+            f"checkpoint.write count {count} exceeds periods {periods} + 1",
+        )
+
+
 def check_section_order(doc, path):
     order = list(doc.keys())
     expected = [
@@ -439,6 +466,7 @@ def main():
         check_engine_section(doc, metrics_path.name)
         check_shard_section(doc, metrics_path.name)
         check_daemon_section(doc, metrics_path.name)
+        check_checkpoint_span(doc, metrics_path.name)
     if errors:
         print("\n".join(errors), file=sys.stderr)
         sys.exit(1)

@@ -270,7 +270,7 @@ let test_checkpoint_audit () =
       ~ntasks:(Rt_trace.Trace.task_count trace) ()
   in
   List.iter (Rt_learn.Heuristic.feed st) (Rt_trace.Trace.periods trace);
-  let data = Rt_learn.Heuristic.checkpoint st in
+  let data = Rt_learn.Heuristic.checkpoint [ st ] in
   (match Mc.check_checkpoint ~source:"<ck>" data with
    | Error (m, _) -> Alcotest.fail m
    | Ok fs ->
@@ -295,6 +295,64 @@ let test_checkpoint_audit () =
   | Ok _ -> Alcotest.fail "bit-flipped checkpoint accepted"
   | Error (_, f) ->
     Alcotest.(check string) "bit flip is RTC203" "RTC203" f.F.rule
+
+(* A session's image: a bound-4 main engine and its bound-1 companion
+   in one write. Every engine is audited, and findings name the engine
+   they come from. *)
+let test_checkpoint_image_audit () =
+  let module H = Rt_learn.Heuristic in
+  let trace = Lazy.force paper_trace in
+  let ntasks = Rt_trace.Trace.task_count trace in
+  let fed bound =
+    let st = H.init ~bound ~ntasks () in
+    List.iter (H.feed st) (Rt_trace.Trace.periods trace);
+    st
+  in
+  let data = H.checkpoint ~tag:"t" [ fed 4; fed 1 ] in
+  let unreadable what data =
+    match Mc.check_checkpoint ~source:"<ck>" data with
+    | Ok _ -> Alcotest.failf "%s image accepted" what
+    | Error (_, f) ->
+      Alcotest.(check string) (what ^ " is RTC203") "RTC203" f.F.rule
+  in
+  (match Mc.check_checkpoint ~source:"<ck>" data with
+   | Error (m, _) -> Alcotest.fail m
+   | Ok fs ->
+     Alcotest.(check (list string)) "healthy image has no errors" []
+       (List.map (fun (f : F.t) -> f.rule) (errors_of fs)));
+  (* Break the mirror of cells (0, 1) and (1, 0) of the last engine's
+     one hypothesis, the image's last matrix, and reseal the trailer. *)
+  let forge data =
+    let payload = String.sub data 0 (String.length data - 32) in
+    let forged = Bytes.of_string payload in
+    let last = Bytes.length forged - (ntasks * ntasks) in
+    let fwd = Char.chr (Dv.index Dv.Fwd) in
+    Bytes.set forged (last + 1) fwd;
+    Bytes.set forged (last + ntasks) fwd;
+    let forged = Bytes.to_string forged in
+    let trailer = Bytes.create 8 in
+    Bytes.set_int64_le trailer 0 (Int64.of_int (String.length forged));
+    forged ^ "RTCKSUM1" ^ Bytes.to_string trailer ^ Digest.string forged
+  in
+  (* The message of the RTC104 finding. *)
+  let rtc104 data =
+    match Mc.check_checkpoint ~source:"<ck>" (forge data) with
+    | Error (m, _) -> Alcotest.fail m
+    | Ok fs ->
+      (match List.find_opt (fun (f : F.t) -> f.rule = "RTC104") fs with
+       | Some f -> f.message
+       | None -> Alcotest.fail "no RTC104 finding")
+  in
+  Alcotest.(check bool) "the companion's finding names engine 1" true
+    (String.starts_with ~prefix:"<ck>[engine 1][0]: " (rtc104 data));
+  Alcotest.(check bool) "a one-engine finding names no engine" false
+    (String.starts_with ~prefix:"<ck>"
+       (rtc104 (H.checkpoint ~tag:"t" [ fed 1 ])));
+  unreadable "truncated" (String.sub data 0 (String.length data - 7));
+  let flipped = Bytes.of_string data in
+  let mid = String.length data / 2 in
+  Bytes.set flipped mid (Char.chr (Char.code (Bytes.get flipped mid) lxor 1));
+  unreadable "bit-flipped" (Bytes.to_string flipped)
 
 (* --- the broken-model fixtures carry their documented rule ids --- *)
 
@@ -355,6 +413,8 @@ let () =
             test_trace_conformance_violation;
           Alcotest.test_case "task set mismatch" `Quick test_task_set_mismatch;
           Alcotest.test_case "checkpoint audit" `Quick test_checkpoint_audit;
+          Alcotest.test_case "checkpoint image audit" `Quick
+            test_checkpoint_image_audit;
           Alcotest.test_case "fixtures" `Quick test_fixtures;
         ] );
     ]

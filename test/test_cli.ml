@@ -197,7 +197,28 @@ let test_model_check_checkpoint () =
   let garbage = tmp "garbage.ckpt" in
   write_file garbage "not a checkpoint at all";
   let code, _ = run_code (Printf.sprintf "check --checkpoint %s" garbage) in
-  Alcotest.(check int) "garbage checkpoint exits 2" 2 code
+  Alcotest.(check int) "garbage checkpoint exits 2" 2 code;
+  (* A sharded learn's image holds every engine: 3 pairs of 2. *)
+  ignore
+    (run (Printf.sprintf
+            "learn %s --bound 4 --shards 3 --checkpoint %s --stop-after 5"
+            trace_file ckpt));
+  let code, _ = run_code (Printf.sprintf "check --checkpoint %s" ckpt) in
+  Alcotest.(check int) "six-engine image audits clean" 0 code;
+  let image = read_file ckpt in
+  Sys.remove ckpt;
+  let damaged what data =
+    write_file garbage data;
+    let code, out = run_code (Printf.sprintf "check --checkpoint %s" garbage) in
+    Alcotest.(check int) (what ^ " image exits 2") 2 code;
+    Alcotest.(check bool) (what ^ " image is RTC203") true
+      (contains ~needle:"RTC203" out)
+  in
+  damaged "truncated" (String.sub image 0 (String.length image - 7));
+  let flipped = Bytes.of_string image in
+  let mid = String.length image / 2 in
+  Bytes.set flipped mid (Char.chr (Char.code (Bytes.get flipped mid) lxor 1));
+  damaged "bit-flipped" (Bytes.to_string flipped)
 
 let test_model_check_all_learn_paths () =
   (* Models produced by every learn path must satisfy the auditor:
@@ -485,20 +506,25 @@ let test_learn_shards_equal_across_k () =
   Alcotest.(check bool) "per-shard accounting on stderr" true
     (contains ~needle:"shard 0:" (read_file (tmp "stderr")))
 
+(* None of the per-shard and companion sidecar files of the earlier
+   one-file-per-engine layout. *)
+let no_sidecars what ckpt =
+  List.iter
+    (fun side ->
+       Alcotest.(check bool) (what ^ ": no " ^ side) false
+         (Sys.file_exists (ckpt ^ side)))
+    [ ".b1"; ".shard0"; ".shard0.b1"; ".shard1"; ".shard2" ]
+
 let test_learn_shards_checkpoint_resume () =
   let ckpt = tmp "gm_shard.ckpt" in
-  List.iter (fun i ->
-      List.iter (fun suffix ->
-          let p = Printf.sprintf "%s.shard%d%s" ckpt i suffix in
-          if Sys.file_exists p then Sys.remove p)
-        [ ""; ".b1" ])
-    [ 0; 1; 2 ];
+  if Sys.file_exists ckpt then Sys.remove ckpt;
   ignore
     (run (Printf.sprintf
             "learn %s --bound 4 --shards 3 --checkpoint %s --stop-after 2"
             trace_file ckpt));
-  Alcotest.(check bool) "per-shard checkpoint written" true
-    (Sys.file_exists (ckpt ^ ".shard0"));
+  Alcotest.(check bool) "one checkpoint image written" true
+    (Sys.file_exists ckpt);
+  no_sidecars "mid-run" ckpt;
   let resumed =
     run (Printf.sprintf "learn %s --bound 4 --shards 3 --checkpoint %s"
            trace_file ckpt)
@@ -508,12 +534,9 @@ let test_learn_shards_checkpoint_resume () =
   in
   Alcotest.(check string) "resumed fold = uninterrupted fold"
     uninterrupted resumed;
-  List.iter (fun i ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d checkpoints removed on success" i) false
-        (Sys.file_exists (Printf.sprintf "%s.shard%d" ckpt i)
-         || Sys.file_exists (Printf.sprintf "%s.shard%d.b1" ckpt i)))
-    [ 0; 1; 2 ]
+  Alcotest.(check bool) "checkpoint removed on success" false
+    (Sys.file_exists ckpt);
+  no_sidecars "after success" ckpt
 
 let test_learn_shards_metrics () =
   let m = tmp "gm_shard_metrics.json" in
@@ -527,6 +550,28 @@ let test_learn_shards_metrics () =
          (contains ~needle:(Printf.sprintf "%S" needle) text))
     [ "shard.shards"; "shard.periods"; "shard.messages"; "shard.jobs";
       "shard.worker_us" ]
+
+(* Each save is one image written inside one "checkpoint.write" span,
+   sharded or not: 6 periods saved every 2 make 3 spans. *)
+let test_checkpoint_write_span () =
+  List.iter
+    (fun shards ->
+       let ckpt = tmp "span.ckpt" and m = tmp "span_metrics.json" in
+       if Sys.file_exists ckpt then Sys.remove ckpt;
+       ignore
+         (run (Printf.sprintf
+                 "learn %s --bound 4 %s --checkpoint %s --every 2 --metrics %s"
+                 trace_file shards ckpt m));
+       let text = read_file m in
+       let rec find i =
+         if String.sub text i 18 = "\"checkpoint.write\"" then i
+         else find (i + 1)
+       in
+       let at = find 0 in
+       Alcotest.(check bool) (shards ^ ": one span per save") true
+         (contains ~needle:"\"count\": 3,"
+            (String.sub text at (min 60 (String.length text - at)))))
+    [ ""; "--shards 3" ]
 
 let test_learn_shards_conflicts () =
   ignore
@@ -993,7 +1038,31 @@ let test_vcd_import_roundtrip () =
     (run (Printf.sprintf "vcd %s --period-len 100000 -o %s" trace_file dump));
   let back = run (Printf.sprintf "vcd --import %s --period-len 100000" dump) in
   Alcotest.(check string) "vcd import round trip" (read_file trace_file) back;
-  ignore (run ~expect_fail:true (Printf.sprintf "vcd --import %s" trace_file))
+  ignore (run ~expect_fail:true (Printf.sprintf "vcd --import %s" trace_file));
+  (* Without --period-len the import slices where the export laid the
+     periods out, which task-start recurrence alone can get wrong. *)
+  List.iter
+    (fun seed ->
+       let trace = tmp (Printf.sprintf "vcd_seed%d.trace" seed) in
+       let dump = tmp (Printf.sprintf "vcd_seed%d.vcd" seed) in
+       ignore
+         (run (Printf.sprintf "simulate --tasks 6 --periods 300 --seed %d -o %s"
+                 seed trace));
+       ignore (run (Printf.sprintf "vcd %s -o %s" trace dump));
+       Alcotest.(check string)
+         (Printf.sprintf "seed %d: periods come back" seed)
+         (read_file trace)
+         (run (Printf.sprintf "vcd --import %s" dump)))
+    [ 1; 2; 3 ];
+  (* A whole-dump error has no line to cite. *)
+  let straddle = tmp "straddle.vcd" in
+  write_file straddle "$var wire 1 ! task_a $end\n#90\n1!\n#110\n0!\n";
+  let code, _ =
+    run_code (Printf.sprintf "vcd --import %s --period-len 100" straddle)
+  in
+  Alcotest.(check int) "straddling task exits 2" 2 code;
+  Alcotest.(check bool) "no line 0 cited" false
+    (contains ~needle:"line 0" (read_file (tmp "stderr")))
 
 (* --- the content-addressed store and fleet merge --- *)
 
@@ -1118,25 +1187,72 @@ let test_merge_after_checkpoint_resume () =
   let resumed = tmp "ckmerge_resumed.store" in
   let ckpt = tmp "ckmerge.ckpt" in
   List.iter rm_rf [ plain; resumed ];
-  List.iter
-    (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ ckpt; ckpt ^ ".b1" ];
+  if Sys.file_exists ckpt then Sys.remove ckpt;
   ignore
     (run (Printf.sprintf "learn %s --bound 4 --store %s" trace_file plain));
   ignore
     (run (Printf.sprintf
             "learn %s --bound 4 --store %s --checkpoint %s --stop-after 2"
             trace_file resumed ckpt));
-  Alcotest.(check bool) "companion checkpointed beside the engine" true
-    (Sys.file_exists (ckpt ^ ".b1"));
+  Alcotest.(check bool) "engine and companion in one image" true
+    (Sys.file_exists ckpt);
+  no_sidecars "mid-run" ckpt;
   ignore
     (run (Printf.sprintf "learn %s --bound 4 --store %s --checkpoint %s"
             trace_file resumed ckpt));
-  Alcotest.(check bool) "companion checkpoint removed on success" false
-    (Sys.file_exists (ckpt ^ ".b1"));
+  Alcotest.(check bool) "checkpoint removed on success" false
+    (Sys.file_exists ckpt);
+  no_sidecars "after success" ckpt;
   let want = run (Printf.sprintf "merge %s" plain) in
   Alcotest.(check string) "merge after resume = merge after a plain learn"
     want (run (Printf.sprintf "merge %s" resumed))
+
+(* A main-engine file alone, as the one-file-per-engine layout left it
+   beside a companion sidecar, is one engine where [--store] at bound 4
+   needs two: the run warns, starts fresh and learns the uninterrupted
+   model. *)
+let test_sidecar_companion_checkpoint () =
+  let ckpt = tmp "sidecar_companion.ckpt" in
+  let fresh = tmp "sidecar_companion_fresh.store" in
+  let plain = tmp "sidecar_companion_plain.store" in
+  List.iter rm_rf [ fresh; plain ];
+  if Sys.file_exists ckpt then Sys.remove ckpt;
+  ignore
+    (run (Printf.sprintf "learn %s --bound 4 --checkpoint %s --stop-after 2"
+            trace_file ckpt));
+  let code, out =
+    run_code
+      (Printf.sprintf "learn %s --bound 4 --store %s --checkpoint %s"
+         trace_file fresh ckpt)
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "warned and started fresh" true
+    (contains ~needle:"starting fresh" (read_file (tmp "stderr")));
+  Alcotest.(check string) "uninterrupted model"
+    (run (Printf.sprintf "learn %s --bound 4 --store %s" trace_file plain))
+    out;
+  Alcotest.(check bool) "checkpoint removed on success" false
+    (Sys.file_exists ckpt)
+
+(* The tag does not bind [--bound]: a bound-4 checkpoint resumed with
+   [--bound 8] holds an engine of the wrong bound, so the run warns,
+   starts fresh and learns the uninterrupted bound-8 model. *)
+let test_checkpoint_other_bound () =
+  let ckpt = tmp "other_bound.ckpt" in
+  if Sys.file_exists ckpt then Sys.remove ckpt;
+  ignore
+    (run (Printf.sprintf "learn %s --bound 4 --checkpoint %s --stop-after 2"
+            trace_file ckpt));
+  let code, out =
+    run_code
+      (Printf.sprintf "learn %s --bound 8 --checkpoint %s" trace_file ckpt)
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  Alcotest.(check bool) "warned and started fresh" true
+    (contains ~needle:"starting fresh" (read_file (tmp "stderr")));
+  Alcotest.(check string) "uninterrupted bound-8 model"
+    (run (Printf.sprintf "learn %s --bound 8" trace_file))
+    out
 
 let test_store_checkpoint_resume () =
   let store = tmp "ckpt.store" in
@@ -1277,6 +1393,8 @@ let () =
             test_learn_shards_checkpoint_resume;
           Alcotest.test_case "sharded metrics keys" `Quick
             test_learn_shards_metrics;
+          Alcotest.test_case "checkpoint.write span per save" `Quick
+            test_checkpoint_write_span;
           Alcotest.test_case "sharded flag conflicts" `Quick
             test_learn_shards_conflicts;
           Alcotest.test_case "learn --auto trajectory" `Quick
@@ -1315,6 +1433,10 @@ let () =
             test_store_merge_validation;
           Alcotest.test_case "merge after checkpoint resume" `Quick
             test_merge_after_checkpoint_resume;
+          Alcotest.test_case "main-only companion checkpoint starts fresh" `Quick
+            test_sidecar_companion_checkpoint;
+          Alcotest.test_case "checkpoint under another bound starts fresh"
+            `Quick test_checkpoint_other_bound;
         ]
         @ dir_under_file_cases );
       ( "observability",

@@ -128,9 +128,11 @@ let test_engine_checkpoint_roundtrip () =
     | Ok d -> d
     | Error m -> Alcotest.failf "checkpoint failed: %s" m
   in
-  match Eng.resume data with
+  match H.resume data with
   | Error m -> Alcotest.failf "resume failed: %s" m
-  | Ok (eng', tag) ->
+  | Ok (_ :: _ :: _, _) | Ok ([], _) -> Alcotest.fail "not one engine"
+  | Ok ([ st ], tag) ->
+    let eng' = Eng.of_heuristic st in
     Alcotest.(check string) "tag preserved" "roundtrip" tag;
     Alcotest.(check int) "periods travel" cut (Eng.periods_fed eng');
     Alcotest.(check int) "messages travel"

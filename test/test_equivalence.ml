@@ -19,6 +19,7 @@ module Store = Rt_store.Store
 module Slot = Rt_store.Slot
 module T = Rt_trace.Trace
 module Reg = Rt_obs.Registry
+module Fault = Rt_util.Atomic_file.Fault
 
 type case = {
   seed : int;                      (* design and simulation *)
@@ -171,13 +172,31 @@ let law (c : case) =
   let st, _ = session ~obs:reg () in
   ignore (drain "session" st 0);
   finished "session" ~reg st;
+  let finished_sharded what k st =
+    let dealt =
+      List.init k (fun i ->
+          let mine = List.filteri (fun j _ -> j mod k = i) periods in
+          strings (oracle mine).hypotheses)
+    in
+    let fold = Session.fold st in
+    let shards = Array.to_list (Session.shards st) in
+    agree what
+      (model1, nperiods, messages, dealt)
+      ( show fold,
+        Session.periods_fed st,
+        List.fold_left (fun n (s : Session.shard) -> n + s.messages) 0 shards,
+        List.map (fun (s : Session.shard) -> strings s.hypotheses) shards );
+    List.iter
+      (fun (s : Session.shard) ->
+         match (fold, lub s.hypotheses) with
+         | Some m, Some l when not (Df.leq l m) ->
+           fail "%s: a shard is not below the fold" what
+         | _ -> ())
+      shards;
+    agree (what ^ " quarantine") q (Session.quarantine st)
+  in
   List.iter
     (fun k ->
-       let dealt =
-         List.init k (fun i ->
-             let mine = List.filteri (fun j _ -> j mod k = i) periods in
-             strings (oracle mine).hypotheses)
-       in
        List.iter
          (fun pool ->
             let what =
@@ -185,24 +204,7 @@ let law (c : case) =
             in
             let st, _ = session ?pool ~shards:k () in
             ignore (drain what st 0);
-            let fold = Session.fold st in
-            let shards = Array.to_list (Session.shards st) in
-            agree what
-              (model1, nperiods, messages, dealt)
-              ( show fold,
-                Session.periods_fed st,
-                List.fold_left (fun n (s : Session.shard) -> n + s.messages) 0
-                  shards,
-                List.map (fun (s : Session.shard) -> strings s.hypotheses)
-                  shards );
-            List.iter
-              (fun (s : Session.shard) ->
-                 match (fold, lub s.hypotheses) with
-                 | Some m, Some l when not (Df.leq l m) ->
-                   fail "%s: a shard is not below the fold" what
-                 | _ -> ())
-              shards;
-            agree (what ^ " quarantine") q (Session.quarantine st))
+            finished_sharded what k st)
          [ None; Some (Lazy.force pool2) ])
     [ 1; 2; 4; 8 ];
 
@@ -266,35 +268,112 @@ let law (c : case) =
   streamed "stream" (fst (stream 1));
 
   with_tmpdir (fun dir ->
-      (* Kill after [kill] fed periods: the slot holds the last multiple
-         of [every], and the resumed run, which saves no more, replay-skips
-         exactly those. *)
+      (* A crash at a write. A checkpointed session, sharded or not, with
+         a companion, dies at one write: nothing of it reaches the disk,
+         or a prefix too short to complete a ledger line. The next run
+         resumes from the last save that completed, [Fresh] only when
+         none did, replay-skips exactly those periods and learns the
+         reference answer. A run without a fault resumes from its last
+         save, which may hold the whole trace. A save is one image: one
+         write to a file slot, one blob write plus one ledger append to
+         a ref slot, whatever the shard count. [QCHECK_LONG=1] faults
+         every write in turn. *)
+      let shards =
+        if pick 2 = 0 then None else Some (List.nth [ 1; 2; 4; 8 ] (pick 4))
+      in
+      let every = 1 + pick 3 in
+      let long =
+        match Sys.getenv_opt "QCHECK_LONG" with
+        | Some ("1" | "true") -> true
+        | Some _ | None -> false
+      in
+      (* Each run its own tag, so no image is one an earlier run left in
+         the store, whose blobs would then not be written again. *)
+      let runs = ref 0 in
+      List.iter
+        (fun (name, slot, per_save) ->
+           let what =
+             Printf.sprintf "crash-resume, %s, %s" name
+               (match shards with
+                | None -> "unsharded"
+                | Some k -> Printf.sprintf "K=%d" k)
+           in
+           (* Run to the end of input, or die at write [at], and resume;
+              the saves the first run completed and the writes it made. *)
+           let crash at =
+             incr runs;
+             let checkpoint =
+               { Session.slot; tag = Printf.sprintf "equiv%d" !runs;
+                 source = "equiv"; every }
+             in
+             let fault =
+               if pick 2 = 0 then Fault.Fail else Fault.Prefix (pick 32)
+             in
+             let what =
+               match (at, fault) with
+               | None, _ -> what ^ ", no fault"
+               | Some at, Fault.Fail ->
+                 Printf.sprintf "%s, write %d failed" what at
+               | Some at, Fault.Prefix k ->
+                 Printf.sprintf "%s, write %d cut at %d" what at k
+             in
+             Fault.arm ~at:(Option.value at ~default:max_int) fault;
+             let saved, saves, writes =
+               Fun.protect ~finally:Fault.disarm (fun () ->
+                   let st, _ = session ?shards ~checkpoint () in
+                   (* The periods of the last save that completed. *)
+                   let rec go saved saves =
+                     match Session.next st with
+                     | Ok None -> saved
+                     | Ok (Some _) when Session.checkpoints_written st > saves
+                       ->
+                       go (Session.periods_fed st) (saves + 1)
+                     | Ok (Some _) -> go saved saves
+                     | Error e -> fail "%s: line %d: %s" what e.line e.message
+                     | exception Sys_error _ -> saved
+                   in
+                   let saved = go 0 0 in
+                   (saved, Session.checkpoints_written st, Fault.ops ()))
+             in
+             agree (what ^ ": saved") (saved > 0) (Slot.exists slot);
+             let reg = Reg.create () in
+             let second, resume =
+               session ~obs:reg ?shards
+                 ~checkpoint:{ checkpoint with every = max_int } ()
+             in
+             agree (what ^ ": resume")
+               (if saved = 0 then Session.Fresh else Session.Resumed saved)
+               resume;
+             agree (what ^ ": replay-skip") saved (drain what second 0);
+             (match shards with
+              | None -> finished what ~reg second
+              | Some k -> finished_sharded what k second);
+             Session.discard second;
+             agree (what ^ ": discard") false (Slot.exists slot);
+             (saves, writes)
+           in
+           (* No fault first: the resume starts from the run's last save. *)
+           let saves, writes = crash None in
+           agree (what ^ ": writes per save") (per_save * saves) writes;
+           List.iter
+             (fun at -> ignore (crash (Some at)))
+             (if writes = 0 then []
+              else if long then List.init writes (fun n -> n + 1)
+              else [ 1 + pick writes ]))
+        [ ("file slot", Slot.File (Filename.concat dir "crash"), 1);
+          ( "store slot",
+            Slot.Ref
+              (ok "store" (Store.init (Filename.concat dir "crashes")),
+               "ckpt/session"),
+            2 ) ];
+
+      (* The daemon's stream, killed after [kill] fed periods: the slot
+         holds the last multiple of [every], and the resumed stream
+         replay-skips exactly those. *)
       List.iter
         (fun (name, slot) ->
-           let every = 1 + pick 3 and kill = pick (nperiods + 1) in
+           let kill = pick (nperiods + 1) in
            let saved = kill / every * every in
-           let what = "session kill-resume, " ^ name in
-           let checkpoint =
-             { Session.slot; tag = "equiv"; source = "equiv"; every }
-           in
-           let first, _ = session ~checkpoint () in
-           while Session.periods_fed first < kill do
-             match Session.next first with
-             | Ok (Some _) -> ()
-             | _ -> fail "%s: no period to kill at" what
-           done;
-           agree (what ^ ": saved") (saved > 0) (Slot.exists slot);
-           let reg = Reg.create () in
-           let second, resume =
-             session ~obs:reg ~checkpoint:{ checkpoint with every = max_int } ()
-           in
-           agree (what ^ ": resume")
-             (if saved = 0 then Session.Fresh else Session.Resumed saved)
-             resume;
-           agree (what ^ ": replay-skip") saved (drain what second 0);
-           finished what ~reg second;
-           Session.discard second;
-           agree (what ^ ": discard") false (Slot.exists slot);
            let what = "stream kill-resume, " ^ name in
            let first, _ = stream ~checkpoint:slot every in
            List.iter (fun l -> ignore (Stream.offer_line first l)) lines;

@@ -276,7 +276,7 @@ let test_counters_travel_checkpoint () =
   (* Kill after 3 periods, checkpoint, resume, finish. *)
   let st = H.init ~bound:8 ~ntasks () in
   List.iteri (fun i p -> if i < 3 then H.feed st p) periods;
-  let st', _tag = Result.get_ok (H.resume (H.checkpoint st)) in
+  let st' = List.hd (fst (Result.get_ok (H.resume (H.checkpoint [ st ])))) in
   List.iteri (fun i p -> if i >= 3 then H.feed st' p) periods;
   Alcotest.(check bool) "stats equal" true (H.stats full = H.stats st');
   Alcotest.(check bool) "counters equal" true
@@ -285,7 +285,7 @@ let test_counters_travel_checkpoint () =
 let test_checkpoint_v1_refused () =
   let module H = Rt_learn.Heuristic in
   let st = H.init ~bound:2 ~ntasks:3 () in
-  let ck = Bytes.of_string (H.checkpoint st) in
+  let ck = Bytes.of_string (H.checkpoint [ st ]) in
   Bytes.set ck 8 '\001';  (* version byte follows the 8-byte magic *)
   match H.resume (Bytes.to_string ck) with
   | Ok _ -> Alcotest.fail "resumed a version-1 checkpoint"

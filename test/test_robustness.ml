@@ -262,10 +262,11 @@ let test_checkpoint_roundtrip () =
       let st = H.init ~policy ~bound:4 ~ntasks () in
       List.iteri (fun i p -> if i < k then H.feed st p) periods;
       H.set_provenance st ~dropped:2 ~repaired:3;
-      let data = H.checkpoint ~tag:"trace-digest" st in
+      let data = H.checkpoint ~tag:"trace-digest" [ st ] in
       match H.resume data with
       | Error m -> Alcotest.failf "%s: resume failed: %s" ctx m
-      | Ok (st', tag) ->
+      | Ok (_ :: _ :: _, _) | Ok ([], _) -> Alcotest.failf "%s: not one state" ctx
+      | Ok ([ st' ], tag) ->
         Alcotest.(check string) (ctx ^ ": tag round trip") "trace-digest" tag;
         Alcotest.(check bool) (ctx ^ ": provenance survives") true
           (H.provenance st'
@@ -294,8 +295,9 @@ let test_checkpoint_matches_uninterrupted_run () =
   let st =
     List.fold_left (fun st p ->
         H.feed st p;
-        match H.resume (H.checkpoint st) with
-        | Ok (st', _) -> st'
+        match H.resume (H.checkpoint [ st ]) with
+        | Ok ([ st' ], _) -> st'
+        | Ok _ -> Alcotest.fail "not one state"
         | Error m -> Alcotest.failf "resume failed: %s" m)
       st periods
   in
@@ -319,7 +321,7 @@ let test_resume_rejects_garbage () =
   bad (String.make 64 '\000');
   (* a valid checkpoint, truncated *)
   let st = H.init ~bound:2 ~ntasks:3 () in
-  let data = H.checkpoint st in
+  let data = H.checkpoint [ st ] in
   bad (String.sub data 0 (String.length data - 1));
   bad (data ^ "\000");
   (* a valid payload cut exactly by its 32-byte integrity trailer *)

@@ -343,9 +343,9 @@ let qc_closed_form =
        List.iteri
          (fun i p ->
             if i = cut then begin
-              let ck = H.checkpoint closed in
-              check (String.equal ck (H.checkpoint general));
-              resumed := Some (fst (Result.get_ok (H.resume ck)))
+              let ck = H.checkpoint [ closed ] in
+              check (String.equal ck (H.checkpoint [ general ]));
+              resumed := Some (List.hd (fst (Result.get_ok (H.resume ck))))
             end;
             H.feed closed p;
             H.feed general p;
@@ -353,7 +353,7 @@ let qc_closed_form =
             expect_period ?window e p;
             let c = H.counters closed and st = H.stats closed in
             check
-              (String.equal (H.checkpoint closed) (H.checkpoint general)
+              (String.equal (H.checkpoint [ closed ]) (H.checkpoint [ general ])
                && c.H.branches = e.branches
                && st.H.created = e.created
                && st.H.merges = e.merges
@@ -363,9 +363,9 @@ let qc_closed_form =
                && c.H.nonminimal = 0
                && (H.current closed <> []) = e.alive))
          periods;
-       let final = H.checkpoint closed in
+       let final = H.checkpoint [ closed ] in
        Option.iter
-         (fun st -> check (String.equal (H.checkpoint st) final))
+         (fun st -> check (String.equal (H.checkpoint [ st ]) final))
          !resumed;
        !ok
        && same_outcome (H.run ~policy ?window ~bound:1 trace)
