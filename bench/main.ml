@@ -57,13 +57,12 @@ let wall f =
   let r = f () in
   (r, float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9)
 
-(* [wall] repeated [n] times: the last result and the median time, so
-   one descheduled run cannot move a gated ratio. *)
-let median_wall n f =
-  let runs = List.init n (fun _ -> wall f) in
-  let times = Array.of_list (List.map snd runs) in
-  Array.sort Float.compare times;
-  (fst (List.nth runs (n - 1)), times.(n / 2))
+(* The median of repeated timings, so one descheduled run cannot move
+   a gated ratio. *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
 
 let section title =
   Printf.printf "\n==== %s ====\n%!" title
@@ -210,12 +209,13 @@ let bench_table1 trace =
    monolithic heuristic run on the same bound.                          *)
 (* ------------------------------------------------------------------ *)
 
-type sharded_row = { k : int; sharded_s : float }
+type sharded_row = { k : int; sharded_s : float; samples : float list }
 
 type sharded_data = {
   sh_bound : int;
   sh_jobs : int;
-  monolithic_s : float;  (** wall time, single-engine heuristic run *)
+  monolithic_s : float;  (** median wall time, single-engine heuristic run *)
+  mono_samples : float list;
   runs : sharded_row list;
 }
 
@@ -228,11 +228,6 @@ let bench_sharded trace =
     match (Rt_learn.Heuristic.run ~bound:1 trace).Rt_learn.Heuristic.hypotheses with
     | [ d ] -> d
     | _ -> failwith "sharded bench: reference trace must be consistent"
-  in
-  (* Every timing below is the median of [repeats] runs. *)
-  let repeats = 3 in
-  let _, mono_s =
-    median_wall repeats (fun () -> Rt_learn.Heuristic.run ~bound trace)
   in
   let pool =
     if jobs > 1 then Some (Rt_util.Domain_pool.create ~jobs) else None
@@ -254,19 +249,39 @@ let bench_sharded trace =
     in
     drain ()
   in
-  let runs =
+  let ks = [ 1; 2; 4; 8 ] in
+  (* [repeats] rounds, each a monolithic run and then one sharded run
+     per K, so a slow spell of a shared host lands on both sides of
+     every ratio; each figure is the median of its [repeats] samples. *)
+  let repeats = 5 in
+  let round () =
+    let _, mono = wall (fun () -> Rt_learn.Heuristic.run ~bound trace) in
+    let sharded =
+      List.map
+        (fun k ->
+           let model, dt = wall (fun () -> learn k) in
+           (match model with
+            | Some m when Df.equal m oracle -> ()
+            | Some _ | None ->
+              failwith "sharded bench: fold differs from monolithic d*(1)");
+           dt)
+        ks
+    in
+    (mono, sharded)
+  in
+  let rounds =
     Fun.protect
       ~finally:(fun () -> Option.iter Rt_util.Domain_pool.shutdown pool)
-      (fun () ->
-         List.map
-           (fun k ->
-              let model, dt = median_wall repeats (fun () -> learn k) in
-              (match model with
-               | Some m when Df.equal m oracle -> ()
-               | Some _ | None ->
-                 failwith "sharded bench: fold differs from monolithic d*(1)");
-              { k; sharded_s = dt })
-           [ 1; 2; 4; 8 ])
+      (fun () -> List.init repeats (fun _ -> round ()))
+  in
+  let mono_samples = List.map fst rounds in
+  let mono_s = median mono_samples in
+  let runs =
+    List.mapi
+      (fun i k ->
+         let samples = List.map (fun (_, sh) -> List.nth sh i) rounds in
+         { k; sharded_s = median samples; samples })
+      ks
   in
   print_string
     (Table.render
@@ -279,13 +294,14 @@ let bench_sharded trace =
                Printf.sprintf "%.2fx" (mono_s /. Float.max r.sharded_s 1e-9) ])
           runs));
   Printf.printf
-    "bound %d, %d worker domain(s), median of %d runs; every fold asserted\n\
-     byte-equal to the monolithic bound-1 model. Each shard also runs a\n\
-     bound-1 companion, so at jobs=1 the sweep measures pure sharding\n\
-     overhead — wall-clock wins need RTGEN_BENCH_JOBS >= 2 (see\n\
-     EXPERIMENTS.md).\n"
+    "bound %d, %d worker domain(s), median of %d interleaved runs each;\n\
+     every fold asserted byte-equal to the monolithic bound-1 model. Each\n\
+     shard also runs a bound-1 companion, so at jobs=1 the sweep measures\n\
+     pure sharding overhead — wall-clock wins need RTGEN_BENCH_JOBS >= 2\n\
+     (see EXPERIMENTS.md).\n"
     bound jobs repeats;
-  { sh_bound = bound; sh_jobs = jobs; monolithic_s = mono_s; runs }
+  { sh_bound = bound; sh_jobs = jobs; monolithic_s = mono_s; mono_samples;
+    runs }
 
 (* ------------------------------------------------------------------ *)
 (* Observability: flight-recorder overhead on the engine's feed path.
@@ -355,15 +371,21 @@ let emit_json path trace rows sharded recorder =
     (match crossover_bound rows with
      | Some b -> string_of_int b
      | None -> "null");
+  let samples xs =
+    String.concat ", " (List.map (Printf.sprintf "%.6f") xs)
+  in
   out
     "  \"sharded\": { \"bound\": %d, \"jobs\": %d, \
-     \"monolithic_seconds\": %.6f, \"runs\": [ %s ] },\n"
+     \"monolithic_seconds\": %.6f, \"monolithic_samples\": [ %s ], \
+     \"runs\": [ %s ] },\n"
     sharded.sh_bound sharded.sh_jobs sharded.monolithic_s
+    (samples sharded.mono_samples)
     (String.concat ", "
        (List.map
           (fun r ->
-             Printf.sprintf "{ \"shards\": %d, \"seconds\": %.6f }"
-               r.k r.sharded_s)
+             Printf.sprintf
+               "{ \"shards\": %d, \"seconds\": %.6f, \"samples\": [ %s ] }"
+               r.k r.sharded_s (samples r.samples))
           sharded.runs));
   out
     "  \"recorder\": { \"bound\": %d, \"off_seconds\": %.6f, \

@@ -38,6 +38,9 @@ type state = {
   closed_form : bool;  (* bound 1 takes [step_closed] *)
   violations : Violations.t;
   scratch : Workset.t;  (* per-message working set, reused across messages *)
+  codes : int array;
+  (* [step_closed]'s candidate codes, reused across messages. Per state,
+     not global: engines run on several domains at once. *)
   mutable hs : Hypothesis.t array;  (* ascending (weight, structural) order *)
   mutable created : int;
   mutable merges : int;
@@ -71,6 +74,7 @@ let init ?(policy = Lightest_pair) ?window ?obs ?(closed_form = true) ~bound
     closed_form = closed_form && bound = 1;
     violations = Violations.create ntasks;
     scratch = Workset.create ~bound;
+    codes = Array.make (ntasks * ntasks) 0;
     hs = [| Hypothesis.bottom ntasks |];
     created = 1;
     merges = 0;
@@ -141,52 +145,64 @@ let step_message st hs pairs =
 
 (* [step_message] at bound 1 in closed form (DESIGN.md §20): the one
    parent's children all merge, so the message leaves the join of all of
-   them, built on one matrix copy. The counters follow: every pair is a
-   branch, each of the |C'| children counts as created, and folding them
-   into one takes |C'| - 1 merges of two evictions each. No child can be
-   a duplicate, as each holds a different pair in its assumptions. *)
-let step_closed st hs pairs =
+   them, built in place on the parent's matrix from the candidate codes
+   in [st.codes]. The counters follow: every pair is a branch, each of
+   the |C'| children counts as created, and folding them into one takes
+   |C'| - 1 merges of two evictions each. No child can be a duplicate,
+   as each holds a different pair in its assumptions. *)
+let step_closed st hs (p : Period.t) m =
+  let np = Candidates.pair_codes ?window:st.window p m st.codes in
+  (match st.cand_hist with
+   | Some h -> Rt_obs.Histogram.record h np
+   | None -> ());
   if Array.length hs = 0 then hs
   else begin
-    st.branches <- st.branches + List.length pairs;
-    let next, admitted = Hypothesis.join_message hs.(0) pairs in
+    st.branches <- st.branches + np;
+    let admitted = Hypothesis.join_codes hs.(0) st.codes np in
     st.created <- st.created + admitted;
     if admitted > 1 then begin
       st.merges <- st.merges + admitted - 1;
       st.evictions <- st.evictions + (2 * (admitted - 1))
     end;
-    match next with Some h -> [| h |] | None -> [||]
+    if admitted = 0 then [||] else hs
   end
 
 let messages st (p : Period.t) =
-  Array.fold_left
-    (fun hs m ->
-       let pairs = Candidates.pairs ?window:st.window ?hist:st.cand_hist p m in
-       if st.closed_form then step_closed st hs pairs
-       else step_message st hs pairs)
-    st.hs p.msgs
+  let hs = ref st.hs in
+  for k = 0 to Array.length p.msgs - 1 do
+    let m = p.msgs.(k) in
+    hs :=
+      if st.closed_form then step_closed st !hs p m
+      else
+        step_message st !hs
+          (Candidates.pairs ?window:st.window ?hist:st.cand_hist p m)
+  done;
+  !hs
 
 let weaken st (p : Period.t) hs =
   Violations.observe st.violations ~executed:p.executed;
   let violated = Violations.matrix st.violations in
-  Array.iter (fun h ->
-      st.weakenings <-
-        st.weakenings + Hypothesis.weaken_violations_count h ~violated;
-      Hypothesis.clear_assumptions h)
-    hs
+  for k = 0 to Array.length hs - 1 do
+    st.weakenings <-
+      st.weakenings + Hypothesis.weaken_violations_count hs.(k) ~violated;
+    Hypothesis.clear_assumptions hs.(k)
+  done
 
 (* Post-processing: unify equal hypotheses, drop non-minimal ones.
    [minimal_only] returns ascending (weight, structural) order, which is
    exactly the state invariant (weakening changed the weights). *)
 let postprocess st hs =
-  let cut_dup = ref 0 and cut_min = ref 0 in
-  let survivors =
-    Postprocess.minimal_only ~removed:cut_min
-      (Postprocess.dedup ~removed:cut_dup (Array.to_list hs))
-  in
-  st.end_dedup <- st.end_dedup + !cut_dup;
-  st.nonminimal <- st.nonminimal + !cut_min;
-  st.hs <- Array.of_list survivors
+  if Array.length hs <= 1 then st.hs <- hs
+  else begin
+    let cut_dup = ref 0 and cut_min = ref 0 in
+    let survivors =
+      Postprocess.minimal_only ~removed:cut_min
+        (Postprocess.dedup ~removed:cut_dup (Array.to_list hs))
+    in
+    st.end_dedup <- st.end_dedup + !cut_dup;
+    st.nonminimal <- st.nonminimal + !cut_min;
+    st.hs <- Array.of_list survivors
+  end
 
 let close_period st (p : Period.t) =
   st.periods <- st.periods + 1;
@@ -459,6 +475,7 @@ let decode_payload ?obs data pos =
         closed_form = bound = 1;
         violations = Violations.of_matrix vm;
         scratch = Workset.create ~bound;
+        codes = Array.make (ntasks * ntasks) 0;
         hs;
         created;
         merges;

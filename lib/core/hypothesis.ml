@@ -216,54 +216,45 @@ let child h ~parent ~pair ~sender:s ~receiver:r =
 
 (* Bound 1 in closed form (DESIGN.md §20): with [h] the only parent,
    the children are [h ⊔ J({c})] for [c] in C', the pairs [h] has not
-   assumed, and the bound merges them all. One copy of [h]'s matrix
-   takes every join, weight and hash kept by the same per-cell update
-   as a merge; the assumptions are [A ∪ {c}] for a lone child and the
-   intersection [A] otherwise. *)
-let join_message h pairs =
+   assumed, and the bound merges them all. [h]'s own matrix takes every
+   join, weight and hash kept by the same per-cell update as a merge;
+   the assumptions become [A ∪ {c}] for a lone child and stay [A]
+   otherwise. Every pair is checked against [A] as it was before the
+   message, which no join changes until the loop ends. *)
+let join_codes h codes count =
   force h;
   let n = Df.size h.dep in
-  let out = ref None and admitted = ref 0 in
-  List.iter
-    (fun (s, r) ->
-       if s < 0 || s >= n || r < 0 || r >= n then
-         invalid_arg "Hypothesis.join_message: task index out of range";
-       if s = r then invalid_arg "Hypothesis.join_message: sender = receiver";
-       if not (assumed h s r) then begin
-         let h' =
-           match !out with
-           | Some h' ->
-             if !admitted = 1 then begin
-               h'.assumptions <- h.assumptions;
-               h'.a_hash <- h.a_hash
-             end;
-             h'
-           | None ->
-             let h' =
-               plain (Df.copy h.dep) ~weight:h.weight ~hash:h.hash
-                 ~a_hash:((h.a_hash + pair_mix (s, r)) land max_int)
-                 (insert_sorted (s, r) h.assumptions)
-             in
-             out := Some h';
-             h'
-         in
-         incr admitted;
-         join_byte h' ((s * n) + r) fwd_ix;
-         join_byte h' ((r * n) + s) bwd_ix
-       end)
-    pairs;
-  (!out, !admitted)
+  let admitted = ref 0 and first = ref 0 in
+  for k = 0 to count - 1 do
+    let i = codes.(k) in
+    if i < 0 || i >= n * n then
+      invalid_arg "Hypothesis.join_codes: task index out of range";
+    let s = i / n and r = i mod n in
+    if s = r then invalid_arg "Hypothesis.join_codes: sender = receiver";
+    if not (assumed h s r) then begin
+      if !admitted = 0 then first := i;
+      incr admitted;
+      join_byte h i fwd_ix;
+      join_byte h ((r * n) + s) bwd_ix
+    end
+  done;
+  if !admitted = 1 then begin
+    let c = (!first / n, !first mod n) in
+    h.assumptions <- insert_sorted c h.assumptions;
+    h.a_hash <- (h.a_hash + pair_mix c) land max_int
+  end;
+  !admitted
 
+(* Weakening rewrites cells all over the matrix, so the weight and hash
+   are recounted, in passes no longer than the one that weakened. *)
 let weaken_violations_count h ~violated =
   force h;
-  let n = ref 0 in
-  Df.iter_pairs (fun a b v ->
-      if Dv.is_definite v && violated.(a).(b) then begin
-        update_cell h a b v (Dv.weaken v);
-        incr n
-      end)
-    h.dep;
-  !n
+  let n = Df.weaken_violations h.dep ~violated in
+  if n > 0 then begin
+    h.weight <- Df.weight h.dep;
+    h.hash <- full_hash h.dep
+  end;
+  n
 
 let weaken_violations h ~violated = ignore (weaken_violations_count h ~violated)
 

@@ -71,16 +71,18 @@ val settle : t -> unit
 (** End a hypothesis's part in its message: materialize its matrix and
     drop the branching record, so it can be the next message's parent. *)
 
-val join_message : t -> (int * int) list -> t option * int
-(** Bound 1 in closed form: [join_message h pairs] is what a message
-    with candidate pairs [pairs] leaves of the set [{h}] at bound 1 —
+val join_codes : t -> int array -> int -> int
+(** Bound 1 in closed form: [join_codes h codes count] turns [h] in
+    place into what a message leaves of the set [{h}] at bound 1 —
     {!child} by every pair, each insert followed by the forced
-    {!merge_in} — computed as [h ⊔ J(C')] on one copy of [h]'s matrix,
-    where C' are the pairs [h] has not assumed. Its assumptions are
-    [A ∪ {c}] when C' = [{c}] and [h]'s own [A] otherwise; it is [None]
-    iff C' is empty. The second component is [|C'|]. [pairs] must be
-    distinct; every pair gets {!child}'s range and [sender <> receiver]
-    checks. [h] is left unchanged. *)
+    {!merge_in} — that is [h ⊔ J(C')], where C' are the pairs among the
+    first [count] codes of [codes] ([s * n + r], as
+    {!Rt_trace.Candidates.pair_codes} writes them) that [h] has not
+    assumed. Its assumptions become [A ∪ {c}] when C' = [{c}] and stay
+    [A] otherwise. Returns [|C'|]; when it is 0, [h] is unchanged and
+    the set is empty. The codes must be distinct; every code gets
+    {!child}'s range and [sender <> receiver] checks. No lazy child may
+    share [h]'s matrix. *)
 
 val weaken_violations : t -> violated:bool array array -> unit
 (** End-of-period conditional-dependency test, in place: every definite

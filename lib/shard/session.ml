@@ -83,6 +83,7 @@ type t = {
   mutable buffered : int;
   busy_ns : int array;
   mutable skip : int;            (* replay-skip budget of a resume *)
+  mutable resumed : int;         (* periods the checkpoint held *)
   mutable checkpoints : int;
 }
 
@@ -181,6 +182,7 @@ let resume t c =
          t.pairs <- pairs;
          let total = periods_fed t in
          t.skip <- total;
+         t.resumed <- total;
          t.turn <- total mod width t;
          Resumed total)
 
@@ -205,6 +207,7 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
       buffered = 0;
       busy_ns = Array.make k 0;
       skip = 0;
+      resumed = 0;
       checkpoints = 0;
     }
   in
@@ -295,6 +298,10 @@ let publish t =
   | None -> ()
   | Some r ->
     Sio.publish r t.parser;
+    (* A gauge, not a counter: counters are the run's totals, the same
+       resumed or not; this says how this process came by them. *)
+    if Option.is_some t.checkpoint then
+      Rt_obs.Registry.set_gauge_named r "checkpoint.resumed_periods" t.resumed;
     Option.iter
       (fun k ->
          let set = Rt_obs.Registry.set_counter r in

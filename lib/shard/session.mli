@@ -129,7 +129,9 @@ val discard : t -> unit
 
 val publish : t -> unit
 (** Record provenance in the engines and publish their counters; with a
-    registry, also the ingest counters ({!Rt_trace.Stream_io.publish})
+    registry, also the ingest counters ({!Rt_trace.Stream_io.publish}),
+    with a checkpoint a ["checkpoint.resumed_periods"] gauge of the
+    periods it resumed (0 for a fresh run; they were skipped, not fed),
     and, when sharded, the ["shard.shards"], ["shard.periods"] and
     ["shard.messages"] totals and a ["shard.worker_us"] histogram of
     each pair's summed feed time (recorded by the first publish

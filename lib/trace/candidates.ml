@@ -31,6 +31,28 @@ let pairs ?slack ?window ?hist p m =
    | None -> ());
   out
 
+(* [pairs] as codes, without a list: senders in [executed_ix] order,
+   then receivers, so the codes come out in [pairs]'s order. *)
+let pair_codes ?(slack = 0) ?window (p : Period.t) (m : Period.msg) codes =
+  let n = Array.length p.start_time and ix = p.executed_ix in
+  let slo = match window with None -> min_int | Some w -> m.rise - w in
+  let rhi = match window with None -> max_int | Some w -> m.fall + w in
+  let count = ref 0 in
+  for a = 0 to Array.length ix - 1 do
+    let s = ix.(a) in
+    if p.end_time.(s) <= m.rise + slack && p.end_time.(s) >= slo then
+      for b = 0 to Array.length ix - 1 do
+        let r = ix.(b) in
+        if r <> s && p.start_time.(r) + slack >= m.fall
+           && p.start_time.(r) <= rhi
+        then begin
+          codes.(!count) <- (s * n) + r;
+          incr count
+        end
+      done
+  done;
+  !count
+
 (* [pairs p m <> []] without building it: some sender and some
    receiver, not both the same single task. Only the first of each and
    the counts are kept, so the check allocates nothing. *)

@@ -32,6 +32,13 @@ val pairs :
     their ["*.candidate_pairs"] histogram; the cost when absent is one
     branch. *)
 
+val pair_codes :
+  ?slack:int -> ?window:int -> Period.t -> Period.msg -> int array -> int
+(** [pair_codes p m codes] writes {!pairs}[ p m] into [codes] as codes
+    [s * n + r] ([n] the period's task count), in the same order, and
+    returns how many it wrote. It allocates nothing. [codes] must hold
+    [n * n] entries, which every period over [n] tasks fits. *)
+
 val admissible : ?slack:int -> ?window:int -> Period.t -> Period.msg -> bool
 (** [pairs p m <> []], without allocating. A message without an
     admissible pair is a frame no task could have sent or received

@@ -96,7 +96,11 @@ def check_engine_section(doc, path):
     A run that went through Rt_engine publishes engine.* counters,
     gauges, and a feed-latency histogram; their totals are different
     views of the same stream and must agree — with each other and with
-    the learn.* counters the core publishes.
+    the learn.* counters the core publishes. A resumed run's totals
+    include the periods its checkpoint held (the last sample of the
+    checkpoint.resumed_periods gauge), which this process skipped
+    rather than fed, so its feed-latency histogram holds the rest
+    exactly.
     """
     counters = doc.get("counters", {})
     if "engine.periods" not in counters:
@@ -111,14 +115,21 @@ def check_engine_section(doc, path):
             f"engine.periods {periods} != learn.periods "
             f"{counters['learn.periods']}",
         )
+    gauges = doc.get("gauges", {})
+    resumed = gauges.get("checkpoint.resumed_periods", {}).get("last", 0)
+    if resumed > periods:
+        fail(
+            path,
+            f"checkpoint.resumed_periods {resumed} > engine.periods {periods}",
+        )
     hist = doc.get("histograms", {}).get("engine.feed_ns")
     if hist is None:
         fail(path, "engine run without an engine.feed_ns histogram")
-    elif hist.get("count") != periods:
+    elif hist.get("count") != periods - resumed:
         fail(
             path,
             f"engine.feed_ns count {hist.get('count')} != "
-            f"engine.periods {periods}",
+            f"engine.periods {periods} - checkpoint.resumed_periods {resumed}",
         )
     for gauge_name, total in (
         ("engine.periods_in_flight", periods),

@@ -715,7 +715,12 @@ let test_metrics_deterministic_across_resume () =
     (run (Printf.sprintf "learn %s --bound 4 --checkpoint %s --metrics %s"
             trace_file ckpt m_resumed));
   Alcotest.(check string) "counters identical after kill+resume"
-    (counters_section m_full) (counters_section m_resumed)
+    (counters_section m_full) (counters_section m_resumed);
+  (* How many periods the resumed run skipped is a gauge beside them. *)
+  Alcotest.(check bool) "resumed periods gauge" true
+    (contains
+       ~needle:"\"checkpoint.resumed_periods\": {\n      \"last\": 2,"
+       (read_file m_resumed))
 
 let test_learn_profile_byte_equal () =
   let base = tmp "gm_prof_base.model" and prof = tmp "gm_prof.model" in

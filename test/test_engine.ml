@@ -145,6 +145,54 @@ let test_engine_checkpoint_roundtrip () =
       (hyp_strings a.Eng.hypotheses) (hyp_strings b.Eng.hypotheses);
     Alcotest.(check int) "messages equal" a.Eng.messages b.Eng.messages
 
+(* --- bound 1 joins in place: nothing handed out aliases the state --- *)
+
+(* At bound 1 each message joins into the state's one matrix in place,
+   so what the engine handed out before must own its bytes: a snapshot,
+   [current] and a checkpoint image taken at a random period read the
+   same after the rest of the trace is fed, and the image, resumed
+   before that, still saves to itself and ends where the engine does.
+   The rest of the trace must move the model, or the check shows
+   nothing. *)
+let in_place_leaks_nowhere =
+  Test_support.qcheck_case "bound 1: snapshots own their bytes" ~count:40
+    QCheck.(pair (int_range 0 100_000) (int_range 1 8))
+    (fun (seed, cut) ->
+       let trace =
+         Test_support.simulate ~periods:16 ~seed
+           (Test_support.small_design (seed mod 12))
+       in
+       let eng =
+         Eng.create ~ntasks:(T.task_count trace) (Eng.Heuristic { bound = 1 })
+       in
+       let periods = T.periods trace in
+       let feed_from lo e =
+         List.iteri (fun i p -> if i >= lo then Eng.feed e p) periods
+       in
+       List.iteri (fun i p -> if i < cut then Eng.feed eng p) periods;
+       let bytes ds = List.map (fun d -> Bytes.to_string (Df.cells d)) ds in
+       let snap = Eng.snapshot eng and cur = Eng.current eng in
+       let image = Result.get_ok (Eng.checkpoint eng) in
+       let held_cur = bytes cur in
+       let held =
+         (bytes snap.Eng.hypotheses, bytes (Option.to_list snap.Eng.lub),
+          held_cur)
+       in
+       let resumed =
+         match H.resume image with
+         | Ok ([ st ], _) -> Eng.of_heuristic st
+         | Ok _ | Error _ -> Alcotest.fail "image does not resume"
+       in
+       feed_from cut eng;
+       QCheck.assume (bytes (Eng.current eng) <> held_cur);
+       let still_image = Result.get_ok (Eng.checkpoint resumed) in
+       feed_from cut resumed;
+       held
+       = (bytes snap.Eng.hypotheses, bytes (Option.to_list snap.Eng.lub),
+          bytes cur)
+       && String.equal still_image image
+       && Eng.checkpoint resumed = Eng.checkpoint eng)
+
 (* --- Learner facade: trajectory and monotonic timing --- *)
 
 let test_auto_trajectory () =
@@ -196,6 +244,7 @@ let () =
             test_exact_engine_matches_run;
           Alcotest.test_case "checkpoint round trip" `Quick
             test_engine_checkpoint_roundtrip;
+          in_place_leaks_nowhere;
         ] );
       ( "facade",
         [

@@ -194,6 +194,45 @@ let admissible_is_nonempty_pairs =
               p.msgs)
          [ (0, None); (3, None); (6, Some 2); (0, Some 1); (-2, Some 5) ])
 
+(* The code enumerator writes exactly [pairs], in its order, over
+   random periods (slack can make a task its own candidate) and
+   simulated ones, with and without slack and windows. *)
+let pair_codes_are_pairs =
+  let periods =
+    QCheck.Gen.(
+      oneof
+        [ (valid_period_events >|= fun evs ->
+           [ P.make_exn ~index:0 ~task_set:ts4 evs ]);
+          (pair (int_bound 11) (int_bound 100_000) >|= fun (d, seed) ->
+           T.periods (simulate ~periods:4 ~seed (small_design d))) ])
+  in
+  let print ps =
+    String.concat " | " (List.map (fun p -> print_events (P.events p)) ps)
+  in
+  Test_support.qcheck_case "pair_codes = pairs" ~count:300
+    (QCheck.make ~print periods)
+    (fun ps ->
+       List.for_all
+         (fun (p : P.t) ->
+            let n = Ts.size p.task_set in
+            let codes = Array.make (n * n) (-1) in
+            let same k l =
+              k = List.length l
+              && List.equal ( = ) l
+                   (List.init k (fun i -> (codes.(i) / n, codes.(i) mod n)))
+            in
+            Array.for_all
+              (fun m ->
+                 same (C.pair_codes p m codes) (C.pairs p m)
+                 && List.for_all
+                      (fun (slack, window) ->
+                         same (C.pair_codes ~slack ?window p m codes)
+                           (C.pairs ~slack ?window p m))
+                      [ (0, None); (3, None); (6, Some 2); (0, Some 1);
+                        (-2, Some 5); (0, Some 400) ])
+              p.msgs)
+         ps)
+
 (* Damage a valid period now and then (drop, duplicate or retime an
    event, or add a stray one) so both outcomes are exercised. *)
 let maybe_broken_events =
@@ -683,6 +722,7 @@ let () =
           Alcotest.test_case "window monotone" `Quick
             test_candidates_window_monotone;
           admissible_is_nonempty_pairs;
+          pair_codes_are_pairs;
         ] );
       ( "inference",
         [

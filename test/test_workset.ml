@@ -390,6 +390,38 @@ let test_closed_form_regimes () =
   Alcotest.(check bool) "several admitted pairs" true (!multi > 0);
   Alcotest.(check bool) "lone admitted pairs" true (!lone > 0)
 
+(* A bound-1 period joins every message in place on the state's one
+   matrix, from codes in a state-owned buffer: what it allocates is the
+   assumption list of a message with one admitted pair, not a list,
+   record or matrix per message (64 B/period here, where a join that
+   built a list, a record and a matrix copy per message took 3651).
+   Minor words count deterministically, so the bound is exact, not a
+   timing. *)
+let test_closed_form_alloc_per_period () =
+  (* The long-trace benchmark's design: four tasks, generator seed 3.
+     Some of its messages admit one pair, so the gate covers that path. *)
+  let design =
+    Rt_task.Generator.generate
+      { Rt_task.Generator.default with layers = 2; width_min = 2; width_max = 3 }
+      ~seed:3
+  in
+  let trace = Test_support.simulate ~periods:2_000 ~seed:3 design in
+  let periods = Array.of_list (Rt_trace.Trace.periods trace) in
+  let st = H.init ~bound:1 ~ntasks:(Rt_trace.Trace.task_count trace) () in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length periods - 1 do
+    H.feed st periods.(i)
+  done;
+  let per_period =
+    (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Array.length periods)
+  in
+  Alcotest.(check int) "every period" 2_000 (H.stats st).H.periods_processed;
+  Alcotest.(check bool) "still consistent" true (H.current st <> []);
+  if per_period > 127.0 then
+    Alcotest.failf "%.1f B/period allocated learning at bound 1 (bound 127)"
+      per_period
+
 (* --- cover merges against the eager operations --- *)
 
 (* One random message: up to 80 parents and up to 90 candidate pairs, so
@@ -498,6 +530,37 @@ let test_pool_domains_deterministic () =
          (Rt_util.Domain_pool.map pool (fun () -> H.run ~bound:8 trace)
             (Array.make 3 ())))
 
+(* Bound-1 engines on several domains at once, as a sharded session
+   runs them: each keeps its candidate codes in its own state, so each
+   ends on the checkpoint it reaches alone. The traces differ in their
+   task counts, so a buffer shared between the engines would mix codes
+   of different matrices. Being a race, that fails most runs on two
+   free cores, not every run. *)
+let test_closed_form_pool_domains () =
+  let traces =
+    Array.init 3 (fun i ->
+        Test_support.simulate ~periods:5_000 ~seed:(11 + i)
+          (Test_support.small_design (i + 4)))
+  in
+  let learn trace =
+    let st =
+      H.init ~bound:1 ~ntasks:(Rt_trace.Trace.task_count trace) ()
+    in
+    List.iter (H.feed st) (Rt_trace.Trace.periods trace);
+    H.checkpoint [ st ]
+  in
+  let serial = Array.map learn traces in
+  let pool = Rt_util.Domain_pool.create ~jobs:3 in
+  Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
+    (fun () ->
+       for _ = 1 to 5 do
+         Array.iteri
+           (fun i ck ->
+              Alcotest.(check bool) "pooled bound-1 run identical" true
+                (String.equal serial.(i) ck))
+           (Rt_util.Domain_pool.map pool learn traces)
+       done)
+
 let () =
   Alcotest.run "workset"
     [
@@ -533,6 +596,10 @@ let () =
           qc_closed_form;
           Alcotest.test_case "inconsistent, multi-pair and lone messages"
             `Quick test_closed_form_regimes;
+          Alcotest.test_case "alloc per period" `Quick
+            test_closed_form_alloc_per_period;
+          Alcotest.test_case "engines on pool domains" `Quick
+            test_closed_form_pool_domains;
         ] );
       ( "cover merge",
         [
