@@ -5,10 +5,11 @@
 
    Run with: dune exec bench/main.exe
    Set RTGEN_BENCH_FAST=1 to skip the slowest sweep entries.
-   Set RTGEN_BENCH_JOBS=N (or pass --jobs N) to run the Table 1 bound
-   sweep on a pool of N domains.
-   Pass --json [PATH] (or set RTGEN_BENCH_JSON=1 / a path) to also write
-   the Table 1 measurements to BENCH_heuristic.json / PATH. *)
+   Set RTGEN_BENCH_JOBS=N to also run the sharded section on a pool of
+   N domains (the gated rows all run on one).
+   Set RTGEN_BENCH_JSON=1 (or a path) to also write the gated rows to
+   BENCH_heuristic.json (or that path); scripts/check_bench.py gates
+   them. *)
 
 module Table = Rt_util.Table
 module Df = Rt_lattice.Depfun
@@ -19,46 +20,27 @@ let fast_mode =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let argv_value flag =
-  let n = Array.length Sys.argv in
-  let rec go i =
-    if i >= n then None
-    else if Sys.argv.(i) = flag && i + 1 < n then Some Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
 let jobs =
-  let of_string s = try max 1 (int_of_string (String.trim s)) with _ -> 1 in
-  match argv_value "--jobs" with
-  | Some s -> of_string s
-  | None ->
-    (match Sys.getenv_opt "RTGEN_BENCH_JOBS" with
-     | Some s -> of_string s
-     | None -> 1)
+  match Sys.getenv_opt "RTGEN_BENCH_JOBS" with
+  | None -> 1
+  | Some s ->
+    (match int_of_string_opt (String.trim s) with
+     | Some n when n >= 1 -> n
+     | Some _ | None ->
+       Printf.eprintf "bench: RTGEN_BENCH_JOBS=%S is not an integer >= 1\n" s;
+       exit 2)
 
 let json_path =
-  let from_env =
-    match Sys.getenv_opt "RTGEN_BENCH_JSON" with
-    | Some ("" | "0" | "false" | "no") | None -> None
-    | Some ("1" | "true" | "yes") -> Some "BENCH_heuristic.json"
-    | Some path -> Some path
-  in
-  if Array.exists (fun a -> a = "--json") Sys.argv then
-    (* An operand after [--json] (anything not starting with '-')
-       overrides the default file name. *)
-    match argv_value "--json" with
-    | Some p when String.length p > 0 && p.[0] <> '-' -> Some p
-    | Some _ | None -> Some (Option.value from_env ~default:"BENCH_heuristic.json")
-  else from_env
+  match Sys.getenv_opt "RTGEN_BENCH_JSON" with
+  | Some ("" | "0" | "false" | "no") | None -> None
+  | Some ("1" | "true" | "yes") -> Some "BENCH_heuristic.json"
+  | Some path -> Some path
 
 let wall f =
   let t0 = Rt_obs.Registry.now_ns () in
   let r = f () in
   (r, float_of_int (Rt_obs.Registry.now_ns () - t0) /. 1e9)
 
-(* The median of repeated timings, so one descheduled run cannot move
-   a gated ratio. *)
 let median xs =
   let a = Array.of_list xs in
   Array.sort Float.compare a;
@@ -104,141 +86,133 @@ let print_bechamel ~quota tests =
   print_string (Table.render ~header:[ "benchmark"; "time/run" ] rows)
 
 (* ------------------------------------------------------------------ *)
-(* Table 1: heuristic runtime vs bound on the 18-task / 27-period /
-   ~330-message reference trace.                                       *)
+(* The gated rows: Table 1 (Heuristic against Reference at each bound),
+   the sharded head-to-head (each K against the monolithic run) and the
+   flight recorder (attached against detached). check_bench.py gates
+   each row's median per-round ratio against the committed baseline's. *)
 (* ------------------------------------------------------------------ *)
+
+(* A gated row is the ratio of two timings taken on one host, and a
+   shared host has slow spells that last seconds and slow some code
+   more than other code. So the rows are sampled in [rounds] rounds,
+   each of which times every thunk of every row once: each row's
+   samples are spread over the whole measurement, and its two sides sit
+   next to each other in every round. A thunk is called once before the
+   rounds; the time of that call sets how many calls make up one
+   sample, so that no sample is shorter than [min_sample_s] (timer and
+   scheduler noise swamp a shorter one). Every sample starts on a
+   collected heap, so no thunk pays for the previous one's garbage. A
+   sample is seconds per call. [interleave rows] returns, per row and
+   per thunk, one sample per round. *)
+let rounds = 7
+
+let min_sample_s = 0.1
+
+let interleave rows =
+  let calls =
+    List.map
+      (List.map (fun f ->
+           Gc.full_major ();
+           let (), dt = wall f in
+           max 1 (int_of_float (Float.ceil (min_sample_s /. Float.max dt 1e-6)))))
+      rows
+  in
+  let sample f n =
+    Gc.full_major ();
+    let (), dt = wall (fun () -> for _ = 1 to n do f () done) in
+    dt /. float_of_int n
+  in
+  (* Odd rounds time each row's thunks in reverse order, so that no
+     side of a ratio always runs first. *)
+  let round i =
+    List.map2
+      (fun row ns ->
+         if i mod 2 = 0 then List.map2 sample row ns
+         else List.rev (List.map2 sample (List.rev row) (List.rev ns)))
+      rows calls
+  in
+  let per_round = List.init rounds round in
+  List.mapi
+    (fun r row ->
+       List.mapi
+         (fun t _ -> List.map (fun round -> List.nth (List.nth round r) t) per_round)
+         row)
+    rows
 
 let paper_table1 =
   [ (1, 0.220); (4, 0.471); (16, 1.202); (32, 2.573); (64, 5.899);
     (100, 12.608); (120, 16.294); (150, 19.048) ]
 
-(* One Table 1 measurement: the production workset learner head-to-head
-   against the preserved seed implementation ({!Rt_learn.Reference}) on
-   the same bound. Also the payload of BENCH_heuristic.json. *)
+(* One Table 1 row: the production learner against the seed's
+   implementation ({!Rt_learn.Reference}, the tests' oracle) at one
+   bound. Reference's code does not change, so it is the host-speed
+   yardstick the gate divides by. *)
 type table1_row = {
   bound : int;
-  workset_s : float;   (** wall time, new array-backed working set *)
-  legacy_s : float;    (** wall time, seed sorted-list working set *)
+  heuristic : float list;  (** Heuristic.run, seconds per call, per round *)
+  reference : float list;  (** Reference.run, the same rounds *)
   merges : int;
   survivors : int;
 }
 
-(* The smallest bound at which the O(log b) workset beats the seed's O(b)
-   sorted list. Below it the asymmetry is expected, not a regression: the
-   array working set pays fixed per-insertion overhead (heap bookkeeping,
-   canonical-order maintenance) that only amortizes once b is large
-   enough for the seed's linear scans to dominate. *)
+(* The smallest bound at which Heuristic's median beats Reference's. *)
 let crossover_bound rows =
   List.find_map
-    (fun r -> if r.workset_s < r.legacy_s then Some r.bound else None)
-    (List.sort (fun a b -> Int.compare a.bound b.bound) rows)
-
-let bench_table1 trace =
-  section "Table 1: heuristic runtime vs bound (paper's only table)";
-  Printf.printf "workload: %s\n"
-    (Format.asprintf "%a" Rt_trace.Trace.pp_summary trace);
-  if jobs > 1 then
-    Printf.printf "bound sweep on %d domains (RTGEN_BENCH_JOBS)\n" jobs;
-  let bounds = if fast_mode then [ 1; 4; 16; 32 ] else List.map fst paper_table1 in
-  let measure bound =
-    let o, dt = wall (fun () -> Rt_learn.Heuristic.run ~bound trace) in
-    let ol, dtl = wall (fun () -> Rt_learn.Reference.run ~bound trace) in
-    assert (List.for_all2 Df.equal o.Rt_learn.Heuristic.hypotheses
-              ol.Rt_learn.Heuristic.hypotheses);
-    { bound; workset_s = dt; legacy_s = dtl;
-      merges = o.Rt_learn.Heuristic.stats.merges;
-      survivors = List.length o.Rt_learn.Heuristic.hypotheses }
-  in
-  let data =
-    (* Whole runs are independent, so the sweep parallelizes at the
-       per-bound grain; per-bound wall times are still measured inside
-       the worker. *)
-    if jobs > 1 then begin
-      let pool = Rt_util.Domain_pool.create ~jobs in
-      Fun.protect ~finally:(fun () -> Rt_util.Domain_pool.shutdown pool)
-        (fun () -> Rt_util.Domain_pool.map_list pool measure bounds)
-    end
-    else List.map measure bounds
-  in
-  let rows =
-    List.map (fun r ->
-        let paper =
-          match List.assoc_opt r.bound paper_table1 with
-          | Some s -> Printf.sprintf "%.3f" s
-          | None -> "-"
-        in
-        [ string_of_int r.bound; Printf.sprintf "%.3f" r.workset_s;
-          Printf.sprintf "%.3f" r.legacy_s;
-          Printf.sprintf "%.2fx" (r.legacy_s /. Float.max r.workset_s 1e-9);
-          paper; string_of_int r.merges; string_of_int r.survivors ])
-      data
-  in
-  print_string
-    (Table.render
-       ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right;
-                 Table.Right; Table.Right; Table.Right ]
-       ~header:[ "bound"; "workset (s)"; "seed list (s)"; "speedup";
-                 "paper 2007 (s)"; "merges"; "|D*|" ]
-       rows);
-  print_endline
-    "head-to-head: both columns share the byte-matrix kernels; the speedup\n\
-     column isolates the working-set data structure (O(log b) array vs the\n\
-     seed's O(b) sorted list). Results are asserted identical.";
-  (match crossover_bound data with
-   | Some b ->
-     Printf.printf
-       "crossover: workset wins from bound %d up; below it the seed list's\n\
-        lower constant factors win (expected, see EXPERIMENTS.md).\n" b
-   | None ->
-     print_endline
-       "crossover: the workset never beat the seed list in this sweep.");
-  print_endline "shape check: runtime grows monotonically and low-polynomially in the bound.";
-  (* The bechamel-sampled variant for the fast bounds. *)
-  let open Bechamel in
-  print_bechamel ~quota:0.5
-    (List.map (fun bound ->
-         Test.make
-           ~name:(Printf.sprintf "table1/bound=%d" bound)
-           (Staged.stage (fun () ->
-                ignore (Rt_learn.Heuristic.run ~bound trace))))
-       [ 1; 4 ]);
-  data
-
-(* ------------------------------------------------------------------ *)
-(* Sharded head-to-head: the K-shard fold (DESIGN.md §14) against the
-   monolithic heuristic run on the same bound.                          *)
-(* ------------------------------------------------------------------ *)
-
-type sharded_row = { k : int; sharded_s : float; samples : float list }
+    (fun r ->
+       if median r.heuristic < median r.reference then Some r.bound else None)
+    rows
 
 type sharded_data = {
   sh_bound : int;
-  sh_jobs : int;
-  monolithic_s : float;  (** median wall time, single-engine heuristic run *)
-  mono_samples : float list;
-  runs : sharded_row list;
+  mono : float list;  (** single-engine Heuristic.run, per round *)
+  runs : ((int * int) * float list) list;
+      (** (worker domains, K) and its samples, the same rounds *)
 }
 
-let bench_sharded trace =
-  section "Sharded learning: K-shard fold vs monolithic run (DESIGN.md sec. 14)";
-  let bound = if fast_mode then 16 else 150 in
-  (* The fold is exact at bound 1 for every K (the companion design of
-     lib/shard); every sharded run is asserted byte-equal to it. *)
+type recorder_data = {
+  rec_bound : int;
+  off : float list;  (** engine feed, no recorder attached *)
+  on_ : float list;  (** same feed with a flight scope attached *)
+  events : int;  (** events one attached feed records *)
+}
+
+let bench_gated trace =
+  (* Table 1: every call's answer set is asserted equal to Heuristic's. *)
+  let table1 =
+    List.map
+      (fun bound ->
+         let o = Rt_learn.Heuristic.run ~bound trace in
+         let same (o' : Rt_learn.Heuristic.outcome) =
+           assert (List.for_all2 Df.equal o.hypotheses o'.hypotheses)
+         in
+         ( bound, o,
+           [ (fun () -> same (Rt_learn.Heuristic.run ~bound trace));
+             (fun () -> same (Rt_learn.Reference.run ~bound trace)) ] ))
+      (if fast_mode then [ 1; 4; 16; 32 ] else List.map fst paper_table1)
+  in
+  (* Sharded: the fold is exact at bound 1 for every K (the companion
+     design of lib/shard), so every fold is asserted byte-equal to it.
+     Each run is the program's one sharded path: a session parsing the
+     trace's text, its rounds of K periods fed on the pool, then
+     folded. Every K runs on one domain, and again on RTGEN_BENCH_JOBS
+     domains when that is more than one. *)
+  let sh_bound = if fast_mode then 16 else 150 in
   let oracle =
     match (Rt_learn.Heuristic.run ~bound:1 trace).Rt_learn.Heuristic.hypotheses with
     | [ d ] -> d
     | _ -> failwith "sharded bench: reference trace must be consistent"
   in
-  let pool =
-    if jobs > 1 then Some (Rt_util.Domain_pool.create ~jobs) else None
-  in
-  (* Each run is the program's one sharded path: a session parsing the
-     trace's text, its rounds of K periods fed on the pool, then folded. *)
   let text = Rt_trace.Trace_io.to_string trace in
-  let learn k =
+  let learn (jobs, k) () =
     let module S = Rt_shard.Session in
+    (* The pool lives for one run only, as in [learn --shards]: idle
+       domains would still join every minor collection of the
+       single-domain rows timed between sharded runs. *)
+    let pool =
+      if jobs > 1 then Some (Rt_util.Domain_pool.create ~jobs) else None
+    in
     let s, _ =
-      S.create ?pool ~shards:k (Rt_engine.Engine.Heuristic { bound })
+      S.create ?pool ~shards:k (Rt_engine.Engine.Heuristic { bound = sh_bound })
         (Rt_trace.Stream_io.lines_of_string text)
     in
     let rec drain () =
@@ -247,187 +221,189 @@ let bench_sharded trace =
       | Ok None -> S.fold s
       | Error e -> failwith ("sharded bench: " ^ e.message)
     in
-    drain ()
+    match
+      Fun.protect
+        ~finally:(fun () -> Option.iter Rt_util.Domain_pool.shutdown pool)
+        drain
+    with
+    | Some m when Df.equal m oracle -> ()
+    | Some _ | None -> failwith "sharded bench: fold differs from monolithic d*(1)"
   in
-  let ks = [ 1; 2; 4; 8 ] in
-  (* [repeats] rounds, each a monolithic run and then one sharded run
-     per K, so a slow spell of a shared host lands on both sides of
-     every ratio; each figure is the median of its [repeats] samples. *)
-  let repeats = 5 in
-  let round () =
-    let _, mono = wall (fun () -> Rt_learn.Heuristic.run ~bound trace) in
-    let sharded =
-      List.map
-        (fun k ->
-           let model, dt = wall (fun () -> learn k) in
-           (match model with
-            | Some m when Df.equal m oracle -> ()
-            | Some _ | None ->
-              failwith "sharded bench: fold differs from monolithic d*(1)");
-           dt)
-        ks
-    in
-    (mono, sharded)
+  let configs =
+    List.concat_map
+      (fun j -> List.map (fun k -> (j, k)) [ 1; 2; 4; 8 ])
+      (List.sort_uniq Int.compare [ 1; jobs ])
   in
-  let rounds =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Rt_util.Domain_pool.shutdown pool)
-      (fun () -> List.init repeats (fun _ -> round ()))
-  in
-  let mono_samples = List.map fst rounds in
-  let mono_s = median mono_samples in
-  let runs =
-    List.mapi
-      (fun i k ->
-         let samples = List.map (fun (_, sh) -> List.nth sh i) rounds in
-         { k; sharded_s = median samples; samples })
-      ks
-  in
-  print_string
-    (Table.render
-       ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right ]
-       ~header:[ "shards"; "sharded (s)"; "monolithic (s)"; "speedup" ]
-       (List.map
-          (fun r ->
-             [ string_of_int r.k; Printf.sprintf "%.3f" r.sharded_s;
-               Printf.sprintf "%.3f" mono_s;
-               Printf.sprintf "%.2fx" (mono_s /. Float.max r.sharded_s 1e-9) ])
-          runs));
-  Printf.printf
-    "bound %d, %d worker domain(s), median of %d interleaved runs each;\n\
-     every fold asserted byte-equal to the monolithic bound-1 model. Each\n\
-     shard also runs a bound-1 companion, so at jobs=1 the sweep measures\n\
-     pure sharding overhead — wall-clock wins need RTGEN_BENCH_JOBS >= 2\n\
-     (see EXPERIMENTS.md).\n"
-    bound jobs repeats;
-  { sh_bound = bound; sh_jobs = jobs; monolithic_s = mono_s; mono_samples;
-    runs }
-
-(* ------------------------------------------------------------------ *)
-(* Observability: flight-recorder overhead on the engine's feed path.
-   The recorder is designed to be near-free — one option branch when
-   detached, four array writes plus the caller's detail string when
-   attached — and this probe pins that: a bound-64 learn through
-   Rt_engine.Engine with and without a recorder scope, back to back on
-   the same host. check_bench.py gates the on/off quotient.            *)
-(* ------------------------------------------------------------------ *)
-
-type recorder_data = {
-  rec_bound : int;
-  rec_off_s : float;   (** engine feed, no recorder attached *)
-  rec_on_s : float;    (** same feed with a flight scope attached *)
-  rec_events : int;    (** events the attached recorder captured *)
-}
-
-let bench_recorder trace =
-  section "Observability: flight-recorder overhead (engine feed, on vs off)";
-  let bound = if fast_mode then 16 else 64 in
+  (* Recorder: a bound-64 learn through Rt_engine.Engine with and
+     without a flight scope. Recording must be observation only. *)
+  let rec_bound = if fast_mode then 16 else 64 in
   let periods = Rt_trace.Trace.periods trace in
   let feed ?flight () =
     let eng =
       Rt_engine.Engine.create ?flight
         ~ntasks:(Rt_trace.Trace.task_count trace)
-        (Rt_engine.Engine.Heuristic { bound })
+        (Rt_engine.Engine.Heuristic { bound = rec_bound })
     in
     List.iter (Rt_engine.Engine.feed eng) periods;
     Rt_engine.Engine.finalize eng
   in
-  let off, off_s = wall (fun () -> feed ()) in
-  let ring = Rt_obs.Flight.create ~capacity:4096 () in
-  let scope = Rt_obs.Flight.scope ring "bench" in
-  let on_, on_s = wall (fun () -> feed ~flight:scope ()) in
-  (* Recording must be observation only. *)
-  assert (List.for_all2 Df.equal off.Rt_engine.Engine.hypotheses
-            on_.Rt_engine.Engine.hypotheses);
-  let events = Rt_obs.Flight.recorded ring in
-  assert (events = List.length periods);
+  let detached = feed () in
+  let attached () =
+    let ring = Rt_obs.Flight.create ~capacity:4096 () in
+    let o = feed ~flight:(Rt_obs.Flight.scope ring "bench") () in
+    assert (List.for_all2 Df.equal detached.hypotheses o.hypotheses);
+    assert (Rt_obs.Flight.recorded ring = List.length periods)
+  in
+  match
+    interleave
+      (((fun () -> ignore (Rt_learn.Heuristic.run ~bound:sh_bound trace))
+        :: List.map learn configs)
+       :: [ (fun () -> ignore (feed ())); attached ]
+       :: List.map (fun (_, _, fs) -> fs) table1)
+  with
+  | (mono :: runs) :: [ off; on_ ] :: t1 ->
+    ( List.map2
+        (fun (bound, (o : Rt_learn.Heuristic.outcome), _) sides ->
+           match sides with
+           | [ heuristic; reference ] ->
+             { bound; heuristic; reference;
+               merges = o.stats.merges;
+               survivors = List.length o.hypotheses }
+           | _ -> assert false)
+        table1 t1,
+      { sh_bound; mono; runs = List.combine configs runs },
+      { rec_bound; off; on_; events = List.length periods } )
+  | _ -> assert false
+
+let print_table1 trace rows =
+  section "Table 1: heuristic runtime vs bound (paper's only table)";
+  Printf.printf "workload: %s\n"
+    (Format.asprintf "%a" Rt_trace.Trace.pp_summary trace);
+  print_string
+    (Table.render
+       ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right;
+                 Table.Right; Table.Right; Table.Right ]
+       ~header:[ "bound"; "heuristic (s)"; "reference (s)"; "speedup";
+                 "paper 2007 (s)"; "merges"; "|D*|" ]
+       (List.map
+          (fun r ->
+             let h = median r.heuristic and l = median r.reference in
+             [ string_of_int r.bound; Printf.sprintf "%.3f" h;
+               Printf.sprintf "%.3f" l;
+               Printf.sprintf "%.2fx" (l /. Float.max h 1e-9);
+               (match List.assoc_opt r.bound paper_table1 with
+                | Some s -> Printf.sprintf "%.3f" s
+                | None -> "-");
+               string_of_int r.merges; string_of_int r.survivors ])
+          rows));
+  Printf.printf
+    "median of %d interleaved samples per column. heuristic is the\n\
+     production learner; reference is the seed's implementation, kept as\n\
+     the tests' oracle. They differ in the working set, delta-encoded\n\
+     children and the bound-1 closed form, so the speedup is no single\n\
+     structure's win: it is the host-speed yardstick check_bench.py gates\n\
+     against. Answer sets are asserted identical.\n"
+    rounds;
+  (match crossover_bound rows with
+   | Some b when b > (List.hd rows).bound ->
+     Printf.printf
+       "crossover: heuristic wins from bound %d up; reference won below it.\n" b
+   | Some _ -> ()
+   | None ->
+     print_endline "crossover: heuristic never beat reference in this sweep.");
+  print_endline "shape check: runtime grows monotonically and low-polynomially in the bound."
+
+let print_sharded sh =
+  section "Sharded learning: K-shard fold vs monolithic run (DESIGN.md sec. 14)";
+  let mono_s = median sh.mono in
+  List.iter
+    (fun j ->
+       print_string
+         (Table.render
+            ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right ]
+            ~header:[ "shards"; "sharded (s)"; "monolithic (s)"; "speedup" ]
+            (List.filter_map
+               (fun ((j', k), s) ->
+                  let sharded_s = median s in
+                  if j' <> j then None
+                  else
+                    Some
+                      [ string_of_int k; Printf.sprintf "%.3f" sharded_s;
+                        Printf.sprintf "%.3f" mono_s;
+                        Printf.sprintf "%.2fx"
+                          (mono_s /. Float.max sharded_s 1e-9) ])
+               sh.runs));
+       Printf.printf
+         "bound %d, %d worker domain(s), median of %d interleaved runs each.\n"
+         sh.sh_bound j rounds)
+    (List.sort_uniq Int.compare (List.map (fun ((j, _), _) -> j) sh.runs));
+  print_endline
+    "every fold asserted byte-equal to the monolithic bound-1 model. Each\n\
+     shard also runs a bound-1 companion, so on one domain the sweep\n\
+     measures pure sharding overhead, which check_bench.py gates;\n\
+     wall-clock wins need RTGEN_BENCH_JOBS >= 2 (see EXPERIMENTS.md)."
+
+let print_recorder r =
+  section "Observability: flight-recorder overhead (engine feed, on vs off)";
+  let off_s = median r.off and on_s = median r.on_ in
   print_string
     (Table.render
        ~aligns:[ Table.Right; Table.Right; Table.Right; Table.Right ]
        ~header:[ "bound"; "recorder off (s)"; "recorder on (s)"; "overhead" ]
-       [ [ string_of_int bound; Printf.sprintf "%.3f" off_s;
+       [ [ string_of_int r.rec_bound; Printf.sprintf "%.3f" off_s;
            Printf.sprintf "%.3f" on_s;
            Printf.sprintf "%.3fx" (on_s /. Float.max off_s 1e-9) ] ]);
   Printf.printf
-    "%d engine.period events captured; hypotheses asserted identical with\n\
-     and without the recorder.\n"
-    events;
-  { rec_bound = bound; rec_off_s = off_s; rec_on_s = on_s;
-    rec_events = events }
+    "median of %d interleaved samples each; %d engine.period events per\n\
+     attached feed; hypotheses asserted identical with and without the\n\
+     recorder.\n"
+    rounds r.events
 
-(* BENCH_heuristic.json: the Table 1 per-bound wall times, machine
-   readable for tracking runs over time. Written by hand — the bench
-   payload is flat and predates Rt_obs.Json. *)
+(* BENCH_heuristic.json: every gated row's samples, one per round, in
+   the shape scripts/check_bench.py reads. *)
 let emit_json path trace rows sharded recorder =
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"benchmark\": \"heuristic-table1\",\n";
-  out "  \"workload\": %S,\n"
-    (Format.asprintf "%a" Rt_trace.Trace.pp_summary trace);
-  out "  \"jobs\": %d,\n" jobs;
-  out "  \"fast_mode\": %b,\n" fast_mode;
-  out "  \"crossover_bound\": %s,\n"
-    (match crossover_bound rows with
-     | Some b -> string_of_int b
-     | None -> "null");
-  let samples xs =
-    String.concat ", " (List.map (Printf.sprintf "%.6f") xs)
+  let open Rt_obs.Json in
+  let samples xs = List (List.map (fun x -> Float x) xs) in
+  let doc =
+    Obj
+      [ ("benchmark", String "heuristic-table1");
+        ("workload",
+         String (Format.asprintf "%a" Rt_trace.Trace.pp_summary trace));
+        ("cpus", Int (Domain.recommended_domain_count ()));
+        ("fast_mode", Bool fast_mode);
+        ("crossover_bound",
+         match crossover_bound rows with Some b -> Int b | None -> Null);
+        ("table1",
+         List
+           (List.map
+              (fun r ->
+                 Obj
+                   [ ("bound", Int r.bound);
+                     ("heuristic_samples", samples r.heuristic);
+                     ("reference_samples", samples r.reference);
+                     ("merges", Int r.merges);
+                     ("hypotheses", Int r.survivors) ])
+              rows));
+        ("sharded",
+         Obj
+           [ ("bound", Int sharded.sh_bound);
+             ("monolithic_samples", samples sharded.mono);
+             ("runs",
+              List
+                (List.map
+                   (fun ((j, k), s) ->
+                      Obj
+                        [ ("shards", Int k); ("jobs", Int j);
+                          ("samples", samples s) ])
+                   sharded.runs)) ]);
+        ("recorder",
+         Obj
+           [ ("bound", Int recorder.rec_bound);
+             ("events", Int recorder.events);
+             ("off_samples", samples recorder.off);
+             ("on_samples", samples recorder.on_) ]) ]
   in
-  out
-    "  \"sharded\": { \"bound\": %d, \"jobs\": %d, \
-     \"monolithic_seconds\": %.6f, \"monolithic_samples\": [ %s ], \
-     \"runs\": [ %s ] },\n"
-    sharded.sh_bound sharded.sh_jobs sharded.monolithic_s
-    (samples sharded.mono_samples)
-    (String.concat ", "
-       (List.map
-          (fun r ->
-             Printf.sprintf
-               "{ \"shards\": %d, \"seconds\": %.6f, \"samples\": [ %s ] }"
-               r.k r.sharded_s (samples r.samples))
-          sharded.runs));
-  out
-    "  \"recorder\": { \"bound\": %d, \"off_seconds\": %.6f, \
-     \"on_seconds\": %.6f, \"events\": %d },\n"
-    recorder.rec_bound recorder.rec_off_s recorder.rec_on_s
-    recorder.rec_events;
-  out "  \"bounds\": [\n";
-  List.iteri (fun i r ->
-      out
-        "    { \"bound\": %d, \"workset_seconds\": %.6f, \
-         \"legacy_seconds\": %.6f, \"merges\": %d, \"hypotheses\": %d }%s\n"
-        r.bound r.workset_s r.legacy_s r.merges r.survivors
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  out "  ]\n}\n";
-  Rt_util.Atomic_file.write path (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* The same sweep through the Rt_obs sinks: both implementations' wall
-   times as histograms plus the crossover gauge, in the schema `rtgen
-   report` renders. Written next to the raw JSON ("*.metrics.json"). *)
-let emit_metrics path rows sharded =
-  let reg = Rt_obs.Registry.create () in
-  let hw = Rt_obs.Registry.histogram reg "bench.workset_us" in
-  let hl = Rt_obs.Registry.histogram reg "bench.legacy_us" in
-  List.iter (fun r ->
-      Rt_obs.Histogram.record hw (int_of_float (r.workset_s *. 1e6));
-      Rt_obs.Histogram.record hl (int_of_float (r.legacy_s *. 1e6)))
-    (List.sort (fun a b -> Int.compare a.bound b.bound) rows);
-  Rt_obs.Registry.set_counter reg "bench.bounds_swept" (List.length rows);
-  Rt_obs.Registry.set_counter reg "bench.jobs" sharded.sh_jobs;
-  Rt_obs.Registry.set_counter reg "bench.shards"
-    (List.fold_left (fun acc r -> max acc r.k) 0 sharded.runs);
-  let hs = Rt_obs.Registry.histogram reg "bench.sharded_us" in
-  List.iter
-    (fun r -> Rt_obs.Histogram.record hs (int_of_float (r.sharded_s *. 1e6)))
-    sharded.runs;
-  (match crossover_bound rows with
-   | Some b -> Rt_obs.Registry.set_gauge_named reg "bench.crossover_bound" b
-   | None -> ());
-  Rt_util.Atomic_file.write path
-    (Rt_obs.Json.to_string ~pretty:true (Rt_obs.Registry.to_json reg));
+  Rt_util.Atomic_file.write path (to_string ~pretty:true doc ^ "\n");
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -720,79 +696,6 @@ let bench_candidate_window trace =
      excluding the true sender/receiver; 'inconsistent' marks that failure."
 
 (* ------------------------------------------------------------------ *)
-(* Tooling micro-benchmarks: online learning, period inference, trace
-   exports.                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let bench_tooling trace =
-  section "Tooling: online feed, period inference, exports";
-  let periods = Rt_trace.Trace.periods trace in
-  let p0 = List.hd periods in
-  let flat =
-    List.concat_map (fun (p : Rt_trace.Period.t) ->
-        List.map (fun (e : Rt_trace.Event.t) ->
-            { e with Rt_trace.Event.time = e.time + (p.index * 20_000) })
-          (Rt_trace.Period.events p))
-      periods
-  in
-  let open Bechamel in
-  print_bechamel ~quota:0.5
-    [
-      Test.make ~name:"online/feed-one-period-bound8"
-        (Staged.stage (fun () ->
-             let st = Rt_learn.Heuristic.init ~bound:8 ~ntasks:18 () in
-             Rt_learn.Heuristic.feed st p0));
-      Test.make ~name:"tooling/infer-period"
-        (Staged.stage (fun () -> ignore (Rt_trace.Trace.infer_period flat)));
-      Test.make ~name:"tooling/stats"
-        (Staged.stage (fun () -> ignore (Rt_trace.Stats.of_trace trace)));
-      Test.make ~name:"tooling/vcd-export"
-        (Staged.stage (fun () -> ignore (Rt_trace.Vcd.to_string trace)));
-      Test.make ~name:"tooling/gantt-svg"
-        (Staged.stage (fun () -> ignore (Rt_trace.Gantt.to_svg p0)));
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Robustness: corrupt / recover-parse / checkpoint hot paths.          *)
-(* ------------------------------------------------------------------ *)
-
-let bench_robustness trace =
-  section "Robustness: fault injection, recover-mode ingestion, checkpoints";
-  let spec = { Rt_trace.Corrupt.default with rate = 0.1; seed = 7 } in
-  let corrupted = Rt_trace.Corrupt.to_string (Rt_trace.Corrupt.apply spec trace) in
-  let clean = Rt_trace.Trace_io.to_string trace in
-  let st = Rt_learn.Heuristic.init ~bound:16 ~ntasks:18 () in
-  List.iter (Rt_learn.Heuristic.feed st) (Rt_trace.Trace.periods trace);
-  let ckpt = Rt_learn.Heuristic.checkpoint [ st ] in
-  Printf.printf "corrupted text: %d bytes; checkpoint: %d bytes\n%!"
-    (String.length corrupted) (String.length ckpt);
-  let open Bechamel in
-  print_bechamel ~quota:0.5
-    [
-      Test.make ~name:"robust/inject-10pct"
-        (Staged.stage (fun () ->
-             ignore (Rt_trace.Corrupt.apply spec trace)));
-      Test.make ~name:"robust/parse-strict-clean"
-        (Staged.stage (fun () ->
-             ignore (Rt_trace.Trace_io.of_string clean)));
-      Test.make ~name:"robust/parse-recover-clean"
-        (Staged.stage (fun () ->
-             ignore (Rt_trace.Trace_io.of_string ~mode:`Recover clean)));
-      Test.make ~name:"robust/parse-recover-10pct"
-        (Staged.stage (fun () ->
-             ignore
-               (Rt_trace.Trace_io.of_string ~mode:`Recover ~eps:60 corrupted)));
-      Test.make ~name:"robust/checkpoint-bound16"
-        (Staged.stage (fun () -> ignore (Rt_learn.Heuristic.checkpoint [ st ])));
-      Test.make ~name:"robust/resume-bound16"
-        (Staged.stage (fun () ->
-             ignore (Result.get_ok (Rt_learn.Heuristic.resume ckpt))));
-    ];
-  print_endline
-    "recover-mode parsing on a clean trace should track strict parsing;\n\
-     the gap on damaged input is the price of the repair pass."
-
-(* ------------------------------------------------------------------ *)
 (* Baseline: process-mining ordering inference vs the learner.         *)
 (* ------------------------------------------------------------------ *)
 
@@ -874,51 +777,15 @@ let bench_baseline trace =
      contains hypotheses that dominate what any single ordering-based model\n\
      can achieve."
 
-(* ------------------------------------------------------------------ *)
-(* Static analysis: how long a whole-tree rtlint pass costs, so CI's
-   lint gate has a tracked budget.                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The bench binary runs from _build/default/bench; walk up to the
-   checkout root (the directory holding dune-project) to find the
-   sources rtlint audits. *)
-let source_root () =
-  let rec up dir n =
-    if n = 0 then None
-    else if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else up (Filename.dirname dir) (n - 1)
-  in
-  up (Sys.getcwd ()) 6
-
-let bench_lint () =
-  section "Static analysis: rtlint over lib/ bin/ bench/";
-  match source_root () with
-  | None -> print_endline "dune-project not found above cwd; skipped"
-  | Some root ->
-    let paths =
-      List.map (Filename.concat root) [ "lib"; "bin"; "bench" ]
-      |> List.filter Sys.file_exists
-    in
-    let res, dt = wall (fun () -> Rt_lint.Lint.lint_paths paths) in
-    (match res with
-     | Error msg -> Printf.printf "rtlint failed: %s\n" msg
-     | Ok findings ->
-       Printf.printf "linted %s in %.3f s: %d finding(s)\n"
-         (String.concat " " (List.map Filename.basename paths))
-         dt (List.length findings))
-
 let () =
   Printf.printf "rtgen benchmark harness%s\n"
     (if fast_mode then " (RTGEN_BENCH_FAST=1: reduced sweeps)" else "");
   let trace = Gm.trace () in
-  let table1_rows = bench_table1 trace in
-  let sharded = bench_sharded trace in
-  let recorder = bench_recorder trace in
-  Option.iter (fun path ->
-      emit_json path trace table1_rows sharded recorder;
-      emit_metrics
-        (Filename.remove_extension path ^ ".metrics.json")
-        table1_rows sharded)
+  let table1, sharded, recorder = bench_gated trace in
+  print_table1 trace table1;
+  print_sharded sharded;
+  print_recorder recorder;
+  Option.iter (fun path -> emit_json path trace table1 sharded recorder)
     json_path;
   bench_exact_vs_heuristic ();
   bench_worked_example ();
@@ -927,8 +794,5 @@ let () =
   bench_matching trace;
   bench_merge_policy trace;
   bench_candidate_window trace;
-  bench_tooling trace;
-  bench_robustness trace;
   bench_baseline trace;
-  bench_lint ();
   print_newline ()

@@ -1832,7 +1832,11 @@ let serve_cmd =
   let drain_after_total =
     Arg.(value & opt (some int) None & info [ "drain-after-total" ] ~docv:"N"
            ~doc:"Drain and exit once N periods were handled (consumes \
-                 everything already on disk first).")
+                 everything already on disk first). A followed file's \
+                 last period closes only when its stream finalizes, at \
+                 drain or at $(b,--idle-timeout) (off by default), so \
+                 an N that counts those periods may never be reached: \
+                 leave one period per stream out of N.")
   in
   Cmd.v (Cmd.info "serve"
            ~doc:"Learn many live trace streams under one supervised daemon \

@@ -1,200 +1,154 @@
 #!/usr/bin/env python3
-"""CI perf gate over BENCH_heuristic.json.
+"""CI perf gate: a fresh bench payload against the committed baseline.
 
-Compares a freshly generated bench payload against the committed
-baseline and fails on a relative regression of the workset learner.
+bench/main.exe (with RTGEN_BENCH_JSON set) writes each gated row as two
+sample lists taken on one host in interleaved rounds, one sample per
+side per round:
 
-Absolute wall times are useless across machines (the committed baseline
-was measured on whatever box last regenerated it), so the gate is on a
-machine-neutral ratio: at each bound, both files carry the workset and
-the seed-list implementation measured back to back on the *same* host,
-and their quotient cancels the host speed. The gate is
+    table1 bound=B      Heuristic.run                / Reference.run
+    sharded K=k ...     K-shard session, one domain  / monolithic run
+    recorder bound=B    engine feed, recorder on     / recorder off
 
-    slowdown(bound) = (fresh_workset / fresh_legacy)
-                    / (baseline_workset / baseline_legacy)
+The second side is the first's yardstick. Both sides of a round run
+next to each other, so their ratio cancels the host's speed at that
+moment; a row's ratio is the median of its per-round ratios. (A ratio
+of the two sides' medians does not cancel it: on a shared host whose
+speed flips between two modes, each side's median lands in whichever
+mode most of its samples hit.) A row's slowdown is the fresh ratio
+over the baseline's, and the row fails when it exceeds its band
 
-and any bound present in both files with slowdown > 1.25 (a >25%
-relative regression of the workset path) fails the run. Bounds whose
-combined wall time sits under a small noise floor in either file are
-reported but not gated — a ~50 ms sweep's quotient is scheduler noise.
+    band = min(1.25, 1 + spread(fresh) + spread(baseline))
 
-The sharded section, when present in both files *at the same bound*, is
-gated the same way: per shard count K, sharded seconds normalized by
-the same file's monolithic seconds. Files that predate the sharded
-section (or fast-mode payloads sharding at a different bound) pass the
-sharded gate vacuously, so the gate can land before the baseline is
-regenerated.
+where spread() is the interquartile range of one payload's per-round
+ratios over their median. So a quiet pair of payloads gets a tight
+band, and a noisy one never more than 25%.
 
-The recorder section (flight-recorder overhead) is gated on the fresh
-payload alone: it carries the same engine feed timed with and without
-a recorder attached, so its on/off quotient is machine-neutral by
-construction and must stay under the same threshold.
+Both payloads must carry the same rows, each with at least five
+samples per side, paired by round; anything else is refused, never
+skipped. The gated sharded rows are the one-domain runs, which every
+payload has whatever its RTGEN_BENCH_JOBS: the parallel runs measure
+how many free cores the host has, and CI's multicore criterion reads
+those. A fast-mode payload has other rows and is refused against a
+full one.
 
 Standard library only (CI containers have no extra packages).
 
 Usage: scripts/check_bench.py FRESH.json [BASELINE.json]
-BASELINE defaults to the committed BENCH_heuristic.json next to this
-script's repo root. Exit 0 when within budget; prints each regression
-and exits 1 otherwise.
+BASELINE defaults to the committed BENCH_heuristic.json at the repo
+root. Exit 0 when every row is within its band; otherwise print each
+failure or refusal and exit 1.
 """
 
 import json
+import statistics
 import sys
 from pathlib import Path
 
-THRESHOLD = 1.25
-
-# Rows whose combined wall time is below this are dominated by timer and
-# scheduler noise (a bound-4 sweep runs in ~50 ms); they are printed for
-# information but never gated.
-NOISE_FLOOR_S = 0.2
-
-errors = []
+MAX_BAND = 1.25
+MIN_SAMPLES = 5
 
 
-def rows_by_bound(doc):
-    return {row["bound"]: row for row in doc.get("bounds", [])}
+class Refused(Exception):
+    """A payload the gate cannot compare."""
 
 
-def ratio(row):
-    legacy = row["legacy_seconds"]
-    if legacy <= 0:
-        return None
-    return row["workset_seconds"] / legacy
+def gated_rows(doc):
+    """Map each gated row's name to its (subject, yardstick) samples."""
+    rows = {}
+    for r in doc.get("table1", []):
+        rows[f"table1 bound={r['bound']}"] = (
+            r.get("heuristic_samples"), r.get("reference_samples"))
+    sh = doc.get("sharded")
+    if sh:
+        for run in sh.get("runs", []):
+            if run.get("jobs") == 1:
+                rows[f"sharded K={run['shards']} bound={sh['bound']}"] = (
+                    run.get("samples"), sh.get("monolithic_samples"))
+    rec = doc.get("recorder")
+    if rec:
+        rows[f"recorder bound={rec['bound']}"] = (
+            rec.get("on_samples"), rec.get("off_samples"))
+    return rows
 
 
-def check_bounds(fresh, base):
-    fresh_rows = rows_by_bound(fresh)
-    base_rows = rows_by_bound(base)
-    shared = sorted(set(fresh_rows) & set(base_rows))
-    if not shared:
-        errors.append("no common bounds between fresh and baseline payloads")
-        return
-    for bound in shared:
-        fr = ratio(fresh_rows[bound])
-        br = ratio(base_rows[bound])
-        if fr is None or br is None or br <= 0:
-            # A sub-millisecond legacy run truncated to zero cannot be
-            # normalized; skip rather than divide by it.
-            print(f"bound {bound}: unusable timing, skipped")
-            continue
-        slowdown = fr / br
-        if any(
-            rows[bound]["workset_seconds"] + rows[bound]["legacy_seconds"]
-            < NOISE_FLOOR_S
-            for rows in (fresh_rows, base_rows)
-        ):
-            print(
-                f"bound {bound}: workset/legacy {fr:.3f} vs baseline "
-                f"{br:.3f} -> slowdown {slowdown:.2f}x "
-                f"[below {NOISE_FLOOR_S:.1f}s noise floor, informational]"
-            )
-            continue
-        verdict = "FAIL" if slowdown > THRESHOLD else "ok"
-        print(
-            f"bound {bound}: workset/legacy {fr:.3f} vs baseline {br:.3f} "
-            f"-> slowdown {slowdown:.2f}x [{verdict}]"
-        )
-        if slowdown > THRESHOLD:
-            errors.append(
-                f"bound {bound}: workset slowed down {slowdown:.2f}x vs "
-                f"baseline (budget {THRESHOLD:.2f}x)"
-            )
+def round_ratios(name, sides):
+    subject, yardstick = sides
+    for side in sides:
+        if not side or len(side) < MIN_SAMPLES:
+            raise Refused(f"{name}: {len(side or [])} samples on a side, "
+                          f"need at least {MIN_SAMPLES}")
+        if min(side) <= 0:
+            raise Refused(f"{name}: a sample is not positive")
+    if len(subject) != len(yardstick):
+        raise Refused(f"{name}: {len(subject)} and {len(yardstick)} "
+                      "samples are not paired by round")
+    return [s / y for s, y in zip(subject, yardstick)]
 
 
-def sharded_by_k(doc):
-    section = doc.get("sharded")
-    if not section or section.get("monolithic_seconds", 0) <= 0:
-        return None
-    mono = section["monolithic_seconds"]
-    return {run["shards"]: run["seconds"] / mono for run in section["runs"]}
+def spread(ratios):
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return (q3 - q1) / median
 
 
-def check_sharded(fresh, base):
-    fresh_runs = sharded_by_k(fresh)
-    base_runs = sharded_by_k(base)
-    if fresh_runs is None or base_runs is None:
-        print("sharded section absent or untimed in one payload; skipped")
-        return
-    fb = fresh.get("sharded", {}).get("bound")
-    bb = base.get("sharded", {}).get("bound")
-    if fb != bb:
-        # Fast-mode payloads shard at a small bound; the per-shard /
-        # monolithic ratio is bound-dependent, so cross-bound quotients
-        # are meaningless.
-        print(f"sharded bounds differ (fresh {fb}, baseline {bb}); skipped")
-        return
-    for k in sorted(set(fresh_runs) & set(base_runs)):
-        if base_runs[k] <= 0:
-            continue
-        slowdown = fresh_runs[k] / base_runs[k]
-        verdict = "FAIL" if slowdown > THRESHOLD else "ok"
-        print(
-            f"shards {k}: sharded/monolithic {fresh_runs[k]:.3f} vs "
-            f"baseline {base_runs[k]:.3f} -> slowdown {slowdown:.2f}x "
-            f"[{verdict}]"
-        )
-        if slowdown > THRESHOLD:
-            errors.append(
-                f"shards {k}: sharded path slowed down {slowdown:.2f}x vs "
-                f"baseline (budget {THRESHOLD:.2f}x)"
-            )
+def band(fresh_ratios, base_ratios):
+    """The largest slowdown the two payloads' own noise cannot tell
+    from a regression, capped at MAX_BAND."""
+    return min(MAX_BAND, 1 + spread(fresh_ratios) + spread(base_ratios))
 
 
-def check_recorder(fresh):
-    """Gate the flight-recorder overhead on the fresh payload alone.
-
-    The recorder section carries a bound-64 engine feed measured twice
-    on the same host, with and without a recorder scope attached, so
-    the on/off quotient is already machine-neutral — no baseline
-    needed. Payloads that predate the section pass vacuously.
-    """
-    sec = fresh.get("recorder")
-    if not sec:
-        print("recorder section absent; skipped")
-        return
-    off = sec.get("off_seconds", 0)
-    on = sec.get("on_seconds", 0)
-    if off <= 0:
-        print("recorder off-run untimed; skipped")
-        return
-    overhead = on / off
-    if off + on < NOISE_FLOOR_S:
-        print(
-            f"recorder: on/off {overhead:.3f}x "
-            f"[below {NOISE_FLOOR_S:.1f}s noise floor, informational]"
-        )
-        return
-    verdict = "FAIL" if overhead > THRESHOLD else "ok"
-    print(
-        f"recorder: bound {sec.get('bound')} feed, on/off {overhead:.3f}x "
-        f"({sec.get('events', 0)} events) [{verdict}]"
-    )
-    if overhead > THRESHOLD:
-        errors.append(
-            f"recorder: attaching the flight recorder cost {overhead:.2f}x "
-            f"(budget {THRESHOLD:.2f}x) — it must stay near-free"
-        )
+def compare(name, fresh_sides, base_sides):
+    """Print one row's verdict; return its failure message or None."""
+    fresh_ratios = round_ratios(name, fresh_sides)
+    base_ratios = round_ratios(name, base_sides)
+    limit = band(fresh_ratios, base_ratios)
+    fresh = statistics.median(fresh_ratios)
+    base = statistics.median(base_ratios)
+    slowdown = fresh / base
+    failed = slowdown > limit
+    print(f"{name}: {fresh:.3f} vs baseline {base:.3f} -> "
+          f"{slowdown:.2f}x (band {limit:.2f}x) "
+          f"[{'FAIL' if failed else 'ok'}]")
+    if failed:
+        return (f"{name}: slowed down {slowdown:.2f}x against the baseline "
+                f"(band {limit:.2f}x)")
+    return None
 
 
-def main():
-    if len(sys.argv) not in (2, 3):
+def check(fresh, base):
+    """Gate FRESH against BASE; return the failure messages."""
+    fresh_rows, base_rows = gated_rows(fresh), gated_rows(base)
+    if not base_rows:
+        raise Refused("the baseline has no gated rows")
+    if fresh_rows.keys() != base_rows.keys():
+        missing = sorted(base_rows.keys() - fresh_rows.keys())
+        extra = sorted(fresh_rows.keys() - base_rows.keys())
+        raise Refused(
+            f"rows differ: missing from fresh {missing}, not in baseline "
+            f"{extra} (a fast-mode payload?)")
+    failures = [compare(name, fresh_rows[name], sides)
+                for name, sides in base_rows.items()]
+    return [f for f in failures if f]
+
+
+def main(argv):
+    if len(argv) not in (2, 3):
         sys.exit(__doc__)
-    fresh_path = Path(sys.argv[1])
+    fresh_path = Path(argv[1])
     base_path = (
-        Path(sys.argv[2]) if len(sys.argv) == 3
+        Path(argv[2]) if len(argv) == 3
         else Path(__file__).resolve().parent.parent / "BENCH_heuristic.json"
     )
-    fresh = json.loads(fresh_path.read_text())
-    base = json.loads(base_path.read_text())
-    check_bounds(fresh, base)
-    check_sharded(fresh, base)
-    check_recorder(fresh)
-    if errors:
-        print("\n".join(errors), file=sys.stderr)
-        sys.exit(1)
-    print(f"{fresh_path.name}: within {THRESHOLD:.2f}x of {base_path.name}")
+    try:
+        failures = check(json.loads(fresh_path.read_text()),
+                         json.loads(base_path.read_text()))
+    except Refused as e:
+        sys.exit(f"check_bench: refused {fresh_path.name} against "
+                 f"{base_path.name}: {e}")
+    if failures:
+        sys.exit("\n".join(failures))
+    print(f"{fresh_path.name}: every row within its band of "
+          f"{base_path.name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv)

@@ -104,7 +104,7 @@ def check_engine_section(doc, path):
     """
     counters = doc.get("counters", {})
     if "engine.periods" not in counters:
-        return  # not an engine run (e.g. a bench sidecar)
+        return  # not an engine run
     periods = counters["engine.periods"]
     messages = counters.get("engine.messages")
     if messages is None:
@@ -151,8 +151,7 @@ def check_shard_section(doc, path):
     A sharded session publishes shard.* counters from the calling
     domain (pool workers carry no registry): the shard count, the
     worker-pool width it ran on, the fed totals, and one worker_us
-    sample per shard (each pair's summed feed time). The bench sidecar's bench.jobs / bench.shards
-    pair follows the same rule.
+    sample per shard (each pair's summed feed time).
     """
     counters = doc.get("counters", {})
     if "shard.shards" in counters:
@@ -176,16 +175,6 @@ def check_shard_section(doc, path):
                 f"shard.worker_us count {hist.get('count')} != "
                 f"shard.shards {shards}",
             )
-    if "bench.shards" in counters:
-        if counters["bench.shards"] < 1:
-            fail(path, f"bench.shards {counters['bench.shards']} < 1")
-        jobs = counters.get("bench.jobs")
-        if jobs is None:
-            fail(path, "bench.shards present without bench.jobs")
-        elif jobs < 1:
-            fail(path, f"bench.jobs {jobs} < 1")
-        if "bench.sharded_us" not in doc.get("histograms", {}):
-            fail(path, "bench.shards present without bench.sharded_us")
 
 
 def check_daemon_section(doc, path):
