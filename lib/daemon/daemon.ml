@@ -59,7 +59,7 @@ type spool_src = {
                              "vanished under us" *)
 }
 
-type conn_src = { mutable cfd : Unix.file_descr option; rbuf : Buffer.t }
+type conn_src = { mutable cfd : Unix.file_descr option; cut : Sio.Cutter.t }
 
 type source = Spool of spool_src | Conn of conn_src
 
@@ -190,6 +190,15 @@ let write_all fd s =
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* Stop reading a source and drop the bytes it held. *)
+let close_source e =
+  match e.source with
+  | Conn c ->
+    Option.iter close_fd c.cfd;
+    c.cfd <- None;
+    Sio.Cutter.clear c.cut
+  | Spool sp -> Sio.Tail.close sp.tail
+
 (* --- per-stream lifecycle ------------------------------------------- *)
 
 let retire_stream st e =
@@ -203,11 +212,7 @@ let retire_stream st e =
 let shed st e reason =
   e.shed <- true;
   st.c_shed <- st.c_shed + 1;
-  (match e.source with
-   | Conn c ->
-     Option.iter close_fd c.cfd;
-     c.cfd <- None
-   | Spool sp -> Sio.Tail.close sp.tail);
+  close_source e;
   retire_stream st e;
   fl st Rt_obs.Flight.Warn ~stream:e.id ~kind:"stream.shed" reason;
   logf "stream %s shed: %s" e.id reason
@@ -218,14 +223,9 @@ let shed st e reason =
    from byte 0 — always correct, merely slower. *)
 let crash st now e ~drop_checkpoint reason =
   retire_stream st e;
-  (match e.source with
-   | Spool sp ->
-     Sio.Tail.close sp.tail;
-     if drop_checkpoint then
-       Option.iter Rt_store.Slot.discard (checkpoint_slot_of st e.id)
-   | Conn c ->
-     Option.iter close_fd c.cfd;
-     c.cfd <- None);
+  close_source e;
+  if drop_checkpoint then
+    Option.iter Rt_store.Slot.discard (checkpoint_slot_of st e.id);
   fl st Rt_obs.Flight.Error ~stream:e.id ~kind:"stream.crash" reason;
   match e.source with
   | Conn _ ->
@@ -350,6 +350,15 @@ let rec offer_forcing st s l =
      | Stream.Crashed _ -> false
      | Stream.Blocked | Stream.More | Stream.Done -> offer_forcing st s l)
 
+(* Stop reading a data connection. Its unterminated last line still
+   counts, as it does for the Stream_io line sources that [learn]'s
+   Session reads, so the same bytes give the same model. *)
+let end_conn st e c =
+  (match (e.stream, Sio.Cutter.rest c.cut) with
+   | Some s, Some l -> ignore (offer_forcing st s l)
+   | _ -> ());
+  close_source e
+
 (* Consume everything the source still has, declare end-of-input, pump
    to completion and finalize — the idle-watchdog and drain path. *)
 let finish_stream st now e =
@@ -370,13 +379,7 @@ let finish_stream st now e =
         | Some l -> ignore (offer_forcing st s l)
         | None -> ());
        Sio.Tail.close sp.tail
-     | Conn c ->
-       Option.iter close_fd c.cfd;
-       c.cfd <- None;
-       if Buffer.length c.rbuf > 0 then begin
-         ignore (offer_forcing st s (Buffer.contents c.rbuf));
-         Buffer.clear c.rbuf
-       end);
+     | Conn c -> end_conn st e c);
     Stream.close_input s;
     let finished = ref false in
     while not !finished do
@@ -482,54 +485,35 @@ let step_spool st now e sp s =
 (* --- data connections ------------------------------------------------ *)
 
 let conn_eof st e c =
-  Option.iter close_fd c.cfd;
-  c.cfd <- None;
-  match e.stream with
-  | None -> ()
-  | Some s ->
-    (* a final line without its newline still counts, as it does for
-       the Stream_io line sources that [learn]'s Session reads, so the
-       same bytes give the same model *)
-    if Buffer.length c.rbuf > 0 then begin
-      ignore (offer_forcing st s (Buffer.contents c.rbuf));
-      Buffer.clear c.rbuf
-    end;
-    Stream.close_input s
+  end_conn st e c;
+  Option.iter Stream.close_input e.stream
 
+(* A read takes at most 4 KB: the bounded queue fills at the pace of
+   the loop's reads, not of the writer's bursts. *)
 let handle_conn st now e c fd =
-  let chunk = Bytes.create 4096 in
-  match Unix.read fd chunk 0 4096 with
+  let read buf off len = Unix.read fd buf off (min len 4096) in
+  match Sio.Cutter.refill c.cut read with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | exception Unix.Unix_error _ -> conn_eof st e c
   | 0 -> conn_eof st e c
-  | n ->
+  | _ ->
     Supervisor.note_data e.sup ~now;
     st.busy_tick <- true;
-    Buffer.add_subbytes c.rbuf chunk 0 n;
-    let content = Buffer.contents c.rbuf in
-    Buffer.clear c.rbuf;
-    let len = String.length content in
-    let rec split start =
-      if start >= len then ()
-      else
-        match String.index_from_opt content start '\n' with
-        | None -> Buffer.add_substring c.rbuf content start (len - start)
-        | Some i ->
-          let line = String.sub content start (i - start) in
-          (match e.stream with
-           | Some s when not e.shed ->
-             (match Stream.offer_line s line with
-              | `Ok -> split (i + 1)
-              | `Overflow ->
-                (* strict-pipe shed: this stream dies, its neighbours
-                   and the daemon do not *)
-                shed st e
-                  (Printf.sprintf "ingest queue overflow (%d lines)"
-                     (Stream.queue_capacity s)))
-           | Some _ | None -> ())
+    let rec offer () =
+      match (e.stream, Sio.Cutter.cut c.cut) with
+      | Some s, Some line when not e.shed ->
+        (match Stream.offer_line s line with
+         | `Ok -> offer ()
+         | `Overflow ->
+           (* strict-pipe shed: this stream dies, its neighbours
+              and the daemon do not *)
+           shed st e
+             (Printf.sprintf "ingest queue overflow (%d lines)"
+                (Stream.queue_capacity s)))
+      | _ -> ()
     in
-    split 0
+    offer ()
 
 let accept_data st now lfd =
   match Unix.accept lfd with
@@ -555,7 +539,7 @@ let accept_data st now lfd =
       let e =
         {
           id;
-          source = Conn { cfd = Some fd; rbuf = Buffer.create 256 };
+          source = Conn { cfd = Some fd; cut = Sio.Cutter.create () };
           sup = Supervisor.create ~policy:st.cfg.policy ~now ();
           stream = Some (make_stream st ~checkpointed:false id);
           shed = false;
@@ -959,12 +943,7 @@ let run ?clock cfg =
        (match cfg.flight_path with
         | Some p -> logf "wrote flight dump to %s" p
         | None -> ());
-       iter_entries st (fun e ->
-           match e.source with
-           | Conn c ->
-             Option.iter close_fd c.cfd;
-             c.cfd <- None
-           | Spool sp -> Sio.Tail.close sp.tail);
+       iter_entries st close_source;
        List.iter (fun (fd, _) -> close_fd fd) st.ctrl_clients;
        Option.iter close_fd data_l;
        Option.iter close_fd ctrl_l;

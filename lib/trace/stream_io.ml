@@ -1,44 +1,78 @@
 type line_source = unit -> string option
 
-(* Cut lines out of a buffer that [input buf off len] refills, returning
-   0 at end of input: one string per line, where [input_line] also
-   allocates its scanning closures. A trailing newline ends the last
-   line rather than opening an empty one. *)
-let lines_of_input input =
-  let buf = ref (Bytes.create 65536) in
-  let lo = ref 0 and hi = ref 0 and eof = ref false in
-  let rec find_nl i =
-    if i >= !hi then -1
-    else if Bytes.unsafe_get !buf i = '\n' then i
-    else find_nl (i + 1)
-  in
-  let take stop next =
-    let l = Bytes.sub_string !buf !lo (stop - !lo) in
-    lo := next;
+module Cutter = struct
+  (* [buf.[lo, hi)] is read and not yet cut; [buf.[lo, scan)] holds no
+     newline. The buffer is allocated by the first refill and given
+     back by [clear], so an idle cutter costs a few words. *)
+  type t = {
+    mutable buf : Bytes.t;
+    mutable lo : int;
+    mutable scan : int;
+    mutable hi : int;
+  }
+
+  (* The first buffer: as much as one read of a channel returns. *)
+  let chunk = 65536
+
+  let create () = { buf = Bytes.empty; lo = 0; scan = 0; hi = 0 }
+
+  let clear t =
+    t.buf <- Bytes.empty;
+    t.lo <- 0;
+    t.scan <- 0;
+    t.hi <- 0
+
+  let refill t input =
+    let pending = t.hi - t.lo in
+    if t.lo > 0 then Bytes.blit t.buf t.lo t.buf 0 pending
+    else if pending = Bytes.length t.buf then begin
+      let bigger = Bytes.create (max chunk (2 * pending)) in
+      Bytes.blit t.buf 0 bigger 0 pending;
+      t.buf <- bigger
+    end;
+    t.scan <- t.scan - t.lo;
+    t.lo <- 0;
+    t.hi <- pending;
+    let n = input t.buf pending (Bytes.length t.buf - pending) in
+    t.hi <- pending + n;
+    n
+
+  let take t stop next =
+    let l = Bytes.sub_string t.buf t.lo (stop - t.lo) in
+    t.lo <- next;
+    t.scan <- next;
     Some l
-  in
-  (* [lo, from) is known to hold no newline. *)
-  let rec pull from =
-    let nl = find_nl from in
-    if nl >= 0 then take nl (nl + 1)
-    else if !eof then if !lo < !hi then take !hi !hi else None
+
+  let rec find_nl buf i hi =
+    if i >= hi then -1
+    else if Bytes.unsafe_get buf i = '\n' then i
+    else find_nl buf (i + 1) hi
+
+  let cut t =
+    let nl = find_nl t.buf t.scan t.hi in
+    if nl >= 0 then take t nl (nl + 1)
     else begin
-      let pending = !hi - !lo in
-      if !lo > 0 then Bytes.blit !buf !lo !buf 0 pending
-      else if pending = Bytes.length !buf then begin
-        let bigger = Bytes.create (2 * pending) in
-        Bytes.blit !buf 0 bigger 0 pending;
-        buf := bigger
-      end;
-      lo := 0;
-      hi := pending;
-      (match input !buf pending (Bytes.length !buf - pending) with
-       | 0 -> eof := true
-       | n -> hi := pending + n);
-      pull pending
+      t.scan <- t.hi;
+      None
     end
+
+  let rest t = if t.lo < t.hi then take t t.hi t.hi else None
+end
+
+(* Cut the lines that [input buf off len] returns, 0 meaning end of
+   input: one string per line, where [input_line] also allocates its
+   scanning closures. *)
+let lines_of_input input =
+  let c = Cutter.create () and eof = ref false in
+  let rec pull () =
+    match Cutter.cut c with
+    | Some _ as l -> l
+    | None when !eof -> Cutter.rest c
+    | None ->
+      eof := Cutter.refill c input = 0;
+      pull ()
   in
-  fun () -> pull !lo
+  pull
 
 (* [input] returns whatever a pipe holds, so lines arrive as soon as
    they are complete. *)
@@ -76,7 +110,7 @@ module Tail = struct
 
   type t = {
     path : string;
-    buf : Buffer.t;                       (* the line under assembly *)
+    cut : Cutter.t;  (* read from [ic], not yet yielded *)
     mutable ic : in_channel option;
     mutable identity : (int * int) option;  (* (st_dev, st_ino) of [ic] *)
     mutable flush_then : event option;
@@ -86,38 +120,50 @@ module Tail = struct
   }
 
   let create path =
-    { path; buf = Buffer.create 256; ic = None; identity = None;
+    { path; cut = Cutter.create (); ic = None; identity = None;
       flush_then = None }
 
-  let take t =
-    let l = Buffer.contents t.buf in
-    Buffer.clear t.buf;
-    l
-
-  let pending t = if Buffer.length t.buf > 0 then Some (take t) else None
+  let pending t = Cutter.rest t.cut
 
   let close t =
     (match t.ic with Some ic -> close_in_noerr ic | None -> ());
     t.ic <- None;
-    t.identity <- None
+    t.identity <- None;
+    Cutter.clear t.cut
 
-  (* Forget the open channel but keep the partial line: the same bytes
-     will not be re-read (rotation), or will (truncation, where the
-     partial belonged to overwritten content and is discarded). *)
-  let drop ?(discard_partial = false) t =
-    close t;
-    if discard_partial then Buffer.clear t.buf
-
-  (* The old file is final (rotated away or deleted): close it and, when
-     a partial last line is pending, yield that line now and queue the
-     status event for the next step. *)
+  (* The old file is final (rotated away or deleted): yield its partial
+     last line, if any, now and queue the status event for the next
+     step; the next step after that reopens. *)
   let finish_file t event =
-    drop t;
-    if Buffer.length t.buf > 0 then begin
+    let last = pending t in
+    close t;
+    match last with
+    | Some l ->
       t.flush_then <- Some event;
-      Line (take t)
-    end
-    else event
+      Line l
+    | None -> event
+
+  (* End of what is on disk right now: decide between plain waiting,
+     rotation (the path names a different file) and truncation (the same
+     file shrank under us, so the partial line belonged to overwritten
+     content). *)
+  let at_end t ic =
+    match Unix.stat t.path with
+    | exception Unix.Unix_error _ -> finish_file t Vanished
+    | st ->
+      if Some (st.Unix.st_dev, st.Unix.st_ino) <> t.identity then
+        finish_file t Rotated
+      else if st.Unix.st_size < pos_in ic then begin
+        close t;
+        Truncated
+      end
+      else Waiting
+
+  let rec read t ic =
+    match Cutter.cut t.cut with
+    | Some l -> Line l
+    | None ->
+      if Cutter.refill t.cut (input ic) > 0 then read t ic else at_end t ic
 
   let step t =
     match t.flush_then with
@@ -134,27 +180,7 @@ module Tail = struct
             t.identity <- Some (st.Unix.st_dev, st.Unix.st_ino);
             Opened
           | exception Sys_error _ -> Vanished)
-       | Some ic ->
-         let rec read () =
-           match input_char ic with
-           | '\n' -> Line (take t)
-           | c -> Buffer.add_char t.buf c; read ()
-           | exception End_of_file ->
-             (* End of what is on disk right now: decide between plain
-                waiting, rotation (the path names a different file) and
-                truncation (the same file shrank under us). *)
-             (match Unix.stat t.path with
-              | exception Unix.Unix_error _ -> finish_file t Vanished
-              | st ->
-                if Some (st.Unix.st_dev, st.Unix.st_ino) <> t.identity
-                then finish_file t Rotated
-                else if st.Unix.st_size < pos_in ic then begin
-                  drop ~discard_partial:true t;
-                  Truncated
-                end
-                else Waiting)
-         in
-         read ())
+       | Some ic -> read t ic)
 end
 
 let follow_path ?(poll_interval = 0.05) ?(max_backoff = 1.0) ?on_event ~stop

@@ -9,13 +9,46 @@
     one implementation and agree byte-for-byte on periods, errors and
     quarantine accounting.
 
-    Line sources never materialize the input: {!lines_of_channel} reads
-    a pipe or file as it goes, and {!follow_lines} tails a growing file.
-    Every learn sits on them, through [Rt_shard.Session]. *)
+    One {!Cutter} turns ingest bytes into lines for every source:
+    {!lines_of_string}, {!lines_of_channel} (a file or stdin, which every
+    learn reads through [Rt_shard.Session]), {!follow_lines}, {!Tail}
+    (so [watch --follow] and the [rtgend] spool follower) and the
+    [rtgend] data connections. A partial line therefore means the same
+    everywhere: it is held back until its newline, and when its source
+    ends it counts as a line (a truncated file's is discarded instead).
+    Line sources never materialize the input. *)
 
 type line_source = unit -> string option
 (** The next raw line (without its newline), or [None] at end of input.
     Once [None] is returned the parser never calls the source again. *)
+
+(** A refill buffer cut at newlines: bytes go in by {!refill}, complete
+    lines come out by {!cut}, and the unterminated last line by {!rest}
+    once the caller knows its source has ended. *)
+module Cutter : sig
+  type t
+
+  val create : unit -> t
+  (** An empty cutter; its buffer is allocated by the first {!refill}. *)
+
+  val refill : t -> (bytes -> int -> int -> int) -> int
+  (** [refill t input] calls [input buf off len] once to append at most
+      [len] bytes at [buf.[off]], growing the buffer when a line fills
+      it, and returns what [input] returned: 0 means nothing was read.
+      An exception from [input] leaves the cutter holding what it held. *)
+
+  val cut : t -> string option
+  (** The next complete line, without its newline; [None] until a
+      refill brings one. *)
+
+  val rest : t -> string option
+  (** Take the bytes after the last newline as a line, if there are any
+      — the final line of a source that ended without a newline. Call
+      it once {!cut} returns [None]. *)
+
+  val clear : t -> unit
+  (** Discard every byte held and give the buffer back. *)
+end
 
 val lines_of_string : string -> line_source
 (** The lines {!lines_of_channel} would read from a file holding the
@@ -40,8 +73,9 @@ val follow_lines :
     most one line and never sleeps, so a single-threaded daemon can
     multiplex hundreds of tails. Detects log rotation (the path's
     device/inode changed), truncation (the file shrank below the read
-    position) and disappearance, reopening as needed. [rtgen watch
-    --follow] and the [rtgend] spool follower share this logic. *)
+    position) and disappearance, reopening as needed. Lines are cut by
+    a {!Cutter} refilled from the open file. [rtgen watch --follow] and
+    the [rtgend] spool follower share this logic. *)
 module Tail : sig
   type event =
     | Line of string  (** a complete line (newline seen) *)
@@ -64,10 +98,13 @@ module Tail : sig
   val step : t -> event
 
   val pending : t -> string option
-  (** Take the partial line under assembly, if any — the final flush
-      when a follower decides the writer is gone for good. *)
+  (** Take the partial line under assembly ({!Cutter.rest}), if any —
+      the final flush when a follower decides the writer is gone for
+      good. *)
 
   val close : t -> unit
+  (** Close the file and discard the partial line: take it with
+      {!pending} first. *)
 end
 
 val follow_path :

@@ -608,6 +608,114 @@ let test_daemon_busy_and_control () =
     Alcotest.(check bool) "busy counted" true
       (contains m "\"daemon.busy_rejections\": 1")
 
+(* Learning over the data socket: a forked client sends a trace in
+   ragged chunks — some cut a line mid-way, some end just after its
+   newline — whose last line has no newline, and closes. The model the
+   daemon finalizes is the one recover mode learns from the same text. *)
+let test_daemon_socket_ingest () =
+  let dir = tmpdir () in
+  let data_sock = Filename.concat dir "data.sock" in
+  let ctrl_sock = Filename.concat dir "ctl.sock" in
+  let greeting_file = Filename.concat dir "greeting" in
+  let metrics = Filename.concat dir "m.json" in
+  let full = trace_text ~periods:12 5 in
+  let text = String.sub full 0 (String.length full - 1) in
+  (* chunk i ends just after a newline when i is even, three bytes
+     short of one when odd *)
+  let chunks =
+    let n = String.length text in
+    let rec go i pos acc =
+      if pos >= n then List.rev acc
+      else
+        let from = min (n - 1) (pos + (i * 7 mod 40)) in
+        let nl = Option.value ~default:n (String.index_from_opt text from '\n') in
+        let stop =
+          if i mod 2 = 0 then min n (nl + 1) else max (pos + 1) (nl - 3)
+        in
+        go (i + 1) stop (String.sub text pos (stop - pos) :: acc)
+    in
+    go 0 0 []
+  in
+  let ends_line c = c <> "" && c.[String.length c - 1] = '\n' in
+  Alcotest.(check bool) "chunks cut lines mid-way" true
+    (List.exists (fun c -> not (ends_line c)) chunks);
+  Alcotest.(check bool) "chunks end at newlines" true
+    (List.exists ends_line chunks);
+  Alcotest.(check string) "chunks cover the text" text
+    (String.concat "" chunks);
+  let cfg =
+    {
+      Daemon.default with
+      Daemon.listen = Some data_sock;
+      control = Some ctrl_sock;
+      out_dir = dir;
+      tick = 0.002;
+      metrics_path = Some metrics;
+      handle_signals = false;
+    }
+  in
+  let model_path = Filename.concat dir "conn1.model" in
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let fd = connect_retry data_sock in
+       let b = Bytes.create 1 in
+       let rec greeting acc =
+         match Unix.read fd b 0 1 with
+         | 1 when Bytes.get b 0 = '\n' -> acc ^ "\n"
+         | 1 -> greeting (acc ^ Bytes.to_string b)
+         | _ -> acc
+       in
+       write_file greeting_file (greeting "");
+       List.iter
+         (fun c ->
+            let m = Bytes.of_string c in
+            let rec send off =
+              if off < Bytes.length m then
+                send (off + Unix.write fd m off (Bytes.length m - off))
+            in
+            send 0;
+            Unix.sleepf 0.002)
+         chunks;
+       Unix.close fd;
+       let rec wait n =
+         if (not (Sys.file_exists model_path)) && n < 5000 then begin
+           Unix.sleepf 0.002;
+           wait (n + 1)
+         end
+       in
+       wait 0
+     with _ -> ());
+    ignore (try roundtrip ctrl_sock "drain" with _ -> "");
+    Unix._exit 0
+  | pid ->
+    (match Daemon.run cfg with
+     | Ok Daemon.Drained -> ()
+     | Ok Daemon.Stopped -> Alcotest.fail "stopped"
+     | Error e -> Alcotest.failf "daemon: %s" e);
+    ignore (Unix.waitpid [] pid);
+    Alcotest.(check string) "greeting" "OK conn1\n" (read_file greeting_file);
+    (* the model and whether recover mode had to repair anything *)
+    let recover text =
+      let s, _ =
+        Stream.create ~id:"ref"
+          { (stream_cfg ()) with Stream.bound = cfg.Daemon.bound }
+      in
+      feed_all s text;
+      pump_to_done s;
+      ( Result.get_ok (Stream.render_model s),
+        Rt_trace.Quarantine.is_empty (Stream.quarantine s) )
+    in
+    let want, clean = recover text in
+    Alcotest.(check bool) "the text is clean" true clean;
+    (* the last line's loss would not change the model, since repair
+       closes the period it leaves open, but it would be quarantined *)
+    Alcotest.(check bool) "losing the last line shows" false
+      (snd (recover (String.sub text 0 (String.rindex text '\n'))));
+    Alcotest.(check string) "conn1.model" want (read_file model_path);
+    Alcotest.(check bool) "nothing quarantined" true
+      (contains (read_file metrics) "\"daemon.streams_quarantined\": 0")
+
 (* --- flight recorder: the dump narrates the supervisor ---------------- *)
 
 module Json = Rt_obs.Json
@@ -945,6 +1053,8 @@ let () =
             test_daemon_corrupt_isolation;
           Alcotest.test_case "busy admission and control socket" `Quick
             test_daemon_busy_and_control;
+          Alcotest.test_case "learns over the data socket" `Quick
+            test_daemon_socket_ingest;
         ] );
       ( "flight",
         [

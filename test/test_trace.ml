@@ -283,8 +283,11 @@ let shuffled_lines_parse_alike =
 
 (* Draining the streaming parser over a simulated trace allocates a
    bounded number of bytes per event: the line string and its option,
-   and each period's digest; no per-event record. [Gc.allocated_bytes]
-   counts deterministically, so the bound is exact, not a timing. *)
+   and each period's digest; no per-event record. On OCaml 5
+   [Gc.allocated_bytes] counts minor-heap words only at a minor
+   collection, so one is forced on each side of the drain: the count is
+   then exact, not a timing, and does not hang on how full the minor
+   heap was when the test began. *)
 let test_stream_alloc_per_event () =
   let trace = simulate ~periods:2_000 ~seed:3 (small_design 3) in
   let text = Io.to_string trace in
@@ -296,13 +299,236 @@ let test_stream_alloc_per_event () =
     | Ok None -> n
     | Error e -> Alcotest.failf "line %d: %s" e.line e.message
   in
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let periods = drain 0 in
+  Gc.minor ();
   let per_event = (Gc.allocated_bytes () -. before) /. float_of_int events in
   Alcotest.(check int) "every period" 2_000 periods;
   if per_event > 112.0 then
     Alcotest.failf "%.1f B/event allocated draining %d events (bound 112)"
       per_event events
+
+(* --- Line sources: one cutter under every ingest path --- *)
+
+module Sio = Rt_trace.Stream_io
+
+let drain_source source =
+  let rec go acc =
+    match source () with Some l -> go (l :: acc) | None -> List.rev acc
+  in
+  go []
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* [lines_of_channel] over a pipe a child process writes chunk by
+   chunk, so lines are cut from whatever each read returns. *)
+let lines_via_pipe chunks =
+  let r, w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    Unix.close r;
+    (try List.iter (write_all w) chunks with _ -> Unix._exit 1);
+    Unix._exit 0
+  | pid ->
+    Unix.close w;
+    let ic = Unix.in_channel_of_descr r in
+    let lines = drain_source (Sio.lines_of_channel ic) in
+    close_in ic;
+    (match Unix.waitpid [] pid with
+     | _, Unix.WEXITED 0 -> ()
+     | _ -> Alcotest.fail "pipe writer failed");
+    lines
+
+(* [Tail] over a file that grows by one chunk at a time, drained to
+   [Waiting] after each, then its pending partial line. *)
+let lines_via_tail chunks =
+  let path = Filename.temp_file "rtgen_tail" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let tail = Sio.Tail.create path in
+  let rec drain acc =
+    match Sio.Tail.step tail with
+    | Sio.Tail.Line l -> drain (l :: acc)
+    | Sio.Tail.Opened -> drain acc
+    | Sio.Tail.Waiting -> acc
+    | (Sio.Tail.Rotated | Sio.Tail.Truncated | Sio.Tail.Vanished) ->
+      Alcotest.fail "tail lost its file"
+  in
+  let acc =
+    List.fold_left
+      (fun acc chunk ->
+         let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+         output_string oc chunk;
+         close_out oc;
+         drain acc)
+      [] chunks
+  in
+  let acc = match Sio.Tail.pending tail with Some l -> l :: acc | None -> acc in
+  Sio.Tail.close tail;
+  List.rev acc
+
+(* A bare cutter refilled from each chunk in turn, then its rest. *)
+let lines_via_cutter chunks =
+  let c = Sio.Cutter.create () in
+  let rec cut acc =
+    match Sio.Cutter.cut c with Some l -> cut (l :: acc) | None -> acc
+  in
+  let acc =
+    List.fold_left
+      (fun acc chunk ->
+         let pos = ref 0 in
+         let input buf off len =
+           let n = min len (String.length chunk - !pos) in
+           Bytes.blit_string chunk !pos buf off n;
+           pos := !pos + n;
+           n
+         in
+         let rec feed acc =
+           if !pos >= String.length chunk then acc
+           else begin
+             ignore (Sio.Cutter.refill c input);
+             feed (cut acc)
+           end
+         in
+         feed acc)
+      [] chunks
+  in
+  let acc = match Sio.Cutter.rest c with Some l -> l :: acc | None -> acc in
+  List.rev acc
+
+(* Random texts — empty lines, '\r', sometimes one line longer than the
+   cutter's first buffer, with or without a final newline — cut into
+   chunks at random offsets and just after random newlines. *)
+let chunked_text =
+  let open QCheck.Gen in
+  let gen =
+    let* lines =
+      list_size (int_bound 30)
+        (string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\r'; '#' ]) (int_bound 12))
+    in
+    let* long =
+      frequency
+        [ (3, return None); (1, map Option.some (int_bound (List.length lines))) ]
+    in
+    let lines =
+      match long with
+      | None -> lines
+      | Some at ->
+        List.filteri (fun i _ -> i < at) lines
+        @ (String.make 70_000 'x' :: List.filteri (fun i _ -> i >= at) lines)
+    in
+    let* trailing = bool in
+    let text =
+      String.concat "\n" lines ^ if trailing && lines <> [] then "\n" else ""
+    in
+    let len = String.length text in
+    let newlines =
+      List.filter_map
+        (fun i -> if text.[i] = '\n' then Some (i + 1) else None)
+        (List.init len Fun.id)
+    in
+    let* cuts =
+      list_size (int_bound 12)
+        (if newlines = [] then int_bound len
+         else oneof [ int_bound len; oneofl newlines ])
+    in
+    let cuts = List.sort_uniq compare (0 :: len :: cuts) in
+    let rec chunks = function
+      | a :: (b :: _ as rest) -> String.sub text a (b - a) :: chunks rest
+      | _ -> []
+    in
+    return (text, chunks cuts)
+  in
+  let print (text, chunks) =
+    Printf.sprintf "%d bytes %S, chunks of %s" (String.length text)
+      (if String.length text > 200 then String.sub text 0 200 ^ "..." else text)
+      (String.concat ","
+         (List.map (fun c -> string_of_int (String.length c)) chunks))
+  in
+  QCheck.make ~print gen
+
+let line_sources_agree =
+  Test_support.qcheck_case "every line source = lines_of_string" ~count:100
+    ~long_factor:20 chunked_text (fun (text, chunks) ->
+      let want = drain_source (Sio.lines_of_string text) in
+      (* the format's rule, from first principles: a final newline ends
+         the last line and opens no empty one *)
+      let model =
+        match List.rev (String.split_on_char '\n' text) with
+        | "" :: rev -> List.rev rev
+        | rev -> List.rev rev
+      in
+      let check what got =
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: %d lines, lines_of_string %d" what
+            (List.length got) (List.length want)
+      in
+      check "split_on_char" model;
+      check "lines_of_channel over a pipe" (lines_via_pipe chunks);
+      check "Tail over a growing file" (lines_via_tail chunks);
+      check "Cutter" (lines_via_cutter chunks);
+      true)
+
+(* Following a file costs one [Line] box per line over reading it:
+   both paths cut lines with the same cutter. A path's cost per line is
+   the difference between reading the trace twice over and once, which
+   leaves out the per-file opens and stats; what is left per read (a
+   closure per 64 KB) comes to well under a byte a line. [Gc.minor_words]
+   counts deterministically. *)
+let test_tail_alloc_per_line () =
+  let text = Io.to_string (simulate ~periods:800 ~seed:3 (small_design 3)) in
+  let file text =
+    let path = Filename.temp_file "rtgen_alloc" ".trace" in
+    let oc = open_out_bin path in
+    output_string oc text;
+    close_out oc;
+    path
+  in
+  let once = file text and twice = file (text ^ text) in
+  Fun.protect ~finally:(fun () -> Sys.remove once; Sys.remove twice)
+  @@ fun () ->
+  let bytes_per_line count_lines =
+    let measure path =
+      let before = Gc.minor_words () in
+      let lines = count_lines path in
+      (lines, Gc.minor_words () -. before)
+    in
+    let n1, w1 = measure once and n2, w2 = measure twice in
+    (w2 -. w1) *. float_of_int (Sys.word_size / 8) /. float_of_int (n2 - n1)
+  in
+  let channel =
+    bytes_per_line (fun path ->
+        let ic = open_in_bin path in
+        let source = Sio.lines_of_channel ic in
+        let rec go n = match source () with Some _ -> go (n + 1) | None -> n in
+        let n = go 0 in
+        close_in ic;
+        n)
+  in
+  let tail =
+    bytes_per_line (fun path ->
+        let t = Sio.Tail.create path in
+        let rec go n =
+          match Sio.Tail.step t with
+          | Sio.Tail.Line _ -> go (n + 1)
+          | Sio.Tail.Opened -> go n
+          | _ -> n
+        in
+        let n = go 0 in
+        Sio.Tail.close t;
+        n)
+  in
+  let line_box = float_of_int (2 * Sys.word_size / 8) in
+  if tail > channel +. line_box +. 1.0 then
+    Alcotest.failf
+      "Tail.step allocates %.2f B/line, lines_of_channel %.2f B/line (bar: \
+       + %.0f B, one Line box, + 1 B)"
+      tail channel line_box
 
 (* --- Candidates (the paper's A_m computation) --- *)
 
@@ -784,5 +1010,11 @@ let () =
           shuffled_lines_parse_alike;
           Alcotest.test_case "stream alloc per event" `Quick
             test_stream_alloc_per_event;
+        ] );
+      ( "lines",
+        [
+          line_sources_agree;
+          Alcotest.test_case "Tail alloc per line" `Quick
+            test_tail_alloc_per_line;
         ] );
     ]
