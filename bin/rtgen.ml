@@ -22,8 +22,8 @@ let err msg =
 (* Load a whole trace for the commands that need it in memory; in
    recover mode the quarantine summary goes to stderr so stdout stays
    pipeable model output. *)
-let read_trace ?(mode = `Strict) ?eps ?window ?obs ?(quiet = false) path =
-  match Rt_trace.Trace_io.load ~mode ?eps ?window ?obs path with
+let read_trace ?(mode = `Strict) ?eps ?window ?(quiet = false) path =
+  match Rt_trace.Trace_io.load ~mode ?eps ?window path with
   | Ok (t, q) ->
     if mode = `Recover && not quiet then
       prerr_endline (Rt_trace.Quarantine.summary q);
@@ -178,11 +178,6 @@ let simulate case_study tasks seed periods output dot drop_rate local_fraction
         Ec.ok
 
 (* --- learn --- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      really_input_string ic (in_channel_length ic))
 
 (* Open DIR, resolve [ref[@N|@latest]], read (and hash-verify) the
    blob: the one way every consumer dereferences a store address. *)
@@ -346,7 +341,36 @@ let with_flight flight_out f =
    | _ -> ());
   code
 
-(* Every learn but --auto: one streaming session over the file (or
+(* The end of every learn that drained its input: the recover-mode
+   account, the final snapshot, the sinks and the model. *)
+let conclude ~mode ~shards ~write_sinks ~finish s =
+  let module S = Rt_shard.Session in
+  if mode = `Recover then
+    prerr_endline (Rt_trace.Quarantine.summary (S.quarantine s));
+  match S.finalize s with
+  | None -> err "no usable periods after quarantine"
+  | Some snap ->
+    (* Success: the checkpoint has served its purpose. *)
+    S.discard s;
+    let result =
+      match shards with
+      | None -> `Answers snap.hypotheses
+      | Some _ -> `Folded (S.fold s)
+    in
+    Array.iteri
+      (fun i (r : S.shard) ->
+         Printf.eprintf
+           "shard %d: %d periods, %d messages, %d hypotheses, %.3fs\n"
+           i r.periods r.messages (List.length r.hypotheses)
+           (float_of_int r.feed_ns /. 1e9))
+      (S.shards s);
+    write_sinks ();
+    finish ~names:(Option.get (S.names s)) ~created_at:(S.periods_fed s)
+      ~parts:(S.parts s)
+      ~answers:(if shards = None then Some snap.hypotheses else None)
+      result
+
+(* A learn without --auto: one streaming session over the file (or
    stdin, spelled "-") that holds one period in memory. With --shards
    the session deals periods round-robin to K engine pairs, runs each
    round of K on the worker pool, and folds the pairs at the end of
@@ -355,6 +379,9 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
     ~progress ~ckpt ~every ~stop_after ~companion ~write_sinks ~finish path =
   let module S = Rt_shard.Session in
   let ckpt_path = Option.fold ~none:"" ~some:Slot.describe ckpt in
+  (match (shards, obs) with
+   | Some _, Some r -> Rt_obs.Registry.set_counter r "shard.jobs" jobs
+   | _ -> ());
   with_input path @@ fun ic ->
   with_pool (if shards = None then 1 else jobs) @@ fun pool ->
   let checkpoint =
@@ -428,70 +455,55 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
       Printf.eprintf "stopped after %d periods (checkpoint in %s)\n"
         (S.periods_fed s) ckpt_path;
       Ec.ok
-    | Ok `Done ->
-      if mode = `Recover then
-        prerr_endline (Rt_trace.Quarantine.summary (S.quarantine s));
-      (match S.finalize s with
-       | None -> err "no usable periods after quarantine"
-       | Some snap ->
-         (* Success: the checkpoint has served its purpose. *)
-         S.discard s;
-         let result =
-           match shards with
-           | None -> `Answers snap.hypotheses
-           | Some _ -> `Folded (S.fold s)
-         in
-         Array.iteri
-           (fun i (r : S.shard) ->
-              Printf.eprintf
-                "shard %d: %d periods, %d messages, %d hypotheses, %.3fs\n"
-                i r.periods r.messages (List.length r.hypotheses)
-                (float_of_int r.feed_ns /. 1e9))
-           (S.shards s);
-         write_sinks ();
-         finish ~names:(Option.get (S.names s)) ~created_at:(S.periods_fed s)
-           ~parts:(S.parts s)
-           ~answers:(if shards = None then Some snap.hypotheses else None)
-           result)
+    | Ok `Done -> conclude ~mode ~shards ~write_sinks ~finish s
 
-(* --auto re-feeds the whole trace, in memory, at each bound. *)
+(* --auto: one session per bound, each over the file reopened
+   (Rt_shard.Auto); the selected pass ends like every other learn. *)
 let learn_auto ~window ~obs ~mode ~eps ~write_sinks ~finish path =
-  match read_trace ~mode ~eps ?window ?obs path with
-  | Error m -> err m
-  | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
-    err "no usable periods after quarantine"
-  | Ok (trace, _) ->
-    let report, chosen = Rt_engine.Learner.auto ?window ?obs trace in
-    Format.printf "auto bound search:@.";
-    List.iter (fun (s : Rt_engine.Learner.bound_step) ->
-        Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
-          s.bound s.hypotheses
-          (if s.lub_changed then "changed" else "stable")
-          s.elapsed_s)
-      report.Rt_engine.Learner.trajectory;
-    Format.printf "selected bound %d@." chosen;
-    write_sinks ();
-    finish ~names:(Rt_task.Task_set.names trace.task_set)
-      ~created_at:(Rt_trace.Trace.period_count trace) ~parts:[||] ~answers:None
-      (`Answers report.Rt_engine.Learner.hypotheses)
+  let ic = ref None in
+  let close () = Option.iter close_in_noerr !ic in
+  let open_ () =
+    close ();
+    let c = open_in path in
+    ic := Some c;
+    Rt_trace.Stream_io.lines_of_channel c
+  in
+  Fun.protect ~finally:close @@ fun () ->
+  match Rt_shard.Auto.search ~mode ~eps ?window ?obs open_ with
+  | exception Sys_error m -> err m
+  | Error e -> err (Printf.sprintf "%s: line %d: %s" path e.line e.message)
+  | Ok o ->
+    (* Without a period there is no search to report, only the error. *)
+    if Option.is_some o.snapshot then begin
+      Format.printf "auto bound search:@.";
+      List.iter (fun (s : Rt_shard.Auto.step) ->
+          Format.printf "  bound %d: %d hypothesis(es), lub %s, %.3fs@."
+            s.bound s.hypotheses
+            (if s.lub_changed then "changed" else "stable")
+            s.elapsed_s)
+        o.trajectory;
+      Format.printf "selected bound %d@." o.bound
+    end;
+    conclude ~mode ~shards:None ~write_sinks:(write_sinks o.obs) ~finish
+      o.session
 
 let learn path exact auto stream shards bound window jobs dot output mode eps
     checkpoint every stop_after store store_ref flight_out metrics
     trace_events profile folded progress =
-  let obs =
+  (* A registry per learn pass, when a sink wants one. *)
+  let new_obs =
     if metrics <> None || trace_events <> None || profile || folded <> None
-    then Some (Rt_obs.Registry.create ())
+    then Some (fun () -> Rt_obs.Registry.create ())
     else None
   in
-  let write_sinks () =
+  let write_sinks obs () =
     write_sinks ~profile ?folded ~metrics ~trace_events obs
   in
   let conflict =
     if stream && checkpoint <> None then
       Some "--stream cannot be combined with --checkpoint"
     else if stream && auto then
-      Some "--auto re-feeds the trace at each bound and needs it in memory; \
-            drop --stream"
+      Some "--auto reads the input once per bound; drop --stream"
     else if auto && exact then
       Some "--auto searches for a heuristic bound; drop --exact"
     else if shards <> None && exact then
@@ -502,7 +514,7 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
       Some "the store interchange is the heuristic's bound-1 companion; \
             drop --exact"
     else if store <> None && auto then
-      Some "--auto re-learns at several bounds; pick one bound to commit \
+      Some "--auto learns at several bounds; pick one bound to commit \
             with --store"
     else if checkpoint <> None && exact then
       Some "--checkpoint requires the heuristic algorithm (drop --exact)"
@@ -511,13 +523,13 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     else if stop_after <> None && checkpoint = None then
       Some "--stop-after leaves a checkpoint to resume from; add --checkpoint"
     else if auto && checkpoint <> None then
-      Some "--auto learns in memory and writes no checkpoint; drop \
+      Some "--auto learns at several bounds and writes no checkpoint; drop \
             --checkpoint"
+    else if auto && path = "-" then
+      Some "--auto reads the input once per bound and needs a trace file, \
+            not stdin"
     else None
   in
-  (match (shards, obs) with
-   | Some _, Some r -> Rt_obs.Registry.set_counter r "shard.jobs" jobs
-   | _ -> ());
   (* The recorder catches checkpoint-corruption notices. *)
   with_flight flight_out @@ fun flight ->
   match conflict with
@@ -536,11 +548,12 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
           ~bound ~source:path ~dot ~output
       in
       if auto then
-        learn_auto ~window ~obs ~mode ~eps ~write_sinks ~finish path
+        learn_auto ~window ~obs:new_obs ~mode ~eps ~write_sinks ~finish path
       else
+        let obs = Option.map (fun f -> f ()) new_obs in
         learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode
           ~eps ~progress ~ckpt ~every ~stop_after ~companion:(store <> None)
-          ~write_sinks ~finish path
+          ~write_sinks:(write_sinks obs) ~finish path
 
 (* --- watch --- *)
 
@@ -768,7 +781,7 @@ let report path socket query prometheus =
       (match path with
        | None -> err ("need a METRICS file argument or --socket PATH")
        | Some path ->
-         (match read_file path with
+         (match Rt_util.Atomic_file.read path with
           | exception Sys_error m -> err (m)
           | content ->
             if prometheus then render_prometheus ~source:path content
@@ -1002,7 +1015,9 @@ let run_query path query bound window _jobs model_file =
                | Ok (model, names) -> Ok (model, names)
                | Error m -> Error (file ^ ": " ^ m))
             | None ->
-              (match Rt_lattice.Depfun.parse (read_file file) with
+              (match
+                 Rt_lattice.Depfun.parse (Rt_util.Atomic_file.read file)
+               with
                | Ok (model, names) -> Ok (model, names)
                | Error m -> Error (file ^ ": " ^ m)
                | exception Sys_error m -> Error m))
@@ -1098,7 +1113,7 @@ let model_check models ckpt trace_file format output strict =
        let data =
          match Store.split_address path with
          | None ->
-           (match read_file path with
+           (match Rt_util.Atomic_file.read path with
             | data -> Ok data
             | exception Sys_error m -> Error m)
          | Some (dir, spec) ->
@@ -1296,7 +1311,7 @@ let cmd_store_put dir ref_ file =
   match
     let ( let* ) = Result.bind in
     let* data =
-      try Ok (read_file file) with Sys_error m -> Error m
+      try Ok (Rt_util.Atomic_file.read file) with Sys_error m -> Error m
     in
     let* s = Store.init dir in
     let kind =
@@ -1513,13 +1528,14 @@ let learn_cmd =
     Arg.(value & flag & info [ "auto" ]
            ~doc:"Pick the heuristic bound automatically: double it until \
                  the least upper bound stops changing, and print the \
-                 per-bound trajectory.")
+                 per-bound trajectory. Each bound is one streamed pass \
+                 over TRACE, which must be a file.")
   in
   let stream =
     Arg.(value & flag & info [ "stream" ]
            ~doc:"Read the input once, as a pipe or stdin ($(b,-)) \
                  allows: refuses $(b,--checkpoint) and $(b,--auto). \
-                 Every learn but $(b,--auto) streams anyway, holding one \
+                 Every learn streams anyway, holding one \
                  period (one round of K with $(b,--shards)) in memory, \
                  so the flag changes neither the result nor the shard \
                  partition.")
@@ -2026,7 +2042,7 @@ let store_cmd =
     let address =
       Arg.(required & pos 0 (some string) None & info [] ~docv:"ADDRESS"
              ~doc:"Store address, $(b,DIR//ref), $(b,DIR//ref@N) or \
-                   $(b,DIR//ref\\@latest).")
+                   $(b,DIR//ref@latest).")
     in
     let output =
       Arg.(value & opt (some string) None & info [ "o"; "output" ]

@@ -19,11 +19,19 @@ let () =
   let trace = Acc.trace () in
   Format.printf "ACC function under observation: %a@." Rt_trace.Trace.pp_summary trace;
 
-  (* 1. Learn with an automatically selected bound. *)
-  let report, bound = Rt_engine.Learner.auto trace in
-  Format.printf "auto-selected bound: %d (%.3fs, converged: %b)@.@."
-    bound report.elapsed_s report.converged;
-  let model = Option.get report.lub in
+  (* 1. Learn with an automatically selected bound: one streamed pass
+        over the trace's text per bound tried. *)
+  let auto trace =
+    let text = Rt_trace.Trace_io.to_string trace in
+    match
+      Rt_shard.Auto.search (fun () -> Rt_trace.Stream_io.lines_of_string text)
+    with
+    | Ok { snapshot = Some { lub = Some model; converged; _ }; bound; _ } ->
+      (model, bound, converged)
+    | Ok _ | Error _ -> failwith "the ACC trace is consistent"
+  in
+  let model, bound, converged = auto trace in
+  Format.printf "auto-selected bound: %d (converged: %b)@.@." bound converged;
 
   (* 2. The safety engineer's checklist, in the property language. *)
   let checklist =
@@ -76,8 +84,6 @@ let () =
     mapping.task_names;
   Format.printf "  ...@.";
   (* Anonymization preserves the learning problem. *)
-  let report_anon, _ = Rt_engine.Learner.auto anon in
+  let model_anon, _, _ = auto anon in
   Format.printf "model learned from the anonymized trace is identical: %b@."
-    (match report_anon.lub with
-     | Some l -> Rt_lattice.Depfun.equal l model
-     | None -> false)
+    (Rt_lattice.Depfun.equal model_anon model)

@@ -17,10 +17,9 @@ let () =
 
   (* Learn with the bounded heuristic (the paper used the heuristics for
      this trace too; bound 1 yields the conservative single model). *)
-  let report = Rt_engine.Learner.learn (Rt_engine.Learner.Heuristic 1) trace in
-  Format.printf "learning: %d hypotheses in %.3fs (converged: %b)@.@."
-    (List.length report.hypotheses) report.elapsed_s report.converged;
-  let model = Option.get report.lub in
+  let outcome = Rt_learn.Heuristic.run ~bound:1 trace in
+  Format.printf "learning: %d hypotheses@.@." (List.length outcome.hypotheses);
+  let model = Df.lub outcome.hypotheses in
 
   print_endline "=== Fig. 5: learned dependency graph (graphviz) ===";
   print_string (Rt_analysis.Dep_graph.to_dot ~names model);

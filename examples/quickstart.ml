@@ -18,14 +18,18 @@ let () =
   Format.printf "captured %a@.@." Rt_trace.Trace.pp_summary trace;
 
   (* 3. Learn a dependency model with the bounded heuristic. *)
-  let report = Rt_engine.Learner.learn (Rt_engine.Learner.Heuristic 8) trace in
+  let outcome = Rt_learn.Heuristic.run ~bound:8 trace in
   let names = Rt_task.Task_set.names (Rt_task.Design.task_set design) in
-  Format.printf "%a@.@." (Rt_engine.Learner.pp_report ~names) report;
+  Format.printf "heuristic(bound=8): %d hypothesis(es)@.@."
+    (List.length outcome.hypotheses);
 
-  (* 4. Query the learned model. *)
-  match report.lub with
-  | None -> print_endline "trace was inconsistent with the assumed MoC"
-  | Some model ->
+  (* 4. Query the learned model: the least upper bound of the answers. *)
+  match outcome.hypotheses with
+  | [] -> print_endline "trace was inconsistent with the assumed MoC"
+  | hs ->
+    let model = Rt_lattice.Depfun.lub hs in
+    Format.printf "least upper bound:@.%a@.@." (Rt_lattice.Depfun.pp ~names)
+      model;
     let dot = Rt_analysis.Dep_graph.to_dot ~names model in
     print_endline "dependency graph (graphviz):";
     print_endline dot;

@@ -172,11 +172,7 @@ let parse_model ~source text =
     end
 
 let load_model path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  with
+  match Rt_util.Atomic_file.read path with
   | exception Sys_error m -> Error m
   | text -> parse_model ~source:path text
 

@@ -63,19 +63,18 @@ type state = {
   occ_gauge : Rt_obs.Registry.gauge option;
 }
 
-let init ?(policy = Lightest_pair) ?window ?obs ?(closed_form = true) ~bound
-    ~ntasks () =
-  if bound < 1 then invalid_arg "Heuristic.init: bound must be >= 1";
-  if ntasks < 1 then invalid_arg "Heuristic.init: need at least one task";
+(* The one constructor: a state holding [hs] over [violations], with
+   every counter zero and one hypothesis created. *)
+let make ~policy ~window ~obs ~closed_form ~bound ~ntasks violations hs =
   {
     policy;
     window;
     bound;
-    closed_form = closed_form && bound = 1;
-    violations = Violations.create ntasks;
+    closed_form;
+    violations;
     scratch = Workset.create ~bound;
     codes = Array.make (ntasks * ntasks) 0;
-    hs = [| Hypothesis.bottom ntasks |];
+    hs;
     created = 1;
     merges = 0;
     periods = 0;
@@ -96,6 +95,14 @@ let init ?(policy = Lightest_pair) ?window ?obs ?(closed_form = true) ~bound
       Option.map (fun r -> Rt_obs.Registry.gauge r "learn.workset_occupancy")
         obs;
   }
+
+let init ?(policy = Lightest_pair) ?window ?obs ?(closed_form = true) ~bound
+    ~ntasks () =
+  if bound < 1 then invalid_arg "Heuristic.init: bound must be >= 1";
+  if ntasks < 1 then invalid_arg "Heuristic.init: need at least one task";
+  make ~policy ~window ~obs ~closed_form:(closed_form && bound = 1) ~bound
+    ~ntasks (Violations.create ntasks)
+    [| Hypothesis.bottom ntasks |]
 
 let provenance st =
   { periods_dropped = st.dropped; periods_repaired = st.repaired }
@@ -468,39 +475,13 @@ let decode_payload ?obs data pos =
       hs.(k) <- Hypothesis.of_depfun df
     done;
     let st =
-      {
-        policy;
-        window;
-        bound;
-        closed_form = bound = 1;
-        violations = Violations.of_matrix vm;
-        scratch = Workset.create ~bound;
-        codes = Array.make (ntasks * ntasks) 0;
-        hs;
-        created;
-        merges;
-        periods;
-        msgs;
-        dropped;
-        repaired;
-        branches;
-        dedup_hits;
-        evictions;
-        weakenings;
-        end_dedup;
-        nonminimal;
-        obs;
-        cand_hist =
-          Option.map
-            (fun r -> Rt_obs.Registry.histogram r "learn.candidate_pairs")
-            obs;
-        occ_gauge =
-          Option.map
-            (fun r -> Rt_obs.Registry.gauge r "learn.workset_occupancy")
-            obs;
-      }
+      make ~policy ~window ~obs ~closed_form:(bound = 1) ~bound ~ntasks
+        (Violations.of_matrix vm) hs
     in
-    Ok (st, tag)
+    Ok
+      ( { st with created; merges; periods; msgs; dropped; repaired; branches;
+                  dedup_hits; evictions; weakenings; end_dedup; nonminimal },
+        tag )
   with Bad m -> Error m
 
 let resume ?obs data =

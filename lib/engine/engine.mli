@@ -6,9 +6,9 @@
     — a batch {!Rt_trace.Trace.t}, a {!Rt_trace.Stream_io} reader over
     a file or a growing capture — and may take a {!snapshot} at any
     point mid-stream. Feeding the periods of a trace in order and
-    finalizing is {e exactly} [Learner.learn] on that trace: same
-    hypotheses, same LUB, same published counters, because both run
-    this code.
+    finalizing is {e exactly} the core's batch run on that trace
+    ([Heuristic.run], [Exact.run]): same hypotheses, same LUB, same
+    published counters.
 
     Instrumentation (with [obs]): an ["engine.feed_ns"] latency
     histogram and ["engine.periods_in_flight"] /

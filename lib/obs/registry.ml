@@ -60,7 +60,7 @@ let default_clock () =
     clamp ()
 
 (* Process-wide monotonic time for callers that have no registry at
-   hand (e.g. Learner's elapsed_s): never goes backwards even if NTP
+   hand (e.g. each pass of the bound search): never goes backwards even if NTP
    steps the wall clock. *)
 let now_ns = default_clock ()
 

@@ -1,7 +1,7 @@
 (** One learn session: trace lines in, a learned model out — the path
-    every learner shares: [rtgen learn] (all but [--auto], sharded or
-    not), [rtgen watch], and each stream of [rtgen serve]
-    ([Rt_daemon.Stream]).
+    every learner shares: [rtgen learn] (sharded or not, and each pass
+    of [--auto]'s {!Auto.search}), [rtgen watch], and each stream of
+    [rtgen serve] ([Rt_daemon.Stream]).
 
     A session owns the {!Rt_trace.Stream_io} parser over a caller's line
     source, whose recover mode also salvages periods and keeps the

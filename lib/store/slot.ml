@@ -23,15 +23,9 @@ let exists = function
   | Ref (store, ref_) -> (
       match Store.resolve store ref_ with Ok _ -> true | Error _ -> false)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load = function
   | File path -> (
-      match read_file path with
+      match Rt_util.Atomic_file.read path with
       | content -> Ok content
       | exception Sys_error m -> Error m)
   | Ref (store, ref_) -> (

@@ -37,12 +37,6 @@ let meta_file dir = Filename.concat dir "store.meta"
 let objects_dir t = Filename.concat t.root "objects"
 let refs_dir t = Filename.concat t.root "refs"
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let open_ dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     Error (Printf.sprintf "%s: not a directory" dir)
@@ -50,7 +44,7 @@ let open_ dir =
     let mf = meta_file dir in
     if not (Sys.file_exists mf) then
       Error (Printf.sprintf "%s: not a store (missing store.meta)" dir)
-    else if read_file mf <> marker then
+    else if Rt_util.Atomic_file.read mf <> marker then
       Error (Printf.sprintf "%s: foreign store format" dir)
     else Ok { root = dir }
 
@@ -103,7 +97,7 @@ let read_blob t addr =
     if not (Sys.file_exists path) then
       Error (Printf.sprintf "%s: no such object" addr)
     else
-      let content = read_file path in
+      let content = Rt_util.Atomic_file.read path in
       if address_of content <> addr then
         Error (Printf.sprintf "%s: object corrupt (hash mismatch)" addr)
       else Ok content
@@ -225,7 +219,8 @@ let load_ref t name =
     Error (Printf.sprintf "%s: no such ref" name)
   else
     let lines =
-      committed_part (read_file path) |> String.split_on_char '\n'
+      committed_part (Rt_util.Atomic_file.read path)
+      |> String.split_on_char '\n'
       |> List.filter (fun l -> String.trim l <> "")
     in
     match lines with
@@ -385,10 +380,12 @@ let gc t =
          if Sys.is_directory subdir then
            Array.iter
              (fun name ->
-                let addr = sub ^ name in
-                if Hashtbl.mem live addr then incr kept
+                let path = Filename.concat subdir name in
+                if Filename.check_suffix name ".tmp" then ()
+                else if Hashtbl.mem live (sub ^ name) then incr kept
                 else begin
-                  Sys.remove (Filename.concat subdir name);
+                  (try Sys.remove path
+                   with Sys_error _ when not (Sys.file_exists path) -> ());
                   incr deleted
                 end)
              (Sys.readdir subdir))

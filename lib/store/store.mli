@@ -95,7 +95,14 @@ val delete_ref : t -> string -> (unit, string) result
 val gc : t -> (int * int, string) result
 (** Delete blobs referenced by no generation of any ref. Returns
     [(kept, deleted)]. [Error], naming the ref, when any ref fails to
-    load: then nothing is deleted. *)
+    load: then nothing is deleted.
+
+    A staging file ([*.tmp] under [objects/]) is neither kept nor
+    deleted: it belongs to a writer between its write and its rename.
+    A blob that vanishes between the listing and its removal counts as
+    deleted. gc takes no lock: a blob put after gc read the ledgers,
+    whose ledger line lands after that, is deleted as unreferenced, so
+    run gc while no commit is in flight. *)
 
 val split_address : string -> (string * string) option
 (** [split_address "DIR//ref@N"] is [Some ("DIR", "ref@N")]; [None]

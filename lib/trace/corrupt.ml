@@ -121,33 +121,8 @@ let apply spec (trace : Trace.t) =
   }
 
 let to_string raw =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "# rtgen-trace v1\n";
-  Buffer.add_string buf "tasks";
-  Array.iter (fun n ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf n)
-    (Rt_task.Task_set.names raw.task_set);
-  Buffer.add_char buf '\n';
-  List.iter (fun (index, events) ->
-      Buffer.add_string buf (Printf.sprintf "period %d\n" index);
-      List.iter (fun (e : Event.t) ->
-          let line =
-            match e.kind with
-            | Event.Task_start i ->
-              Printf.sprintf "%d start %s" e.time
-                (Rt_task.Task_set.name raw.task_set i)
-            | Event.Task_end i ->
-              Printf.sprintf "%d end %s" e.time
-                (Rt_task.Task_set.name raw.task_set i)
-            | Event.Msg_rise m -> Printf.sprintf "%d rise 0x%x" e.time m
-            | Event.Msg_fall m -> Printf.sprintf "%d fall 0x%x" e.time m
-          in
-          Buffer.add_string buf line;
-          Buffer.add_char buf '\n')
-        events)
-    raw.raw_periods;
-  Buffer.contents buf
+  Trace_io.render raw.task_set (fun f ->
+      List.iter (fun (index, events) -> f index events) raw.raw_periods)
 
 let torn_write ~at text =
   String.sub text 0 (max 0 (min at (String.length text)))

@@ -23,6 +23,12 @@
     the loader changed is accounted for in a {!Quarantine.t} report — a
     messy multi-hour CAN capture must not kill the run at line 3. *)
 
+val render :
+  Rt_task.Task_set.t -> ((int -> Event.t list -> unit) -> unit) -> string
+(** [render task_set iter] is the text of a trace over [task_set] whose
+    periods [iter] hands out in order, as (index, events): the one
+    writer of the format, for whole and corrupted traces alike. *)
+
 val to_string : Trace.t -> string
 
 val save : string -> Trace.t -> unit
@@ -34,23 +40,19 @@ type parse_error = Stream_io.parse_error = { line : int; message : string }
 type mode = Stream_io.mode
 
 val of_string :
-  ?mode:mode -> ?eps:int -> ?window:int -> ?obs:Rt_obs.Registry.t ->
-  string -> (Trace.t * Quarantine.t, parse_error) result
+  ?mode:mode -> ?eps:int -> ?window:int -> string -> (Trace.t * Quarantine.t, parse_error) result
 (** In [`Strict] mode (default) the quarantine report is always empty
     apart from its kept count, and any damage is an [Error] — exactly
     the seed behaviour. In [`Recover] mode only a missing/unusable
     [tasks] header is an [Error]; everything else degrades into the
     report. [eps] is the clock-skew tolerance forwarded to {!Repair}
     (default 0); [window] the candidate window recover-mode salvage
-    judges frames under, which must match the learner's. With [obs],
-    the parse runs inside an ["ingest.parse"] span and the report is
-    published as ["ingest.*"] counters ({!Stream_io.publish}). *)
+    judges frames under, which must match the learner's. *)
 
 val of_string_exn : string -> Trace.t
 (** Strict. @raise Invalid_argument with position information. *)
 
 val load :
-  ?mode:mode -> ?eps:int -> ?window:int -> ?obs:Rt_obs.Registry.t ->
-  string -> (Trace.t * Quarantine.t, parse_error) result
+  ?mode:mode -> ?eps:int -> ?window:int -> string -> (Trace.t * Quarantine.t, parse_error) result
 (** Read from a file path, line by line through {!Stream_io} — the
     file is never held in memory as one string. *)

@@ -214,9 +214,4 @@ let of_string ?period_len s =
   with Fail e -> Error e
 
 let load ?period_len path =
-  let ic = open_in path in
-  let content =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
-  of_string ?period_len content
+  of_string ?period_len (Rt_util.Atomic_file.read path)

@@ -82,6 +82,11 @@ let commit ~tmp path =
 
 let abort ~tmp = try Sys.remove tmp with Sys_error _ -> ()
 
+let read path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
 let write path content = commit ~tmp:(stage path content) path
 
 let append path content =

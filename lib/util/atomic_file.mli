@@ -13,6 +13,11 @@
     [Sys.rename] on persistence paths; rtlint rule RTL007 flags direct
     use anywhere else under [lib/] and [bin/] (outside [lib/store]). *)
 
+val read : string -> string
+(** [read path] is the whole content of [path], read in binary mode:
+    the one whole-file reader, and what {!write} wrote. Raises
+    [Sys_error] as the underlying syscalls do. *)
+
 val write : string -> string -> unit
 (** [write path content] atomically replaces [path] with [content].
     The temporary file is removed on failure. Raises [Sys_error] as the

@@ -246,18 +246,27 @@ let test_anonymize_hides_names () =
 
 (* --- Automatic bound selection --- *)
 
+let auto_search ?initial trace =
+  let text = Rt_trace.Trace_io.to_string trace in
+  Rt_shard.Auto.search ?initial (fun () ->
+      Rt_trace.Stream_io.lines_of_string text)
+
 let test_auto_bound_gm () =
   let trace = Gm.trace ~periods:10 () in
-  let report, bound = Rt_engine.Learner.auto trace in
+  let o = Result.get_ok (auto_search trace) in
   Alcotest.(check bool) "bound is a power of two" true
-    (List.mem bound [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]);
-  Alcotest.(check bool) "consistent" true report.consistent;
-  Alcotest.(check bool) "verified" true (Rt_engine.Learner.verify report trace)
+    (List.mem o.bound [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]);
+  let snap = Option.get o.snapshot in
+  Alcotest.(check bool) "consistent" true snap.consistent;
+  Alcotest.(check bool) "verified" true
+    (List.for_all
+       (fun d -> Rt_learn.Matching.matches_trace d trace)
+       snap.hypotheses)
 
 let test_auto_bound_validates () =
   Alcotest.check_raises "initial 0"
-    (Invalid_argument "Learner.auto: initial bound must be >= 1")
-    (fun () -> ignore (Rt_engine.Learner.auto ~initial:0 (Gm.trace ~periods:2 ())))
+    (Invalid_argument "Auto.search: initial bound must be >= 1")
+    (fun () -> ignore (auto_search ~initial:0 (Gm.trace ~periods:2 ())))
 
 let () =
   Alcotest.run "case_study"

@@ -466,15 +466,35 @@ let test_learn_stream_conflicts () =
   ignore
     (run ~expect_fail:true
        (Printf.sprintf "learn --auto --exact %s" trace_file));
-  (* --auto learns in memory; a checkpoint it would never write is
-     refused as misuse rather than silently ignored *)
+  (* --auto learns at several bounds; a checkpoint it would never write
+     is refused as misuse rather than silently ignored *)
   let code, out =
     run_code
       (Printf.sprintf "learn --auto %s --checkpoint %s" trace_file
          (tmp "auto_never.ckpt"))
   in
   Alcotest.(check int) "learn --auto --checkpoint: input error" 2 code;
-  Alcotest.(check string) "learn --auto --checkpoint: no model" "" out
+  Alcotest.(check string) "learn --auto --checkpoint: no model" "" out;
+  (* --auto reads its input once per bound, which stdin cannot give. *)
+  let code, out = run_code (Printf.sprintf "learn --auto - < %s" trace_file) in
+  Alcotest.(check int) "learn --auto -: input error" 2 code;
+  Alcotest.(check string) "learn --auto -: no model" "" out
+
+(* --auto streams each pass like every other learn: over a 40k-period
+   trace it runs in a 16 MB data segment, where loading the whole trace
+   (as --auto once did) needs more than 24 MB and aborts. *)
+let test_learn_auto_memory () =
+  let long = tmp "auto_long.trace" in
+  ignore (run (Printf.sprintf "simulate --tasks 4 --periods 40000 -o %s" long));
+  let code =
+    Sys.command
+      (Printf.sprintf "ulimit -d 16384 && %s learn --auto %s > %s 2> %s" rtgen
+         long (tmp "stdout") (tmp "stderr"))
+  in
+  Sys.remove long;
+  Alcotest.(check int) "learn --auto in 16 MB: exit code" 0 code;
+  Alcotest.(check bool) "a bound was selected" true
+    (contains ~needle:"selected bound" (read_file (tmp "stdout")))
 
 (* --- sharded learning surfaces --- *)
 
@@ -591,6 +611,65 @@ let test_learn_auto_trajectory () =
     (contains ~needle:"selected bound" out);
   Alcotest.(check bool) "model printed" true
     (contains ~needle:"least upper bound" out)
+
+(* --auto's metrics describe the selected pass alone: one engine.feed_ns
+   sample per period it fed, as scripts/check_metrics.py requires. *)
+let test_learn_auto_metrics () =
+  let m = tmp "auto_metrics.json" in
+  ignore (run (Printf.sprintf "learn --auto %s --metrics %s" trace_file m));
+  let doc = Result.get_ok (Rt_obs.Json.of_string (read_file m)) in
+  let get path =
+    match
+      Option.bind
+        (List.fold_left
+           (fun j k -> Option.bind j (Rt_obs.Json.member k))
+           (Some doc) path)
+        Rt_obs.Json.to_int
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "no %s" (String.concat "." path)
+  in
+  let periods = get [ "counters"; "engine.periods" ] in
+  Alcotest.(check int) "engine.periods" 6 periods;
+  Alcotest.(check int) "learn.periods" periods
+    (get [ "counters"; "learn.periods" ]);
+  Alcotest.(check int) "engine.feed_ns samples" periods
+    (get [ "histograms"; "engine.feed_ns"; "count" ])
+
+(* Every page of help renders: a bad markup escape in a doc string
+   prints a "cmdliner error" beside the page. Subcommands are read off
+   each page's COMMANDS section: an entry starts after a blank line,
+   indented 7 columns (a wrapped synopsis continues at 7 columns too,
+   but not after a blank line). *)
+let test_help_renders () =
+  let subcommands page =
+    let rec skip = function
+      | [] -> []
+      | "COMMANDS" :: rest -> rest
+      | _ :: rest -> skip rest
+    in
+    let rec take blank = function
+      | "" :: rest -> take true rest
+      | l :: rest when l.[0] = ' ' ->
+        if blank && String.length l > 7 && l.[7] <> ' ' then
+          List.hd (String.split_on_char ' ' (String.trim l)) :: take false rest
+        else take false rest
+      | _ -> []
+    in
+    take true (skip (String.split_on_char '\n' page))
+  in
+  let pages = ref 0 in
+  let rec visit cmd =
+    incr pages;
+    let code, page = run_code (cmd ^ " --help=plain") in
+    Alcotest.(check int) ("rtgen" ^ cmd ^ " --help: exit code") 0 code;
+    Alcotest.(check bool) ("rtgen" ^ cmd ^ " --help: no cmdliner error") false
+      (contains ~needle:"cmdliner error" (page ^ read_file (tmp "stderr")));
+    List.iter (fun sub -> visit (cmd ^ " " ^ sub)) (subcommands page)
+  in
+  visit "";
+  Alcotest.(check bool) "every command and store subcommand visited" true
+    (!pages >= 25)
 
 let test_watch_reports_drift () =
   let out = run (Printf.sprintf "watch %s --bound 1" trace_file) in
@@ -1336,6 +1415,7 @@ let () =
           Alcotest.test_case "simulate --dot" `Quick test_simulate_dot;
           Alcotest.test_case "learn" `Quick test_learn;
           Alcotest.test_case "learn --dot" `Quick test_learn_dot;
+          Alcotest.test_case "every --help renders" `Quick test_help_renders;
           Alcotest.test_case "query holds" `Quick test_query_pass;
           Alcotest.test_case "query violated" `Quick test_query_fail;
           Alcotest.test_case "query unparseable" `Quick test_query_bad;
@@ -1389,6 +1469,8 @@ let () =
           Alcotest.test_case "learn --stream = batch" `Quick
             test_learn_stream_equals_batch;
           Alcotest.test_case "flag conflicts" `Quick test_learn_stream_conflicts;
+          Alcotest.test_case "learn --auto in bounded memory" `Quick
+            test_learn_auto_memory;
         ] );
       ( "sharded",
         [
@@ -1455,6 +1537,8 @@ let () =
           Alcotest.test_case "stats --recover" `Quick test_stats_recover;
           Alcotest.test_case "learn --profile leaves the model alone" `Quick
             test_learn_profile_byte_equal;
+          Alcotest.test_case "learn --auto --metrics" `Quick
+            test_learn_auto_metrics;
           Alcotest.test_case "report --prometheus" `Quick
             test_report_prometheus;
           Alcotest.test_case "watch --flight" `Quick

@@ -334,6 +334,69 @@ let test_empty_fold () =
          (Some (Df.create 2)) (Session.fold st))
     [ (1, None); (1, Some 1); (1, Some 4); (8, Some 2) ]
 
+(* --- the bound search: one streamed session per bound ---------------- *)
+
+let gm = Rt_case.Gm_model.trace ()
+
+(* [Auto.search] over the lines of [text], counting the passes it
+   opens. *)
+let auto ?max_bound ?obs text =
+  let opened = ref 0 in
+  let open_ () =
+    incr opened;
+    Rt_trace.Stream_io.lines_of_string text
+  in
+  let o = Rt_shard.Auto.search ?max_bound ?obs open_ in
+  (o, !opened)
+
+let test_auto_trajectory () =
+  let registries = ref [] in
+  let obs () =
+    let r = Rt_obs.Registry.create () in
+    registries := r :: !registries;
+    r
+  in
+  let o, opened = auto ~obs (Rt_trace.Trace_io.to_string gm) in
+  let o = Result.get_ok o in
+  let steps = o.trajectory in
+  Alcotest.(check int) "one pass, one source, one registry per bound"
+    (List.length steps) opened;
+  Alcotest.(check int) "registries" opened (List.length !registries);
+  List.iteri
+    (fun i (s : Rt_shard.Auto.step) ->
+       Alcotest.(check int) "doubling bounds" (1 lsl i) s.bound;
+       Alcotest.(check bool) "elapsed is nonnegative" true (s.elapsed_s >= 0.);
+       Alcotest.(check bool) "hypotheses within bound" true
+         (s.hypotheses >= 1 && s.hypotheses <= s.bound))
+    steps;
+  let last = List.nth steps (List.length steps - 1) in
+  Alcotest.(check int) "selected bound is the last pass's" last.bound o.bound;
+  Alcotest.(check bool) "search stopped because the lub settled" false
+    last.lub_changed;
+  (* The selected pass is the plain learn at its bound. *)
+  let snap = Option.get o.snapshot in
+  Alcotest.(check (list depfun)) "answers = Heuristic.run at the bound"
+    (H.run ~bound:o.bound gm).hypotheses snap.Engine.hypotheses;
+  (* Its registry is the newest and describes that pass alone. *)
+  let r = Option.get o.obs in
+  Alcotest.(check bool) "newest registry" true (r == List.hd !registries);
+  let periods = Rt_trace.Trace.period_count gm in
+  Alcotest.(check int) "engine.feed_ns samples" periods
+    (Rt_obs.Histogram.count (Rt_obs.Registry.histogram r "engine.feed_ns"));
+  Alcotest.(check int) "engine.periods" periods
+    (Rt_obs.Registry.counter_value (Rt_obs.Registry.counter r "engine.periods"))
+
+let test_auto_cap_and_errors () =
+  let o, opened = auto ~max_bound:1 (Rt_trace.Trace_io.to_string gm) in
+  let o = Result.get_ok o in
+  Alcotest.(check int) "the cap ends the search" 1 opened;
+  Alcotest.(check int) "at the cap" 1 o.bound;
+  Alcotest.(check bool) "a first consistent pass has moved the lub" true
+    (List.hd o.trajectory).lub_changed;
+  (match auto "# rtgen-trace v1\ntasks a b\nperiod 0\nbogus\n" with
+   | Error e, 1 -> Alcotest.(check int) "the bad line" 4 e.line
+   | _ -> Alcotest.fail "a parse error ends the search at its pass")
+
 let () =
   Alcotest.run "shard"
     [
@@ -362,5 +425,10 @@ let () =
           Alcotest.test_case "exact core refused" `Quick
             test_fold_engines_refuses_exact;
           Alcotest.test_case "spans and counters" `Quick test_obs;
+        ] );
+      ( "auto bound search",
+        [
+          Alcotest.test_case "trajectory" `Quick test_auto_trajectory;
+          Alcotest.test_case "cap and errors" `Quick test_auto_cap_and_errors;
         ] );
     ]

@@ -212,6 +212,22 @@ let test_gc_refuses_unloadable_ref () =
       Printf.sprintf "gen 2 %s kind=summary created=0\n"
         (Store.address_of "live") ]
 
+(* A staging file belongs to a writer between its write and its
+   rename: gc must leave it for the rename. *)
+let test_gc_skips_staging () =
+  let s = ok_exn (Store.init (Filename.concat (tmpdir ()) "s")) in
+  ignore (ok_exn (Store.commit s ~ref_:"keep" ~meta:(meta Store.Model) "live"));
+  ignore (ok_exn (Store.put_blob s "orphan"));
+  let dir = Filename.concat (Filename.concat (Store.root s) "objects") "ab" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let staged = Filename.concat dir (String.make 30 'c' ^ ".tmp") in
+  write_file staged "a blob mid-commit";
+  let kept, deleted = ok_exn (Store.gc s) in
+  Alcotest.(check (pair int int)) "the staging file is not counted" (1, 1)
+    (kept, deleted);
+  Alcotest.(check string) "the staging file survives" "a blob mid-commit"
+    (read_file staged)
+
 (* A torn last line is a commit that never happened: the ref loads
    without it, gc runs, and the next commit cuts it off. *)
 let test_torn_tail_ignored () =
@@ -578,6 +594,8 @@ let () =
           Alcotest.test_case "gc keeps the reachable" `Quick test_gc;
           Alcotest.test_case "gc refuses an unloadable ref" `Quick
             test_gc_refuses_unloadable_ref;
+          Alcotest.test_case "gc skips staging files" `Quick
+            test_gc_skips_staging;
           Alcotest.test_case "torn ledger tail ignored" `Quick
             test_torn_tail_ignored;
           qc_ledger;

@@ -1433,7 +1433,7 @@ let analyze_paths paths =
   match Lint.ml_files_under paths with
   | Error e -> Error e
   | Ok files ->
-      let sources = List.map (fun f -> (f, Lint.read_file f)) files in
+      let sources = List.map (fun f -> (f, Rt_util.Atomic_file.read f)) files in
       let summaries = summarize sources in
       Ok
         {

@@ -520,13 +520,7 @@ let lint_raw ~file text =
 let lint_source ~file text =
   fst (apply_suppressions ~file ~text (lint_raw ~file text)) |> F.sort
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file path = lint_source ~file:path (read_file path)
+let lint_file path = lint_source ~file:path (Rt_util.Atomic_file.read path)
 
 let skip_dirs = [ "_build"; ".git"; "fixtures" ]
 

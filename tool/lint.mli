@@ -48,8 +48,6 @@ val apply_suppressions :
     consumed suppression sites as sorted [(line, rule)] pairs — the
     complement against {!scan_suppressions} is what RTL998 flags. *)
 
-val read_file : string -> string
-
 val ml_files_under : string list -> (string list, string) result
 (** Every [.ml] under the given files/directories (skipping [_build],
     [.git] and test [fixtures]), depth-first in sorted directory
