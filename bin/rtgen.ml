@@ -528,6 +528,8 @@ let learn path exact auto stream shards bound window jobs dot output mode eps
     else if auto && path = "-" then
       Some "--auto reads the input once per bound and needs a trace file, \
             not stdin"
+    else if auto && progress <> None then
+      Some "--auto reports each bound it tries, not periods; drop --progress"
     else None
   in
   (* The recorder catches checkpoint-corruption notices. *)
@@ -655,7 +657,7 @@ let watch path bound window mode eps poll follow max_periods flight_out =
 
 (* --- analyze --- *)
 
-let analyze path bound window _jobs mode eps =
+let analyze path bound window mode eps =
   match read_trace ~mode ~eps ?window path with
   | Error m -> err (m)
   | Ok (trace, _) when Rt_trace.Trace.period_count trace = 0 ->
@@ -861,15 +863,13 @@ let top socket interval count no_clear =
 
 let serve spool listen control out_dir checkpoint_dir store checkpoint_every
     bound window eps _jobs max_streams queue_capacity tick max_restarts backoff
-    backoff_cap stall_timeout idle_timeout metrics flight flight_capacity
-    stop_after_total drain_after_total =
+    backoff_cap idle_timeout metrics flight flight_capacity stop_after_total
+    drain_after_total =
   let policy =
     {
       Rt_daemon.Supervisor.max_restarts;
       backoff_base = backoff;
-      backoff_factor = 2.0;
       backoff_cap;
-      stall_timeout;
       idle_timeout =
         (match idle_timeout with Some s -> s | None -> infinity);
     }
@@ -994,7 +994,7 @@ let gantt path period output =
 
 (* --- query (was `check` before the model auditor took that name) --- *)
 
-let run_query path query bound window _jobs model_file =
+let run_query path query bound window model_file =
   match read_trace path with
   | Error m -> err (m)
   | Ok (trace, _) ->
@@ -1340,7 +1340,7 @@ let cmd_store_gc dir =
 
 (* --- table1 --- *)
 
-let table1 fast _jobs =
+let table1 fast =
   let trace = Rt_case.Gm_model.trace () in
   Format.printf "%a@." Rt_trace.Trace.pp_summary trace;
   let bounds = if fast then [ 1; 4; 16 ] else [ 1; 4; 16; 32; 64; 100; 120; 150 ] in
@@ -1398,8 +1398,8 @@ let bound_arg =
   Arg.(value & opt positive_int 16 & info [ "bound"; "b" ] ~docv:"B"
          ~doc:"Hypothesis-set bound for the heuristic algorithm.")
 
-(* Every command that learns accepts -j; only sharded learning has
-   parallel work to give it. *)
+(* learn's -j sizes the rounds of --shards, the only parallel work;
+   serve accepts -j and ignores it. *)
 let jobs_arg ~doc = Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let learn_jobs_arg =
@@ -1408,9 +1408,9 @@ let learn_jobs_arg =
           results are identical for every N). Without $(b,--shards), \
           $(b,--auto) included, it has no effect."
 
-let inert_jobs_arg =
+let serve_jobs_arg =
   jobs_arg
-    ~doc:"Accepted for compatibility; has no effect (the learner runs on \
+    ~doc:"Accepted for compatibility; has no effect (the daemon runs on \
           one domain, and results never depended on N)."
 
 let window_arg =
@@ -1659,8 +1659,8 @@ let watch_cmd =
 let analyze_cmd =
   Cmd.v (Cmd.info "analyze"
            ~doc:"Learn and analyze: classification, state space, modes")
-    Term.((const analyze $ trace_arg $ bound_arg $ window_arg $ inert_jobs_arg
-               $ mode_arg $ eps_arg))
+    Term.((const analyze $ trace_arg $ bound_arg $ window_arg $ mode_arg
+               $ eps_arg))
 
 let inject_cmd =
   let kinds =
@@ -1811,11 +1811,6 @@ let serve_cmd =
     Arg.(value & opt float 5.0 & info [ "backoff-cap" ] ~docv:"SEC"
            ~doc:"Ceiling on the restart delay.")
   in
-  let stall_timeout =
-    Arg.(value & opt float 30.0 & info [ "stall-timeout" ] ~docv:"SEC"
-           ~doc:"Queued input but no periods produced for this long: the \
-                 stream is treated as crashed.")
-  in
   let idle_timeout =
     Arg.(value & opt (some float) None & info [ "idle-timeout" ] ~docv:"SEC"
            ~doc:"No input at all for this long: the stream is drained and \
@@ -1859,9 +1854,9 @@ let serve_cmd =
                  (rtgend)")
     Term.((const serve $ spool $ listen $ control $ out_dir $ checkpoint_dir
                $ store $ checkpoint_every $ bound_arg $ window_arg $ eps_arg
-               $ inert_jobs_arg $ max_streams $ queue_capacity $ tick
-               $ max_restarts $ backoff $ backoff_cap $ stall_timeout
-               $ idle_timeout $ metrics $ flight $ flight_capacity
+               $ serve_jobs_arg $ max_streams $ queue_capacity $ tick
+               $ max_restarts $ backoff $ backoff_cap $ idle_timeout
+               $ metrics $ flight $ flight_capacity
                $ stop_after_total $ drain_after_total))
 
 let top_cmd =
@@ -1946,7 +1941,7 @@ let query_cmd =
            ~doc:"Check a dependency property against the learned model \
                  (exit 1 when it does not hold)")
     Term.((const run_query $ trace_arg $ query $ bound_arg $ window_arg
-               $ inert_jobs_arg $ model_file))
+               $ model_file))
 
 let check_cmd =
   (* [string], not [file]: a missing model is this tool's input error
@@ -2082,7 +2077,7 @@ let store_cmd =
 let table1_cmd =
   let fast = Arg.(value & flag & info [ "fast" ] ~doc:"Only the small bounds.") in
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce the paper's runtime-vs-bound table")
-    Term.((const table1 $ fast $ inert_jobs_arg))
+    Term.((const table1 $ fast))
 
 let example_cmd =
   Cmd.v (Cmd.info "example" ~doc:"Run the paper's worked example")

@@ -1,12 +1,8 @@
-type 'a t = {
-  q : 'a Queue.t;
-  capacity : int;
-  mutable rejected : int;
-}
+type 'a t = { q : 'a Queue.t; capacity : int }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Bqueue.create: capacity must be >= 1";
-  { q = Queue.create (); capacity; rejected = 0 }
+  { q = Queue.create (); capacity }
 
 let capacity t = t.capacity
 
@@ -15,15 +11,10 @@ let length t = Queue.length t.q
 let is_empty t = Queue.is_empty t.q
 
 let push t x =
-  if Queue.length t.q >= t.capacity then begin
-    t.rejected <- t.rejected + 1;
-    `Overflow
-  end
+  if Queue.length t.q >= t.capacity then `Overflow
   else begin
     Queue.push x t.q;
     `Ok
   end
 
 let pop t = Queue.take_opt t.q
-
-let rejected t = t.rejected

@@ -17,9 +17,6 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> [ `Ok | `Overflow ]
-(** [`Overflow] leaves the queue unchanged and bumps {!rejected}. *)
+(** [`Overflow] leaves the queue unchanged. *)
 
 val pop : 'a t -> 'a option
-
-val rejected : 'a t -> int
-(** Pushes refused so far — the stream's shed evidence. *)

@@ -14,7 +14,6 @@ type config = {
   eps : int option;
   max_streams : int;
   queue_capacity : int;
-  pump_budget : int;
   tick : float;
   policy : Supervisor.policy;
   metrics_path : string option;
@@ -39,7 +38,6 @@ let default =
     eps = None;
     max_streams = 64;
     queue_capacity = 4096;
-    pump_budget = 64;
     tick = 0.05;
     policy = Supervisor.default_policy;
     metrics_path = None;
@@ -51,6 +49,9 @@ let default =
   }
 
 type outcome = Drained | Stopped
+
+(* Periods per stream per tick: no stream can starve its neighbours. *)
+let periods_per_tick = 64
 
 type spool_src = {
   spath : string;
@@ -90,15 +91,25 @@ type state = {
   mutable running : bool;
   mutable busy_tick : bool;  (* progress this tick: skip the select sleep *)
   mutable total_handled : int;
-  mutable c_accepted : int;
-  mutable c_busy : int;
-  mutable c_shed : int;
-  mutable c_failed : int;
-  mutable c_finalized : int;
-  mutable c_restarts : int;
-  mutable c_quarantined : int;
-  mutable c_checkpoints_base : int;  (* from discarded stream objects *)
+  mutable retired_checkpoints : int;  (* from discarded stream objects *)
 }
+
+(* The event totals live in the registry alone: bumped where the event
+   happens, read back by status, the drain log line and the sinks. *)
+type event = Accepted | Busy | Shed | Failed | Finalized | Restart | Quarantined
+
+let event_counter = function
+  | Accepted -> "daemon.streams_accepted"
+  | Busy -> "daemon.busy_rejections"
+  | Shed -> "daemon.streams_shed"
+  | Failed -> "daemon.streams_failed"
+  | Finalized -> "daemon.streams_finalized"
+  | Restart -> "daemon.restarts"
+  | Quarantined -> "daemon.streams_quarantined"
+
+let count st ev = Reg.incr (Reg.counter st.reg (event_counter ev))
+
+let total st ev = Reg.counter_value (Reg.counter st.reg (event_counter ev))
 
 let logf fmt = Printf.eprintf ("rtgend: " ^^ fmt ^^ "\n%!")
 
@@ -136,7 +147,7 @@ let total_checkpoints st =
   fold_entries st
     (fun n e ->
       n + match e.stream with Some s -> Stream.checkpoints_written s | None -> 0)
-    st.c_checkpoints_base
+    st.retired_checkpoints
 
 (* Checkpoint destination: the store wins when both are configured —
    every write becomes a new [ckpt/<id>] generation — otherwise one
@@ -206,12 +217,12 @@ let retire_stream st e =
   | None -> ()
   | Some s ->
     e.last_fed <- Stream.periods_fed s;
-    st.c_checkpoints_base <- st.c_checkpoints_base + Stream.checkpoints_written s;
+    st.retired_checkpoints <- st.retired_checkpoints + Stream.checkpoints_written s;
     e.stream <- None
 
 let shed st e reason =
   e.shed <- true;
-  st.c_shed <- st.c_shed + 1;
+  count st Shed;
   close_source e;
   retire_stream st e;
   fl st Rt_obs.Flight.Warn ~stream:e.id ~kind:"stream.shed" reason;
@@ -231,7 +242,7 @@ let crash st now e ~drop_checkpoint reason =
   | Conn _ ->
     (* the connection's bytes are gone: nothing to restart from *)
     Supervisor.fail e.sup ~reason;
-    st.c_failed <- st.c_failed + 1;
+    count st Failed;
     fl st Rt_obs.Flight.Error ~stream:e.id ~kind:"stream.failed"
       ("socket stream, unrecoverable: " ^ reason);
     dump_flight st;
@@ -239,7 +250,7 @@ let crash st now e ~drop_checkpoint reason =
   | Spool _ ->
     (match Supervisor.note_crash e.sup ~now ~reason with
      | `Failed ->
-       st.c_failed <- st.c_failed + 1;
+       count st Failed;
        fl st Rt_obs.Flight.Error ~stream:e.id ~kind:"stream.failed"
          (Printf.sprintf "after %d restarts: %s" (Supervisor.restarts e.sup)
             reason);
@@ -254,7 +265,7 @@ let restart st now e =
   match e.source with
   | Conn _ -> ()
   | Spool sp ->
-    st.c_restarts <- st.c_restarts + 1;
+    count st Restart;
     sp.tail <- Sio.Tail.create sp.spath;
     sp.opened <- false;
     let s = make_stream st ~checkpointed:true e.id in
@@ -272,7 +283,7 @@ let note_quarantine st e s =
     && not (Rt_trace.Quarantine.is_empty (Stream.quarantine s))
   then begin
     Supervisor.set_quarantined e.sup;
-    st.c_quarantined <- st.c_quarantined + 1;
+    count st Quarantined;
     fl st Rt_obs.Flight.Warn ~stream:e.id ~kind:"stream.quarantine"
       (Rt_trace.Quarantine.summary (Stream.quarantine s));
     dump_flight st;
@@ -298,9 +309,10 @@ let finalize_entry st e =
     Stream.write_checkpoint s;
     note_ckpt st e s;
     (match Stream.render_model s with
-     | Ok text ->
+     | Ok (lub, names) ->
        let path = Filename.concat st.cfg.out_dir (e.id ^ ".model") in
-       Rt_util.Atomic_file.write path text;
+       Rt_util.Atomic_file.write path
+         (Rt_lattice.Depfun.to_string ?names lub ^ "\n");
        (* Also publish the finalized model to the store: one versioned
           [model/<id>] generation per finalize, so a fleet merge (or a
           later diff) can read it without touching out_dir. *)
@@ -314,9 +326,9 @@ let finalize_entry st e =
               parents = [];
               created_at = e.last_fed }
           in
-          let blob = Rt_store.Codec.model_wrap text in
           (match
-             Rt_store.Store.commit store ~ref_:("model/" ^ e.id) ~meta blob
+             Rt_store.Store.commit store ~ref_:("model/" ^ e.id) ~meta
+               (Rt_store.Codec.model_to_blob ?names lub)
            with
            | Ok entry ->
              fl st Rt_obs.Flight.Info ~stream:e.id ~kind:"store.commit"
@@ -325,13 +337,13 @@ let finalize_entry st e =
            | Error m ->
              fl st Rt_obs.Flight.Warn ~stream:e.id ~kind:"store.error" m));
        Supervisor.finalize e.sup;
-       st.c_finalized <- st.c_finalized + 1;
+       count st Finalized;
        fl st Rt_obs.Flight.Info ~stream:e.id ~kind:"stream.finalize"
          (Printf.sprintf "%d periods -> %s" e.last_fed path);
        logf "stream %s finalized: %d periods -> %s" e.id e.last_fed path
      | Error m ->
        Supervisor.fail e.sup ~reason:m;
-       st.c_failed <- st.c_failed + 1;
+       count st Failed;
        fl st Rt_obs.Flight.Error ~stream:e.id ~kind:"stream.failed"
          ("at finalize: " ^ m);
        dump_flight st;
@@ -344,7 +356,7 @@ let rec offer_forcing st s l =
   match Stream.offer_line s l with
   | `Ok -> true
   | `Overflow ->
-    let handled, status = Stream.pump s ~budget:st.cfg.pump_budget in
+    let handled, status = Stream.pump s ~budget:periods_per_tick in
     st.total_handled <- st.total_handled + handled;
     (match status with
      | Stream.Crashed _ -> false
@@ -383,7 +395,7 @@ let finish_stream st now e =
     Stream.close_input s;
     let finished = ref false in
     while not !finished do
-      let handled, status = Stream.pump s ~budget:st.cfg.pump_budget in
+      let handled, status = Stream.pump s ~budget:periods_per_tick in
       st.total_handled <- st.total_handled + handled;
       if handled > 0 then e.last_fed <- Stream.periods_fed s;
       match status with
@@ -423,7 +435,7 @@ let admit_spool st now id path =
   e.ckpt_seen <- Stream.checkpoints_written s;
   Hashtbl.add st.entries id e;
   st.order <- id :: st.order;
-  st.c_accepted <- st.c_accepted + 1;
+  count st Accepted;
   logf "following %s (stream %s)" path id
 
 let scan st now =
@@ -443,7 +455,7 @@ let scan st now =
                then admit_spool st now id (Filename.concat dir f)
                else if not (Hashtbl.mem st.deferred id) then begin
                  Hashtbl.add st.deferred id ();
-                 st.c_busy <- st.c_busy + 1;
+                 count st Busy;
                  fl st Rt_obs.Flight.Warn ~stream:id ~kind:"stream.defer"
                    (Printf.sprintf "BUSY (%d/%d streams active)"
                       (active_count st) st.cfg.max_streams);
@@ -523,7 +535,7 @@ let accept_data st now lfd =
   | fd, _ ->
     Unix.set_nonblock fd;
     if st.draining || active_count st >= st.cfg.max_streams then begin
-      st.c_busy <- st.c_busy + 1;
+      count st Busy;
       write_all fd "BUSY\n";
       close_fd fd;
       fl st Rt_obs.Flight.Warn ~stream:"" ~kind:"stream.defer"
@@ -550,24 +562,18 @@ let accept_data st now lfd =
       in
       Hashtbl.add st.entries id e;
       st.order <- id :: st.order;
-      st.c_accepted <- st.c_accepted + 1;
+      count st Accepted;
       write_all fd ("OK " ^ id ^ "\n");
       logf "accepted stream %s" id
     end
 
 (* --- control socket -------------------------------------------------- *)
 
+(* The event counters are already current; only the derived totals and
+   the gauges are computed here. *)
 let publish st =
-  let set = Reg.set_counter st.reg in
-  set "daemon.streams_accepted" st.c_accepted;
-  set "daemon.busy_rejections" st.c_busy;
-  set "daemon.streams_shed" st.c_shed;
-  set "daemon.streams_failed" st.c_failed;
-  set "daemon.streams_finalized" st.c_finalized;
-  set "daemon.restarts" st.c_restarts;
-  set "daemon.streams_quarantined" st.c_quarantined;
-  set "daemon.checkpoints" (total_checkpoints st);
-  set "daemon.periods" (total_periods st);
+  Reg.set_counter st.reg "daemon.checkpoints" (total_checkpoints st);
+  Reg.set_counter st.reg "daemon.periods" (total_periods st);
   Reg.set_gauge_named st.reg "daemon.streams_active" (active_count st);
   iter_entries st (fun e ->
       Reg.set_gauge_named st.reg
@@ -608,8 +614,9 @@ let status_text st =
     (Printf.sprintf
        "totals accepted=%d active=%d finalized=%d failed=%d shed=%d busy=%d \
         restarts=%d periods=%d\n"
-       st.c_accepted (active_count st) st.c_finalized st.c_failed st.c_shed
-       st.c_busy st.c_restarts (total_periods st));
+       (total st Accepted) (active_count st) (total st Finalized)
+       (total st Failed) (total st Shed) (total st Busy) (total st Restart)
+       (total_periods st));
   Buffer.contents b
 
 let snapshot_text st id =
@@ -696,7 +703,7 @@ let pump_entry st now e =
   match e.stream with
   | None -> ()
   | Some s ->
-    let handled, status = Stream.pump s ~budget:st.cfg.pump_budget in
+    let handled, status = Stream.pump s ~budget:periods_per_tick in
     if handled > 0 then begin
       Supervisor.note_progress e.sup ~now;
       st.total_handled <- st.total_handled + handled;
@@ -712,16 +719,9 @@ let pump_entry st now e =
 
 let supervise_entry st now e =
   if not e.shed then begin
-    let pending =
-      match e.stream with Some s -> Stream.queued s > 0 | None -> false
-    in
-    match Supervisor.poll e.sup ~now ~pending with
+    match Supervisor.poll e.sup ~now with
     | Supervisor.Continue -> ()
     | Supervisor.Restart -> restart st now e
-    | Supervisor.Stalled ->
-      crash st now e ~drop_checkpoint:false
-        (Printf.sprintf "stalled: queued input but no progress for %.1fs"
-           st.cfg.policy.Supervisor.stall_timeout)
     | Supervisor.Idle ->
       logf "stream %s idle for %.1fs: finalizing" e.id
         st.cfg.policy.Supervisor.idle_timeout;
@@ -825,16 +825,13 @@ let run ?clock cfg =
            running = true;
            busy_tick = false;
            total_handled = 0;
-           c_accepted = 0;
-           c_busy = 0;
-           c_shed = 0;
-           c_failed = 0;
-           c_finalized = 0;
-           c_restarts = 0;
-           c_quarantined = 0;
-           c_checkpoints_base = 0;
+           retired_checkpoints = 0;
          }
        in
+       (* registered up front, so a quiet daemon still reports 0 *)
+       List.iter
+         (fun ev -> ignore (Reg.counter st.reg (event_counter ev)))
+         [ Accepted; Busy; Shed; Failed; Finalized; Restart; Quarantined ];
        let drain_req = ref false in
        if cfg.handle_signals then begin
          let h = Sys.Signal_handle (fun _ -> drain_req := true) in
@@ -932,8 +929,8 @@ let run ?clock cfg =
          logf
            "drained: %d accepted, %d finalized, %d failed, %d shed, %d busy \
             rejections, %d restarts, %d periods"
-           st.c_accepted st.c_finalized st.c_failed st.c_shed st.c_busy
-           st.c_restarts (total_periods st)
+           (total st Accepted) (total st Finalized) (total st Failed)
+           (total st Shed) (total st Busy) (total st Restart) (total_periods st)
        end;
        fl st Rt_obs.Flight.Info ~stream:"" ~kind:"daemon.exit"
          (match !outcome with

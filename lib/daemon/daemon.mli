@@ -4,8 +4,8 @@
     One single-threaded [Unix.select] loop multiplexes every input —
     trace connections on a unix socket, spool files followed with
     {!Rt_trace.Stream_io.Tail}, control clients — and turns each
-    stream's crank with a bounded per-tick budget, so no stream can
-    starve the others.
+    stream's crank with a bounded per-tick budget (64 periods), so no
+    stream can starve the others.
 
     Failure domains are per-stream by construction: a crash (parse
     latch, engine exception, vanished/rotated spool file) goes to that
@@ -15,7 +15,12 @@
     recover-mode quarantine. Spool streams checkpoint periodically
     (atomic tmp+rename, the [learn --checkpoint] format) so a SIGKILLed
     daemon restarted over the same spool finishes with models
-    byte-equal to an uninterrupted run. *)
+    byte-equal to an uninterrupted run.
+
+    The event totals (streams accepted, finalized, failed, shed and
+    quarantined, BUSY refusals, restarts) are [daemon.*] counters of
+    the daemon's metrics registry and nowhere else: [status], the
+    drain log line and the metrics sinks all read them there. *)
 
 type config = {
   spool : string option;          (** directory of [*.trace] files to follow *)
@@ -36,7 +41,6 @@ type config = {
   eps : int option;
   max_streams : int;              (** admission limit on live streams *)
   queue_capacity : int;           (** per-stream ingest queue, in lines *)
-  pump_budget : int;              (** periods per stream per tick *)
   tick : float;                   (** select timeout / spool scan cadence *)
   policy : Supervisor.policy;
   metrics_path : string option;   (** metrics JSON dumped at exit *)
@@ -57,8 +61,8 @@ type config = {
 
 val default : config
 (** No sources, [out_dir = "."], bound 2, 64-stream limit, 4096-line
-    queues, 64-period pump budget, 50 ms tick, checkpoint every 64
-    periods, {!Supervisor.default_policy}, signals handled. *)
+    queues, 50 ms tick, checkpoint every 64 periods,
+    {!Supervisor.default_policy}, signals handled. *)
 
 type outcome =
   | Drained   (** every stream finalized (or terminally failed) *)

@@ -78,8 +78,6 @@ let queued t = Bqueue.length t.lines
 
 let queue_capacity t = Bqueue.capacity t.lines
 
-let rejected t = Bqueue.rejected t.lines
-
 let periods_fed t = Session.periods_fed t.session
 
 let hypotheses t = Session.hypotheses t.session
@@ -139,5 +137,4 @@ let render_model t =
   | None -> Error "no usable periods after quarantine"
   | Some { Eng.hypotheses = []; _ } -> Error "inconsistent trace"
   | Some { Eng.hypotheses = hs; _ } ->
-    let names = Session.names t.session in
-    Ok (Rt_lattice.Depfun.to_string ?names (Rt_lattice.Depfun.lub hs) ^ "\n")
+    Ok (Rt_lattice.Depfun.lub hs, Session.names t.session)

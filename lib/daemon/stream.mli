@@ -74,9 +74,6 @@ val hypotheses : t -> int
 
 val checkpoints_written : t -> int
 
-val rejected : t -> int
-(** Lines refused by the bounded queue so far. *)
-
 val quarantine : t -> Rt_trace.Quarantine.t
 (** Full ingestion account — parser skips, repairs, excisions and
     drops — identical to what [learn --mode recover] would report. *)
@@ -85,9 +82,11 @@ val snapshot : t -> (Rt_engine.Engine.snapshot * string array option, string) re
 (** Current model plus task names (once the header was parsed);
     [Error] before the first period. *)
 
-val render_model : t -> (string, string) result
-(** The final model exactly as [learn -o] writes it: LUB matrix with
-    task names plus trailing newline. *)
+val render_model : t -> (Rt_lattice.Depfun.t * string array option, string) result
+(** The final model: the LUB of the surviving hypotheses, and the task
+    names once the header was parsed. Rendered with
+    {!Rt_lattice.Depfun.to_string} it is the text [learn -o] writes;
+    {!Rt_store.Codec.model_to_blob} gives its store blob. *)
 
 val write_checkpoint : t -> unit
 (** Force a checkpoint now (if configured and the engine exists),

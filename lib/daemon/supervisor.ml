@@ -1,9 +1,7 @@
 type policy = {
   max_restarts : int;
   backoff_base : float;
-  backoff_factor : float;
   backoff_cap : float;
-  stall_timeout : float;
   idle_timeout : float;
 }
 
@@ -11,9 +9,7 @@ let default_policy =
   {
     max_restarts = 5;
     backoff_base = 0.1;
-    backoff_factor = 2.0;
     backoff_cap = 5.0;
-    stall_timeout = 30.0;
     idle_timeout = infinity;
   }
 
@@ -52,7 +48,7 @@ let set_quarantined t = t.quarantined <- true
 
 let backoff_delay p ~restart =
   let exp = float_of_int (max 0 (restart - 1)) in
-  Float.min p.backoff_cap (p.backoff_base *. (p.backoff_factor ** exp))
+  Float.min p.backoff_cap (p.backoff_base *. (2.0 ** exp))
 
 let note_data t ~now = t.last_data <- now
 
@@ -79,16 +75,13 @@ let fail t ~reason = t.phase <- Failed reason
 
 let finalize t = t.phase <- Finalized
 
-type verdict = Continue | Restart | Stalled | Idle
+type verdict = Continue | Restart | Idle
 
-let poll t ~now ~pending =
+let poll t ~now =
   match t.phase with
   | Failed _ | Finalized -> Continue
   | Backing_off { until; _ } -> if now >= until then Restart else Continue
   | Running ->
-    if pending then
-      if now -. t.last_progress > t.policy.stall_timeout then Stalled
-      else Continue
-    else if now -. Float.max t.last_data t.last_progress > t.policy.idle_timeout
+    if now -. Float.max t.last_data t.last_progress > t.policy.idle_timeout
     then Idle
     else Continue

@@ -1,29 +1,32 @@
 (** Per-stream supervision: bounded restarts with exponential backoff,
-    plus stall and idle watchdogs.
+    plus an idle watchdog.
 
     The machine is pure state + an injected notion of "now": every
     transition takes the current time as an argument and nothing here
     reads a clock or sleeps, so the whole policy is testable with a fake
     clock and no waiting. The daemon owns the clock and calls {!poll}
     once per tick; the verdicts tell it what to do, it never inspects
-    the internals. *)
+    the internals.
+
+    There is no stall watchdog. The loop is single-threaded: a wedged
+    parser or engine would block it before any supervision tick ran,
+    and a stream that returns from its pump has either emptied its
+    queue or produced a period at the same "now", so queued input
+    never waits on a tick without progress. *)
 
 type policy = {
   max_restarts : int;     (** crashes beyond this latch {!Failed} *)
-  backoff_base : float;   (** first restart delay, seconds *)
-  backoff_factor : float; (** multiplier per successive restart *)
+  backoff_base : float;   (** first restart delay, seconds; doubles per
+                              successive restart *)
   backoff_cap : float;    (** ceiling on the delay *)
-  stall_timeout : float;
-      (** seconds with input queued but no periods produced before the
-          stream is declared stalled (wedged parser/engine) *)
   idle_timeout : float;
       (** seconds with no input at all before the stream is considered
           finished; [infinity] disables the idle watchdog *)
 }
 
 val default_policy : policy
-(** 5 restarts, 0.1 s backoff doubling to a 5 s cap, 30 s stall
-    timeout, idle watchdog off. *)
+(** 5 restarts, 0.1 s backoff doubling to a 5 s cap, idle watchdog
+    off. *)
 
 type phase =
   | Running
@@ -47,13 +50,14 @@ val set_quarantined : t -> unit
 
 val backoff_delay : policy -> restart:int -> float
 (** The delay before restart number [restart] (1-based):
-    [base * factor^(restart-1)], capped. *)
+    [base * 2^(restart-1)], capped. *)
 
 val note_data : t -> now:float -> unit
 (** Input arrived (a line was queued) — feeds the idle watchdog. *)
 
 val note_progress : t -> now:float -> unit
-(** Periods were produced — feeds the stall watchdog. *)
+(** Periods were produced — counts as activity for the idle
+    watchdog. *)
 
 val note_crash : t -> now:float -> reason:string -> [ `Backoff of float | `Failed ]
 (** The stream's worker died (parse latch, engine exception, vanished
@@ -61,8 +65,8 @@ val note_crash : t -> now:float -> reason:string -> [ `Backoff of float | `Faile
     the budget is spent, latches {!Failed}. *)
 
 val note_restart : t -> now:float -> unit
-(** The daemon rebuilt the stream; back to {!Running} with both
-    watchdogs reset. *)
+(** The daemon rebuilt the stream; back to {!Running} with the idle
+    watchdog reset. *)
 
 val fail : t -> reason:string -> unit
 (** Latch {!Failed} immediately, bypassing the restart budget — for
@@ -74,10 +78,7 @@ val finalize : t -> unit
 type verdict =
   | Continue   (** nothing to do this tick *)
   | Restart    (** backoff expired: rebuild the stream *)
-  | Stalled    (** stall watchdog fired — treat as a crash *)
   | Idle       (** idle watchdog fired — drain and finalize *)
 
-val poll : t -> now:float -> pending:bool -> verdict
-(** One supervision tick. [pending] is whether the stream has queued
-    input waiting: with input pending the stall watchdog applies, with
-    none the idle watchdog does. Terminal phases always [Continue]. *)
+val poll : t -> now:float -> verdict
+(** One supervision tick. Terminal phases always [Continue]. *)

@@ -12,9 +12,7 @@ let strip_header header blob =
     Some (String.sub blob (hn + 1) (n - hn - 1))
   else None
 
-let model_wrap text = model_header ^ "\n" ^ text
-
-let model_to_blob ?names d = model_wrap (Df.to_string ?names d ^ "\n")
+let model_to_blob ?names d = model_header ^ "\n" ^ Df.to_string ?names d ^ "\n"
 
 let model_of_blob blob =
   match strip_header model_header blob with

@@ -26,11 +26,6 @@ module Df = Rt_lattice.Depfun
 val model_to_blob : ?names:string array -> Df.t -> string
 val model_of_blob : string -> (Df.t * string array, string) result
 
-val model_wrap : string -> string
-(** Wrap already-rendered canonical model text (the matrix exactly as
-    [learn -o] writes it, trailing newline included) into a model
-    blob; equal to {!model_to_blob} on the parsed matrix. *)
-
 val companion_to_blob :
   ?names:string array -> summary:Df.t -> violations:bool array array ->
   unit -> string

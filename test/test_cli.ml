@@ -478,7 +478,13 @@ let test_learn_stream_conflicts () =
   (* --auto reads its input once per bound, which stdin cannot give. *)
   let code, out = run_code (Printf.sprintf "learn --auto - < %s" trace_file) in
   Alcotest.(check int) "learn --auto -: input error" 2 code;
-  Alcotest.(check string) "learn --auto -: no model" "" out
+  Alcotest.(check string) "learn --auto -: no model" "" out;
+  (* --auto prints no per-period progress; asking for it is misuse *)
+  let code, out =
+    run_code (Printf.sprintf "learn --auto --progress 1 %s" trace_file)
+  in
+  Alcotest.(check int) "learn --auto --progress: input error" 2 code;
+  Alcotest.(check string) "learn --auto --progress: no model" "" out
 
 (* --auto streams each pass like every other learn: over a 40k-period
    trace it runs in a 16 MB data segment, where loading the whole trace

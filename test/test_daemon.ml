@@ -63,7 +63,6 @@ let test_bqueue_fifo () =
   List.iter (fun i -> Alcotest.(check bool) "push" true (Bq.push q i = `Ok)) [ 1; 2; 3 ];
   Alcotest.(check bool) "overflow" true (Bq.push q 4 = `Overflow);
   Alcotest.(check int) "unchanged" 3 (Bq.length q);
-  Alcotest.(check int) "rejected" 1 (Bq.rejected q);
   Alcotest.(check (option int)) "fifo 1" (Some 1) (Bq.pop q);
   Alcotest.(check bool) "room again" true (Bq.push q 4 = `Ok);
   Alcotest.(check (list int))
@@ -83,9 +82,7 @@ let policy =
   {
     Sup.max_restarts = 3;
     backoff_base = 0.1;
-    backoff_factor = 2.0;
     backoff_cap = 5.0;
-    stall_timeout = 1.0;
     idle_timeout = 2.0;
   }
 
@@ -110,9 +107,9 @@ let test_restart_budget () =
         Alcotest.(check (float 1e-9)) "backoff until" (now +. until) u;
         (* mid-backoff the verdict is Continue, after the deadline Restart *)
         Alcotest.(check bool) "too early" true
-          (Sup.poll sup ~now:(u -. 0.01) ~pending:true = Sup.Continue);
+          (Sup.poll sup ~now:(u -. 0.01) = Sup.Continue);
         Alcotest.(check bool) "due" true
-          (Sup.poll sup ~now:(u +. 0.01) ~pending:true = Sup.Restart);
+          (Sup.poll sup ~now:(u +. 0.01) = Sup.Restart);
         Sup.note_restart sup ~now:(u +. 0.01)
       | `Failed -> Alcotest.fail "failed before budget exhausted")
     [ 0.1; 0.2; 0.4 ];
@@ -125,35 +122,25 @@ let test_restart_budget () =
    | Sup.Failed r -> Alcotest.(check string) "reason" "final straw" r
    | _ -> Alcotest.fail "not failed");
   Alcotest.(check bool) "failed polls Continue" true
-    (Sup.poll sup ~now:1000.0 ~pending:true = Sup.Continue)
-
-let test_stall_watchdog () =
-  let sup = Sup.create ~policy ~now:0.0 () in
-  (* pending input, no progress: stall fires after stall_timeout *)
-  Alcotest.(check bool) "within" true
-    (Sup.poll sup ~now:0.9 ~pending:true = Sup.Continue);
-  Alcotest.(check bool) "stalled" true
-    (Sup.poll sup ~now:1.1 ~pending:true = Sup.Stalled);
-  (* progress resets the watchdog *)
-  Sup.note_progress sup ~now:1.05;
-  Alcotest.(check bool) "reset" true
-    (Sup.poll sup ~now:1.1 ~pending:true = Sup.Continue)
+    (Sup.poll sup ~now:1000.0 = Sup.Continue)
 
 let test_idle_watchdog () =
   let sup = Sup.create ~policy ~now:0.0 () in
   Alcotest.(check bool) "within" true
-    (Sup.poll sup ~now:1.9 ~pending:false = Sup.Continue);
+    (Sup.poll sup ~now:1.9 = Sup.Continue);
   Alcotest.(check bool) "idle" true
-    (Sup.poll sup ~now:2.1 ~pending:false = Sup.Idle);
-  (* fresh data resets idleness; a stall clock does not tick while the
-     queue is empty *)
+    (Sup.poll sup ~now:2.1 = Sup.Idle);
+  (* fresh data resets idleness, and so does progress *)
   Sup.note_data sup ~now:2.05;
   Alcotest.(check bool) "reset" true
-    (Sup.poll sup ~now:2.1 ~pending:false = Sup.Continue);
+    (Sup.poll sup ~now:2.1 = Sup.Continue);
+  Sup.note_progress sup ~now:4.0;
+  Alcotest.(check bool) "progress resets" true
+    (Sup.poll sup ~now:5.9 = Sup.Continue);
   (* the default policy never idles out *)
   let lazy_sup = Sup.create ~now:0.0 () in
   Alcotest.(check bool) "default never idle" true
-    (Sup.poll lazy_sup ~now:1.0e9 ~pending:false = Sup.Continue)
+    (Sup.poll lazy_sup ~now:1.0e9 = Sup.Continue)
 
 let test_fail_latch () =
   let sup = Sup.create ~policy ~now:0.0 () in
@@ -168,7 +155,7 @@ let test_fail_latch () =
   let sup2 = Sup.create ~policy ~now:0.0 () in
   Sup.finalize sup2;
   Alcotest.(check bool) "finalized polls Continue" true
-    (Sup.poll sup2 ~now:1.0e9 ~pending:true = Sup.Continue)
+    (Sup.poll sup2 ~now:1.0e9 = Sup.Continue)
 
 (* --- Tail: rotation, truncation, disappearance ----------------------- *)
 
@@ -300,7 +287,10 @@ let pump_to_done s =
   in
   go 0
 
-let uninterrupted_model text =
+(* A final model as [learn -o] writes it. *)
+let render (lub, names) = Rt_lattice.Depfun.to_string ?names lub ^ "\n"
+
+let uninterrupted text =
   let s, note = Stream.create ~id:"ref" (stream_cfg ()) in
   Alcotest.(check (option string)) "fresh" None note;
   feed_all s text;
@@ -308,6 +298,8 @@ let uninterrupted_model text =
   match Stream.render_model s with
   | Ok m -> m
   | Error e -> Alcotest.failf "reference render: %s" e
+
+let uninterrupted_model text = render (uninterrupted text)
 
 let test_stream_kill_replay () =
   let dir = tmpdir () in
@@ -328,7 +320,7 @@ let test_stream_kill_replay () =
   feed_all s2 text;
   pump_to_done s2;
   (match Stream.render_model s2 with
-   | Ok m -> Alcotest.(check string) "byte-equal after kill" reference m
+   | Ok m -> Alcotest.(check string) "byte-equal after kill" reference (render m)
    | Error e -> Alcotest.failf "resumed render: %s" e);
   Alcotest.(check int) "all periods" (period_lines text) (Stream.periods_fed s2)
 
@@ -344,7 +336,7 @@ let test_stream_corrupt_checkpoint () =
   feed_all s text;
   pump_to_done s;
   (match Stream.render_model s with
-   | Ok m -> Alcotest.(check string) "model unaffected" reference m
+   | Ok m -> Alcotest.(check string) "model unaffected" reference (render m)
    | Error e -> Alcotest.failf "render: %s" e)
 
 let test_stream_foreign_checkpoint () =
@@ -369,7 +361,6 @@ let test_stream_overflow_and_close () =
   Alcotest.(check bool) "1" true (Stream.offer_line s "a" = `Ok);
   Alcotest.(check bool) "2" true (Stream.offer_line s "b" = `Ok);
   Alcotest.(check bool) "full" true (Stream.offer_line s "c" = `Overflow);
-  Alcotest.(check int) "rejected" 1 (Stream.rejected s);
   Alcotest.(check int) "queued" 2 (Stream.queued s);
   Stream.close_input s;
   Alcotest.(check bool) "post-close drop" true (Stream.offer_line s "d" = `Ok);
@@ -475,38 +466,6 @@ let test_daemon_kill_resume () =
    | Ok Daemon.Stopped -> Alcotest.fail "stopped during final run"
    | Error e -> Alcotest.failf "daemon: %s" e);
   check_models out seeds
-
-let test_daemon_corrupt_isolation () =
-  let spool = tmpdir () and out = tmpdir () in
-  let seeds = [ 3; 4 ] in
-  let threshold = make_spool spool seeds in
-  write_file (Filename.concat spool "broken.trace") "garbage\nmore garbage\n";
-  let cfg = daemon_cfg ~spool ~out ~drain_after:threshold () in
-  let cfg =
-    {
-      cfg with
-      Daemon.metrics_path = Some (Filename.concat out "m.json");
-      policy =
-        { Sup.default_policy with Sup.max_restarts = 1; backoff_base = 0.0001 };
-    }
-  in
-  (match Daemon.run cfg with
-   | Ok Daemon.Drained -> ()
-   | Ok Daemon.Stopped -> Alcotest.fail "stopped"
-   | Error e -> Alcotest.failf "daemon: %s" e);
-  (* neighbors unharmed, byte-equal *)
-  check_models out seeds;
-  Alcotest.(check bool) "no model for the corrupt stream" false
-    (Sys.file_exists (Filename.concat out "broken.model"));
-  (* the books balance: 3 accepted = 2 finalized + 1 failed *)
-  let m = read_file (Filename.concat out "m.json") in
-  Alcotest.(check bool) "accepted" true
-    (contains m "\"daemon.streams_accepted\": 3");
-  Alcotest.(check bool) "finalized" true
-    (contains m "\"daemon.streams_finalized\": 2");
-  Alcotest.(check bool) "failed" true (contains m "\"daemon.streams_failed\": 1");
-  Alcotest.(check bool) "restart budget spent" true
-    (contains m "\"daemon.restarts\": 1")
 
 (* BUSY admission and the control socket, exercised by a forked client
    while the daemon runs in this process. *)
@@ -703,7 +662,7 @@ let test_daemon_socket_ingest () =
       in
       feed_all s text;
       pump_to_done s;
-      ( Result.get_ok (Stream.render_model s),
+      ( render (Result.get_ok (Stream.render_model s)),
         Rt_trace.Quarantine.is_empty (Stream.quarantine s) )
     in
     let want, clean = recover text in
@@ -715,6 +674,183 @@ let test_daemon_socket_ingest () =
     Alcotest.(check string) "conn1.model" want (read_file model_path);
     Alcotest.(check bool) "nothing quarantined" true
       (contains (read_file metrics) "\"daemon.streams_quarantined\": 0")
+
+(* The status totals line against the metrics document's counters: the
+   daemon keeps each total in one place, so the two must agree. *)
+let check_totals status metrics =
+  let doc = Result.get_ok (Rt_obs.Json.of_string metrics) in
+  let get section name =
+    match
+      Option.bind
+        (Option.bind (Rt_obs.Json.member section doc) (Rt_obs.Json.member name))
+        (fun v ->
+           match Rt_obs.Json.to_int v with
+           | Some n -> Some n
+           | None -> Option.bind (Rt_obs.Json.member "last" v) Rt_obs.Json.to_int)
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "metrics document has no %s %s" section name
+  in
+  let totals =
+    match
+      List.find_opt (String.starts_with ~prefix:"totals ") (lines_of status)
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "no totals line in %S" status
+  in
+  List.iter
+    (fun kv ->
+       match String.split_on_char '=' kv with
+       | [ key; v ] ->
+         let want =
+           match key with
+           | "active" -> get "gauges" "daemon.streams_active"
+           | "busy" -> get "counters" "daemon.busy_rejections"
+           | "restarts" -> get "counters" "daemon.restarts"
+           | "periods" -> get "counters" "daemon.periods"
+           | k -> get "counters" ("daemon.streams_" ^ k)
+         in
+         Alcotest.(check int) ("status " ^ key ^ " = metrics") want
+           (int_of_string v)
+       | _ -> ())
+    (List.tl (String.split_on_char ' ' totals))
+
+(* Spool streams finalize at the idle watchdog, a corrupt one burns its
+   restart budget, and a socket stream that overruns its 8-line queue
+   in one read is shed. Once every stream settled, the forked client
+   takes a status and drains. *)
+let test_daemon_corrupt_isolation () =
+  let spool = tmpdir () and out = tmpdir () in
+  let seeds = [ 3; 4 ] in
+  ignore (make_spool spool seeds);
+  write_file (Filename.concat spool "broken.trace") "garbage\nmore garbage\n";
+  let data_sock = Filename.concat out "data.sock" in
+  let ctrl_sock = Filename.concat out "ctl.sock" in
+  let status_file = Filename.concat out "status" in
+  let metrics = Filename.concat out "m.json" in
+  let cfg =
+    {
+      (daemon_cfg ~spool ~out ()) with
+      Daemon.listen = Some data_sock;
+      control = Some ctrl_sock;
+      queue_capacity = 8;
+      metrics_path = Some metrics;
+      policy =
+        { Sup.default_policy with
+          Sup.max_restarts = 1; backoff_base = 0.0001; idle_timeout = 0.2 };
+    }
+  in
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let fd = connect_retry data_sock in
+       ignore (Unix.read fd (Bytes.create 16) 0 16);
+       let m = Bytes.of_string (trace_text ~periods:40 1) in
+       ignore (Unix.write fd m 0 (Bytes.length m));
+       Unix.close fd;
+       let rec settle n =
+         let s = roundtrip ctrl_sock "status" in
+         if contains s "accepted=4 active=0" || n > 2000 then s
+         else begin
+           Unix.sleepf 0.005;
+           settle (n + 1)
+         end
+       in
+       write_file status_file (settle 0)
+     with _ -> ());
+    ignore (try roundtrip ctrl_sock "drain" with _ -> "");
+    Unix._exit 0
+  | pid ->
+    (match Daemon.run cfg with
+     | Ok Daemon.Drained -> ()
+     | Ok Daemon.Stopped -> Alcotest.fail "stopped"
+     | Error e -> Alcotest.failf "daemon: %s" e);
+    ignore (Unix.waitpid [] pid);
+    (* neighbors unharmed, byte-equal *)
+    check_models out seeds;
+    Alcotest.(check bool) "no model for the corrupt stream" false
+      (Sys.file_exists (Filename.concat out "broken.model"));
+    Alcotest.(check bool) "no model for the shed stream" false
+      (Sys.file_exists (Filename.concat out "conn1.model"));
+    (* the books balance: 4 accepted = 2 finalized + 1 failed + 1 shed *)
+    let m = read_file metrics in
+    Alcotest.(check bool) "accepted" true
+      (contains m "\"daemon.streams_accepted\": 4");
+    Alcotest.(check bool) "finalized" true
+      (contains m "\"daemon.streams_finalized\": 2");
+    Alcotest.(check bool) "failed" true
+      (contains m "\"daemon.streams_failed\": 1");
+    Alcotest.(check bool) "shed" true (contains m "\"daemon.streams_shed\": 1");
+    Alcotest.(check bool) "restart budget spent" true
+      (contains m "\"daemon.restarts\": 1");
+    check_totals (read_file status_file) m
+
+(* A daemon that saw no stream still reports every event counter. *)
+let test_daemon_quiet_counters () =
+  let spool = tmpdir () and out = tmpdir () in
+  let metrics = Filename.concat out "m.json" in
+  (match
+     Daemon.run
+       { (daemon_cfg ~spool ~out ~drain_after:0 ()) with
+         Daemon.metrics_path = Some metrics }
+   with
+   | Ok Daemon.Drained -> ()
+   | Ok Daemon.Stopped -> Alcotest.fail "stopped"
+   | Error e -> Alcotest.failf "daemon: %s" e);
+  let m = read_file metrics in
+  List.iter
+    (fun name ->
+       Alcotest.(check bool) (name ^ " = 0") true
+         (contains m (Printf.sprintf "\"daemon.%s\": 0" name)))
+    [ "streams_accepted"; "busy_rejections"; "streams_shed"; "streams_failed";
+      "streams_finalized"; "restarts"; "streams_quarantined" ]
+
+(* A period longer than the ingest queue: the spool stream's queue
+   fills and empties several times before the period closes, so queued
+   input waits whole ticks without a period fed. The model is still the
+   one [learn --mode recover] learns from the file. *)
+let test_daemon_period_over_queue () =
+  let spool = tmpdir () and out = tmpdir () in
+  let text =
+    Rt_trace.Trace_io.to_string
+      (Test_support.simulate ~periods:6 ~seed:8 (Test_support.pipeline_design 11))
+  in
+  let longest, _ =
+    List.fold_left
+      (fun (longest, n) l ->
+         if String.length l >= 6 && String.sub l 0 6 = "period" then
+           (max longest n, 1)
+         else (longest, n + 1))
+      (0, 0) (lines_of text)
+  in
+  Alcotest.(check bool) "a period of 40 lines" true (longest >= 40);
+  write_file (Filename.concat spool "long.trace") text;
+  (match
+     Daemon.run
+       { (daemon_cfg ~spool ~out ~drain_after:(period_lines text - 1) ()) with
+         Daemon.queue_capacity = 8 }
+   with
+   | Ok Daemon.Drained -> ()
+   | Ok Daemon.Stopped -> Alcotest.fail "stopped"
+   | Error e -> Alcotest.failf "daemon: %s" e);
+  let s, _ =
+    Rt_shard.Session.create ~mode:`Recover
+      (Rt_engine.Engine.Heuristic { bound = 4 })
+      (Rt_trace.Stream_io.lines_of_string text)
+  in
+  let rec learn () =
+    match Rt_shard.Session.next s with
+    | Ok None -> ()
+    | Ok (Some _) -> learn ()
+    | Error e -> Alcotest.failf "line %d: %s" e.line e.message
+  in
+  learn ();
+  let snap = Option.get (Rt_shard.Session.finalize s) in
+  Alcotest.(check string) "long.model = learn --mode recover"
+    (render
+       ( Rt_lattice.Depfun.lub snap.Rt_engine.Engine.hypotheses,
+         Rt_shard.Session.names s ))
+    (read_file (Filename.concat out "long.model"))
 
 (* --- flight recorder: the dump narrates the supervisor ---------------- *)
 
@@ -923,12 +1059,13 @@ let test_daemon_write_faults () =
          List.iteri
            (fun i seed ->
               let id = Printf.sprintf "veh%02d" i in
-              let want = uninterrupted_model (trace_text ~periods:9 seed) in
-              Alcotest.(check string) (label ^ ": " ^ id ^ ".model") want
+              let lub, names = uninterrupted (trace_text ~periods:9 seed) in
+              Alcotest.(check string) (label ^ ": " ^ id ^ ".model")
+                (render (lub, names))
                 (read_file (Filename.concat out (id ^ ".model")));
               let e = Result.get_ok (Store.resolve s ("model/" ^ id)) in
               Alcotest.(check string) (label ^ ": model/" ^ id)
-                (Rt_store.Codec.model_wrap want)
+                (Rt_store.Codec.model_to_blob ?names lub)
                 (Result.get_ok (Store.read_blob s e.Store.address)))
            seeds;
          rm_rf out;
@@ -1018,7 +1155,6 @@ let () =
         [
           Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
           Alcotest.test_case "restart budget" `Quick test_restart_budget;
-          Alcotest.test_case "stall watchdog" `Quick test_stall_watchdog;
           Alcotest.test_case "idle watchdog" `Quick test_idle_watchdog;
           Alcotest.test_case "fail latch" `Quick test_fail_latch;
         ] );
@@ -1055,6 +1191,10 @@ let () =
             test_daemon_busy_and_control;
           Alcotest.test_case "learns over the data socket" `Quick
             test_daemon_socket_ingest;
+          Alcotest.test_case "quiet drain reports zero totals" `Quick
+            test_daemon_quiet_counters;
+          Alcotest.test_case "period longer than the ingest queue" `Quick
+            test_daemon_period_over_queue;
         ] );
       ( "flight",
         [

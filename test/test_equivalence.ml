@@ -263,7 +263,11 @@ let law (c : case) =
     agree what (Ok want)
       (Result.map (fun (snap, _) -> answer snap) (Stream.snapshot s));
     agree (what ^ " quarantine") q (Stream.quarantine s);
-    agree (what ^ " model") rendered (Result.to_option (Stream.render_model s))
+    agree (what ^ " model") rendered
+      (Result.to_option
+         (Result.map
+            (fun (m, names) -> Df.to_string ?names m ^ "\n")
+            (Stream.render_model s)))
   in
   streamed "stream" (fst (stream 1));
 

@@ -421,13 +421,6 @@ let qc_model_roundtrip =
        | Ok (d', ns) -> Df.equal d d' && ns = names 4
        | Error _ -> false)
 
-let qc_model_wrap_canonical =
-  Test_support.qcheck_case "model_wrap = model_to_blob on rendered text"
-    ~count:100 (arb_df 4)
-    (fun d ->
-       let text = Df.to_string ~names:(names 4) d ^ "\n" in
-       Codec.model_wrap text = Codec.model_to_blob ~names:(names 4) d)
-
 let qc_companion_roundtrip =
   Test_support.qcheck_case "companion blob round trip" ~count:100
     QCheck.(
@@ -609,7 +602,6 @@ let () =
       ( "codec",
         [
           qc_model_roundtrip;
-          qc_model_wrap_canonical;
           qc_companion_roundtrip;
           qc_answerset_roundtrip;
           qc_blob_determinism;

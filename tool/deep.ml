@@ -128,8 +128,7 @@ let sink_idents =
     [ "Atomic_file"; "append" ];
     [ "Store"; "commit" ]; [ "Store"; "put_blob" ]; [ "Slot"; "save" ];
     [ "Codec"; "model_to_blob" ]; [ "Codec"; "companion_to_blob" ];
-    [ "Codec"; "answerset_to_blob" ]; [ "Codec"; "checkpoint_to_blob" ];
-    [ "Codec"; "model_wrap" ] ]
+    [ "Codec"; "answerset_to_blob" ]; [ "Codec"; "checkpoint_to_blob" ] ]
 
 (* Makers whose top-level application defines a mutable global. *)
 let unprotected_makers =
