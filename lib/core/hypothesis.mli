@@ -124,8 +124,8 @@ val hash : t -> int
 
 val a_hash : t -> int
 (** Order-independent hash of the assumption set, maintained
-    incrementally; 0 when no assumptions are recorded. [(hash, a_hash)]
-    keys the working set's deduplication index. *)
+    incrementally; 0 when no assumptions are recorded. [compare_full]
+    orders by [(hash, a_hash)] before it compares matrices. *)
 
 val leq : t -> t -> bool
 (** [⊑_D] on the underlying dependency functions. *)

@@ -7,23 +7,14 @@ let canonical h h' =
   let c = Int.compare (Hypothesis.weight h) (Hypothesis.weight h') in
   if c <> 0 then c else Hypothesis.compare_full h h'
 
-(* Below this bound the array-plus-index machinery loses to a plain
-   sorted list: the hash index, binary search and blits only pay for
-   themselves once the set is big enough. 64 is the conservative
-   break-even of the array-vs-list runs in DESIGN.md §14.4: forcing the
-   array at bounds 1–32 cost 13–33% more CPU per learn on a GM trace. *)
+(* Below this bound the array loses to a plain sorted list: the binary
+   search and blits only pay for themselves once the set is big enough.
+   64 is the break-even of the array-vs-list runs in DESIGN.md §14.4:
+   on a 300-period GM trace the array costs 11–21% more CPU than the
+   list at bounds 2–32 and 11% less at 64. *)
 let crossover_bound = 64
 
 type repr = Array_repr | List_repr
-
-(* The dedup index is keyed by one int mixing [hash] and [a_hash]: no
-   tuple to allocate, and no polymorphic [caml_hash]/[compare] per
-   lookup. Keys are already mixed, so the table hashes them as they are. *)
-module Index = Hashtbl.Make (struct
-  type t = int
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
 
 type t = {
   bound : int;
@@ -33,17 +24,13 @@ type t = {
      the first insertion (OCaml arrays need a witness element). *)
   mutable data : Hypothesis.t array;
   mutable len : int;
-  (* [key] -> hypotheses with that mixed key. Buckets are almost always
-     singletons; [compare_full] resolves true collisions. *)
-  index : Hypothesis.t list Index.t;
   (* List representation: sorted ascending under [canonical] — the seed
      layout, selected below [crossover_bound]. [len] tracks both. *)
   mutable items : Hypothesis.t list;
 }
 
 let make repr ~bound =
-  { bound; repr; data = [||]; len = 0;
-    index = Index.create (2 * (bound + 1)); items = [] }
+  { bound; repr; data = [||]; len = 0; items = [] }
 
 let create_with ~repr ~bound =
   make (match repr with `Array -> Array_repr | `List -> List_repr) ~bound
@@ -57,18 +44,7 @@ let length t = t.len
 
 let clear t =
   t.len <- 0;
-  match t.repr with
-  | List_repr -> t.items <- []
-  | Array_repr -> Index.reset t.index
-
-(* Both hashes mixed into one key; the final multiply-xorshift spreads
-   them into the low bits the table indexes by. *)
-let key h =
-  let k = (Hypothesis.hash h lxor (Hypothesis.a_hash h * 0x2545F4914F6CDD1D))
-          * 0x1E3779B97F4A7C15 in
-  k lxor (k lsr 29)
-
-let bucket t k = match Index.find t.index k with b -> b | exception Not_found -> []
+  t.items <- []
 
 let rec mem_list h = function
   | [] -> false
@@ -76,17 +52,25 @@ let rec mem_list h = function
     let c = canonical h h' in
     c = 0 || (c > 0 && mem_list h tl)
 
+(* Binary search in the descending array: the smallest index whose
+   element is canonically below [h], or -1 if an element equals [h].
+   [canonical] is zero only on a duplicate, so the search that finds the
+   slot is also the dedup test. *)
+let rec search data h lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    let c = canonical data.(mid) h in
+    if c = 0 then -1
+    else if c > 0 then search data h (mid + 1) hi
+    else search data h lo mid
+
+let slot t h = search t.data h 0 t.len
+
 let mem t h =
   match t.repr with
   | List_repr -> mem_list h t.items
-  | Array_repr ->
-    List.exists (fun h' -> Hypothesis.compare_full h h' = 0) (bucket t (key h))
-
-let index_remove t h =
-  let k = key h in
-  match List.filter (fun h' -> h' != h) (bucket t k) with
-  | [] -> Index.remove t.index k
-  | rest -> Index.replace t.index k rest
+  | Array_repr -> slot t h < 0
 
 let ensure_capacity t h =
   let cap = Array.length t.data in
@@ -109,8 +93,7 @@ let rec ins_list h = function
     else if c < 0 then h :: l
     else h' :: ins_list h tl
 
-(* Dedup check and index update share one bucket lookup — [add] is on
-   the per-child hot path of the learner. *)
+(* [add] is on the per-child hot path of the learner. *)
 let add t h =
   match t.repr with
   | List_repr ->
@@ -121,24 +104,13 @@ let add t h =
        true
      | exception Duplicate -> false)
   | Array_repr ->
-    let k = key h in
-    let bucket = bucket t k in
-    if List.exists (fun h' -> Hypothesis.compare_full h h' = 0) bucket then
-      false
+    let pos = slot t h in
+    if pos < 0 then false
     else begin
       ensure_capacity t h;
-      (* Binary search in the descending array: smallest index whose
-         element is canonically below [h]. *)
-      let lo = ref 0 and hi = ref t.len in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if canonical t.data.(mid) h > 0 then lo := mid + 1 else hi := mid
-      done;
-      let pos = !lo in
       Array.blit t.data pos t.data (pos + 1) (t.len - pos);
       t.data.(pos) <- h;
       t.len <- t.len + 1;
-      Index.replace t.index k (h :: bucket);
       true
     end
 
@@ -147,9 +119,10 @@ let insert t h =
 
 let extract_pair t policy =
   if t.len < 2 then invalid_arg "Workset.extract_pair: fewer than 2 elements";
+  let n = t.len in
+  t.len <- n - 2;
   match t.repr with
   | List_repr ->
-    t.len <- t.len - 2;
     (match policy with
      | Lightest_pair ->
        (match t.items with
@@ -173,27 +146,18 @@ let extract_pair t policy =
            | [] -> assert false)
         | [] -> assert false))
   | Array_repr ->
-    let a, b =
-      match policy with
-      | Lightest_pair ->
-        (* Last two slots; no shifting. *)
-        let a = t.data.(t.len - 1) and b = t.data.(t.len - 2) in
-        t.len <- t.len - 2;
-        (a, b)
-      | Heaviest_pair ->
-        let a = t.data.(0) and b = t.data.(1) in
-        Array.blit t.data 2 t.data 0 (t.len - 2);
-        t.len <- t.len - 2;
-        (a, b)
-      | First_last ->
-        let a = t.data.(t.len - 1) and z = t.data.(0) in
-        Array.blit t.data 1 t.data 0 (t.len - 2);
-        t.len <- t.len - 2;
-        (a, z)
-    in
-    index_remove t a;
-    index_remove t b;
-    (a, b)
+    (match policy with
+     | Lightest_pair ->
+       (* Last two slots; no shifting. *)
+       (t.data.(n - 1), t.data.(n - 2))
+     | Heaviest_pair ->
+       let a = t.data.(0) and b = t.data.(1) in
+       Array.blit t.data 2 t.data 0 (n - 2);
+       (a, b)
+     | First_last ->
+       let a = t.data.(n - 1) and z = t.data.(0) in
+       Array.blit t.data 1 t.data 0 (n - 2);
+       (a, z))
 
 let to_list t =
   match t.repr with
@@ -207,10 +171,6 @@ let to_array t =
   match t.repr with
   | List_repr -> Array.of_list t.items
   | Array_repr -> Array.init t.len (fun i -> t.data.(t.len - 1 - i))
-
-let index_add t h =
-  let k = key h in
-  Index.replace t.index k (h :: bucket t k)
 
 let of_list ~bound l =
   let t = create ~bound in
@@ -227,9 +187,7 @@ let of_list ~bound l =
     if n > 0 then begin
       t.data <- Array.make (max n (bound + 1)) (List.hd l);
       for i = 0 to n - 1 do
-        let h = Rt_util.Binary_heap.pop_exn heap in
-        t.data.(i) <- h;
-        index_add t h
+        t.data.(i) <- Rt_util.Binary_heap.pop_exn heap
       done;
       t.len <- n
     end;

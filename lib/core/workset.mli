@@ -10,11 +10,9 @@
       the hot eviction — the paper's lightest pair — pops the last two
       slots in O(1), and insertion is an O(log b) binary search plus one
       [Array.blit];
-    - a deduplication index keyed by one int mixing the cached
-      structural hashes [hash] and [a_hash] (a [Hashtbl.Make] table, so
-      no tuple and no polymorphic hash per lookup), falling back to
-      [Hypothesis.compare_full] only on a bucket collision, making
-      membership O(1) integer work in the common case;
+    - no separate dedup structure: the canonical order is zero only on a
+      duplicate, so the binary search that finds the insertion slot is
+      also the membership test;
     - a tracked length (no [List.length] scans).
 
     Contents are a function of the {e set} of inserted hypotheses only —
@@ -26,7 +24,7 @@
     DESIGN.md §14.4) {!create} silently selects the seed's sorted
     singly-linked-list layout instead — same canonical order, same
     dedup decisions, same eviction victims, observably identical, just
-    without the hash index and blits that dominate at small bounds.
+    without the binary search and blits that dominate at small bounds.
     {!create_with} forces a representation, for tests and A/B
     benchmarks. *)
 
@@ -69,8 +67,9 @@ val mem : t -> Hypothesis.t -> bool
 
 val add : t -> Hypothesis.t -> bool
 (** [add t h] inserts [h] unless an equal hypothesis is already present;
-    [true] iff the set grew. Membership test and index update share a
-    single bucket lookup — this is the learner's per-child hot path. *)
+    [true] iff the set grew. One binary search under {!canonical} both
+    finds the slot and, on a zero, detects the duplicate — this is the
+    learner's per-child hot path. *)
 
 val insert : t -> Hypothesis.t -> unit
 (** {!add}, but inserting a duplicate is a programming error and raises

@@ -221,34 +221,45 @@ let to_rows d =
       List.init d.n (fun b ->
           Depval.of_index (Char.code (Bytes.get d.cells ((a * d.n) + b)))))
 
-let default_names n = Array.init n (fun i -> Printf.sprintf "t%d" (i + 1))
-
-let pp ?names ppf d =
-  let names = match names with Some a -> a | None -> default_names d.n in
-  let name i = if i < Array.length names then names.(i) else Printf.sprintf "t%d" i in
+(* The one renderer: every cell padded to the widest name or value, one
+   row per line. It writes into one [Buffer]; [pp] prints its lines. *)
+let to_string ?names d =
+  let label =
+    Array.init d.n (fun i ->
+        match names with
+        | None -> "t" ^ string_of_int (i + 1)
+        | Some a -> if i < Array.length a then a.(i) else "t" ^ string_of_int i)
+  in
   let cell a b =
     Depval.to_string (Depval.of_index (Char.code (Bytes.get d.cells ((a * d.n) + b))))
   in
   let width = ref 0 in
   for a = 0 to d.n - 1 do
-    width := max !width (String.length (name a));
+    width := max !width (String.length label.(a));
     for b = 0 to d.n - 1 do
       width := max !width (String.length (cell a b))
     done
   done;
-  let pad s = s ^ String.make (!width - String.length s) ' ' in
-  Format.fprintf ppf "%s" (pad "");
-  for b = 0 to d.n - 1 do
-    Format.fprintf ppf " %s" (pad (name b))
-  done;
+  let buf = Buffer.create ((d.n + 1) * (d.n + 1) * (!width + 1)) in
+  let pad s =
+    Buffer.add_string buf s;
+    for _ = String.length s to !width - 1 do Buffer.add_char buf ' ' done
+  in
+  pad "";
+  Array.iter (fun l -> Buffer.add_char buf ' '; pad l) label;
   for a = 0 to d.n - 1 do
-    Format.fprintf ppf "@\n%s" (pad (name a));
-    for b = 0 to d.n - 1 do
-      Format.fprintf ppf " %s" (pad (cell a b))
-    done
-  done
+    Buffer.add_char buf '\n';
+    pad label.(a);
+    for b = 0 to d.n - 1 do Buffer.add_char buf ' '; pad (cell a b) done
+  done;
+  Buffer.contents buf
 
-let to_string ?names d = Format.asprintf "%a" (pp ?names) d
+let pp ?names ppf d =
+  List.iteri
+    (fun i line ->
+       if i > 0 then Format.pp_force_newline ppf ();
+       Format.pp_print_string ppf line)
+    (String.split_on_char '\n' (to_string ?names d))
 
 let parse s =
   let lines =

@@ -101,10 +101,15 @@ val of_rows : Depval.t list list -> t
 
 val to_rows : t -> Depval.t list list
 
-val pp : ?names:string array -> Format.formatter -> t -> unit
-(** Matrix rendering in the style of the paper's tables. *)
-
 val to_string : ?names:string array -> t -> string
+(** Matrix rendering in the style of the paper's tables: a header row of
+    task names, then one row per task, every field padded to the widest
+    name or value. [names] defaults to [t1 .. tn]; a task past the end
+    of [names] is called [t<i>], its 0-based index. *)
+
+val pp : ?names:string array -> Format.formatter -> t -> unit
+(** Prints {!to_string}'s lines, each line break a
+    [Format.pp_force_newline]. *)
 
 val parse : string -> (t * string array, string) result
 (** Parse the output of [to_string]: a header row of task names followed

@@ -376,6 +376,65 @@ let df_parse_round_trip_random =
        | Ok (d', _) -> Df.equal d d'
        | Error _ -> false)
 
+(* The [Format] renderer [Depfun.to_string] replaced, kept as the
+   reference: [to_string] must print the same bytes, and [pp] the same
+   text inside any box, for every matrix and every set of names. *)
+let format_pp ?names ppf d =
+  let n = Df.size d in
+  let names =
+    match names with
+    | Some a -> a
+    | None -> Array.init n (fun i -> Printf.sprintf "t%d" (i + 1))
+  in
+  let name i =
+    if i < Array.length names then names.(i) else Printf.sprintf "t%d" i
+  in
+  let cell a b = Dv.to_string (Df.get d a b) in
+  let width = ref 0 in
+  for a = 0 to n - 1 do
+    width := max !width (String.length (name a));
+    for b = 0 to n - 1 do
+      width := max !width (String.length (cell a b))
+    done
+  done;
+  let pad s = s ^ String.make (!width - String.length s) ' ' in
+  Format.fprintf ppf "%s" (pad "");
+  for b = 0 to n - 1 do
+    Format.fprintf ppf " %s" (pad (name b))
+  done;
+  for a = 0 to n - 1 do
+    Format.fprintf ppf "@\n%s" (pad (name a));
+    for b = 0 to n - 1 do
+      Format.fprintf ppf " %s" (pad (cell a b))
+    done
+  done
+
+(* Up to 12 tasks; names absent, short or long (1-9 characters, so the
+   widest can be a name or a cell), and sometimes fewer than the tasks. *)
+let arb_named_df =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 12 >>= fun n ->
+      gen_df n >>= fun d ->
+      opt
+        (int_range 0 (n + 1) >>= fun k ->
+         array_size (return k)
+           (string_size ~gen:(char_range 'A' 'Z') (int_range 1 9)))
+      >|= fun names -> (d, names))
+  in
+  QCheck.make gen ~print:(fun (d, names) ->
+      Format.asprintf "%a" (format_pp ?names) d)
+
+let df_to_string_is_format_rendering =
+  Test_support.qcheck_case "to_string and pp = Format rendering" ~count:200
+    arb_named_df
+    (fun (d, names) ->
+       let old = Format.asprintf "%a" (format_pp ?names) d in
+       let boxed pp = Format.asprintf "@[<v 3>>>@,%a@]" pp d in
+       String.equal (Df.to_string ?names d) old
+       && String.equal (Format.asprintf "%a" (Df.pp ?names) d) old
+       && String.equal (boxed (Df.pp ?names)) (boxed (format_pp ?names)))
+
 let depval_join_monotone =
   Test_support.qcheck_case "depval join monotone" ~count:200
     (QCheck.triple arb_depval arb_depval arb_depval)
@@ -442,6 +501,7 @@ let () =
           Alcotest.test_case "parse round trip" `Quick test_df_parse_round_trip;
           Alcotest.test_case "parse errors" `Quick test_df_parse_errors;
           df_parse_round_trip_random;
+          df_to_string_is_format_rendering;
           df_join_upper_bound;
           df_leq_partial_order;
           df_weight_monotone;

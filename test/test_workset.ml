@@ -148,6 +148,133 @@ let qc_repr_equivalence =
        in
        drive `List = drive `Array)
 
+(* Hypotheses that tie on weight, [hash] and [a_hash] without being
+   equal: both hashes are linear sums over cells and pairs (DESIGN.md
+   §19.4), so two generalizations of one parent by the pairs
+   [(s1, r1), (s2, r2)] and by the swapped [(s1, r2), (s2, r1)] sum the
+   same cell positions and the same pair mixes. When the parent's
+   matrix already holds all four pairs, the two are equal matrices that
+   differ only in their assumptions; otherwise the matrices differ too.
+   Each parent is a generalization of bottom with its assumptions
+   cleared, and every pair set is applied in both orders, so duplicates
+   come from distinct values as well as from re-offers. *)
+let tied_pool rs =
+  let n = 4 + Random.State.int rs 2 in
+  let task () = Random.State.int rs n in
+  let gen h pairs =
+    List.fold_left
+      (fun h (s, r) ->
+         match h with
+         | Some h when s <> r -> Hy.generalize_message h ~sender:s ~receiver:r
+         | _ -> None)
+      (Some h) pairs
+  in
+  let pool = ref [] in
+  for _ = 1 to 6 do
+    let s1 = task () and s2 = task () and r1 = task () and r2 = task () in
+    let swapped = [ (s1, r2); (s2, r1) ] and straight = [ (s1, r1); (s2, r2) ] in
+    (* Half the parents already hold all four pairs. *)
+    let p =
+      mk n
+        ((if Random.State.bool rs then straight @ swapped else [])
+         @ List.init (Random.State.int rs 4) (fun _ -> (task (), task ())))
+    in
+    Hy.clear_assumptions p;
+    List.iter
+      (fun pairs -> Option.iter (fun h -> pool := h :: !pool) (gen p pairs))
+      [ straight; List.rev straight; swapped; List.rev swapped; [ (s1, r1) ] ]
+  done;
+  Array.of_list !pool
+
+(* Distinct hypotheses that the dedup must keep apart although weight
+   and both hashes tie. *)
+let tied a b =
+  Hy.weight a = Hy.weight b && Hy.hash a = Hy.hash b
+  && Hy.a_hash a = Hy.a_hash b && Hy.compare_full a b <> 0
+
+(* The tied pairs of a pool, split by whether their matrices are equal. *)
+let ties pool =
+  let same_matrix = ref 0 and other_matrix = ref 0 in
+  Array.iteri
+    (fun i a ->
+       for j = i + 1 to Array.length pool - 1 do
+         if tied a pool.(j) then
+           if Hy.equal a pool.(j) then incr same_matrix else incr other_matrix
+       done)
+    pool;
+  (!same_matrix, !other_matrix)
+
+type op = Add of int | Mem of int | Extract of W.victim_policy | Clear
+
+let random_ops rs pool =
+  List.init (20 + Random.State.int rs 60) (fun _ ->
+      match Random.State.int rs 20 with
+      | 0 -> Clear
+      | 1 | 2 | 3 ->
+        Extract [| W.Lightest_pair; W.Heaviest_pair; W.First_last |].(Random.State.int rs 3)
+      | 4 | 5 | 6 -> Mem (Random.State.int rs (Array.length pool))
+      | _ -> Add (Random.State.int rs (Array.length pool)))
+
+(* One interleaved sequence of [add] (re-offering earlier elements),
+   [mem], [extract_pair] under every policy and [clear], applied to both
+   representations: after every operation the results, [to_list] and
+   [length] must agree. *)
+let same_run pool ops =
+  let l = W.create_with ~repr:`List ~bound:8
+  and a = W.create_with ~repr:`Array ~bound:8 in
+  let agree t u =
+    W.length t = W.length u && List.equal ( == ) (W.to_list t) (W.to_list u)
+  in
+  List.for_all
+    (fun op ->
+       let result =
+         match op with
+         | Add i -> W.add l pool.(i) = W.add a pool.(i)
+         | Mem i -> W.mem l pool.(i) = W.mem a pool.(i)
+         | Extract policy ->
+           W.length l < 2
+           || (let x, y = W.extract_pair l policy in
+               let x', y' = W.extract_pair a policy in
+               x == x' && y == y')
+         | Clear -> W.clear l; W.clear a; true
+       in
+       result && agree l a)
+    ops
+
+let qc_dedup_under_ties =
+  Test_support.qcheck_case "list repr = array repr under hash ties, op for op"
+    ~count:300 ~long_factor:20 QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+       let rs = Random.State.make [| seed |] in
+       let pool = tied_pool rs in
+       same_run pool (random_ops rs pool))
+
+(* The law above is vacuous unless its pools really hold both kinds of
+   tie, and its runs really offer a tied, distinct hypothesis to a set
+   that holds its twin. *)
+let test_ties_generated () =
+  let same = ref 0 and other = ref 0 and offered = ref 0 in
+  for seed = 0 to 99 do
+    let rs = Random.State.make [| seed |] in
+    let pool = tied_pool rs in
+    let s, o = ties pool in
+    same := !same + s;
+    other := !other + o;
+    let t = W.create_with ~repr:`List ~bound:8 in
+    List.iter
+      (function
+        | Add i ->
+          if List.exists (tied pool.(i)) (W.to_list t) then incr offered;
+          ignore (W.add t pool.(i))
+        | Mem _ -> ()
+        | Extract policy -> if W.length t >= 2 then ignore (W.extract_pair t policy)
+        | Clear -> W.clear t)
+      (random_ops rs pool)
+  done;
+  Alcotest.(check bool) "equal matrices, other assumptions" true (!same > 0);
+  Alcotest.(check bool) "other matrices" true (!other > 0);
+  Alcotest.(check bool) "tied twin offered to a set holding it" true (!offered > 0)
+
 (* --- the headline property: learner equivalence with the seed --- *)
 
 let policies = [| H.Lightest_pair; H.Heaviest_pair; H.First_last |]
@@ -422,6 +549,29 @@ let test_closed_form_alloc_per_period () =
     Alcotest.failf "%.1f B/period allocated learning at bound 1 (bound 127)"
       per_period
 
+(* --- working set insert and merge at bound > 1 --- *)
+
+(* A bound-150 learn of the GM trace's first four periods, as the
+   paper's Table 1 row runs it: fan-out, insertion, dedup and merges of
+   167k children. The run allocates 52.8 minor words per child, where a
+   hash index beside the sorted array took 81.2; a cons per insertion
+   alone adds about 5. Minor words count deterministically once a
+   collection has flushed them, so the budget is exact, not a timing. *)
+let test_insert_merge_alloc_per_child () =
+  let trace = Rt_case.Gm_model.trace ~periods:4 () in
+  let st = H.init ~bound:150 ~ntasks:(Rt_trace.Trace.task_count trace) () in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  List.iter (H.feed st) (Rt_trace.Trace.periods trace);
+  Gc.minor ();
+  let per_child =
+    (Gc.minor_words () -. before) /. float_of_int (H.stats st).H.created
+  in
+  Alcotest.(check int) "children" 167_339 (H.stats st).H.created;
+  if per_child > 54.0 then
+    Alcotest.failf "%.2f minor words per child at bound 150 (budget 54)"
+      per_child
+
 (* --- cover merges against the eager operations --- *)
 
 (* One random message: up to 80 parents and up to 90 candidate pairs, so
@@ -581,6 +731,8 @@ let () =
           Alcotest.test_case "crossover auto-selection" `Quick
             test_crossover_selection;
           qc_repr_equivalence;
+          qc_dedup_under_ties;
+          Alcotest.test_case "ties generated" `Quick test_ties_generated;
         ] );
       ( "equivalence",
         [
@@ -600,6 +752,11 @@ let () =
             test_closed_form_alloc_per_period;
           Alcotest.test_case "engines on pool domains" `Quick
             test_closed_form_pool_domains;
+        ] );
+      ( "insert and merge",
+        [
+          Alcotest.test_case "alloc per child at bound 150" `Quick
+            test_insert_merge_alloc_per_child;
         ] );
       ( "cover merge",
         [
