@@ -753,7 +753,7 @@ let () =
           Alcotest.test_case "engines on pool domains" `Quick
             test_closed_form_pool_domains;
         ] );
-      ( "insert and merge",
+      ( "insert merge",
         [
           Alcotest.test_case "alloc per child at bound 150" `Quick
             test_insert_merge_alloc_per_child;
