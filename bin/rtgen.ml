@@ -1414,7 +1414,7 @@ let serve_jobs_arg =
           one domain, and results never depended on N)."
 
 let window_arg =
-  Arg.(value & opt (some int) None & info [ "window" ] ~docv:"US"
+  Arg.(value & opt (some nonneg_int) None & info [ "window" ] ~docv:"US"
          ~doc:"Candidate window in microseconds (narrows sender/receiver \
                inference).")
 
@@ -1439,7 +1439,7 @@ let mode_arg =
                reports it on stderr.")
 
 let eps_arg =
-  Arg.(value & opt int 0 & info [ "eps" ] ~docv:"US"
+  Arg.(value & opt nonneg_int 0 & info [ "eps" ] ~docv:"US"
          ~doc:"Clock-skew tolerance for recover-mode repairs, in \
                microseconds.")
 

@@ -97,7 +97,10 @@ let feed st (p : Period.t) =
    | None -> ());
   let hs =
     Array.fold_left (fun hs m ->
-        let pairs = Candidates.pairs ?window:st.window ?hist:st.cand_hist p m in
+        let pairs = Candidates.pairs ?window:st.window p m in
+        (match st.cand_hist with
+         | Some h -> Rt_obs.Histogram.record h (List.length pairs)
+         | None -> ());
         let hs =
           match step_message hs pairs ~created:st.created ~limit:st.limit with
           | hs -> hs

@@ -39,8 +39,8 @@ type state = {
   violations : Violations.t;
   scratch : Workset.t;  (* per-message working set, reused across messages *)
   codes : int array;
-  (* [step_closed]'s candidate codes, reused across messages. Per state,
-     not global: engines run on several domains at once. *)
+  (* The current message's candidate codes, reused across messages. Per
+     state, not global: engines run on several domains at once. *)
   mutable hs : Hypothesis.t array;  (* ascending (weight, structural) order *)
   mutable created : int;
   mutable merges : int;
@@ -129,17 +129,14 @@ let rec add st m h =
    order × pairs in candidate order; it costs O(1) until something reads
    its cells, and most children are merged away before that. The working
    set's contents depend only on this insertion sequence. *)
-let step_message st hs pairs =
-  let pairs = Array.of_list pairs in
-  let np = Array.length pairs in
+let step_message st hs codes np =
   st.branches <- st.branches + (Array.length hs * np);
-  let m = Hypothesis.message ~parents:(Array.length hs) ~pairs in
+  let m = Hypothesis.message ~parents:(Array.length hs) ~codes ~count:np in
   Workset.clear st.scratch;
   Array.iteri
     (fun i h ->
        for k = 0 to np - 1 do
-         let s, r = pairs.(k) in
-         match Hypothesis.child h ~parent:i ~pair:k ~sender:s ~receiver:r with
+         match Hypothesis.child h m ~parent:i ~pair:k with
          | Some h' ->
            st.created <- st.created + 1;
            add st m h'
@@ -152,20 +149,16 @@ let step_message st hs pairs =
 
 (* [step_message] at bound 1 in closed form (DESIGN.md §20): the one
    parent's children all merge, so the message leaves the join of all of
-   them, built in place on the parent's matrix from the candidate codes
-   in [st.codes]. The counters follow: every pair is a branch, each of
-   the |C'| children counts as created, and folding them into one takes
-   |C'| - 1 merges of two evictions each. No child can be a duplicate,
-   as each holds a different pair in its assumptions. *)
-let step_closed st hs (p : Period.t) m =
-  let np = Candidates.pair_codes ?window:st.window p m st.codes in
-  (match st.cand_hist with
-   | Some h -> Rt_obs.Histogram.record h np
-   | None -> ());
+   them, built in place on the parent's matrix from the candidate codes.
+   The counters follow: every pair is a branch, each of the |C'|
+   children counts as created, and folding them into one takes |C'| - 1
+   merges of two evictions each. No child can be a duplicate, as each
+   holds a different pair in its assumptions. *)
+let step_closed st hs codes np =
   if Array.length hs = 0 then hs
   else begin
     st.branches <- st.branches + np;
-    let admitted = Hypothesis.join_codes hs.(0) st.codes np in
+    let admitted = Hypothesis.join_codes hs.(0) codes np in
     st.created <- st.created + admitted;
     if admitted > 1 then begin
       st.merges <- st.merges + admitted - 1;
@@ -174,15 +167,18 @@ let step_closed st hs (p : Period.t) m =
     if admitted = 0 then [||] else hs
   end
 
+(* Each message's candidate set A_m is enumerated once, into
+   [st.codes], and recorded once. *)
 let messages st (p : Period.t) =
   let hs = ref st.hs in
   for k = 0 to Array.length p.msgs - 1 do
-    let m = p.msgs.(k) in
+    let np = Candidates.pair_codes ?window:st.window p p.msgs.(k) st.codes in
+    (match st.cand_hist with
+     | Some h -> Rt_obs.Histogram.record h np
+     | None -> ());
     hs :=
-      if st.closed_form then step_closed st !hs p m
-      else
-        step_message st !hs
-          (Candidates.pairs ?window:st.window ?hist:st.cand_hist p m)
+      if st.closed_form then step_closed st !hs st.codes np
+      else step_message st !hs st.codes np
   done;
   !hs
 

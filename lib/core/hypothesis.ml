@@ -6,7 +6,9 @@ module Df = Rt_lattice.Depfun
    read-only, and [pend = s * n + r] names the one message it adds,
    [d(s,r) ⊔ →] and [d(r,s) ⊔ ←]. Weight and hashes are exact in both
    forms; [force] turns a child into the first form on the first read
-   of its cells.
+   of its cells. A pair has this one form throughout: [pend], the
+   assumptions (ascending codes, which is ascending [(s, r)] order as
+   [r < n]) and a message's candidates are all codes [s * n + r].
 
    [parent], [pair] and [bits] are the in-message provenance the cover
    merge relies on (see [merge_in]): a child of the message's parent
@@ -20,7 +22,7 @@ type t = {
   mutable weight : int;
   mutable hash : int;
   mutable a_hash : int;  (* order-independent hash of the assumption set *)
-  mutable assumptions : (int * int) list;
+  mutable assumptions : int list;  (* ascending codes *)
   mutable parent : int;
   pair : int;
   mutable bits : int array;
@@ -76,11 +78,13 @@ let full_hash d =
   !h land max_int
 
 (* Assumption sets are duplicate-free, so a commutative sum of per-pair
-   mixes hashes the set independently of insertion order. *)
-let pair_mix (s, r) = (((s * 8191) + r + 1) * 0x9E3779B1) land max_int
+   mixes hashes the set independently of insertion order. A pair mixes
+   by its sender and receiver, [c = s * n + r] decoded. *)
+let pair_mix s r = (((s * 8191) + r + 1) * 0x9E3779B1) land max_int
 
-let assumptions_hash l =
-  List.fold_left (fun acc pair -> (acc + pair_mix pair) land max_int) 0 l
+let assumptions_hash n l =
+  List.fold_left (fun acc c -> (acc + pair_mix (c / n) (c mod n)) land max_int)
+    0 l
 
 (* Cell [i]'s mixing weight: [position_weight n a b] for [i = a * n + b],
    [a <> b]. *)
@@ -139,13 +143,16 @@ let depfun h = force h; h.dep
 
 let weight h = h.weight
 
-let assumptions h = h.assumptions
+let assumptions h =
+  let n = Df.size h.dep in
+  List.map (fun c -> (c / n, c mod n)) h.assumptions
 
-let rec mem_pair (s : int) (r : int) = function
-  | [] -> false
-  | (a, b) :: tl -> (a = s && b = r) || mem_pair s r tl
+let rec mem (c : int) = function [] -> false | a :: tl -> a = c || mem c tl
 
-let assumed h s r = mem_pair s r h.assumptions
+(* An index out of range would alias another pair's code. *)
+let assumed h s r =
+  let n = Df.size h.dep in
+  s >= 0 && s < n && r >= 0 && r < n && mem ((s * n) + r) h.assumptions
 
 (* Mutate cell (a,b), keeping the cached weight and hash exact. *)
 let update_cell h a b old v' =
@@ -162,10 +169,10 @@ let join_cell h a b v =
 (* Assumption lists are kept sorted so that hypotheses with identical
    matrices and identical assumption sets compare equal and can be
    unified mid-period. *)
-let insert_sorted p l =
+let insert_sorted (c : int) l =
   let rec go = function
-    | [] -> [ p ]
-    | q :: rest as all -> if p <= q then p :: all else q :: go rest
+    | [] -> [ c ]
+    | q :: rest as all -> if c <= q then c :: all else q :: go rest
   in
   go l
 
@@ -174,29 +181,53 @@ let generalize_message h ~sender ~receiver =
   if assumed h sender receiver then None
   else begin
     force h;
+    let n = Df.size h.dep in
+    let c = (sender * n) + receiver in
     let h' =
       plain (Df.copy h.dep) ~weight:h.weight ~hash:h.hash
-        ~a_hash:((h.a_hash + pair_mix (sender, receiver)) land max_int)
-        (insert_sorted (sender, receiver) h.assumptions)
+        ~a_hash:((h.a_hash + pair_mix sender receiver) land max_int)
+        (insert_sorted c h.assumptions)
     in
     join_cell h' sender receiver Dv.Fwd;
     join_cell h' receiver sender Dv.Bwd;
     Some h'
   end
 
+(* {2 Branching within one message}
+
+   A message's candidates are the first [count] codes of [codes]; a
+   child records the index of its code there as [pair]. *)
+
+type message = {
+  codes : int array;
+  cw : int;  (* words of a cover set; the edit set's follow *)
+  ew : int;
+}
+
+let wbits = Sys.int_size
+
+let words k = (k + wbits - 1) / wbits
+
+let message ~parents ~codes ~count =
+  { codes; cw = words parents; ew = words count }
+
+(* Refuse what no pair code [s * n + r] over [n] tasks can be. *)
+let check_code fn n i =
+  if i < 0 || i >= n * n then invalid_arg (fn ^ ": task index out of range");
+  if i / n = i mod n then invalid_arg (fn ^ ": sender = receiver")
+
 (* [generalize_message] in O(1): the child shares its parent's matrix,
    and its weight and hash are the parent's plus the deltas of the two
    cells the message joins. *)
-let child h ~parent ~pair ~sender:s ~receiver:r =
+let child h m ~parent ~pair =
   force h;
-  let n = Df.size h.dep in
-  if s < 0 || s >= n || r < 0 || r >= n then
-    invalid_arg "Hypothesis.child: task index out of range";
-  if s = r then invalid_arg "Hypothesis.child: sender = receiver";
-  if assumed h s r then None
+  let n = Df.size h.dep and i = m.codes.(pair) in
+  check_code "Hypothesis.child" n i;
+  if mem i h.assumptions then None
   else begin
     let c = Df.cells h.dep in
-    let i = (s * n) + r and j = (r * n) + s in
+    let s = i / n and r = i mod n in
+    let j = (r * n) + s in
     let oi = Char.code (Bytes.get c i) and oj = Char.code (Bytes.get c j) in
     let vi = join_ix.((oi * 7) + fwd_ix) and vj = join_ix.((oj * 7) + bwd_ix) in
     Some
@@ -207,8 +238,8 @@ let child h ~parent ~pair ~sender:s ~receiver:r =
         hash =
           (h.hash + (cell_weight i * (vi - oi)) + (cell_weight j * (vj - oj)))
           land max_int;
-        a_hash = (h.a_hash + pair_mix (s, r)) land max_int;
-        assumptions = insert_sorted (s, r) h.assumptions;
+        a_hash = (h.a_hash + pair_mix s r) land max_int;
+        assumptions = insert_sorted i h.assumptions;
         parent;
         pair;
         bits = [||] }
@@ -227,21 +258,17 @@ let join_codes h codes count =
   let admitted = ref 0 and first = ref 0 in
   for k = 0 to count - 1 do
     let i = codes.(k) in
-    if i < 0 || i >= n * n then
-      invalid_arg "Hypothesis.join_codes: task index out of range";
-    let s = i / n and r = i mod n in
-    if s = r then invalid_arg "Hypothesis.join_codes: sender = receiver";
-    if not (assumed h s r) then begin
+    check_code "Hypothesis.join_codes" n i;
+    if not (mem i h.assumptions) then begin
       if !admitted = 0 then first := i;
       incr admitted;
       join_byte h i fwd_ix;
-      join_byte h ((r * n) + s) bwd_ix
+      join_byte h (transpose n i) bwd_ix
     end
   done;
   if !admitted = 1 then begin
-    let c = (!first / n, !first mod n) in
-    h.assumptions <- insert_sorted c h.assumptions;
-    h.a_hash <- (h.a_hash + pair_mix c) land max_int
+    h.assumptions <- insert_sorted !first h.assumptions;
+    h.a_hash <- (h.a_hash + pair_mix (!first / n) (!first mod n)) land max_int
   end;
   !admitted
 
@@ -261,6 +288,18 @@ let weaken_violations h ~violated = ignore (weaken_violations_count h ~violated)
 let clear_assumptions h =
   h.assumptions <- [];
   h.a_hash <- 0
+
+(* Sorted assumption lists intersect in one pass; the result is [l1]
+   itself when nothing is dropped. *)
+let rec inter_sorted l1 l2 =
+  match l1, l2 with
+  | [], _ | _, [] -> []
+  | (c1 : int) :: t1, c2 :: t2 ->
+    if c1 = c2 then
+      let t = inter_sorted t1 t2 in
+      if t == t1 then l1 else c1 :: t
+    else if c1 < c2 then inter_sorted t1 l2
+    else inter_sorted l1 t2
 
 (* Merged assumptions are the intersection: a pair only stays blocked if
    both parents used it. Union would starve later messages of candidates
@@ -293,14 +332,13 @@ let lub h1 h2 inter ~bits =
     h := !h + (Array.unsafe_get pw i * (j + 1))
   done;
   { dep; pend = -1; weight = !w; hash = !h land max_int;
-    a_hash = assumptions_hash inter; assumptions = inter;
+    a_hash = assumptions_hash n inter; assumptions = inter;
     parent = -1; pair = 0; bits }
 
 let merge_lub h1 h2 =
   force h1;
   force h2;
-  let inter = List.filter (fun p -> List.mem p h2.assumptions) h1.assumptions in
-  lub h1 h2 inter ~bits:[||]
+  lub h1 h2 (inter_sorted h1.assumptions h2.assumptions) ~bits:[||]
 
 (* {2 Cover merges}
 
@@ -311,19 +349,6 @@ let merge_lub h1 h2 =
    A child is [p ⊔ J({k})]; as [⊔] is pointwise, a merge takes the union
    of both sets. Hence when [cov(b) ⊆ cov(a)], [a ⊔ b = a ⊔ J(E_b \ E_a)]:
    a few cell joins on [a] instead of a fresh t² matrix. *)
-
-type message = {
-  pairs : (int * int) array;
-  cw : int;  (* words of a cover set; the edit set's follow *)
-  ew : int;
-}
-
-let wbits = Sys.int_size
-
-let words k = (k + wbits - 1) / wbits
-
-let message ~parents ~pairs =
-  { pairs; cw = words parents; ew = words (Array.length pairs) }
 
 let has bits base k =
   bits.(base + (k / wbits)) land (1 lsl (k mod wbits)) <> 0
@@ -355,24 +380,10 @@ let bits_of m h =
     bits
   end
 
-(* Sorted assumption lists intersect in one pass; the result is [l1]
-   itself when nothing is dropped. Same list as [merge_lub]'s filter. *)
-let rec inter_sorted l1 l2 =
-  match l1, l2 with
-  | [], _ | _, [] -> []
-  | ((a1, b1) as p) :: t1, (a2, b2) :: t2 ->
-    let c = if a1 <> a2 then Int.compare a1 a2 else Int.compare b1 b2 in
-    if c = 0 then
-      let t = inter_sorted t1 t2 in
-      if t == t1 then l1 else p :: t
-    else if c < 0 then inter_sorted t1 l2
-    else inter_sorted l1 t2
-
 let add_edit m h k =
-  let s, r = m.pairs.(k) in
-  let n = Df.size h.dep in
-  join_byte h ((s * n) + r) fwd_ix;
-  join_byte h ((r * n) + s) bwd_ix;
+  let i = m.codes.(k) in
+  join_byte h i fwd_ix;
+  join_byte h (transpose (Df.size h.dep) i) bwd_ix;
   set_bit h.bits m.cw k
 
 (* [a := a ⊔ b] in place, given cov(b) ⊆ cov(a): join the edits of [b]
@@ -398,7 +409,7 @@ let absorb m a b =
   let inter = inter_sorted a.assumptions b.assumptions in
   if inter != a.assumptions then begin
     a.assumptions <- inter;
-    a.a_hash <- assumptions_hash inter
+    a.a_hash <- assumptions_hash (Df.size a.dep) inter
   end;
   a
 
@@ -439,10 +450,6 @@ let hash h = h.hash
 
 let a_hash h = h.a_hash
 
-let compare_assumption (a1, b1) (a2, b2) =
-  let c = Int.compare a1 a2 in
-  if c <> 0 then c else Int.compare b1 b2
-
 let compare_full h1 h2 =
   let c = Int.compare h1.hash h2.hash in
   if c <> 0 then c
@@ -452,7 +459,7 @@ let compare_full h1 h2 =
     else
       let c = compare h1 h2 in
       if c <> 0 then c
-      else List.compare compare_assumption h1.assumptions h2.assumptions
+      else List.compare Int.compare h1.assumptions h2.assumptions
 
 let leq h1 h2 = force h1; force h2; Df.leq h1.dep h2.dep
 

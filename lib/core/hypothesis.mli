@@ -7,7 +7,13 @@
     and records the one message it adds. Its weight and hashes are exact
     from the start; the first reader of its cells ({!depfun}, the
     comparisons, {!pp}, weakening, a merge that needs them) copies the
-    matrix. Laziness is invisible to every function below. *)
+    matrix. Laziness is invisible to every function below.
+
+    Inside, a sender/receiver pair over [n] tasks has one form, the
+    code [s * n + r] that {!Rt_trace.Candidates.pair_codes} writes: a
+    lazy child's pending message, the assumption set and a message's
+    candidates are all codes. The [(sender, receiver)] arguments and
+    results below are decoded views for the oracles and tests. *)
 
 type t
 
@@ -24,7 +30,7 @@ val weight : t -> int
 
 val assumptions : t -> (int * int) list
 (** Sender/receiver pairs assumed in the current period, in ascending
-    [(sender, receiver)] order. *)
+    [(sender, receiver)] order: the stored codes, decoded. *)
 
 val assumed : t -> int -> int -> bool
 (** Has [(s, r)] already been used for a message this period? *)
@@ -34,7 +40,8 @@ val generalize_message : t -> sender:int -> receiver:int -> t option
     [sender] to [receiver]: a fresh hypothesis with
     [d(s,r) := d(s,r) ⊔ →], [d(r,s) := d(r,s) ⊔ ←] and the assumption
     recorded. [None] if [(s, r)] was already assumed this period (at most
-    one message per pair and period). *)
+    one message per pair and period). Both indices must lie in
+    [0, n). *)
 
 (** {2 Branching within one message}
 
@@ -46,16 +53,19 @@ val generalize_message : t -> sender:int -> receiver:int -> t option
 
 type message
 (** One message's branching context: how many parents it has and its
-    candidate pairs, indexed as listed. *)
+    candidate pairs, as codes. *)
 
-val message : parents:int -> pairs:(int * int) array -> message
+val message : parents:int -> codes:int array -> count:int -> message
+(** The candidates are the first [count] codes of [codes], as
+    {!Rt_trace.Candidates.pair_codes} writes them. The array is read,
+    not copied: it must not change while the message's hypotheses are
+    in use. *)
 
-val child :
-  t -> parent:int -> pair:int -> sender:int -> receiver:int -> t option
-(** {!generalize_message} in O(1), as a lazy hypothesis that shares the
-    parent's matrix. [parent] is the parent's index among the message's
-    parents and [pair] the pair's index among its candidate pairs
-    ([pairs.(pair) = (sender, receiver)]); they make the child usable by
+val child : t -> message -> parent:int -> pair:int -> t option
+(** {!generalize_message} in O(1) by the pair whose code is
+    [codes.(pair)], [pair < count], as a lazy hypothesis that shares
+    the parent's matrix. [parent] is the parent's index among the
+    message's parents; with [pair] it makes the child usable by
     {!merge_in}. The parent must not be mutated while the child is in
     use. *)
 

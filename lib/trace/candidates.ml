@@ -1,51 +1,41 @@
-(* Filters run over the period's precomputed executed-index array — the
-   seed allocated [List.init (task count) Fun.id] afresh for every
-   message, for every learner step, which dominated the profile on large
-   bounds. [Array.fold_right] builds each result list in ascending order
-   without an intermediate list. *)
+(* The two halves of A_m, each written once: task [i] could have sent
+   [m] if it ended no later than the rising edge, and received it if it
+   started no earlier than the falling edge; [slack] relaxes both edges
+   and [window] bounds how far from its edge a task may lie. Every
+   function below filters the period's executed tasks through these. *)
+let[@inline] sends ~slack ~window (p : Period.t) (m : Period.msg) i =
+  let e = p.end_time.(i) in
+  e <= m.rise + slack
+  && (match window with None -> true | Some w -> e >= m.rise - w)
+
+let[@inline] receives ~slack ~window (p : Period.t) (m : Period.msg) i =
+  let s = p.start_time.(i) in
+  s + slack >= m.fall
+  && (match window with None -> true | Some w -> s <= m.fall + w)
+
+(* [Array.fold_right] over the executed-index array builds the list in
+   ascending order without an intermediate list. *)
 let filter_executed pred (p : Period.t) =
   Array.fold_right (fun i acc -> if pred i then i :: acc else acc)
     p.executed_ix []
 
-let senders ?(slack = 0) ?window (p : Period.t) (m : Period.msg) =
-  let lo = match window with None -> min_int | Some w -> m.rise - w in
-  filter_executed
-    (fun i -> p.end_time.(i) <= m.rise + slack && p.end_time.(i) >= lo)
-    p
+let senders ?(slack = 0) ?window p m =
+  filter_executed (sends ~slack ~window p m) p
 
-let receivers ?(slack = 0) ?window (p : Period.t) (m : Period.msg) =
-  let hi = match window with None -> max_int | Some w -> m.fall + w in
-  filter_executed
-    (fun i -> p.start_time.(i) + slack >= m.fall && p.start_time.(i) <= hi)
-    p
+let receivers ?(slack = 0) ?window p m =
+  filter_executed (receives ~slack ~window p m) p
 
-let pairs ?slack ?window ?hist p m =
-  let ss = senders ?slack ?window p m and rs = receivers ?slack ?window p m in
-  let out =
-    List.concat_map (fun s ->
-        List.filter_map (fun r -> if s = r then None else Some (s, r)) rs)
-      ss
-  in
-  (match hist with
-   | Some h -> Rt_obs.Histogram.record h (List.length out)
-   | None -> ());
-  out
-
-(* [pairs] as codes, without a list: senders in [executed_ix] order,
-   then receivers, so the codes come out in [pairs]'s order. *)
-let pair_codes ?(slack = 0) ?window (p : Period.t) (m : Period.msg) codes =
+(* The one enumerator: senders in [executed_ix] order, each with its
+   receivers in the same order, so the codes ascend. *)
+let pair_codes ?(slack = 0) ?window (p : Period.t) m codes =
   let n = Array.length p.start_time and ix = p.executed_ix in
-  let slo = match window with None -> min_int | Some w -> m.rise - w in
-  let rhi = match window with None -> max_int | Some w -> m.fall + w in
   let count = ref 0 in
   for a = 0 to Array.length ix - 1 do
     let s = ix.(a) in
-    if p.end_time.(s) <= m.rise + slack && p.end_time.(s) >= slo then
+    if sends ~slack ~window p m s then
       for b = 0 to Array.length ix - 1 do
         let r = ix.(b) in
-        if r <> s && p.start_time.(r) + slack >= m.fall
-           && p.start_time.(r) <= rhi
-        then begin
+        if r <> s && receives ~slack ~window p m r then begin
           codes.(!count) <- (s * n) + r;
           incr count
         end
@@ -53,26 +43,32 @@ let pair_codes ?(slack = 0) ?window (p : Period.t) (m : Period.msg) codes =
   done;
   !count
 
-(* [pairs p m <> []] without building it: some sender and some
-   receiver, not both the same single task. Only the first of each and
-   the counts are kept, so the check allocates nothing. *)
-let admissible ?(slack = 0) ?window (p : Period.t) (m : Period.msg) =
-  let slo = match window with None -> min_int | Some w -> m.rise - w in
-  let rhi = match window with None -> max_int | Some w -> m.fall + w in
+let pairs ?slack ?window (p : Period.t) m =
+  let n = Array.length p.start_time in
+  let codes = Array.make (n * n) 0 in
+  List.init (pair_codes ?slack ?window p m codes) (fun k ->
+      (codes.(k) / n, codes.(k) mod n))
+
+(* Some sender and some receiver, not both the same single task. Only
+   the first of each and the counts are kept, so the check allocates
+   nothing. *)
+let admissible ?(slack = 0) ?window (p : Period.t) m =
   let ns = ref 0 and s0 = ref (-1) and nr = ref 0 and r0 = ref (-1) in
   for k = 0 to Array.length p.executed_ix - 1 do
     let i = p.executed_ix.(k) in
-    if p.end_time.(i) <= m.rise + slack && p.end_time.(i) >= slo then begin
+    if sends ~slack ~window p m i then begin
       if !ns = 0 then s0 := i;
       incr ns
     end;
-    if p.start_time.(i) + slack >= m.fall && p.start_time.(i) <= rhi then begin
+    if receives ~slack ~window p m i then begin
       if !nr = 0 then r0 := i;
       incr nr
     end
   done;
   !ns > 0 && !nr > 0 && (!ns > 1 || !nr > 1 || !s0 <> !r0)
 
-let pair_count ?slack ?window p =
-  Array.fold_left (fun acc m -> acc + List.length (pairs ?slack ?window p m))
-    0 p.Period.msgs
+let pair_count ?slack ?window (p : Period.t) =
+  let n = Array.length p.start_time in
+  let codes = Array.make (n * n) 0 in
+  Array.fold_left (fun acc m -> acc + pair_codes ?slack ?window p m codes)
+    0 p.msgs

@@ -15,29 +15,29 @@
 
 val senders : ?slack:int -> ?window:int -> Period.t -> Period.msg -> int list
 (** Tasks that could have sent the message, ascending index order. With
-    [window], only tasks that ended within [window] microseconds {e
-    before} the rising edge qualify (a data-freshness assumption that
+    [window] (>= 0), only tasks that ended within [window] microseconds
+    {e before} the rising edge qualify (a data-freshness assumption that
     narrows [A_m]). *)
 
 val receivers : ?slack:int -> ?window:int -> Period.t -> Period.msg -> int list
-(** With [window], only tasks that started within [window] microseconds
-    after the falling edge qualify (an immediate-activation assumption). *)
-
-val pairs :
-  ?slack:int -> ?window:int -> ?hist:Rt_obs.Histogram.t ->
-  Period.t -> Period.msg -> (int * int) list
-(** All (sender, receiver) combinations with sender <> receiver, in
-    lexicographic order. This is [A_m]. When [hist] is given the
-    candidate-set size [|A_m|] is recorded into it — the learners pass
-    their ["*.candidate_pairs"] histogram; the cost when absent is one
-    branch. *)
+(** With [window] (>= 0), only tasks that started within [window]
+    microseconds after the falling edge qualify (an immediate-activation
+    assumption). *)
 
 val pair_codes :
   ?slack:int -> ?window:int -> Period.t -> Period.msg -> int array -> int
-(** [pair_codes p m codes] writes {!pairs}[ p m] into [codes] as codes
-    [s * n + r] ([n] the period's task count), in the same order, and
-    returns how many it wrote. It allocates nothing. [codes] must hold
-    [n * n] entries, which every period over [n] tasks fits. *)
+(** [pair_codes p m codes] writes [A_m] into [codes] and returns its
+    size [|A_m|]: every [(s, r)] with [s] among {!senders}, [r] among
+    {!receivers} and [s <> r], as the code [s * n + r] ([n] the
+    period's task count). As [r < n], the codes ascend in lexicographic
+    [(s, r)] order. It allocates nothing. [codes] must hold [n * n]
+    entries, which every period over [n] tasks fits. This is the one
+    enumerator of [A_m]: {!pairs} decodes it, and every function here
+    applies the same sender and receiver tests. *)
+
+val pairs : ?slack:int -> ?window:int -> Period.t -> Period.msg -> (int * int) list
+(** {!pair_codes} decoded into [(sender, receiver)] pairs, in the same
+    order. *)
 
 val admissible : ?slack:int -> ?window:int -> Period.t -> Period.msg -> bool
 (** [pairs p m <> []], without allocating. A message without an

@@ -387,7 +387,11 @@ let test_out_of_range_options_refused () =
       Printf.sprintf "learn %s --shards 0" trace_file;
       Printf.sprintf "gantt %s --period=-1" trace_file;
       "simulate --periods 0";
-      Printf.sprintf "watch %s --max-periods 0" trace_file ];
+      Printf.sprintf "watch %s --max-periods 0" trace_file;
+      Printf.sprintf "learn %s --window=-1" trace_file;
+      Printf.sprintf "learn %s --mode recover --eps=-5" trace_file;
+      Printf.sprintf "analyze %s --window=-1" trace_file;
+      Printf.sprintf "stats %s --eps=-1" trace_file ];
   Alcotest.(check bool) "no checkpoint written" false (Sys.file_exists ckpt);
   (* serve must refuse before it follows a single stream; the timeout
      keeps a regression from hanging the suite. *)
@@ -410,7 +414,9 @@ let test_out_of_range_options_refused () =
     [ "--checkpoint-every 0 --drain-after-total 3";
       "--queue-capacity 0 --drain-after-total 3";
       "--flight-capacity 0 --drain-after-total 3";
-      "--max-streams 0 --drain-after-total 5" ]
+      "--max-streams 0 --drain-after-total 5";
+      "--window=-1 --drain-after-total 3";
+      "--eps=-1 --drain-after-total 3" ]
 
 let test_checkpoint_wrong_trace_refused () =
   let ckpt = tmp "gm_wrong.ckpt" in

@@ -194,10 +194,37 @@ let admissible_is_nonempty_pairs =
               p.msgs)
          [ (0, None); (3, None); (6, Some 2); (0, Some 1); (-2, Some 5) ])
 
-(* The code enumerator writes exactly [pairs], in its order, over
-   random periods (slack can make a task its own candidate) and
-   simulated ones, with and without slack and windows. *)
-let pair_codes_are_pairs =
+(* A_m as paper §3.1 defines it, written out over the period's events:
+   every ordered pair of distinct executed tasks whose sender ended by
+   the message's rising edge and whose receiver started after its
+   falling edge, [slack] relaxing both edges and [window] bounding how
+   far before (after) its edge the sender ended (the receiver
+   started); in ascending (sender, receiver) order. *)
+let spec_pairs ~slack ~window (p : P.t) (m : P.msg) =
+  let time_of kind =
+    List.find_map (fun (e : E.t) -> if e.kind = kind then Some e.time else None)
+      (P.events p)
+  in
+  let near d = match window with None -> true | Some w -> d <= w in
+  let tasks = List.init (Ts.size p.task_set) Fun.id in
+  List.concat_map
+    (fun s ->
+       List.filter_map
+         (fun r ->
+            match time_of (E.Task_end s), time_of (E.Task_start r) with
+            | Some ended, Some started
+              when s <> r && ended <= m.rise + slack && near (m.rise - ended)
+                   && started + slack >= m.fall && near (started - m.fall) ->
+              Some (s, r)
+            | _ -> None)
+         tasks)
+    tasks
+
+(* The one enumerator writes exactly the spec's A_m, as codes in its
+   order, over random periods (slack can make a task its own
+   candidate) and simulated ones, with and without slack and windows;
+   [pairs] is its decoded view. *)
+let pair_codes_are_spec =
   let periods =
     QCheck.Gen.(
       oneof
@@ -209,29 +236,52 @@ let pair_codes_are_pairs =
   let print ps =
     String.concat " | " (List.map (fun p -> print_events (P.events p)) ps)
   in
-  Test_support.qcheck_case "pair_codes = pairs" ~count:300
+  Test_support.qcheck_case "pair_codes = A_m spec" ~count:300
     (QCheck.make ~print periods)
     (fun ps ->
        List.for_all
          (fun (p : P.t) ->
             let n = Ts.size p.task_set in
             let codes = Array.make (n * n) (-1) in
-            let same k l =
-              k = List.length l
-              && List.equal ( = ) l
-                   (List.init k (fun i -> (codes.(i) / n, codes.(i) mod n)))
-            in
             Array.for_all
               (fun m ->
-                 same (C.pair_codes p m codes) (C.pairs p m)
-                 && List.for_all
-                      (fun (slack, window) ->
-                         same (C.pair_codes ~slack ?window p m codes)
-                           (C.pairs ~slack ?window p m))
-                      [ (0, None); (3, None); (6, Some 2); (0, Some 1);
-                        (-2, Some 5); (0, Some 400) ])
+                 List.for_all
+                   (fun (slack, window) ->
+                      let spec = spec_pairs ~slack ~window p m in
+                      let k = C.pair_codes ~slack ?window p m codes in
+                      List.init k (fun i -> (codes.(i) / n, codes.(i) mod n))
+                      = spec
+                      && C.pairs ~slack ?window p m = spec)
+                   [ (0, None); (3, None); (6, Some 2); (0, Some 1);
+                     (-2, Some 5); (0, Some 400); (0, Some 0) ])
               p.msgs)
          ps)
+
+(* Candidate inference allocates nothing: [pair_codes] writes A_m into
+   the caller's buffer, so enumerating it for every message of the GM
+   trace, with and without a window, costs no minor words. Minor words
+   count deterministically once a collection has flushed them, so the
+   gate is exact, not a timing. *)
+let test_pair_codes_alloc () =
+  let trace = Rt_case.Gm_model.trace ~periods:27 () in
+  let periods = Array.of_list (T.periods trace) in
+  let n = T.task_count trace in
+  let codes = Array.make (n * n) 0 in
+  let total = ref 0 in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length periods - 1 do
+    let p = periods.(i) in
+    for k = 0 to Array.length p.msgs - 1 do
+      total :=
+        !total + C.pair_codes p p.msgs.(k) codes
+        + C.pair_codes ~window:400 p p.msgs.(k) codes
+    done
+  done;
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "candidates found" true (!total > 0);
+  Alcotest.(check (float 0.)) "minor words" 0. words
 
 (* Damage a valid period now and then (drop, duplicate or retime an
    event, or add a stray one) so both outcomes are exercised. *)
@@ -948,7 +998,9 @@ let () =
           Alcotest.test_case "window monotone" `Quick
             test_candidates_window_monotone;
           admissible_is_nonempty_pairs;
-          pair_codes_are_pairs;
+          pair_codes_are_spec;
+          Alcotest.test_case "pair_codes allocates 0" `Quick
+            test_pair_codes_alloc;
         ] );
       ( "inference",
         [
