@@ -213,7 +213,7 @@ let bench_gated trace =
     in
     let s, _ =
       S.create ?pool ~shards:k (Rt_engine.Engine.Heuristic { bound = sh_bound })
-        (Rt_trace.Stream_io.lines_of_string text)
+        Rt_trace.Stream_io.(Input (string_input text))
     in
     let rec drain () =
       match S.next s with

@@ -394,7 +394,7 @@ let learn_session ~exact ~shards ~bound ~window ~jobs ~obs ~flight ~mode ~eps
     S.create ~mode ~eps ?window ?pool ?obs ~companion ?shards ?checkpoint
       (if exact then Rt_engine.Engine.Exact { limit = None }
        else Rt_engine.Engine.Heuristic { bound })
-      (Rt_trace.Stream_io.lines_of_channel ic)
+      (Input (input ic))
   in
   (* [stop_after] processes that many periods and exits — a
      deterministic stand-in for getting killed, used by the tests. *)
@@ -466,7 +466,7 @@ let learn_auto ~window ~obs ~mode ~eps ~write_sinks ~finish path =
     close ();
     let c = open_in path in
     ic := Some c;
-    Rt_trace.Stream_io.lines_of_channel c
+    Rt_trace.Stream_io.Input (input c)
   in
   Fun.protect ~finally:close @@ fun () ->
   match Rt_shard.Auto.search ~mode ~eps ?window ?obs open_ with
@@ -634,7 +634,7 @@ let watch path bound window mode eps poll follow max_periods flight_out =
        instead of failing — a watch session outlives the logger's
        housekeeping. *)
     run
-      (Rt_trace.Stream_io.follow_path ~poll_interval:poll
+      (Lines (Rt_trace.Stream_io.follow_path ~poll_interval:poll
          ~on_event:(fun ev ->
            match ev with
            | Rt_trace.Stream_io.Tail.Rotated ->
@@ -646,14 +646,15 @@ let watch path bound window mode eps poll follow max_periods flight_out =
            | Rt_trace.Stream_io.Tail.Opened ->
              record Rt_obs.Flight.Info "tail.opened" "followed file opened"
            | _ -> ())
-         ~stop:(fun () -> !stop) path)
+         ~stop:(fun () -> !stop) path))
   else
     with_input path @@ fun ic ->
     run
-      (if follow then
-         Rt_trace.Stream_io.follow_lines ~poll_interval:poll
-           ~stop:(fun () -> !stop) ic
-       else Rt_trace.Stream_io.lines_of_channel ic)
+      (Input
+         (if follow then
+            Rt_trace.Stream_io.follow_input ~poll_interval:poll
+              ~stop:(fun () -> !stop) ic
+          else input ic))
 
 (* --- analyze --- *)
 

@@ -24,7 +24,8 @@ let () =
   let auto trace =
     let text = Rt_trace.Trace_io.to_string trace in
     match
-      Rt_shard.Auto.search (fun () -> Rt_trace.Stream_io.lines_of_string text)
+      Rt_shard.Auto.search (fun () ->
+          Rt_trace.Stream_io.(Input (string_input text)))
     with
     | Ok { snapshot = Some { lub = Some model; converged; _ }; bound; _ } ->
       (model, bound, converged)

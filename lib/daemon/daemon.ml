@@ -363,8 +363,8 @@ let rec offer_forcing st s l =
      | Stream.Blocked | Stream.More | Stream.Done -> offer_forcing st s l)
 
 (* Stop reading a data connection. Its unterminated last line still
-   counts, as it does for the Stream_io line sources that [learn]'s
-   Session reads, so the same bytes give the same model. *)
+   counts, as it does for the Stream_io sources that [learn]'s Session
+   reads, so the same bytes give the same model. *)
 let end_conn st e c =
   (match (e.stream, Sio.Cutter.rest c.cut) with
    | Some s, Some l -> ignore (offer_forcing st s l)

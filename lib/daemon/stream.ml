@@ -43,7 +43,7 @@ let create ~id ?flight cfg =
     Session.create ~mode:`Recover ?eps:cfg.eps ?window:cfg.window ?flight
       ?checkpoint
       (Eng.Heuristic { bound = cfg.bound })
-      source
+      (Lines source)
   in
   let stale m =
     Option.iter

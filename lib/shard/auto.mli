@@ -3,7 +3,7 @@
     initial], … until the least upper bound of the answer set is the
     same as the previous pass's, or [max_bound] is reached.
 
-    Each pass is one {!Session} over a fresh line source, so a pass
+    Each pass is one {!Session} over a fresh source, so a pass
     holds one period in memory, like every other learn, and pays one
     more parse of the input. Each pass also gets a fresh registry, so
     the selected pass's metrics describe that pass alone. *)
@@ -28,10 +28,10 @@ type outcome = {
 val search :
   ?initial:int -> ?max_bound:int -> ?mode:Rt_trace.Stream_io.mode ->
   ?eps:int -> ?window:int -> ?obs:(unit -> Rt_obs.Registry.t) ->
-  (unit -> Rt_trace.Stream_io.line_source) ->
+  (unit -> Rt_trace.Stream_io.source) ->
   (outcome, Rt_trace.Stream_io.parse_error) result
-(** [search open_] calls [open_] once per pass for the input's lines
-    from the start. [initial] defaults to 1, [max_bound] to 256; [mode],
+(** [search open_] calls [open_] once per pass for the input from the
+    start. [initial] defaults to 1, [max_bound] to 256; [mode],
     [eps] and [window] are {!Session.create}'s; [obs] makes each pass's
     registry. A first pass without hypotheses (an inconsistent or empty
     input) counts as stable. A parse error ends the search.

@@ -195,7 +195,7 @@ let create ?(mode = `Strict) ?eps ?window ?pool ?obs ?flight
   let k = Option.value shards ~default:0 in
   let t =
     {
-      parser = Sio.create ~mode ?eps ?window source;
+      parser = Sio.of_source ~mode ?eps ?window source;
       obs; shards; checkpoint; window; algorithm;
       engine_obs = single obs;
       flight = single flight;

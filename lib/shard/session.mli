@@ -3,17 +3,17 @@
     of [--auto]'s {!Auto.search}), [rtgen watch], and each stream of
     [rtgen serve] ([Rt_daemon.Stream]).
 
-    A session owns the {!Rt_trace.Stream_io} parser over a caller's line
-    source, whose recover mode also salvages periods and keeps the
-    quarantine account; the engine pairs, created when the first period
-    is fed; one checkpoint image in a {!Rt_store.Slot} with tag check,
-    fresh start on damage, replay-skip of the periods it holds, and a
-    save every N fed periods; provenance, counters, and the final answer set plus the
-    bound-1 fold parts. Only the period under construction is in
-    memory — a sharded session also holds the round it is collecting,
-    at most one period per pair. An exception from the line source
-    propagates out of {!next} and leaves the session as it was, so a
-    source may signal "no data yet" by raising, and the caller retries
+    A session owns the {!Rt_trace.Stream_io} parser over a caller's
+    {!Rt_trace.Stream_io.source}, whose recover mode also salvages periods
+    and keeps the quarantine account; the engine pairs, created when the
+    first period is fed; one checkpoint image in a {!Rt_store.Slot} with
+    tag check, fresh start on damage, replay-skip of the periods it holds,
+    and a save every N fed periods; provenance, counters, and the final
+    answer set plus the bound-1 fold parts. Only the period under
+    construction is in memory — a sharded session also holds the round it
+    is collecting, at most one period per pair. An exception from the
+    source propagates out of {!next} and leaves the session as it was, so
+    a source may signal "no data yet" by raising, and the caller retries
     later (the daemon does). *)
 
 (** A main engine plus an optional bound-1 companion, whose pre-weaken
@@ -74,7 +74,7 @@ val create :
   ?pool:Rt_util.Domain_pool.t -> ?obs:Rt_obs.Registry.t ->
   ?flight:Rt_obs.Flight.scope -> ?companion:bool -> ?shards:int ->
   ?checkpoint:checkpoint -> Rt_engine.Engine.algorithm ->
-  Rt_trace.Stream_io.line_source -> t * resume
+  Rt_trace.Stream_io.source -> t * resume
 (** [mode] and [eps] are the parser's; [window] is the engines' and
     the parser's (for salvage). [companion] adds a bound-1 companion to
     the pair.

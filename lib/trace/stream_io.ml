@@ -1,26 +1,34 @@
 type line_source = unit -> string option
 
+type input = bytes -> int -> int -> int
+
 module Cutter = struct
   (* [buf.[lo, hi)] is read and not yet cut; [buf.[lo, scan)] holds no
-     newline. The buffer is allocated by the first refill and given
-     back by [clear], so an idle cutter costs a few words. *)
+     newline; [buf.[line_lo, line_hi)] is the line cut last. The buffer
+     is allocated by the first refill and given back by [clear], so an
+     idle cutter costs a few words. *)
   type t = {
     mutable buf : Bytes.t;
     mutable lo : int;
     mutable scan : int;
     mutable hi : int;
+    mutable line_lo : int;
+    mutable line_hi : int;
   }
 
   (* The first buffer: as much as one read of a channel returns. *)
   let chunk = 65536
 
-  let create () = { buf = Bytes.empty; lo = 0; scan = 0; hi = 0 }
+  let create () =
+    { buf = Bytes.empty; lo = 0; scan = 0; hi = 0; line_lo = 0; line_hi = 0 }
 
   let clear t =
     t.buf <- Bytes.empty;
     t.lo <- 0;
     t.scan <- 0;
-    t.hi <- 0
+    t.hi <- 0;
+    t.line_lo <- 0;
+    t.line_hi <- 0
 
   let refill t input =
     let pending = t.hi - t.lo in
@@ -37,67 +45,102 @@ module Cutter = struct
     t.hi <- pending + n;
     n
 
+  let buffer t = t.buf
+  let line_lo t = t.line_lo
+  let line_hi t = t.line_hi
+
   let take t stop next =
-    let l = Bytes.sub_string t.buf t.lo (stop - t.lo) in
+    t.line_lo <- t.lo;
+    t.line_hi <- stop;
     t.lo <- next;
     t.scan <- next;
-    Some l
+    true
 
-  let rec find_nl buf i hi =
+  external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+  let rec find_nl_bytes buf i hi =
     if i >= hi then -1
     else if Bytes.unsafe_get buf i = '\n' then i
-    else find_nl buf (i + 1) hi
+    else find_nl_bytes buf (i + 1) hi
 
-  let cut t =
+  (* Eight bytes at a time: a word has a newline byte iff
+     (x - 0x01..) land (lnot x) land 0x80.. is nonzero, where x is the
+     word xor newlines. *)
+  let rec find_nl buf i hi =
+    if i + 8 > hi then find_nl_bytes buf i hi
+    else
+      let x = Int64.logxor (get64u buf i) 0x0a0a0a0a0a0a0a0aL in
+      if Int64.equal
+          (Int64.logand
+             (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+             0x8080808080808080L)
+          0L
+      then find_nl buf (i + 8) hi
+      else find_nl_bytes buf i hi
+
+  let cut_bounds t =
     let nl = find_nl t.buf t.scan t.hi in
     if nl >= 0 then take t nl (nl + 1)
     else begin
       t.scan <- t.hi;
-      None
+      false
     end
 
-  let rest t = if t.lo < t.hi then take t t.hi t.hi else None
+  let rest_bounds t = t.lo < t.hi && take t t.hi t.hi
+
+  let line t = Some (Bytes.sub_string t.buf t.line_lo (t.line_hi - t.line_lo))
+
+  let cut t = if cut_bounds t then line t else None
+
+  let rest t = if rest_bounds t then line t else None
 end
 
-(* Cut the lines that [input buf off len] returns, 0 meaning end of
-   input: one string per line, where [input_line] also allocates its
-   scanning closures. *)
+(* A cutter fed by [input] until it returns 0. *)
+type reader = { cutter : Cutter.t; input : input; mutable eof : bool }
+
+let reader input = { cutter = Cutter.create (); input; eof = false }
+
+(* Cut the next line, whose bounds the cutter then holds; [false] once
+   the input has ended and its last line was cut. *)
+let rec advance r =
+  Cutter.cut_bounds r.cutter
+  || if r.eof then Cutter.rest_bounds r.cutter
+  else begin
+    r.eof <- Cutter.refill r.cutter r.input = 0;
+    advance r
+  end
+
+(* One string per line, where [input_line] also allocates its scanning
+   closures. *)
 let lines_of_input input =
-  let c = Cutter.create () and eof = ref false in
-  let rec pull () =
-    match Cutter.cut c with
-    | Some _ as l -> l
-    | None when !eof -> Cutter.rest c
-    | None ->
-      eof := Cutter.refill c input = 0;
-      pull ()
-  in
-  pull
+  let r = reader input in
+  fun () -> if advance r then Cutter.line r.cutter else None
 
 (* [input] returns whatever a pipe holds, so lines arrive as soon as
    they are complete. *)
 let lines_of_channel ic = lines_of_input (input ic)
 
-let lines_of_string s =
+let string_input s =
   let pos = ref 0 in
-  lines_of_input (fun buf off len ->
-      let n = min len (String.length s - !pos) in
-      Bytes.blit_string s !pos buf off n;
-      pos := !pos + n;
-      n)
+  fun buf off len ->
+    let n = min len (String.length s - !pos) in
+    Bytes.blit_string s !pos buf off n;
+    pos := !pos + n;
+    n
 
-(* At end of file, poll until [stop ()]; the cutter yields only whole
+let lines_of_string s = lines_of_input (string_input s)
+
+(* At end of file, poll until [stop ()]: the cutter yields only whole
    lines, and the final partial one once the input ends. *)
-let follow_lines ?(poll_interval = 0.05) ~stop ic =
-  lines_of_input (fun buf off len ->
-      let rec read () =
-        match input ic buf off len with
-        | 0 when not (stop ()) ->
-          Unix.sleepf poll_interval;
-          read ()
-        | n -> n
-      in
-      read ())
+let follow_input ?(poll_interval = 0.05) ~stop ic buf off len =
+  let rec read () =
+    match input ic buf off len with
+    | 0 when not (stop ()) ->
+      Unix.sleepf poll_interval;
+      read ()
+    | n -> n
+  in
+  read ()
 
 module Tail = struct
   type event =
@@ -227,11 +270,16 @@ type parse_error = { line : int; message : string }
 
 type mode = [ `Strict | `Recover ]
 
+type source = Lines of line_source | Input of input
+
+(* Where lines come from: strings, or bounds in a reader's cutter. *)
+type feed = Strings of line_source | Bounds of reader
+
 type t = {
   mode : mode;
   eps : int option;
   window : int option;  (* candidate window salvage judges frames under *)
-  source : line_source;
+  feed : feed;
   mutable lineno : int;
   mutable task_set : Rt_task.Task_set.t option;
   mutable names : string array;  (* the task set's names, for lookups *)
@@ -248,9 +296,13 @@ type t = {
   mutable excised : int;  (* frames salvage cut, running total *)
 }
 
-let create ?(mode = `Strict) ?eps ?window source =
+let of_source ?(mode = `Strict) ?eps ?window source =
   {
-    mode; eps; window; source;
+    mode; eps; window;
+    feed =
+      (match source with
+       | Lines l -> Strings l
+       | Input i -> Bounds (reader i));
     lineno = 0;
     task_set = None;
     names = [||];
@@ -265,6 +317,8 @@ let create ?(mode = `Strict) ?eps ?window source =
     ndropped = 0;
     excised = 0;
   }
+
+let create ?mode ?eps ?window lines = of_source ?mode ?eps ?window (Lines lines)
 
 let task_set t = t.task_set
 
@@ -364,79 +418,85 @@ let flush_period t lineno : Period.t option =
    mode can skip just the line. *)
 exception Bad_line of string
 
-(* Lines are tokenised in place: token bounds go into the parser's
-   scratch array and keywords, numbers and task names are compared
-   against the raw line directly. Substrings are cut only for error
-   text and for the once-per-file tasks line. *)
+(* A line is read in place as [buf.[lo, hi)]: the cutter's buffer, or a
+   line source's string as bytes (never written to). Token bounds go
+   into the parser's scratch array, and keywords, numbers and task
+   names are compared against the buffer directly. Substrings are cut
+   only for error text, numbers outside the fast lexemes, and the
+   once-per-file tasks line. *)
 
 (* String.trim's whitespace set. *)
 let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012'
 
-let sub raw lo hi = String.sub raw lo (hi - lo)
+let sub buf lo hi = Bytes.sub_string buf lo (hi - lo)
 
-let rec chars_eq raw lo kw i =
+let rec chars_eq buf lo kw i =
   i < 0
-  || (String.unsafe_get raw (lo + i) = String.unsafe_get kw i
-      && chars_eq raw lo kw (i - 1))
+  || (Bytes.unsafe_get buf (lo + i) = String.unsafe_get kw i
+      && chars_eq buf lo kw (i - 1))
 
-let token_eq raw lo hi kw =
-  hi - lo = String.length kw && chars_eq raw lo kw (hi - lo - 1)
+let token_eq buf lo hi kw =
+  hi - lo = String.length kw && chars_eq buf lo kw (hi - lo - 1)
 
-(* Raised, without allocating, by [parse_int] on a non-integer. *)
-exception Not_int
+(* Integer scans for the two lexemes real traces contain — plain
+   decimal and 0x hex, short enough not to overflow: the value, or -1 at
+   a byte that is not a digit. *)
+let rec scan_dec buf i hi acc =
+  if i = hi then acc
+  else
+    match Bytes.unsafe_get buf i with
+    | '0' .. '9' as c ->
+      scan_dec buf (i + 1) hi ((acc * 10) + Char.code c - Char.code '0')
+    | _ -> -1
 
-(* Integer scan for the two lexemes real traces contain — plain decimal
-   and 0x hex, short enough not to overflow. Anything else (signs,
-   underscores, 0o/0b, long digit runs) goes through [int_of_string_opt]
-   on a substring, so the accepted language is exactly that function's. *)
-let rec scan_int raw hi ~hex i acc =
+let rec scan_hex buf i hi acc =
   if i = hi then acc
   else
     let d =
-      match String.unsafe_get raw i with
+      match Bytes.unsafe_get buf i with
       | '0' .. '9' as c -> Char.code c - Char.code '0'
-      | 'a' .. 'f' as c when hex -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' as c when hex -> Char.code c - Char.code 'A' + 10
-      | _ -> raise_notrace Not_int
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> -1
     in
-    scan_int raw hi ~hex (i + 1) ((acc * if hex then 16 else 10) + d)
+    if d < 0 then -1 else scan_hex buf (i + 1) hi ((acc * 16) + d)
 
-let parse_int raw lo hi =
-  let hex =
-    hi - lo > 2 && raw.[lo] = '0' && (raw.[lo + 1] = 'x' || raw.[lo + 1] = 'X')
+let slow_int what buf lo hi =
+  let s = sub buf lo hi in
+  match int_of_string_opt s with
+  | Some n -> n
+  | None -> raise (Bad_line (what ^ s))
+
+(* The token as an integer, or [Bad_line (what ^ token)]. Anything
+   the scans decline (signs, underscores, 0o/0b, long digit runs) goes
+   through [int_of_string_opt] on a substring, so the accepted
+   language is exactly that function's. *)
+let parse_int what buf lo hi =
+  let n =
+    if hi - lo > 2
+    && Bytes.unsafe_get buf lo = '0'
+    && (match Bytes.unsafe_get buf (lo + 1) with 'x' | 'X' -> true | _ -> false)
+    then if hi - lo <= 17 then scan_hex buf (lo + 2) hi 0 else -1
+    else if hi - lo <= 18 then scan_dec buf lo hi 0
+    else -1
   in
-  let first = if hex then lo + 2 else lo in
-  match
-    if hi > first && hi - first <= (if hex then 15 else 18) then
-      scan_int raw hi ~hex first 0
-    else raise_notrace Not_int
-  with
-  | n -> n
-  | exception Not_int ->
-    (match int_of_string_opt (sub raw lo hi) with
-     | Some n -> n
-     | None -> raise_notrace Not_int)
-
-let msg_id raw lo hi =
-  match parse_int raw lo hi with
-  | m -> m
-  | exception Not_int -> raise (Bad_line ("bad message id: " ^ sub raw lo hi))
+  if n >= 0 then n else slow_int what buf lo hi
 
 (* Task names are unique, so the first slice match is Task_set.index. *)
-let rec find_task names raw lo hi i =
+let rec find_task names buf lo hi i =
   if i >= Array.length names then
-    raise (Bad_line ("unknown task: " ^ sub raw lo hi))
-  else if token_eq raw lo hi names.(i) then i
-  else find_task names raw lo hi (i + 1)
+    raise (Bad_line ("unknown task: " ^ sub buf lo hi))
+  else if token_eq buf lo hi names.(i) then i
+  else find_task names buf lo hi (i + 1)
 
-let task t raw lo hi =
+let task t buf lo hi =
   if Option.is_none t.task_set then raise (Bad_line "event before tasks line");
-  find_task t.names raw lo hi 0
+  find_task t.names buf lo hi 0
 
-let tasks_line t lineno raw lo hi =
+let tasks_line t lineno buf lo hi =
   if t.task_set <> None then skip_line t lineno "duplicate tasks line"
   else
-    match String.split_on_char ' ' (sub raw lo hi) |> List.filter (( <> ) "") with
+    match String.split_on_char ' ' (sub buf lo hi) |> List.filter (( <> ) "") with
     | [] -> skip_line t lineno "tasks line without names"
     | names ->
       (match Rt_task.Task_set.of_names (Array.of_list names) with
@@ -446,51 +506,49 @@ let tasks_line t lineno raw lo hi =
        | exception Invalid_argument m -> skip_line t lineno m)
 
 (* A three-token line; [tok] holds its token bounds. Appends the event
-   to the period's builder, or raises [Bad_line] leaving it as it was. *)
-let event t raw =
+   to the period's builder, or raises [Bad_line] leaving it as it was.
+   The kind is told by its first byte. *)
+let event t buf =
   let tok = t.tok in
   if Option.is_none t.cur_index then
     raise (Bad_line "event before a period line");
-  let time =
-    match parse_int raw tok.(0) tok.(1) with
-    | tm when tm >= 0 -> tm
-    | _ -> raise (Bad_line "negative timestamp")
-    | exception Not_int ->
-      raise (Bad_line ("bad timestamp: " ^ sub raw tok.(0) tok.(1)))
-  in
+  let time = parse_int "bad timestamp: " buf tok.(0) tok.(1) in
+  if time < 0 then raise (Bad_line "negative timestamp");
   let vlo = tok.(2) and vhi = tok.(3) and alo = tok.(4) and ahi = tok.(5) in
-  let rank =
-    if token_eq raw vlo vhi "start" then Event.rank_start
-    else if token_eq raw vlo vhi "end" then Event.rank_end
-    else if token_eq raw vlo vhi "rise" then Event.rank_rise
-    else if token_eq raw vlo vhi "fall" then Event.rank_fall
-    else raise (Bad_line ("unknown event kind: " ^ sub raw vlo vhi))
-  in
-  let key =
-    if rank = Event.rank_start || rank = Event.rank_end then task t raw alo ahi
-    else msg_id raw alo ahi
-  in
-  Period.Builder.add t.period ~time ~rank ~key
+  match Bytes.unsafe_get buf vlo with
+  | 's' when token_eq buf vlo vhi "start" ->
+    Period.Builder.add t.period ~time ~rank:Event.rank_start
+      ~key:(task t buf alo ahi)
+  | 'e' when token_eq buf vlo vhi "end" ->
+    Period.Builder.add t.period ~time ~rank:Event.rank_end
+      ~key:(task t buf alo ahi)
+  | 'r' when token_eq buf vlo vhi "rise" ->
+    Period.Builder.add t.period ~time ~rank:Event.rank_rise
+      ~key:(parse_int "bad message id: " buf alo ahi)
+  | 'f' when token_eq buf vlo vhi "fall" ->
+    Period.Builder.add t.period ~time ~rank:Event.rank_fall
+      ~key:(parse_int "bad message id: " buf alo ahi)
+  | _ -> raise (Bad_line ("unknown event kind: " ^ sub buf vlo vhi))
 
-(* Consume one line. Returns a period when the line closed one. Arm
-   order: a "tasks" head wins at any arity, "period" needs exactly two
-   tokens, any other three-token line is an event (so "period 1 2"
-   fails as "bad timestamp: period"). *)
-let consume_line t raw : Period.t option =
+(* Consume the line [buf.[lo, hi)]. Returns a period when the line
+   closed one. Arm order: a "tasks" head wins at any arity, "period"
+   needs exactly two tokens, any other three-token line is an event (so
+   "period 1 2" fails as "bad timestamp: period"). *)
+let consume_line t buf lo hi : Period.t option =
   let lineno = t.lineno in
-  let lo = ref 0 and hi = ref (String.length raw) in
-  while !lo < !hi && is_space (String.unsafe_get raw !lo) do incr lo done;
-  while !hi > !lo && is_space (String.unsafe_get raw (!hi - 1)) do decr hi done;
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi && is_space (Bytes.unsafe_get buf !lo) do incr lo done;
+  while !hi > !lo && is_space (Bytes.unsafe_get buf (!hi - 1)) do decr hi done;
   let lo = !lo and hi = !hi in
-  if lo = hi || String.unsafe_get raw lo = '#' then None
+  if lo = hi || Bytes.unsafe_get buf lo = '#' then None
   else begin
     let tok = t.tok in
     let ntok = ref 0 and p = ref lo in
     while !p < hi do
-      if String.unsafe_get raw !p = ' ' then incr p
+      if Bytes.unsafe_get buf !p = ' ' then incr p
       else begin
         let s = !p in
-        while !p < hi && String.unsafe_get raw !p <> ' ' do incr p done;
+        while !p < hi && Bytes.unsafe_get buf !p <> ' ' do incr p done;
         if !ntok < 3 then begin
           tok.(!ntok * 2) <- s;
           tok.((!ntok * 2) + 1) <- !p
@@ -498,48 +556,61 @@ let consume_line t raw : Period.t option =
         incr ntok
       end
     done;
-    if token_eq raw tok.(0) tok.(1) "tasks" then begin
-      tasks_line t lineno raw tok.(1) hi;
+    if token_eq buf tok.(0) tok.(1) "tasks" then begin
+      tasks_line t lineno buf tok.(1) hi;
       None
     end
-    else if !ntok = 2 && token_eq raw tok.(0) tok.(1) "period" then begin
+    else if !ntok = 2 && token_eq buf tok.(0) tok.(1) "period" then begin
       let finished = flush_period t lineno in
       Period.Builder.clear t.period;
-      (match parse_int raw tok.(2) tok.(3) with
+      (match parse_int "bad period index: " buf tok.(2) tok.(3) with
        | n -> t.cur_index <- Some n
-       | exception Not_int ->
-         skip_line t lineno ("bad period index: " ^ sub raw tok.(2) tok.(3)));
+       | exception Bad_line m -> skip_line t lineno m);
       finished
     end
     else if !ntok = 3 then begin
-      (try event t raw with Bad_line m -> skip_line t lineno m);
+      (try event t buf with Bad_line m -> skip_line t lineno m);
       None
     end
     else begin
-      skip_line t lineno ("unparseable line: " ^ sub raw lo hi);
+      skip_line t lineno ("unparseable line: " ^ sub buf lo hi);
       None
     end
   end
 
-let rec next t =
+(* Lines until one closes a period, then end of input: tail calls all
+   the way, so a run of lines that close nothing costs no stack. *)
+let rec pump t =
+  match t.feed with
+  | Bounds r ->
+    if advance r then
+      let c = r.cutter in
+      line t (Cutter.buffer c) (Cutter.line_lo c) (Cutter.line_hi c)
+    else finish t
+  | Strings source ->
+    (match source () with
+     | Some s -> line t (Bytes.unsafe_of_string s) 0 (String.length s)
+     | None -> finish t)
+
+and line t buf lo hi =
+  t.lineno <- t.lineno + 1;
+  match consume_line t buf lo hi with
+  | Some _ as p -> p
+  | None -> pump t
+
+and finish t =
+  let finished = flush_period t t.lineno in
+  if Option.is_none t.task_set then fail t.lineno "missing tasks line";
+  t.state <- `Done;
+  finished
+
+let next t =
   match t.state with
   | `Done -> Ok None
   | `Failed e -> Error e
   | `Running ->
-    (try
-       match t.source () with
-       | Some raw ->
-         t.lineno <- t.lineno + 1;
-         (match consume_line t raw with
-          | Some p -> Ok (Some p)
-          | None -> next t)
-       | None ->
-         let finished = flush_period t t.lineno in
-         (match t.task_set with
-          | None -> fail t.lineno "missing tasks line"
-          | Some _ -> ());
-         t.state <- `Done;
-         (match finished with Some p -> Ok (Some p) | None -> Ok None)
-     with Fail e ->
+    (match pump t with
+     | p -> Ok p
+     | exception Fail e ->
        t.state <- `Failed e;
        Error e)

@@ -1,30 +1,41 @@
 (** Incremental parsing of the rtgen-trace v1 text format: the streaming
     twin of {!Trace_io}.
 
-    A parser pulls lines one at a time from a {!line_source} and yields
-    each period as soon as its closing boundary (the next [period] line
-    or end of input) is seen, holding only the period under construction
+    A parser pulls lines one at a time from a {!source} and yields each
+    period as soon as its closing boundary (the next [period] line or
+    end of input) is seen, holding only the period under construction
     in memory. {!Trace_io.of_string} is a thin wrapper that drains one of
     these over an in-memory string, so batch and streaming parses share
     one implementation and agree byte-for-byte on periods, errors and
     quarantine accounting.
 
-    One {!Cutter} turns ingest bytes into lines for every source:
-    {!lines_of_string}, {!lines_of_channel} (a file or stdin, which every
-    learn reads through [Rt_shard.Session]), {!follow_lines}, {!Tail}
-    (so [watch --follow] and the [rtgend] spool follower) and the
-    [rtgend] data connections. A partial line therefore means the same
-    everywhere: it is held back until its newline, and when its source
-    ends it counts as a line (a truncated file's is discarded instead).
-    Line sources never materialize the input. *)
+    One {!Cutter} turns ingest bytes into lines for every source. A
+    byte-fed parser ({!Input}: a file or stdin, which every learn reads
+    through [Rt_shard.Session], a string, {!follow_input}) reads each
+    line in place as bounds in the cutter's buffer, so a line costs no
+    string; the bounds hold until the cutter's next refill, which comes
+    only after the parser is done with the line. {!lines_of_string},
+    {!lines_of_channel}, {!Tail} (so [watch --follow PATH] and the
+    [rtgend] spool follower) and the [rtgend] data connections cut
+    strings with the same cutter, and a parser over such strings
+    ({!Lines}: a followed path, the daemon's queue) reads each in place
+    too. A partial line therefore means the same everywhere: it is held
+    back until its newline, and when its source ends it counts as a
+    line (a truncated file's is discarded instead). Sources never
+    materialize the input. *)
 
 type line_source = unit -> string option
 (** The next raw line (without its newline), or [None] at end of input.
     Once [None] is returned the parser never calls the source again. *)
 
+type input = bytes -> int -> int -> int
+(** [input buf off len] puts at most [len] bytes at [buf.[off]] and
+    returns how many; 0 means end of input. [Stdlib.input ic] is one. *)
+
 (** A refill buffer cut at newlines: bytes go in by {!refill}, complete
-    lines come out by {!cut}, and the unterminated last line by {!rest}
-    once the caller knows its source has ended. *)
+    lines come out by {!cut_bounds} (or {!cut}), and the unterminated
+    last line by {!rest_bounds} (or {!rest}) once the caller knows its
+    source has ended. *)
 module Cutter : sig
   type t
 
@@ -37,14 +48,27 @@ module Cutter : sig
       it, and returns what [input] returned: 0 means nothing was read.
       An exception from [input] leaves the cutter holding what it held. *)
 
+  val cut_bounds : t -> bool
+  (** Cut the next complete line, without its newline: it is then
+      [buffer t] from [line_lo t] to [line_hi t] (exclusive), until the
+      next {!refill} or {!clear}. [false] until a refill brings one. *)
+
+  val rest_bounds : t -> bool
+  (** Cut the bytes after the last newline as a line, if there are any
+      — the final line of a source that ended without a newline. Call
+      it once {!cut_bounds} returns [false]. *)
+
+  val buffer : t -> bytes
+  (** The buffer the last line was cut from; never write to it. *)
+
+  val line_lo : t -> int
+  val line_hi : t -> int
+
   val cut : t -> string option
-  (** The next complete line, without its newline; [None] until a
-      refill brings one. *)
+  (** {!cut_bounds}, the line copied out. *)
 
   val rest : t -> string option
-  (** Take the bytes after the last newline as a line, if there are any
-      — the final line of a source that ended without a newline. Call
-      it once {!cut} returns [None]. *)
+  (** {!rest_bounds}, the line copied out. *)
 
   val clear : t -> unit
   (** Discard every byte held and give the buffer back. *)
@@ -60,14 +84,17 @@ val lines_of_channel : in_channel -> line_source
 (** Read lines as they become available; blocks with the channel. The
     channel is not closed on exhaustion — the caller owns it. *)
 
-val follow_lines :
-  ?poll_interval:float -> stop:(unit -> bool) -> in_channel -> line_source
+val string_input : string -> input
+(** The string's bytes, then end of input. *)
+
+val follow_input :
+  ?poll_interval:float -> stop:(unit -> bool) -> in_channel -> input
 (** [tail -f] over a growing file: at end of file, sleep [poll_interval]
-    seconds (default 0.05) and retry until [stop ()] is true, then yield
-    any final partial line and end. A half-written line is never
-    handed out early. Bound to one open
-    channel, so it cannot survive log rotation — use {!follow_path} for
-    a path-tracking follower. *)
+    seconds (default 0.05) and retry until [stop ()] is true, then end.
+    A cutter over it never hands a half-written line out early, and
+    yields the final partial line once [stop ()] ends the input. Bound
+    to one open channel, so it cannot survive log rotation — use
+    {!follow_path} for a path-tracking follower. *)
 
 (** The non-blocking core of path following: one {!Tail.step} yields at
     most one line and never sleeps, so a single-threaded daemon can
@@ -111,12 +138,12 @@ val follow_path :
   ?poll_interval:float -> ?max_backoff:float ->
   ?on_event:(Tail.event -> unit) -> stop:(unit -> bool) ->
   string -> line_source
-(** {!follow_lines} by path, surviving rotation and truncation: lines
-    keep flowing across a logrotate-style rename or a copytruncate
-    shrink, and a missing file is retried with exponential backoff
-    capped at [max_backoff] (default 1s) instead of failing. When
-    [stop ()] becomes true the follower yields any final partial line
-    and ends. [on_event] observes the non-line transitions the follower
+(** A follower like {!follow_input}, by path, surviving rotation and
+    truncation: lines keep flowing across a logrotate-style rename or a
+    copytruncate shrink, and a missing file is retried with exponential
+    backoff capped at [max_backoff] (default 1s) instead of failing.
+    When [stop ()] becomes true the follower yields any final partial
+    line and ends. [on_event] observes the non-line transitions the follower
     absorbs ([Opened], [Rotated], [Truncated]) — e.g. to route them
     into a flight recorder. *)
 
@@ -126,7 +153,11 @@ type mode = [ `Strict | `Recover ]
 
 type t
 
-val create : ?mode:mode -> ?eps:int -> ?window:int -> line_source -> t
+type source =
+  | Lines of line_source  (** one string per line *)
+  | Input of input        (** bytes, cut into lines in the parser's cutter *)
+
+val of_source : ?mode:mode -> ?eps:int -> ?window:int -> source -> t
 (** [`Strict] (default) fails on the first malformed line or period.
     [`Recover] skips malformed lines and repairs, with {!Repair}, the
     periods that fail validation; a valid period skips {!Repair},
@@ -144,6 +175,9 @@ val create : ?mode:mode -> ?eps:int -> ?window:int -> line_source -> t
 
     Event lines go straight into the parser's {!Period.Builder}: on a
     period that validates, no {!Event.t} is built. *)
+
+val create : ?mode:mode -> ?eps:int -> ?window:int -> line_source -> t
+(** [of_source (Lines source)]. *)
 
 val next : t -> (Period.t option, parse_error) result
 (** The next period of the stream; [Ok None] at end of input. Both end

@@ -41,8 +41,8 @@ type mode = Stream_io.mode
 (* Batch parsing drains the incremental {!Stream_io} parser: one
    implementation serves this path and the live [--stream]/[watch]
    paths, so they cannot disagree. *)
-let parse ~mode ?eps ?window source =
-  let p = Stream_io.create ~mode ?eps ?window source in
+let parse ~mode ?eps ?window input =
+  let p = Stream_io.of_source ~mode ?eps ?window (Input input) in
   let rec drain acc =
     match Stream_io.next p with
     | Ok (Some period) -> drain (period :: acc)
@@ -54,7 +54,7 @@ let parse ~mode ?eps ?window source =
   drain []
 
 let of_string ?(mode = `Strict) ?eps ?window s =
-  parse ~mode ?eps ?window (Stream_io.lines_of_string s)
+  parse ~mode ?eps ?window (Stream_io.string_input s)
 
 let of_string_exn s =
   match of_string s with
@@ -65,4 +65,4 @@ let of_string_exn s =
 let load ?(mode = `Strict) ?eps ?window path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-      parse ~mode ?eps ?window (Stream_io.lines_of_channel ic))
+      parse ~mode ?eps ?window (input ic))

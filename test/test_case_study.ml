@@ -249,7 +249,7 @@ let test_anonymize_hides_names () =
 let auto_search ?initial trace =
   let text = Rt_trace.Trace_io.to_string trace in
   Rt_shard.Auto.search ?initial (fun () ->
-      Rt_trace.Stream_io.lines_of_string text)
+      Rt_trace.Stream_io.(Input (string_input text)))
 
 let test_auto_bound_gm () =
   let trace = Gm.trace ~periods:10 () in

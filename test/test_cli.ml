@@ -329,6 +329,35 @@ let test_learn_strict_vs_recover () =
   Alcotest.(check bool) "quarantine summary on stderr" true
     (contains ~needle:"quarantine:" (read_file (tmp "stderr")))
 
+(* The parser reads lines in a loop: a long run of lines that close no
+   period, comments in strict mode or unparseable lines in recover mode,
+   costs no stack. Under a 512 KB stack (OCAMLRUNPARAM l=64k words)
+   both runs below overflowed when each such line took a frame. *)
+let test_filler_lines_flat_stack () =
+  let head = "tasks a b\nperiod 0\n" and tail = "1 start a\n2 end a\n" in
+  let plain = tmp "filler_plain.trace" in
+  write_file plain (head ^ tail);
+  List.iter
+    (fun (what, filler, mode) ->
+       let path = tmp ("filler_" ^ what ^ ".trace") in
+       let b = Buffer.create (100_000 * String.length filler) in
+       Buffer.add_string b head;
+       for _ = 1 to 100_000 do Buffer.add_string b filler done;
+       Buffer.add_string b tail;
+       write_file path (Buffer.contents b);
+       let learn file =
+         run_code
+           ~bin:("OCAMLRUNPARAM=l=64k " ^ rtgen)
+           (Printf.sprintf "learn -b 1 --mode %s %s" mode file)
+       in
+       let code, out = learn path in
+       Alcotest.(check int) (what ^ ": exit code") 0 code;
+       Alcotest.(check string) (what ^ ": the model without the filler")
+         (snd (learn plain)) out;
+       Sys.remove path)
+    [ ("comments", "# c\n", "strict"); ("unparseable", "x y\n", "recover") ];
+  Sys.remove plain
+
 let test_analyze_recover_confidence () =
   let out =
     run (Printf.sprintf "analyze %s --mode recover --eps 60 --bound 4"
@@ -1475,6 +1504,8 @@ let () =
             test_out_of_range_options_refused;
           Alcotest.test_case "vcd import round trip" `Quick
             test_vcd_import_roundtrip;
+          Alcotest.test_case "filler lines on a small stack" `Quick
+            test_filler_lines_flat_stack;
         ] );
       ( "streaming",
         [

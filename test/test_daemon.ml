@@ -836,7 +836,7 @@ let test_daemon_period_over_queue () =
   let s, _ =
     Rt_shard.Session.create ~mode:`Recover
       (Rt_engine.Engine.Heuristic { bound = 4 })
-      (Rt_trace.Stream_io.lines_of_string text)
+      Rt_trace.Stream_io.(Input (string_input text))
   in
   let rec learn () =
     match Rt_shard.Session.next s with
@@ -1087,7 +1087,7 @@ let learn_to_store dir text =
   let s, _ =
     Session.create ~companion:true ~checkpoint
       (Rt_engine.Engine.Heuristic { bound = 4 })
-      (Rt_trace.Stream_io.lines_of_string text)
+      Rt_trace.Stream_io.(Input (string_input text))
   in
   let rec pump () =
     match Session.next s with

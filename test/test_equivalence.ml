@@ -153,7 +153,7 @@ let law (c : case) =
      whose answer sets is the oracle's on the periods dealt to it. *)
   let session ?obs ?pool ?shards ?checkpoint () =
     Session.create ~mode ?eps ?obs ?pool ?shards ?checkpoint ~companion:true
-      alg (Rt_trace.Stream_io.lines_of_string text)
+      alg Rt_trace.Stream_io.(Input (string_input text))
   in
   let rec drain what st skipped =
     match Session.next st with

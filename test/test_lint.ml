@@ -120,7 +120,14 @@ let test_hot_loop_alloc () =
           \  for k = 0 to b.len - 1 do\n\
           \    b.msgs <- { occ = k; bus_id = b.key.(k) } :: b.msgs\n\
           \  done"));
-  (* The rule is scoped to the packed ingest files. *)
+  (* So is the line parser's tokeniser. *)
+  Alcotest.(check (list string)) "line parser scan" [ "RTL006" ]
+    (rules
+       (Lint.lint_source ~file:"lib/trace/stream_io.ml"
+          "let consume_line buf lo hi =\n\
+          \  let p = ref lo in\n\
+          \  while !p < hi do toks := (!p, !p + 1) :: !toks; incr p done"));
+  (* The rule is scoped to the ingest hot files. *)
   check_rules "same loop elsewhere is fine" []
     "let scan n =\n\
     \  for i = 0 to n - 1 do marks := (i, i * 2) :: !marks done";

@@ -126,7 +126,7 @@ let session_report ~eps text =
   let s, _ =
     Rt_shard.Session.create ~mode:`Recover ~eps
       (Rt_engine.Engine.Heuristic { bound = 1 })
-      (Rt_trace.Stream_io.lines_of_string text)
+      Rt_trace.Stream_io.(Input (string_input text))
   in
   let rec drain () =
     match Rt_shard.Session.next s with

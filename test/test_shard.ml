@@ -31,7 +31,8 @@ let depfun = Test_support.depfun
 let learn ?pool ?obs ~bound ~shards trace =
   let st, _ =
     Session.create ?pool ?obs ~shards (Engine.Heuristic { bound })
-      (Rt_trace.Stream_io.lines_of_string (Rt_trace.Trace_io.to_string trace))
+      Rt_trace.Stream_io.(
+        Input (string_input (Rt_trace.Trace_io.to_string trace)))
   in
   let rec drain () =
     match Session.next st with
@@ -322,7 +323,7 @@ let test_empty_fold () =
     (fun (bound, shards) ->
        let st, _ =
          Session.create ?shards (Engine.Heuristic { bound })
-           (Rt_trace.Stream_io.lines_of_string "tasks a b\n")
+           Rt_trace.Stream_io.(Input (string_input "tasks a b\n"))
        in
        (match Session.next st with
         | Ok None -> ()
@@ -344,7 +345,7 @@ let auto ?max_bound ?obs text =
   let opened = ref 0 in
   let open_ () =
     incr opened;
-    Rt_trace.Stream_io.lines_of_string text
+    Rt_trace.Stream_io.(Input (string_input text))
   in
   let o = Rt_shard.Auto.search ?max_bound ?obs open_ in
   (o, !opened)

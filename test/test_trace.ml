@@ -331,18 +331,20 @@ let shuffled_lines_parse_alike =
        digest (Io.of_string (period_text sorted))
        = digest (Io.of_string (period_text shuffled)))
 
-(* Draining the streaming parser over a simulated trace allocates a
-   bounded number of bytes per event: the line string and its option,
-   and each period's digest; no per-event record. On OCaml 5
-   [Gc.allocated_bytes] counts minor-heap words only at a minor
-   collection, so one is forced on each side of the drain: the count is
-   then exact, not a timing, and does not hang on how full the minor
-   heap was when the test began. *)
+(* Draining the byte-fed parser over a simulated trace allocates a
+   bounded number of bytes per event: each period's digest and its
+   [Ok (Some _)], and nothing per line, since lines are read in place in
+   the cutter's buffer. On OCaml 5 [Gc.allocated_bytes] counts
+   minor-heap words only at a minor collection, so one is forced on each
+   side of the drain: the count is then exact, not a timing, and does
+   not hang on how full the minor heap was when the test began. *)
 let test_stream_alloc_per_event () =
   let trace = simulate ~periods:2_000 ~seed:3 (small_design 3) in
   let text = Io.to_string trace in
   let events = T.total_events trace in
-  let p = Rt_trace.Stream_io.create (Rt_trace.Stream_io.lines_of_string text) in
+  let p =
+    Rt_trace.Stream_io.(of_source (Input (string_input text)))
+  in
   let rec drain n =
     match Rt_trace.Stream_io.next p with
     | Ok (Some _) -> drain (n + 1)
@@ -355,8 +357,8 @@ let test_stream_alloc_per_event () =
   Gc.minor ();
   let per_event = (Gc.allocated_bytes () -. before) /. float_of_int events in
   Alcotest.(check int) "every period" 2_000 periods;
-  if per_event > 112.0 then
-    Alcotest.failf "%.1f B/event allocated draining %d events (bound 112)"
+  if per_event > 64.0 then
+    Alcotest.failf "%.2f B/event allocated draining %d events (bound 64)"
       per_event events
 
 (* --- Line sources: one cutter under every ingest path --- *)
@@ -579,6 +581,360 @@ let test_tail_alloc_per_line () =
       "Tail.step allocates %.2f B/line, lines_of_channel %.2f B/line (bar: \
        + %.0f B, one Line box, + 1 B)"
       tail channel line_box
+
+(* Cutting a file into line bounds allocates nothing: the cutter's
+   64 KB buffer, a major-heap block, is all it holds, and a line is a
+   pair of ints in it. A minor collection on each side makes
+   [Gc.minor_words] exact. *)
+let test_cut_bounds_alloc () =
+  let text = Io.to_string (simulate ~periods:800 ~seed:3 (small_design 3)) in
+  let path = Filename.temp_file "rtgen_alloc" ".trace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let c = Sio.Cutter.create () and read = input ic in
+  let rec go n =
+    if Sio.Cutter.cut_bounds c then go (n + 1)
+    else if Sio.Cutter.refill c read > 0 then go n
+    else n
+  in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let lines = go 0 in
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every line"
+    (List.length (String.split_on_char '\n' text) - 1) lines;
+  if words > 0.0 then
+    Alcotest.failf "cutting %d lines into bounds allocated %.0f minor words"
+      lines words
+
+(* --- The line grammar, written out from the format --- *)
+
+module Q = Rt_trace.Quarantine
+
+(* A parse's whole outcome: each period as its index and sorted events,
+   the error that ended it (line, message), if any, and its account. *)
+let parser_outcome p =
+  let rec go acc =
+    match Sio.next p with
+    | Ok (Some (pd : P.t)) -> go ((pd.index, P.events pd) :: acc)
+    | Ok None -> (List.rev acc, None)
+    | Error (e : Sio.parse_error) -> (List.rev acc, Some (e.line, e.message))
+  in
+  let periods, error = go [] in
+  (periods, error, Sio.quarantine p)
+
+(* The format, from its definition: lines are the text cut at newlines
+   (a final newline opens no line); a line is [String.trim]med, and a
+   blank or [#] line says nothing; the rest splits on single spaces,
+   empty tokens dropped. A [tasks] head names the task set, [period N]
+   closes the open period and opens period N, three tokens are an
+   event [TIME KIND ARG], and every number is [int_of_string_opt]'s.
+   A closed period is [Period.make]'s; recover mode skips bad lines,
+   repairs failing periods with [Repair] and cuts frames without an
+   admissible pair. A [period] line hands out the period it closes once
+   the whole line is read, so in strict mode a bad index is the error
+   and that period is not handed out. *)
+let spec_parse ~mode text =
+  let strict = mode = `Strict in
+  let lines =
+    match List.rev (String.split_on_char '\n' text) with
+    | "" :: rev -> List.rev rev
+    | rev -> List.rev rev
+  in
+  let task_set = ref None and cur = ref None and periods = ref [] in
+  let skipped = ref [] and kept = ref 0 and repaired = ref [] in
+  let dropped = ref [] in
+  let exception Stop of int * string in
+  let skip line message =
+    if strict then raise (Stop (line, message))
+    else skipped := { Q.line; message } :: !skipped
+  in
+  let keep index p fixes =
+    let ok = C.admissible p in
+    let bad =
+      Array.fold_left (fun n m -> if ok m then n else n + 1) 0 p.P.msgs
+    in
+    let p, fixes =
+      if bad = 0 then (p, fixes)
+      else
+        ( P.filter_msgs ok p,
+          fixes @ [ Printf.sprintf "excised %d inexplicable frame(s)" bad ] )
+    in
+    if fixes = [] then incr kept
+    else repaired := { Q.period_index = index; fixes } :: !repaired;
+    Some (index, P.events p)
+  in
+  let drop index reason =
+    dropped := { Q.period_index = index; reason } :: !dropped;
+    None
+  in
+  (* The period open, if any, closed: [Some] when it is kept. *)
+  let close line =
+    match !cur with
+    | None -> None
+    | Some (index, rev_events) ->
+      cur := None;
+      let events = List.rev rev_events in
+      (match !task_set with
+       | None when strict -> raise (Stop (line, "period before tasks line"))
+       | None -> drop index "before tasks line"
+       | Some task_set ->
+         (match P.make ~index ~task_set events with
+          | Ok p when strict ->
+            incr kept;
+            Some (index, P.events p)
+          | Ok p -> keep index p []
+          | Error e when strict ->
+            raise
+              (Stop
+                 ( line,
+                   Printf.sprintf "invalid period %d: %s" index
+                     (P.string_of_error e) ))
+          | Error _ ->
+            (match Rt_trace.Repair.period ~index ~task_set events with
+             | Ok (p, fixes) ->
+               keep index p (List.map Rt_trace.Repair.string_of_fix fixes)
+             | Error e -> drop index (P.string_of_error e))))
+  in
+  let event line time kind arg =
+    match !cur with
+    | None -> skip line "event before a period line"
+    | Some (index, evs) ->
+      let task () =
+        match !task_set with
+        | None -> Error "event before tasks line"
+        | Some ts ->
+          Option.to_result ~none:("unknown task: " ^ arg) (Ts.index ts arg)
+      in
+      let msg () =
+        Option.to_result ~none:("bad message id: " ^ arg) (int_of_string_opt arg)
+      in
+      let kind =
+        match kind with
+        | "start" -> Result.map (fun i -> E.Task_start i) (task ())
+        | "end" -> Result.map (fun i -> E.Task_end i) (task ())
+        | "rise" -> Result.map (fun m -> E.Msg_rise m) (msg ())
+        | "fall" -> Result.map (fun m -> E.Msg_fall m) (msg ())
+        | k -> Error ("unknown event kind: " ^ k)
+      in
+      (match (int_of_string_opt time, kind) with
+       | None, _ -> skip line ("bad timestamp: " ^ time)
+       | Some tm, _ when tm < 0 -> skip line "negative timestamp"
+       | Some _, Error m -> skip line m
+       | Some tm, Ok kind -> cur := Some (index, { E.time = tm; kind } :: evs))
+  in
+  let emit = Option.iter (fun p -> periods := p :: !periods) in
+  let last = List.length lines in
+  let error =
+    try
+      List.iteri
+        (fun i raw ->
+           let line = i + 1 in
+           let s = String.trim raw in
+           if s <> "" && s.[0] <> '#' then
+             match List.filter (( <> ) "") (String.split_on_char ' ' s) with
+             | "tasks" :: _ when !task_set <> None ->
+               skip line "duplicate tasks line"
+             | [ "tasks" ] -> skip line "tasks line without names"
+             | "tasks" :: names ->
+               (match Ts.of_names (Array.of_list names) with
+                | ts -> task_set := Some ts
+                | exception Invalid_argument m -> skip line m)
+             | [ "period"; n ] ->
+               let closed = close line in
+               (match int_of_string_opt n with
+                | Some index -> cur := Some (index, [])
+                | None -> skip line ("bad period index: " ^ n));
+               emit closed
+             | [ time; kind; arg ] -> event line time kind arg
+             | _ -> skip line ("unparseable line: " ^ s))
+        lines;
+      emit (close last);
+      if !task_set = None then raise (Stop (last, "missing tasks line"));
+      None
+    with Stop (line, message) -> Some (line, message)
+  in
+  ( List.rev !periods,
+    error,
+    { Q.skipped_lines = List.rev !skipped; kept = !kept;
+      repaired = List.rev !repaired; dropped = List.rev !dropped } )
+
+(* Texts in the grammar's corners, and chunk sizes to feed them in. A
+   text is a header, then periods whose well-formed events get random
+   padding and separators, with noise lines between them: comments,
+   blanks, odd [period] and [tasks] lines, numbers in every lexeme
+   [int_of_string_opt] knows or refuses, unknown kinds and tasks, and
+   now and then a line longer than the cutter's 64 KB first buffer. *)
+let grammar_case =
+  let open QCheck.Gen in
+  let pad =
+    string_size ~gen:(oneofl [ ' '; '\t'; '\r'; '\012' ]) (int_bound 2)
+  in
+  let sep = frequency [ (3, return " "); (1, return "   ") ] in
+  let number =
+    frequency
+      [ (4, map string_of_int (int_bound 300));
+        (2, map (Printf.sprintf "0x%x") (int_bound 300));
+        (1, map (Printf.sprintf "0X%X") (int_bound 300));
+        (2,
+         oneofl
+           [ "-5"; "+7"; "1_000"; "0x1_0"; "0x"; "0b101"; "0o17"; "0u12";
+             "-0x10"; "00012"; "x1"; "123456789012345678";
+             "1234567890123456789"; "4611686018427387903";
+             "4611686018427387904"; "99999999999999999999999";
+             "0xfffffffffffffff"; "0x7fffffffffffffff";
+             "0x10000000000000000" ]) ]
+  in
+  let line tokens =
+    let* lead = pad and* trail = pad and* sep = sep in
+    return (lead ^ String.concat sep tokens ^ trail)
+  in
+  let good_event =
+    let* t = int_bound 400 and* task = oneofl [ "a"; "b"; "c" ] in
+    let* id = int_bound 3 in
+    oneofl
+      [ [ string_of_int t; "start"; task ]; [ string_of_int t; "end"; task ];
+        [ string_of_int t; "rise"; Printf.sprintf "0x%x" id ];
+        [ string_of_int t; "fall"; string_of_int id ] ]
+  in
+  (* A period that validates: tasks in turn, a frame between each two,
+     and sometimes one after the last, which no task receives. *)
+  let good_period =
+    let* n = int_range 1 3 and* base = int_bound 50 and* orphan = bool in
+    return
+      (List.concat
+         (List.init n (fun i ->
+              let t = base + (20 * i) and task = [| "a"; "b"; "c" |].(i) in
+              [ [ string_of_int t; "start"; task ];
+                [ string_of_int (t + 5); "end"; task ] ]
+              @
+              if i = n - 1 && not orphan then []
+              else
+                [ [ string_of_int (t + 6); "rise"; Printf.sprintf "0x%x" i ];
+                  [ string_of_int (t + 8); "fall"; string_of_int i ] ])))
+  in
+  let noise =
+    frequency
+      [ (3, map (fun n -> [ n; "start"; "a" ]) number);
+        (2, map (fun n -> [ "5"; "rise"; n ]) number);
+        (2, map (fun k -> [ "5"; k; "a" ])
+              (oneofl [ "jump"; "START"; "s"; "e"; "r"; "f"; "ends"; "rise0" ]));
+        (2, map (fun n -> [ "5"; "end"; n ])
+              (oneofl [ "zz"; "A"; "a\tb"; "0x1" ]));
+        (2, map (fun n -> [ "period"; n ]) number);
+        (1, oneofl
+              [ [ "period" ]; [ "period"; "1"; "2" ]; [ "periods"; "1" ];
+                [ "period\t1" ] ]);
+        (2, oneofl
+              [ [ "tasks"; "a"; "b"; "c" ]; [ "tasks" ]; [ "tasks"; "a"; "a" ];
+                [ "tasks\ta" ]; [ "tasks"; "a\tb" ] ]);
+        (2, oneofl [ [ "#" ]; [ "#"; "a"; "comment" ]; [ "#tasks"; "x" ]; [] ]);
+        (2, oneofl
+              [ [ "x"; "y" ]; [ "1"; "start" ]; [ "1"; "2"; "3"; "4" ]; [ "x" ] ]);
+        (1, return [ String.make 70_000 '#' ]);
+        (1, return [ "1"; "start"; String.make 70_000 'a' ]) ]
+  in
+  (* Each noise line goes in at a random place; the lines keep their
+     order. Half the texts and most periods get none. *)
+  let with_noise ~odds lines =
+    let insert acc line =
+      let* acc = acc in
+      let* at = int_bound (List.length acc) in
+      return (List.filteri (fun i _ -> i < at) acc
+              @ (line :: List.filteri (fun i _ -> i >= at) acc))
+    in
+    let* noisy =
+      frequency [ (odds, return []); (1, list_size (int_range 1 3) noise) ]
+    in
+    List.fold_left insert (return lines) noisy
+  in
+  let gen =
+    let* header =
+      frequency
+        [ (6, return [ [ "tasks"; "a"; "b"; "c" ] ]);
+          (1,
+           return [ [ "#"; "rtgen-trace"; "v1" ]; [ "tasks"; "c"; "b"; "a" ] ]);
+          (1, return []) ]
+    in
+    let* periods =
+      list_size (int_bound 5)
+        (let* index = map string_of_int (int_bound 9) in
+         let* events =
+           frequency
+             [ (3, good_period); (1, list_size (int_bound 6) good_event) ]
+         in
+         let* body = with_noise ~odds:3 events in
+         return ([ "period"; index ] :: body))
+    in
+    let* tokens = with_noise ~odds:1 (header @ List.concat periods) in
+    let* lines = flatten_l (List.map line tokens) in
+    let* trailing = bool in
+    let text =
+      String.concat "\n" lines ^ if trailing && lines <> [] then "\n" else ""
+    in
+    let* chunks =
+      list_size (int_range 1 6)
+        (frequency [ (3, int_range 1 16); (1, int_range 1 100_000) ])
+    in
+    return (text, chunks)
+  in
+  let print (text, chunks) =
+    Printf.sprintf "%d bytes %S, chunks cycling %s" (String.length text)
+      (if String.length text > 600 then String.sub text 0 600 ^ "..." else text)
+      (String.concat "," (List.map string_of_int chunks))
+  in
+  QCheck.make ~print gen
+
+(* An input that returns the text in chunks of the given sizes, cycling. *)
+let chunked_input text chunks =
+  let pos = ref 0 and sizes = ref [] in
+  fun buf off len ->
+    if !sizes = [] then sizes := chunks;
+    let size = List.hd !sizes in
+    sizes := List.tl !sizes;
+    let n = min (min len size) (String.length text - !pos) in
+    Bytes.blit_string text !pos buf off n;
+    pos := !pos + n;
+    n
+
+let grammar_spec =
+  Test_support.qcheck_case "Stream_io = line grammar spec" ~count:200
+    ~long_factor:20 grammar_case (fun (text, chunks) ->
+      List.iter
+        (fun mode ->
+           let want = spec_parse ~mode text in
+           let check what p =
+             let periods, error, account = parser_outcome p in
+             let wperiods, werror, waccount = want in
+             let name =
+               Printf.sprintf "%s, %s" what
+                 (match mode with `Strict -> "strict" | `Recover -> "recover")
+             in
+             if periods <> wperiods then
+               QCheck.Test.fail_reportf "%s: %d periods, spec %d" name
+                 (List.length periods) (List.length wperiods);
+             if error <> werror then
+               QCheck.Test.fail_reportf "%s: error %s, spec %s" name
+                 (match error with
+                  | Some (l, m) -> Printf.sprintf "line %d: %s" l m
+                  | None -> "none")
+                 (match werror with
+                  | Some (l, m) -> Printf.sprintf "line %d: %s" l m
+                  | None -> "none");
+             if account <> waccount then
+               QCheck.Test.fail_reportf "%s: account %s, spec %s" name
+                 (Q.summary account) (Q.summary waccount)
+           in
+           check "bytes in chunks"
+             (Sio.of_source ~mode (Input (chunked_input text chunks)));
+           check "lines_of_string" (Sio.create ~mode (Sio.lines_of_string text)))
+        [ `Strict; `Recover ];
+      true)
 
 (* --- Candidates (the paper's A_m computation) --- *)
 
@@ -1068,5 +1424,7 @@ let () =
           line_sources_agree;
           Alcotest.test_case "Tail alloc per line" `Quick
             test_tail_alloc_per_line;
+          Alcotest.test_case "cut bounds alloc" `Quick test_cut_bounds_alloc;
         ] );
+      ("grammar", [ grammar_spec ]);
     ]

@@ -198,17 +198,19 @@ let rec is_fun_literal (e : Parsetree.expression) =
 
 (* {2 RTL006: heap allocation in the packed ingest hot loop}
 
-   The zero-allocation contract of the mmap reader, the event arena and
-   the period builder is that their scan loops touch only the mapped
-   buffer, the packed Bigarray or the builder's int columns, and scalar
-   refs — one record or tuple built per event and the minor heap churns
-   in proportion to the trace. The rule is syntactic and scoped: direct
+   The zero-allocation contract of the line parser, the mmap reader,
+   the event arena and the period builder is that their scan loops touch
+   only the cutter's or the mapped buffer, the packed Bigarray or the
+   builder's int columns, and scalar refs — one record or tuple built
+   per line or event and the minor heap churns in proportion to the
+   trace. The rule is syntactic and scoped: direct
    [Pexp_record]/[Pexp_tuple] construction anywhere inside a
    [while]/[for] body, in the files that own the hot path. Error raises allocate too, but only once per failed load,
    so constructions whose enclosing expression is a [raise] application
    are exempt. *)
 
-let ingest_hot_files = [ "mmap_io.ml"; "event_arena.ml"; "period.ml" ]
+let ingest_hot_files =
+  [ "mmap_io.ml"; "event_arena.ml"; "period.ml"; "stream_io.ml" ]
 
 let rec is_raise_apply (e : Parsetree.expression) =
   match e.pexp_desc with
